@@ -322,7 +322,8 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     QuadratureError reports the cases where it does not.
     """
     if p == _INF:
-        _, value = maximize(lambda r: abs(float(np.asarray(radial_f(r)))), r_lo, r_hi)
+        _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
+                            r_lo, r_hi)
         return value
     if not (p > 0.0):
         raise DomainError(f"norm exponent must be positive or inf, got {p}")

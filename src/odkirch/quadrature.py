@@ -19,6 +19,10 @@ integrand's tail is fitted with a power-law envelope C * r**(-beta) from
 samples at geometrically spaced radii, the analytic tail bound
 C * R**(1-beta) / (beta - 1) fixes a cutoff R at which the discarded mass is
 below tolerance, and [a, R] is integrated under the substitution r = exp(x).
+
+Maximization takes a vectorized callable too: a dense grid is evaluated in
+one call f(xs), and golden-section search refines the best grid point with
+scalar calls.
 """
 
 import heapq
@@ -70,7 +74,10 @@ _EPS = np.finfo(float).eps
 
 
 def _panel(f, a: float, b: float):
-    """Apply the K15/G7 pair to one interval, returning (value, error)."""
+    """Apply the K15/G7 pair to one interval, returning (value, error, floor).
+
+    floor is the panel's round-off floor, a lower bound on its error.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + half * _NODES
@@ -92,47 +99,55 @@ def _panel(f, a: float, b: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     # Round-off floor: a panel cannot be trusted below machine noise of resabs.
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+    floor = 50.0 * _EPS * resabs
+    return resk, max(err, floor), floor
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-12,
               abs_tol: float = 1e-300, max_panels: int = 2048):
     """Integrate a vectorized callable f over the finite interval [a, b].
 
-    Returns (value, error_estimate).  Raises QuadratureError if the requested
-    tolerance cannot be met within max_panels subdivisions or when further
-    bisection would fall below floating-point resolution.
+    Returns (value, error_estimate).  The per-panel round-off floors sum to
+    about 50 eps times the integral of |f| however [a, b] is split, so when
+    that floor alone reaches the tolerance and the error above it is within
+    the tolerance, bisection stops and the returned estimate exceeds the
+    tolerance by at most the floor.  Otherwise raises QuadratureError if the
+    requested tolerance cannot be met within max_panels subdivisions or when
+    further bisection would fall below floating-point resolution.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise QuadratureError(f"integrate requires finite bounds, got [{a}, {b}]")
     if a == b:
         return 0.0, 0.0
     counter = itertools.count()
-    val, err = _panel(f, a, b)
-    # Heap entries: (-error, tiebreak, a, b, value, error).  The tiebreak makes
-    # the subdivision order, and hence the result, fully deterministic.
-    heap = [(-err, next(counter), a, b, val, err)]
-    total_val, total_err = val, err
-    while total_err > max(abs_tol, rel_tol * abs(total_val)):
+    val, err, floor = _panel(f, a, b)
+    # Heap entries: (-error, tiebreak, a, b, value, error, floor).  The
+    # tiebreak makes the subdivision order, and hence the result, fully
+    # deterministic.
+    heap = [(-err, next(counter), a, b, val, err, floor)]
+    total_val, total_err, total_floor = val, err, floor
+    while total_err > (tol := max(abs_tol, rel_tol * abs(total_val))):
+        if total_floor >= tol and total_err - total_floor <= tol:
+            break  # only the round-off floor is left; bisection cannot lower it
         if len(heap) >= max_panels:
             raise QuadratureError(
                 f"needed more than {max_panels} panels on [{a}, {b}] "
                 f"(error {total_err:.3e}, value {total_val:.3e})"
             )
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        _, _, pa, pb, pval, perr, pfloor = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:
             # Interval at floating-point resolution; cannot refine further.
             raise QuadratureError(
                 f"interval [{pa}, {pb}] no longer divisible, error {perr:.3e}"
             )
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
-        heapq.heappush(heap, (-e1, next(counter), pa, pm, v1, e1))
-        heapq.heappush(heap, (-e2, next(counter), pm, pb, v2, e2))
+        v1, e1, fl1 = _panel(f, pa, pm)
+        v2, e2, fl2 = _panel(f, pm, pb)
+        heapq.heappush(heap, (-e1, next(counter), pa, pm, v1, e1, fl1))
+        heapq.heappush(heap, (-e2, next(counter), pm, pb, v2, e2, fl2))
         total_val += (v1 + v2) - pval
         total_err += (e1 + e2) - perr
+        total_floor += (fl1 + fl2) - pfloor
     # Recompute the totals by compensated summation over the final partition;
     # the incremental updates above accumulate round-off over many panels.
     total_val = math.fsum(entry[4] for entry in heap)
@@ -256,14 +271,16 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):
 
 
 def maximize(f, a: float, b: float, n_grid: int = 4096):
-    """Maximize a scalar continuous f over [a, b], b possibly infinite.
+    """Maximize a continuous f over [a, b], b possibly infinite.
 
-    A dense grid scan locates the neighbourhood of the global maximum and
-    golden-section search refines it; grid endpoints stay in contention so
-    boundary maxima are found exactly.  An infinite right endpoint is handled
-    by the substitution r = 1/x, which compresses [a, inf) into (0, 1/a] and
-    concentrates samples where a decaying profile can still be large.  Returns
-    (argmax, max_value).
+    f must be vectorized: it maps an array of points to an array of as many
+    values, and a scalar to a scalar.  A dense grid scan, one call f(xs) on
+    all n_grid points, locates the neighbourhood of the global maximum and
+    golden-section search refines it with scalar calls; grid endpoints stay in
+    contention so boundary maxima are found exactly.  An infinite right
+    endpoint is handled by the substitution r = 1/x, which compresses
+    [a, inf) into (0, 1/a] and concentrates samples where a decaying profile
+    can still be large.  Returns (argmax, max_value).
     """
     if n_grid < 16:
         raise QuadratureError("maximize needs at least 16 grid points")
@@ -275,8 +292,7 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
         # interior peaks still land within a golden-section bracket.
         xs = np.geomspace(1.0 / a, 1e-12 / a, n_grid)
         g = lambda x: f(1.0 / x)
-        vals = np.array([g(x) for x in xs])
-        i = int(np.argmax(vals))
+        i, vals = _grid_argmax(g, xs)
         lo = xs[min(i + 1, n_grid - 1)]
         hi = xs[max(i - 1, 0)]
         x_best, v_best = golden_max(g, lo, hi)
@@ -284,13 +300,23 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
             x_best, v_best = xs[i], vals[i]
         return 1.0 / float(x_best), float(v_best)
     xs = np.linspace(a, b, n_grid)
-    vals = np.array([f(x) for x in xs])
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("maximize: non-finite sample on grid")
-    i = int(np.argmax(vals))
+    i, vals = _grid_argmax(f, xs)
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, n_grid - 1)]
     x_best, v_best = golden_max(f, lo, hi)
     if vals[i] > v_best:
         x_best, v_best = xs[i], vals[i]
     return float(x_best), float(v_best)
+
+
+def _grid_argmax(f, xs):
+    """Evaluate f on the whole grid in one call; return (argmax index, values)."""
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise QuadratureError(
+            f"maximize: f must map a vector of {xs.size} points to as many "
+            f"values, got shape {vals.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("maximize: non-finite sample on grid")
+    return int(np.argmax(vals)), vals

@@ -127,6 +127,15 @@ def build_reduced(instance: ProblemInstance) -> ReducedEquation:
         norm_u = norm_u_exterior(instance.p, geom)
         norm_grad = norm_grad_u_exterior(instance.q, geom)
     coeff = binomial(geom.n, instance.k)
+    try:
+        target = instance.lam * norm_u ** instance.k
+    except OverflowError:
+        target = math.inf
+    if not math.isfinite(target):
+        raise DomainError(
+            f"target lambda ||U||_p^k = {instance.lam!r} * {norm_u!r}**{instance.k} "
+            "overflows a double"
+        )
     return ReducedEquation(
         n=geom.n,
         k=instance.k,
@@ -135,7 +144,7 @@ def build_reduced(instance: ProblemInstance) -> ReducedEquation:
         norm_grad=norm_grad,
         rho=norm_grad / norm_u,
         lam=instance.lam,
-        target=instance.lam * norm_u ** instance.k,
+        target=target,
         kernel=instance.kernel,
         geometry=geom,
     )

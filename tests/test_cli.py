@@ -259,6 +259,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", "-c", path)
         assert code == 3 and "domain error" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_target_overflow_is_domain_error(self, tmp_path, capsys, command):
+        # ||U||_0.3 of the ball n=9, R=40 is 6.7e51; its 8th power overflows.
+        case = {"geometry": {"kind": "ball", "n": 9, "radius": 40.0},
+                "k": 8, "p": 0.3, "q": 2.0, "kernel": "1 + t"}
+        path = write_config(tmp_path, case, 1.0)
+        code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err and "overflows" in err
+        assert out == "" and "Traceback" not in err
+
     def test_kernel_eval_fault(self, tmp_path, capsys):
         case = dict(BATTERY["cases"][0], kernel="log(s - 10)")
         path = write_config(tmp_path, case, 3.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odkirch.errors import QuadratureError
 from odkirch.quadrature import golden_max, integrate, integrate_decaying, maximize
@@ -79,6 +79,9 @@ class TestIntegrate:
         alpha=st.floats(-3, 3),
     )
     @settings(max_examples=50, deadline=None)
+    # The combination integrates to 1.07e-2 from an O(1) integrand, so the
+    # round-off floor 50 eps * int |f| (1.09e-13) exceeds abs_tol.
+    @example(c0=4.75, c1=-1.125, c2=-3.6875, alpha=3.0)
     def test_linearity(self, c0, c1, c2, alpha):
         f = lambda x: c0 + c1 * x + c2 * x**2
         g = lambda x: np.exp(-x) * np.ones_like(np.asarray(x, dtype=float))
@@ -89,6 +92,16 @@ class TestIntegrate:
         fa, _ = integrate(f, 0.0, 2.0, abs_tol=1e-13)
         ga, _ = integrate(g, 0.0, 2.0, abs_tol=1e-13)
         assert lhs == pytest.approx(fa + alpha * ga, rel=1e-11, abs=1e-11)
+
+    def test_round_off_floor_stops_bisection(self):
+        # A tolerance below the round-off floor cannot be certified; the
+        # integrator returns with its honest estimate instead of bisecting
+        # up to max_panels.
+        f = lambda x: 4.75 - 1.125 * x - 3.6875 * x**2 + 3.0 * np.exp(-x)
+        val, err = integrate(f, 0.0, 2.0, abs_tol=1e-13)
+        exact = 9.5 - 2.25 - 3.6875 * 8.0 / 3.0 + 3.0 * (1.0 - math.exp(-2.0))
+        assert 1e-13 < err < 2e-13
+        assert abs(val - exact) <= err
 
     @given(c=st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
@@ -139,7 +152,7 @@ class TestMaximize:
         # f(x) = x exp(-x) peaks at x = 1 with value 1/e.  The argmax of a
         # flat quadratic peak is only determined to ~sqrt(eps); the value
         # itself is second-order accurate and stays tight.
-        x, v = maximize(lambda x: x * math.exp(-x), 0.0, 5.0)
+        x, v = maximize(lambda x: x * np.exp(-x), 0.0, 5.0)
         assert x == pytest.approx(1.0, abs=1e-6)
         assert v == pytest.approx(math.exp(-1.0), rel=1e-12)
 
@@ -150,7 +163,7 @@ class TestMaximize:
 
     def test_infinite_domain(self):
         # r^2 exp(-r) on [1, inf) peaks at r = 2.
-        x, v = maximize(lambda r: r * r * math.exp(-r), 1.0, math.inf)
+        x, v = maximize(lambda r: r * r * np.exp(-r), 1.0, math.inf)
         assert x == pytest.approx(2.0, abs=1e-6)
         assert v == pytest.approx(4.0 * math.exp(-2.0), rel=1e-10)
 
@@ -166,6 +179,35 @@ class TestMaximize:
     @given(peak=st.floats(0.5, 9.5))
     @settings(max_examples=40, deadline=None)
     def test_gaussian_peak_found(self, peak):
-        x, v = maximize(lambda x: math.exp(-((x - peak) ** 2)), 0.0, 10.0)
+        x, v = maximize(lambda x: np.exp(-((x - peak) ** 2)), 0.0, 10.0)
         assert x == pytest.approx(peak, abs=1e-6)
         assert v == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("b", [5.0, math.inf])
+    def test_grid_is_one_vectorized_call(self, b):
+        # One call on the whole grid, then scalar golden-section steps.
+        calls = []
+
+        def f(r):
+            calls.append(np.shape(r))
+            return np.asarray(r, dtype=float) ** 2 * np.exp(-r)
+
+        x, v = maximize(f, 1.0, b, n_grid=1000)
+        assert x == pytest.approx(2.0, abs=1e-6)
+        assert calls[0] == (1000,)
+        assert all(shape == () for shape in calls[1:])
+        assert len(calls) <= 1 + 200
+
+    def test_nonfinite_sample_on_infinite_grid(self):
+        def f(r):
+            out = 1.0 / np.asarray(r, dtype=float)
+            if out.ndim:
+                out[100] = np.nan
+            return out
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            maximize(f, 1.0, math.inf)
+
+    def test_rejects_scalar_only_result(self):
+        with pytest.raises(QuadratureError, match="as many values"):
+            maximize(lambda x: 1.0, 0.0, 1.0)
