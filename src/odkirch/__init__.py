@@ -8,23 +8,21 @@ the `odkirch` command exposes the same pipeline from the shell.
 """
 
 from .base_solutions import (BallGeometry, ExteriorGeometry, RadialProfile,
-                             ball_profile, exterior_profile, norm_grad_u_ball,
-                             norm_grad_u_exterior, norm_quadrature,
-                             norm_u_ball, norm_u_exterior)
+                             norm_quadrature)
 from .config import RunConfig, build_config, load_config
 from .errors import (ConfigError, DomainError, KernelEvalError,
                      KernelSyntaxError, OdkirchError, QuadratureError)
 from .hessian import (binomial, elementary_symmetric, hessian_fd,
                       k_hessian_field, k_hessian_radial, principal_minor_sum)
-from .kernel import (eval_kernel, kernel_to_string, parse_kernel,
-                     positivity_screen)
+from .kernel import eval_kernel, kernel_to_string, parse_kernel
 from .reduction import (ProblemInstance, ReducedEquation, RootInfo,
                         ScanConfig, Solution, SolutionStructure,
                         build_reduced, roots_to_solutions, solve_roots,
                         system_count_check)
 from .specialfun import beta, incomplete_beta, log_gamma, sphere_area
-from .verifier import (GammaReport, KelvinReport, ResidualReport,
-                       gamma_scaling_check, kelvin_checks, kelvin_transform,
-                       verify_ball, verify_exterior)
+from .verifier import (THRESHOLDS, GammaReport, KelvinReport, ResidualReport,
+                       gamma_scaling_check, judge_kelvin, judge_solution,
+                       kelvin_checks, kelvin_transform, perturb_solution,
+                       verify)
 
 __version__ = "0.1.0"

@@ -11,6 +11,11 @@ Norms come in two deliberately independent flavours: closed forms assembled
 from beta functions, and direct quadrature of |f|^p r^(N-1) (maximization for
 the sup norm).  They share nothing but the profile definitions, so agreement
 between them validates both.
+
+Everything that depends on the geometry is a method of the two geometry
+classes.  The exterior domain also carries the radius 1 and centre 0 of the
+ball it excludes, so boundary formulas for a sphere of radius R about x0 hold
+on both geometries unchanged.
 """
 
 import math
@@ -24,44 +29,6 @@ from .quadrature import integrate, integrate_decaying, maximize
 from .specialfun import incomplete_beta, log_gamma, sphere_area
 
 _INF = math.inf
-
-
-@dataclass(frozen=True)
-class BallGeometry:
-    """Open ball of radius `radius` centred at `center` in R^n."""
-
-    n: int
-    radius: float
-    center: tuple = ()
-
-    def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise DomainError(f"dimension must be an integer >= 1, got {self.n}")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise DomainError(f"radius must be finite and positive, got {self.radius}")
-        center = tuple(float(c) for c in self.center) or (0.0,) * self.n
-        if len(center) != self.n:
-            raise DomainError(
-                f"center has {len(center)} coordinates for dimension {self.n}"
-            )
-        object.__setattr__(self, "center", center)
-
-    @property
-    def x0(self) -> np.ndarray:
-        return np.asarray(self.center)
-
-
-@dataclass(frozen=True)
-class ExteriorGeometry:
-    """Complement of the closed unit ball in R^n, n >= 2."""
-
-    n: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise DomainError(
-                f"exterior geometry needs integer dimension >= 2, got {self.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -122,194 +89,254 @@ class RadialProfile:
         return grad
 
 
-def ball_profile(geom: BallGeometry) -> RadialProfile:
-    """Radial profile of the ball base solution: phi(r) = (r^2 - R^2)/2."""
-    rsq = geom.radius ** 2
-    return RadialProfile(
-        phi=lambda r: 0.5 * (np.asarray(r, dtype=float) ** 2 - rsq),
-        dphi=lambda r: np.asarray(r, dtype=float),
-        d2phi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        r_min=0.0,
-        r_max=geom.radius,
-    )
+def _is_finite_exponent(x: float) -> bool:
+    """Raise DomainError unless x is positive or inf; True when it is finite."""
+    if x == _INF:
+        return False
+    if not (x > 0.0):
+        raise DomainError(f"norm exponent must be positive or inf, got {x}")
+    return True
 
 
-def exterior_profile(geom: ExteriorGeometry) -> RadialProfile:
-    """Radial profile of the exterior base solution on [1, inf).
-
-    phi(r) = (r^(-n) - r^(2-n))/2; for n = 2 the second term is the
-    constant 1, so phi stays bounded instead of decaying.
-    """
-    n = geom.n
-
-    def phi(r):
-        r = np.asarray(r, dtype=float)
-        return 0.5 * (r ** (-n) - r ** (2.0 - n))
-
-    def dphi(r):
-        r = np.asarray(r, dtype=float)
-        return 0.5 * (-n * r ** (-n - 1.0) + (n - 2.0) * r ** (1.0 - n))
-
-    def d2phi(r):
-        r = np.asarray(r, dtype=float)
-        return 0.5 * (n * (n + 1.0) * r ** (-n - 2.0)
-                      - (n - 2.0) * (n - 1.0) * r ** (-n))
-
-    return RadialProfile(phi=phi, dphi=dphi, d2phi=d2phi, r_min=1.0, r_max=_INF)
-
-
-def _check_point(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise DomainError(f"expected a point in R^{n}, got shape {x.shape}")
-    return x
-
-
-def u_ball(x, geom: BallGeometry) -> float:
-    """Ball base solution at a point of the closed ball."""
-    x = _check_point(x, geom.n)
-    d = x - geom.x0
-    rsq = float(d @ d)
-    if rsq > geom.radius ** 2 * (1.0 + 1e-12):
-        raise DomainError(f"point at distance {math.sqrt(rsq)} outside ball "
-                          f"of radius {geom.radius}")
-    return 0.5 * (rsq - geom.radius ** 2)
-
-
-def grad_u_ball(x, geom: BallGeometry) -> np.ndarray:
-    x = _check_point(x, geom.n)
-    d = x - geom.x0
-    if float(d @ d) > geom.radius ** 2 * (1.0 + 1e-12):
-        raise DomainError("point outside ball")
-    return d
-
-
-def u_exterior(x, geom: ExteriorGeometry) -> float:
-    """Exterior base solution at a point with |x| >= 1."""
-    x = _check_point(x, geom.n)
-    r = float(np.linalg.norm(x))
-    if r < 1.0 - 1e-12:
-        raise DomainError(f"point at radius {r} inside the unit ball")
-    return 0.5 * (r ** (-geom.n) - r ** (2.0 - geom.n))
-
-
-def grad_u_exterior(x, geom: ExteriorGeometry) -> np.ndarray:
-    x = _check_point(x, geom.n)
-    n = geom.n
-    r = float(np.linalg.norm(x))
-    if r < 1.0 - 1e-12:
-        raise DomainError(f"point at radius {r} inside the unit ball")
-    dphi = 0.5 * (-n * r ** (-n - 1.0) + (n - 2.0) * r ** (1.0 - n))
-    return (dphi / r) * x
-
-
-def check_u_exponent(p: float, geom) -> None:
-    """Raise DomainError unless the base solution lies in L^p of the geometry."""
-    if p == _INF:
-        return
-    if not (p > 0.0):
-        raise DomainError(f"norm exponent must be positive or inf, got {p}")
-    if isinstance(geom, BallGeometry):
-        return
-    n = geom.n
-    if n == 2:
-        raise DomainError(
-            "planar exterior solution is bounded but not decaying; "
-            "only the sup norm is finite (use p = inf)"
-        )
-    if p <= n / (n - 2.0):
-        raise DomainError(
-            f"exterior solution in R^{n} is in L^p only for p > {n / (n - 2.0):g}, "
-            f"got p = {p}"
-        )
-
-
-def check_gradient_exponent(q: float, geom) -> None:
-    """Raise DomainError unless the base solution's gradient lies in L^q."""
-    if q == _INF:
-        return
-    if not (q > 0.0):
-        raise DomainError(f"norm exponent must be positive or inf, got {q}")
-    if isinstance(geom, BallGeometry):
-        return
-    n = geom.n
-    # The planar gradient decays like r^-3, faster than the generic r^(1-n).
-    threshold = 2.0 / 3.0 if n == 2 else n / (n - 1.0)
-    if q <= threshold:
-        raise DomainError(
-            f"exterior gradient in R^{n} is in L^q only for q > {threshold}, "
-            f"got q = {q}"
-        )
+def _exp_norm(log_norm: float, what: str) -> float:
+    """A closed-form norm exp(log_norm); DomainError when it overflows a double."""
+    try:
+        return math.exp(log_norm)
+    except OverflowError:
+        raise DomainError(f"closed-form {what} = exp({log_norm:.6g}) "
+                          "overflows a double") from None
 
 
 def _log_beta(x: float, y: float) -> float:
     return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
 
 
-def norm_u_ball(p: float, geom: BallGeometry) -> float:
-    """||U||_p on the ball, closed form."""
-    check_u_exponent(p, geom)
-    n, radius = geom.n, geom.radius
-    if p == _INF:
-        return 0.5 * radius ** 2
-    log_pow = (-(p + 1.0) * math.log(2.0)
-               + math.log(sphere_area(n))
-               + (2.0 * p + n) * math.log(radius)
-               + _log_beta(0.5 * n, p + 1.0))
-    return math.exp(log_pow / p)
+@dataclass(frozen=True)
+class BallGeometry:
+    """Open ball of radius `radius` centred at `center` in R^n."""
 
+    n: int
+    radius: float
+    center: tuple = ()
 
-def norm_grad_u_ball(q: float, geom: BallGeometry) -> float:
-    """||grad U||_q on the ball, closed form."""
-    check_gradient_exponent(q, geom)
-    n, radius = geom.n, geom.radius
-    if q == _INF:
-        return radius
-    log_pow = (math.log(sphere_area(n))
-               + (q + n) * math.log(radius)
-               - math.log(q + n))
-    return math.exp(log_pow / q)
+    def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise DomainError(f"dimension must be an integer >= 1, got {self.n}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise DomainError(f"radius must be finite and positive, got {self.radius}")
+        center = tuple(float(c) for c in self.center) or (0.0,) * self.n
+        if len(center) != self.n:
+            raise DomainError(
+                f"center has {len(center)} coordinates for dimension {self.n}"
+            )
+        object.__setattr__(self, "center", center)
 
+    @property
+    def x0(self) -> np.ndarray:
+        return np.asarray(self.center)
 
-def norm_u_exterior(p: float, geom: ExteriorGeometry) -> float:
-    """||U||_p on the exterior domain, closed form.
+    @property
+    def r_range(self) -> tuple:
+        return (0.0, self.radius)
 
-    The sup norm is attained at r = sqrt(n/(n-2)) for n >= 3, giving
-    (1/(n-2)) (n/(n-2))^(-n/2); in the plane |U| increases to its limit 1/2.
-    """
-    check_u_exponent(p, geom)
-    n = geom.n
-    if p == _INF:
-        if n == 2:
-            return 0.5
-        return (1.0 / (n - 2.0)) * (n / (n - 2.0)) ** (-0.5 * n)
-    log_pow = (-(p + 1.0) * math.log(2.0)
-               + math.log(sphere_area(n))
-               + _log_beta(0.5 * (p * (n - 2.0) - n), p + 1.0))
-    return math.exp(log_pow / p)
+    def profile(self) -> RadialProfile:
+        """Radial profile of the ball base solution: phi(r) = (r^2 - R^2)/2."""
+        rsq = self.radius ** 2
+        return RadialProfile(
+            phi=lambda r: 0.5 * (np.asarray(r, dtype=float) ** 2 - rsq),
+            dphi=lambda r: np.asarray(r, dtype=float),
+            d2phi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+            r_min=0.0,
+            r_max=self.radius,
+        )
 
+    def check_k(self, k: int) -> None:
+        if not (1 <= k <= self.n):
+            raise DomainError(f"ball problem needs 1 <= k <= {self.n}, got k = {k}")
 
-def norm_grad_u_exterior(q: float, geom: ExteriorGeometry) -> float:
-    """||grad U||_q on the exterior domain, closed form.
+    def check_exponents(self, p: float = _INF, q: float = _INF) -> None:
+        """Raise DomainError unless U is in L^p and grad U in L^q: any p, q > 0."""
+        _is_finite_exponent(p)
+        _is_finite_exponent(q)
 
-    The sup norm equals 1, attained on the boundary sphere.  The finite-q
-    value for n >= 3 splits at the interior zero of the gradient into an
-    Euler beta plus an incomplete beta with negative second argument.
-    """
-    check_gradient_exponent(q, geom)
-    n = geom.n
-    if q == _INF:
+    def norm_u(self, p: float) -> float:
+        """||U||_p on the ball, closed form."""
+        self.check_exponents(p=p)
+        n, radius = self.n, self.radius
+        if p == _INF:
+            return 0.5 * radius ** 2
+        log_pow = (-(p + 1.0) * math.log(2.0)
+                   + math.log(sphere_area(n))
+                   + (2.0 * p + n) * math.log(radius)
+                   + _log_beta(0.5 * n, p + 1.0))
+        return _exp_norm(log_pow / p, f"||U||_{p:g}")
+
+    def norm_grad(self, q: float) -> float:
+        """||grad U||_q on the ball, closed form."""
+        self.check_exponents(q=q)
+        n, radius = self.n, self.radius
+        if q == _INF:
+            return radius
+        log_pow = (math.log(sphere_area(n))
+                   + (q + n) * math.log(radius)
+                   - math.log(q + n))
+        return _exp_norm(log_pow / q, f"||grad U||_{q:g}")
+
+    def sample_radii(self, rng, count: int) -> np.ndarray:
+        """Seeded interior radii at which the verifier samples the PDE."""
+        return self.radius * rng.uniform(0.05, 0.999, count)
+
+    def rhs_weight(self, r):
+        """w(r) in S_k(D^2 U) = C(N, k) w(|x - x0|): constant on the ball."""
         return 1.0
-    if n == 2:
-        return (2.0 * math.pi / (3.0 * q - 2.0)) ** (1.0 / q)
-    log_pref = (-q * math.log(2.0)
-                + math.log(sphere_area(n))
-                + (q + 1.0) * math.log(n)
-                - math.log(2.0 * (n - 2.0))
-                + 0.5 * ((n - 2.0) - (n + 1.0) * q) * (math.log(n) - math.log(n - 2.0)))
-    outer = math.exp(_log_beta(0.5 * ((n - 1.0) * q - n), q + 1.0))
-    inner = incomplete_beta(2.0 / n, q + 1.0, 0.5 * (n - (n + 1.0) * q))
-    return math.exp((log_pref + math.log(outer + inner)) / q)
+
+    def far_field(self, profile: RadialProfile) -> None:
+        """The ball is bounded: there is no behaviour at infinity to report."""
+        return None
+
+    def to_doc(self) -> dict:
+        return {"kind": "ball", "dim": self.n, "radius": self.radius,
+                "center": list(self.center)}
+
+    def describe(self, fmt) -> str:
+        center = ", ".join(fmt(c) for c in self.center)
+        return f"ball n={self.n} R={fmt(self.radius)} center=({center})"
+
+
+@dataclass(frozen=True)
+class ExteriorGeometry:
+    """Complement of the closed unit ball in R^n, n >= 2."""
+
+    n: int
+    radius = 1.0                  # of the excluded ball, centred at the origin
+    r_range = (1.0, _INF)
+
+    def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise DomainError(
+                f"exterior geometry needs integer dimension >= 2, got {self.n}"
+            )
+
+    @property
+    def center(self) -> tuple:
+        return (0.0,) * self.n
+
+    @property
+    def x0(self) -> np.ndarray:
+        return np.zeros(self.n)
+
+    def profile(self) -> RadialProfile:
+        """Radial profile of the exterior base solution on [1, inf).
+
+        phi(r) = (r^(-n) - r^(2-n))/2; for n = 2 the second term is the
+        constant 1, so phi stays bounded instead of decaying.
+        """
+        n = self.n
+
+        def phi(r):
+            r = np.asarray(r, dtype=float)
+            return 0.5 * (r ** (-n) - r ** (2.0 - n))
+
+        def dphi(r):
+            r = np.asarray(r, dtype=float)
+            return 0.5 * (-n * r ** (-n - 1.0) + (n - 2.0) * r ** (1.0 - n))
+
+        def d2phi(r):
+            r = np.asarray(r, dtype=float)
+            return 0.5 * (n * (n + 1.0) * r ** (-n - 2.0)
+                          - (n - 2.0) * (n - 1.0) * r ** (-n))
+
+        return RadialProfile(phi=phi, dphi=dphi, d2phi=d2phi, r_min=1.0, r_max=_INF)
+
+    def check_k(self, k: int) -> None:
+        if k != 1:
+            raise DomainError(f"exterior problem is Laplacian-only (k = 1), "
+                              f"got k = {k}")
+
+    def check_exponents(self, p: float = _INF, q: float = _INF) -> None:
+        """Raise DomainError unless U is in L^p and grad U in L^q."""
+        n = self.n
+        if _is_finite_exponent(p):
+            if n == 2:
+                raise DomainError(
+                    "planar exterior solution is bounded but not decaying; "
+                    "only the sup norm is finite (use p = inf)"
+                )
+            if p <= n / (n - 2.0):
+                raise DomainError(
+                    f"exterior solution in R^{n} is in L^p only for "
+                    f"p > {n / (n - 2.0):g}, got p = {p}"
+                )
+        # The planar gradient decays like r^-3, faster than the generic r^(1-n).
+        threshold = 2.0 / 3.0 if n == 2 else n / (n - 1.0)
+        if _is_finite_exponent(q) and q <= threshold:
+            raise DomainError(
+                f"exterior gradient in R^{n} is in L^q only for q > {threshold}, "
+                f"got q = {q}"
+            )
+
+    def norm_u(self, p: float) -> float:
+        """||U||_p on the exterior domain, closed form.
+
+        The sup norm is attained at r = sqrt(n/(n-2)) for n >= 3, giving
+        (1/(n-2)) (n/(n-2))^(-n/2); in the plane |U| increases to its limit 1/2.
+        """
+        self.check_exponents(p=p)
+        n = self.n
+        if p == _INF:
+            if n == 2:
+                return 0.5
+            return (1.0 / (n - 2.0)) * (n / (n - 2.0)) ** (-0.5 * n)
+        log_pow = (-(p + 1.0) * math.log(2.0)
+                   + math.log(sphere_area(n))
+                   + _log_beta(0.5 * (p * (n - 2.0) - n), p + 1.0))
+        return _exp_norm(log_pow / p, f"||U||_{p:g}")
+
+    def norm_grad(self, q: float) -> float:
+        """||grad U||_q on the exterior domain, closed form.
+
+        The sup norm equals 1, attained on the boundary sphere.  The finite-q
+        value for n >= 3 splits at the interior zero of the gradient into an
+        Euler beta plus an incomplete beta with negative second argument.
+        """
+        self.check_exponents(q=q)
+        n = self.n
+        if q == _INF:
+            return 1.0
+        if n == 2:
+            return (2.0 * math.pi / (3.0 * q - 2.0)) ** (1.0 / q)
+        log_pref = (-q * math.log(2.0)
+                    + math.log(sphere_area(n))
+                    + (q + 1.0) * math.log(n)
+                    - math.log(2.0 * (n - 2.0))
+                    + 0.5 * ((n - 2.0) - (n + 1.0) * q)
+                    * (math.log(n) - math.log(n - 2.0)))
+        outer = math.exp(_log_beta(0.5 * ((n - 1.0) * q - n), q + 1.0))
+        inner = incomplete_beta(2.0 / n, q + 1.0, 0.5 * (n - (n + 1.0) * q))
+        return _exp_norm((log_pref + math.log(outer + inner)) / q,
+                         f"||grad U||_{q:g}")
+
+    def sample_radii(self, rng, count: int) -> np.ndarray:
+        """Seeded radii in [1, 20], log-uniform, at which the verifier samples the PDE."""
+        return np.exp(rng.uniform(0.0, math.log(20.0), count))
+
+    def rhs_weight(self, r):
+        """w(r) in Delta U = N w(|x|): w(r) = r^(-n-2)."""
+        return r ** (-self.n - 2.0)
+
+    def far_field(self, profile: RadialProfile) -> float:
+        """|u(r_far)| r_far^(n-2) at r_far = 1e5 for n >= 3 (the decay
+        coefficient, about amplitude/2) and |u(r_far)| itself for n = 2 (the
+        bounded limit, again about amplitude/2)."""
+        r_far = 1e5
+        far = abs(float(profile.phi(r_far)))
+        return far * r_far ** (self.n - 2.0) if self.n >= 3 else far
+
+    def to_doc(self) -> dict:
+        return {"kind": "exterior", "dim": self.n}
+
+    def describe(self, fmt) -> str:
+        return f"exterior n={self.n}"
 
 
 def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
@@ -321,12 +348,10 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     integrand must decay fast enough for tail truncation to converge, and a
     QuadratureError reports the cases where it does not.
     """
-    if p == _INF:
+    if not _is_finite_exponent(p):
         _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
                             r_lo, r_hi)
         return value
-    if not (p > 0.0):
-        raise DomainError(f"norm exponent must be positive or inf, got {p}")
 
     def integrand(r):
         r = np.asarray(r, dtype=float)

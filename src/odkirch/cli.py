@@ -24,10 +24,7 @@ import sys
 
 import numpy as np
 
-from .base_solutions import (BallGeometry, ExteriorGeometry, ball_profile,
-                             exterior_profile, norm_grad_u_ball,
-                             norm_grad_u_exterior, norm_quadrature,
-                             norm_u_ball, norm_u_exterior)
+from .base_solutions import BallGeometry, norm_quadrature
 from .config import SCHEMA_VERSION, RunConfig, config_to_dict, load_config
 from .errors import (ConfigError, DomainError, KernelEvalError,
                      KernelSyntaxError, QuadratureError)
@@ -36,20 +33,7 @@ from .kernel import eval_kernel, kernel_to_string, parse_kernel
 from .reduction import (ProblemInstance, ScanConfig, build_reduced,
                         roots_to_solutions, solve_roots, system_count_check)
 from .specialfun import beta, incomplete_beta, sphere_area
-from .verifier import (gamma_scaling_check, kelvin_checks, perturb_solution,
-                       verify_ball, verify_exterior)
-
-THRESHOLDS = {
-    "interior_residual": 1e-6,
-    "boundary_value": 1e-10,
-    "boundary_gradient": 1e-8,
-    "norm_consistency": 1e-8,
-    "gamma_amplitude": 1e-6,
-    "gamma_pde": 1e-6,
-    "kelvin_identity": 1e-10,
-    "kelvin_constant": 1e-8,
-    "norm_agreement": 1e-8,
-}
+from .verifier import THRESHOLDS, judge_kelvin, judge_solution, perturb_solution
 
 
 def _format_float(x: float) -> str:
@@ -104,13 +88,6 @@ def _instance_doc(cfg: RunConfig) -> dict:
             ("geometry", "k", "p", "q", "lambda", "kernel")}
 
 
-def _geometry_line(geom) -> str:
-    if isinstance(geom, BallGeometry):
-        center = ", ".join(_f6(c) for c in geom.center)
-        return f"ball n={geom.n} R={_f6(geom.radius)} center=({center})"
-    return f"exterior n={geom.n}"
-
-
 def _analyze(cfg: RunConfig):
     eq = build_reduced(cfg.instance)
     structure = solve_roots(eq, cfg.scan)
@@ -150,7 +127,7 @@ def cmd_analyze(cfg: RunConfig, as_json: bool, out) -> int:
         out.write(canonical_json(doc) + "\n")
         return 0
     w = out.write
-    w(f"geometry       {_geometry_line(cfg.instance.geometry)}\n")
+    w(f"geometry       {cfg.instance.geometry.describe(_f6)}\n")
     w(f"operator       k={cfg.instance.k} (C(n,k)={eq.coeff})\n")
     w(f"exponents      p={_exponent_doc(cfg.instance.p)}, "
       f"q={_exponent_doc(cfg.instance.q)}\n")
@@ -182,85 +159,16 @@ def cmd_analyze(cfg: RunConfig, as_json: bool, out) -> int:
     return 0
 
 
-def _verify_one(cfg: RunConfig, solution):
-    inst = cfg.instance
-    exterior = isinstance(inst.geometry, ExteriorGeometry)
-    if exterior:
-        rep = verify_exterior(inst, solution, seed=cfg.seed)
-    else:
-        rep = verify_ball(inst, solution, seed=cfg.seed)
-    gam = gamma_scaling_check(inst, solution, seed=cfg.seed)
-    norm_dev = abs(rep.norm_u_quad - solution.s) / max(1.0, abs(solution.s))
-    checks = {
-        "interior_residual": rep.max_interior_residual,
-        "boundary_value": rep.boundary_value_max,
-        "boundary_gradient": rep.boundary_gradient_deviation,
-        "norm_consistency": norm_dev,
-        "gamma_amplitude": abs(gam.recovered_amplitude - 1.0),
-        "gamma_pde": gam.max_pde_dev,
-    }
-    ok = all(value <= THRESHOLDS[name] for name, value in checks.items())
-    doc = {
-        "s": solution.s,
-        "amplitude": solution.amplitude,
-        "c": rep.c_reported,
-        "norm_u_quad": rep.norm_u_quad,
-        "norm_grad_quad": rep.norm_grad_quad,
-        "kernel_value": rep.kernel_value,
-        "gamma": gam.gamma,
-        "recovered_amplitude": gam.recovered_amplitude,
-        "checks": {name: {"value": value, "threshold": THRESHOLDS[name],
-                          "pass": value <= THRESHOLDS[name]}
-                   for name, value in checks.items()},
-        "pass": ok,
-    }
-    if rep.far_field_ratio is not None:
-        doc["far_field_ratio"] = rep.far_field_ratio
-    return ok, doc
-
-
 def cmd_verify(cfg: RunConfig, as_json: bool, out) -> int:
     eq, structure, sysrep = _analyze(cfg)
     solutions = roots_to_solutions(structure)
     if cfg.amplitude_scale != 1.0:
         solutions = tuple(perturb_solution(s, cfg.amplitude_scale)
                           for s in solutions)
-    all_ok = sysrep.matched
-    reports = []
-    for sol in solutions:
-        ok, doc = _verify_one(cfg, sol)
-        all_ok = all_ok and ok
-        reports.append(doc)
-
-    kelvin_doc = None
-    if isinstance(cfg.instance.geometry, ExteriorGeometry):
-        kel = kelvin_checks(cfg.instance.geometry, seed=cfg.seed)
-        kel_checks = {
-            "image_pointwise": (kel.image_pointwise_dev,
-                                THRESHOLDS["kelvin_identity"]),
-            "laplacian_identity": (kel.laplacian_identity_dev,
-                                   THRESHOLDS["kelvin_identity"]),
-            "laplacian_constant": (kel.laplacian_constant_dev,
-                                   THRESHOLDS["kelvin_constant"]),
-            "boundary_identity": (kel.boundary_identity_dev,
-                                  THRESHOLDS["kelvin_constant"]),
-            "orthogonality": (kel.orthogonality_dev,
-                              THRESHOLDS["kelvin_identity"]),
-            "pythagoras": (kel.pythagoras_dev, THRESHOLDS["kelvin_identity"]),
-            "double_transform": (kel.double_transform_dev,
-                                 THRESHOLDS["kelvin_identity"]),
-        }
-        kel_ok = (all(v <= t for v, t in kel_checks.values())
-                  and kel.removability_monotone)
-        all_ok = all_ok and kel_ok
-        kelvin_doc = {
-            "checks": {name: {"value": v, "threshold": t, "pass": v <= t}
-                       for name, (v, t) in kel_checks.items()},
-            "removability_monotone": kel.removability_monotone,
-            "removability_shrink": kel.removability_shrink,
-            "pass": kel_ok,
-        }
-
+    reports = [judge_solution(cfg.instance, sol, seed=cfg.seed) for sol in solutions]
+    kelvin_doc = judge_kelvin(cfg.instance.geometry, seed=cfg.seed)
+    all_ok = (sysrep.matched and all(doc["pass"] for doc in reports)
+              and (kelvin_doc is None or kelvin_doc["pass"]))
     verdict = "pass" if all_ok else "fail"
     if as_json:
         doc = {
@@ -304,29 +212,20 @@ def cmd_verify(cfg: RunConfig, as_json: bool, out) -> int:
 def _norm_rows(cfg: RunConfig):
     inst = cfg.instance
     geom = inst.geometry
-    if isinstance(geom, BallGeometry):
-        prof = ball_profile(geom)
-        closed_u = lambda p: norm_u_ball(p, geom)
-        closed_g = lambda q: norm_grad_u_ball(q, geom)
-        r_lo, r_hi = 0.0, geom.radius
-    else:
-        prof = exterior_profile(geom)
-        closed_u = lambda p: norm_u_exterior(p, geom)
-        closed_g = lambda q: norm_grad_u_exterior(q, geom)
-        r_lo, r_hi = 1.0, math.inf
+    prof = geom.profile()
     rows = []
     seen = set()
     for name, exponent, closed, fun in (
-            ("u", inst.p, closed_u, prof.phi),
-            ("u", math.inf, closed_u, prof.phi),
-            ("grad_u", inst.q, closed_g, prof.dphi),
-            ("grad_u", math.inf, closed_g, prof.dphi)):
+            ("u", inst.p, geom.norm_u, prof.phi),
+            ("u", math.inf, geom.norm_u, prof.phi),
+            ("grad_u", inst.q, geom.norm_grad, prof.dphi),
+            ("grad_u", math.inf, geom.norm_grad, prof.dphi)):
         key = (name, exponent)
         if key in seen:
             continue
         seen.add(key)
         cval = closed(exponent)
-        qval = norm_quadrature(fun, exponent, geom.n, r_lo, r_hi)
+        qval = norm_quadrature(fun, exponent, geom.n, *geom.r_range)
         rows.append({
             "field": name,
             "exponent": _exponent_doc(exponent),
@@ -352,7 +251,7 @@ def cmd_norms(cfg: RunConfig, as_json: bool, out) -> int:
         out.write(canonical_json(doc) + "\n")
         return 0 if ok else 1
     w = out.write
-    w(f"geometry   {_geometry_line(cfg.instance.geometry)}\n")
+    w(f"geometry   {cfg.instance.geometry.describe(_f6)}\n")
     w(f"{'field':<8} {'exponent':>8} {'closed form':>16} "
       f"{'quadrature':>16} {'rel err':>10}\n")
     for row in rows:
@@ -396,14 +295,14 @@ def _selftest_checks():
 
     def ball_hessian_constant():
         geom = BallGeometry(n=4, radius=2.0)
-        prof = ball_profile(geom)
+        prof = geom.profile()
         vals = k_hessian_radial(prof, np.array([0.3, 1.0, 1.9]), 4, 2)
         return bool(np.all(np.abs(vals - binomial(4, 2)) < 1e-12))
 
     def norm_agreement():
         geom = BallGeometry(n=3, radius=1.0)
-        closed = norm_u_ball(2.0, geom)
-        quad = norm_quadrature(ball_profile(geom).phi, 2.0, 3, 0.0, 1.0)
+        closed = geom.norm_u(2.0)
+        quad = norm_quadrature(geom.profile().phi, 2.0, 3, 0.0, 1.0)
         return abs(closed - quad) / closed < 1e-9
 
     def kernel_round_trip():

@@ -168,20 +168,13 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Inverse of build_config, up to default filling; round-trips exactly."""
-    geom = cfg.instance.geometry
-    if isinstance(geom, BallGeometry):
-        gdoc = {"kind": "ball", "dim": geom.n, "radius": geom.radius,
-                "center": list(geom.center)}
-    else:
-        gdoc = {"kind": "exterior", "dim": geom.n}
-
     def exponent_out(x):
         return "inf" if math.isinf(x) else x
 
     scan = cfg.scan
     return {
         "schema_version": SCHEMA_VERSION,
-        "geometry": gdoc,
+        "geometry": cfg.instance.geometry.to_doc(),
         "k": cfg.instance.k,
         "p": exponent_out(cfg.instance.p),
         "q": exponent_out(cfg.instance.q),

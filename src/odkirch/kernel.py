@@ -300,19 +300,3 @@ def eval_kernel(node, s, t):
     shape = np.broadcast_shapes(s_arr.shape, t_arr.shape)
     return np.array(out, dtype=float).reshape(shape)
 
-
-def positivity_screen(node, s_lo: float, s_hi: float, rho: float,
-                      n_samples: int = 512):
-    """Sample M(s, rho*s) on a log-spaced grid and report the first s with M <= 0.
-
-    Returns None when every sample is strictly positive.  This is a screen,
-    not a proof: a sign dip between samples can escape it.
-    """
-    if not (0.0 < s_lo < s_hi):
-        raise KernelSyntaxError("bad screen range", 0, "0 < s_lo < s_hi")
-    svals = np.geomspace(s_lo, s_hi, n_samples)
-    mvals = eval_kernel(node, svals, rho * svals)
-    bad = np.nonzero(~(mvals > 0.0))[0]
-    if bad.size == 0:
-        return None
-    return float(svals[bad[0]])

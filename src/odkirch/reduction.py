@@ -37,11 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_solutions import (BallGeometry, ExteriorGeometry, ball_profile,
-                             check_gradient_exponent, check_u_exponent,
-                             exterior_profile, norm_grad_u_ball,
-                             norm_grad_u_exterior, norm_u_ball,
-                             norm_u_exterior)
+from .base_solutions import BallGeometry, ExteriorGeometry
 from .errors import DomainError
 from .hessian import binomial
 from .kernel import eval_kernel, kernel_to_string, parse_kernel
@@ -68,18 +64,10 @@ class ProblemInstance:
         geom = self.geometry
         if not isinstance(geom, (BallGeometry, ExteriorGeometry)):
             raise DomainError(f"unsupported geometry {type(geom).__name__}")
-        if isinstance(geom, BallGeometry):
-            if not (1 <= self.k <= geom.n):
-                raise DomainError(
-                    f"ball problem needs 1 <= k <= {geom.n}, got k = {self.k}"
-                )
-        elif self.k != 1:
-            raise DomainError(f"exterior problem is Laplacian-only (k = 1), "
-                              f"got k = {self.k}")
+        geom.check_k(self.k)
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise DomainError(f"lambda must be finite and positive, got {self.lam}")
-        check_u_exponent(self.p, geom)
-        check_gradient_exponent(self.q, geom)
+        geom.check_exponents(self.p, self.q)
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", parse_kernel(self.kernel))
 
@@ -120,12 +108,8 @@ class ReducedEquation:
 def build_reduced(instance: ProblemInstance) -> ReducedEquation:
     """Compute the closed-form norms of the base field and assemble g."""
     geom = instance.geometry
-    if isinstance(geom, BallGeometry):
-        norm_u = norm_u_ball(instance.p, geom)
-        norm_grad = norm_grad_u_ball(instance.q, geom)
-    else:
-        norm_u = norm_u_exterior(instance.p, geom)
-        norm_grad = norm_grad_u_exterior(instance.q, geom)
+    norm_u = geom.norm_u(instance.p)
+    norm_grad = geom.norm_grad(instance.q)
     coeff = binomial(geom.n, instance.k)
     try:
         target = instance.lam * norm_u ** instance.k
@@ -158,6 +142,11 @@ class ScanConfig:
     (and no less than 1e3), which covers every kernel whose size is within an
     order of magnitude of constant; the scan warns when the residual is still
     heading toward zero at either edge.
+
+    A grid point where |g - target| has a local minimum below
+    tangency_rtol * target, with no sign change next to it, is refined and
+    reported as a tangency suspect (or as two roots, when the refinement
+    finds the level crossed between grid points).
     """
 
     s_min: float = 1e-8
@@ -227,13 +216,6 @@ def _bisect(fun, a: float, b: float, fa: float, fb: float, rel_width: float):
     return root, abs(fun(root))
 
 
-def _boundary_gradient(s: float, eq: ReducedEquation) -> float:
-    amp = s / eq.norm_u
-    if isinstance(eq.geometry, BallGeometry):
-        return amp * eq.geometry.radius
-    return amp
-
-
 _EDGE_WINDOW = 50
 
 
@@ -277,7 +259,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     # the surrounding cells, already within tangency_rtol of the target level.
     tangencies = []
     habs = np.abs(hvals)
-    near = config.tangency_rtol * max(1.0, abs(eq.target))
+    near = config.tangency_rtol * abs(eq.target)
     for j in range(1, config.n_grid - 1):
         if not (habs[j] <= near and habs[j] <= habs[j - 1] and habs[j] <= habs[j + 1]):
             continue
@@ -325,8 +307,10 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
                 "roots below the scan range are possible, lower s_min"
             )
 
+    # |grad U| = R on the boundary sphere (R = 1 for the exterior domain).
     root_infos = tuple(
-        RootInfo(s=root, amplitude=root / eq.norm_u, c=_boundary_gradient(root, eq),
+        RootInfo(s=root, amplitude=root / eq.norm_u,
+                 c=root / eq.norm_u * eq.geometry.radius,
                  bracket=bracket, residual=res)
         for root, res, bracket in deduped
     )
@@ -350,32 +334,25 @@ class Solution:
     s: float
     geometry: object
     profile: object       # scaled RadialProfile
-    u: object             # callable, point in R^n -> float
-    grad_u: object        # callable, point in R^n -> array
+
+    @property
+    def u(self):
+        """The field as a callable, point in R^n -> float."""
+        return self.profile.as_field(self.geometry.center)
+
+    @property
+    def grad_u(self):
+        """Its gradient as a callable, point in R^n -> array."""
+        return self.profile.gradient_field(self.geometry.center)
 
 
 def roots_to_solutions(structure: SolutionStructure) -> tuple:
     """Materialize one explicit solution per root, in root order."""
     geom = structure.equation.geometry
-    if isinstance(geom, BallGeometry):
-        base = ball_profile(geom)
-        center = geom.center
-    else:
-        base = exterior_profile(geom)
-        center = None
-    out = []
-    for info in structure.roots:
-        prof = base.scale(info.amplitude)
-        out.append(Solution(
-            amplitude=info.amplitude,
-            c=info.c,
-            s=info.s,
-            geometry=geom,
-            profile=prof,
-            u=prof.as_field(center),
-            grad_u=prof.gradient_field(center),
-        ))
-    return tuple(out)
+    base = geom.profile()
+    return tuple(Solution(amplitude=info.amplitude, c=info.c, s=info.s,
+                          geometry=geom, profile=base.scale(info.amplitude))
+                 for info in structure.roots)
 
 
 @dataclass(frozen=True)

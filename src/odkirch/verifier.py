@@ -11,21 +11,38 @@ problems into punctured-ball ones: w(y) = |y|^(2-n) u(y/|y|^2) obeys
 Delta w(y) = |y|^(-n-2) (Delta u)(y/|y|^2), the boundary sphere is fixed with
 |grad w| = |grad u| there, and the singularity of w at the origin is removable
 exactly when u stays appropriately bounded at infinity.
+
+THRESHOLDS, judge_solution and judge_kelvin turn the reports into the
+pass/fail verdict that `odkirch verify` prints, so library callers get the
+same answer as the command line.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base_solutions import (BallGeometry, ExteriorGeometry, RadialProfile,
-                             exterior_profile, norm_quadrature)
+from .base_solutions import ExteriorGeometry, RadialProfile, norm_quadrature
 from .errors import DomainError
 from .hessian import binomial, k_hessian_radial
 from .kernel import eval_kernel
 from .reduction import ProblemInstance, Solution
 
 _INF = math.inf
+
+# Pass/fail gates of `judge_solution`, `judge_kelvin` and the norms table.
+THRESHOLDS = {
+    "interior_residual": 1e-6,
+    "boundary_value": 1e-10,
+    "boundary_gradient": 1e-8,
+    "norm_consistency": 1e-8,
+    "gamma_amplitude": 1e-6,
+    "gamma_pde": 1e-6,
+    "kelvin_identity": 1e-10,
+    "kelvin_constant": 1e-8,
+    "norm_agreement": 1e-8,
+}
 
 
 @dataclass(frozen=True)
@@ -63,51 +80,47 @@ def perturb_solution(solution: Solution, factor: float) -> Solution:
     Exists to exercise the failure path: any factor other than 1.0 must make
     verification report residuals above tolerance.
     """
-    prof = solution.profile.scale(factor)
-    center = (solution.geometry.center
-              if isinstance(solution.geometry, BallGeometry) else None)
-    return Solution(
-        amplitude=solution.amplitude * factor,
-        c=solution.c,
-        s=solution.s,
-        geometry=solution.geometry,
-        profile=prof,
-        u=prof.as_field(center),
-        grad_u=prof.gradient_field(center),
-    )
+    return dataclasses.replace(solution, amplitude=solution.amplitude * factor,
+                               profile=solution.profile.scale(factor))
 
 
-def verify_ball(instance: ProblemInstance, solution: Solution,
-                n_samples: int = 64, seed: int = 0) -> ResidualReport:
-    """Check that the candidate solves the ball problem it claims to solve.
+def verify(instance: ProblemInstance, solution: Solution,
+           n_samples: int = 64, seed: int = 0) -> ResidualReport:
+    """Check that the candidate solves the problem it claims to solve.
 
-    Interior: M(||u||_p, ||grad u||_q) S_k(D^2 u) = lambda at random radii,
-    with both norms recomputed by quadrature.  Boundary: u = 0 and
-    |normal derivative| = c at random sphere points, the derivative taken by
-    finite differences of the scalar field.
+    Interior: M(||u||_p, ||grad u||_q) S_k(D^2 u) = lambda w(|x - x0|) at
+    seeded random radii, with both norms recomputed by quadrature and w the
+    geometry's right-hand-side weight (1 on the ball, |x|^(-n-2) outside the
+    unit ball, where k = 1).  Boundary: u = 0 and |normal derivative| = c at
+    random points of the sphere of radius R about x0 (R = 1, x0 = 0 for the
+    exterior domain), the derivative taken by finite differences of the
+    scalar field.  On the exterior domain far_field_ratio also reports the
+    decay (n >= 3) or bounded limit (n = 2) at large radius.
     """
     geom = instance.geometry
-    if not isinstance(geom, BallGeometry):
-        raise DomainError("verify_ball needs a ball geometry")
+    if solution.geometry != geom:
+        raise DomainError(f"solution on {solution.geometry} does not belong to "
+                          f"an instance on {geom}")
     n, radius = geom.n, geom.radius
     prof = solution.profile
-    nu_q = norm_quadrature(prof.phi, instance.p, n, 0.0, radius)
-    ng_q = norm_quadrature(prof.dphi, instance.q, n, 0.0, radius)
+    nu_q = norm_quadrature(prof.phi, instance.p, n, *geom.r_range)
+    ng_q = norm_quadrature(prof.dphi, instance.q, n, *geom.r_range)
     m_val = eval_kernel(instance.kernel, nu_q, ng_q)
 
     rng = np.random.default_rng(seed)
-    radii = radius * rng.uniform(0.05, 0.999, n_samples)
+    radii = geom.sample_radii(rng, n_samples)
     sk = k_hessian_radial(prof, radii, n, instance.k)
-    interior = float(np.max(np.abs(m_val * sk - instance.lam)))
+    interior = float(np.max(np.abs(m_val * sk - instance.lam * geom.rhs_weight(radii))))
 
     dirs = _unit_directions(rng, n_samples, n)
     h = 1e-4 * max(1.0, radius)
+    u = solution.u
     bval = 0.0
     bgrad = 0.0
     for d in dirs:
         x = geom.x0 + radius * d
-        bval = max(bval, abs(solution.u(x)))
-        dn = _normal_derivative(solution.u, x, d, h)
+        bval = max(bval, abs(u(x)))
+        dn = _normal_derivative(u, x, d, h)
         bgrad = max(bgrad, abs(abs(dn) - solution.c))
     return ResidualReport(
         max_interior_residual=interior,
@@ -118,56 +131,7 @@ def verify_ball(instance: ProblemInstance, solution: Solution,
         norm_u_quad=nu_q,
         norm_grad_quad=ng_q,
         kernel_value=float(m_val),
-    )
-
-
-def verify_exterior(instance: ProblemInstance, solution: Solution,
-                    n_samples: int = 64, seed: int = 0,
-                    r_check: float = 20.0, r_far: float = 1e5) -> ResidualReport:
-    """Check the exterior candidate: M * Delta u = lambda |x|^(-n-2), u = 0 and
-    |grad u| = c on the unit sphere, plus the decay (n >= 3) or boundedness
-    (n = 2) behaviour at large radius.
-
-    far_field_ratio reports |u(r_far)| * r_far^(n-2) for n >= 3 (the decay
-    coefficient, about amplitude/2) and |u(r_far)| itself for n = 2 (the
-    bounded limit, again about amplitude/2).
-    """
-    geom = instance.geometry
-    if not isinstance(geom, ExteriorGeometry):
-        raise DomainError("verify_exterior needs an exterior geometry")
-    n = geom.n
-    prof = solution.profile
-    nu_q = norm_quadrature(prof.phi, instance.p, n, 1.0, _INF)
-    ng_q = norm_quadrature(prof.dphi, instance.q, n, 1.0, _INF)
-    m_val = eval_kernel(instance.kernel, nu_q, ng_q)
-
-    rng = np.random.default_rng(seed)
-    radii = np.exp(rng.uniform(0.0, math.log(r_check), n_samples))
-    lap = k_hessian_radial(prof, radii, n, 1)
-    interior = float(np.max(np.abs(m_val * lap - instance.lam * radii ** (-n - 2.0))))
-
-    dirs = _unit_directions(rng, n_samples, n)
-    h = 1e-4
-    bval = 0.0
-    bgrad = 0.0
-    for d in dirs:
-        bval = max(bval, abs(solution.u(d)))
-        dn = _normal_derivative(solution.u, d, d, h)
-        bgrad = max(bgrad, abs(abs(dn) - solution.c))
-    if n >= 3:
-        far = abs(float(prof.phi(r_far))) * r_far ** (n - 2.0)
-    else:
-        far = abs(float(prof.phi(r_far)))
-    return ResidualReport(
-        max_interior_residual=interior,
-        boundary_value_max=bval,
-        boundary_gradient_deviation=bgrad,
-        c_reported=solution.c,
-        sample_count=2 * n_samples,
-        norm_u_quad=nu_q,
-        norm_grad_quad=ng_q,
-        kernel_value=float(m_val),
-        far_field_ratio=far,
+        far_field_ratio=geom.far_field(prof),
     )
 
 
@@ -227,7 +191,7 @@ def kelvin_checks(geom: ExteriorGeometry, seed: int = 0,
                   n_samples: int = 48) -> KelvinReport:
     """Run the Kelvin-transform identity suite for one exterior dimension."""
     n = geom.n
-    base = exterior_profile(geom)
+    base = geom.profile()
     image = kelvin_transform(base, n)
 
     rng = np.random.default_rng(seed)
@@ -303,44 +267,103 @@ class GammaReport:
 
 
 def gamma_scaling_check(instance: ProblemInstance, solution: Solution,
-                        n_samples: int = 48, seed: int = 0) -> GammaReport:
+                        report: ResidualReport, n_samples: int = 48,
+                        seed: int = 0) -> GammaReport:
     """Rescale the solution by gamma = (M C(N,k) / lambda)^(1/k) and test that
     v = gamma u satisfies the normalized equation of the base field:
     S_k(D^2 v) = C(N, k) on the ball, Delta v = n |x|^(-n-2) outside.
 
-    The kernel is evaluated at quadrature-recomputed norms of u, so this
-    closes the loop between solver, norms and scaling without shared code.
+    M is `report.kernel_value`, the kernel at the quadrature-recomputed norms
+    of u that `verify` found, so this closes the loop between solver, norms
+    and scaling without shared code.
     """
     geom = instance.geometry
     n = geom.n
-    prof = solution.profile
-    if isinstance(geom, BallGeometry):
-        nu_q = norm_quadrature(prof.phi, instance.p, n, 0.0, geom.radius)
-        ng_q = norm_quadrature(prof.dphi, instance.q, n, 0.0, geom.radius)
-    else:
-        nu_q = norm_quadrature(prof.phi, instance.p, n, 1.0, _INF)
-        ng_q = norm_quadrature(prof.dphi, instance.q, n, 1.0, _INF)
-    m_val = eval_kernel(instance.kernel, nu_q, ng_q)
+    m_val = report.kernel_value
     if m_val <= 0.0:
         raise DomainError(f"kernel value {m_val} not positive at the solution norms")
     coeff = binomial(n, instance.k)
     gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
-    scaled = prof.scale(gamma)
+    scaled = solution.profile.scale(gamma)
 
     rng = np.random.default_rng(seed)
-    if isinstance(geom, BallGeometry):
-        radii = geom.radius * rng.uniform(0.05, 0.999, n_samples)
-        dev = float(np.max(np.abs(
-            k_hessian_radial(scaled, radii, n, instance.k) - coeff
-        )))
-    else:
-        radii = np.exp(rng.uniform(0.0, math.log(20.0), n_samples))
-        dev = float(np.max(np.abs(
-            k_hessian_radial(scaled, radii, n, 1) - n * radii ** (-n - 2.0)
-        )))
+    radii = geom.sample_radii(rng, n_samples)
+    dev = float(np.max(np.abs(
+        k_hessian_radial(scaled, radii, n, instance.k) - coeff * geom.rhs_weight(radii)
+    )))
     return GammaReport(
         gamma=float(gamma),
         recovered_amplitude=float(gamma * solution.amplitude),
         max_pde_dev=dev,
         sample_count=n_samples,
     )
+
+
+def _check_table(values: dict) -> dict:
+    """{name: (value, threshold)} -> {name: {value, threshold, pass}}."""
+    return {name: {"value": v, "threshold": t, "pass": v <= t}
+            for name, (v, t) in values.items()}
+
+
+def judge_solution(instance: ProblemInstance, solution: Solution,
+                   seed: int = 0) -> dict:
+    """Pass or fail one solution: `verify` and the gamma check against THRESHOLDS.
+
+    Returns the per-root record of `odkirch verify --json`: the recomputed
+    norms, kernel value and gamma, every check with its value, threshold and
+    pass flag, and the overall "pass".
+    """
+    rep = verify(instance, solution, seed=seed)
+    gam = gamma_scaling_check(instance, solution, rep, seed=seed)
+    norm_dev = abs(rep.norm_u_quad - solution.s) / max(1.0, abs(solution.s))
+    values = {
+        "interior_residual": rep.max_interior_residual,
+        "boundary_value": rep.boundary_value_max,
+        "boundary_gradient": rep.boundary_gradient_deviation,
+        "norm_consistency": norm_dev,
+        "gamma_amplitude": abs(gam.recovered_amplitude - 1.0),
+        "gamma_pde": gam.max_pde_dev,
+    }
+    checks = _check_table({name: (v, THRESHOLDS[name]) for name, v in values.items()})
+    doc = {
+        "s": solution.s,
+        "amplitude": solution.amplitude,
+        "c": rep.c_reported,
+        "norm_u_quad": rep.norm_u_quad,
+        "norm_grad_quad": rep.norm_grad_quad,
+        "kernel_value": rep.kernel_value,
+        "gamma": gam.gamma,
+        "recovered_amplitude": gam.recovered_amplitude,
+        "checks": checks,
+        "pass": all(chk["pass"] for chk in checks.values()),
+    }
+    if rep.far_field_ratio is not None:
+        doc["far_field_ratio"] = rep.far_field_ratio
+    return doc
+
+
+def judge_kelvin(geometry, seed: int = 0) -> dict | None:
+    """Pass or fail the Kelvin suite of an exterior geometry; None on a ball.
+
+    Returns the "kelvin" record of `odkirch verify --json`.
+    """
+    if not isinstance(geometry, ExteriorGeometry):
+        return None
+    kel = kelvin_checks(geometry, seed=seed)
+    identity, constant = THRESHOLDS["kelvin_identity"], THRESHOLDS["kelvin_constant"]
+    checks = _check_table({
+        "image_pointwise": (kel.image_pointwise_dev, identity),
+        "laplacian_identity": (kel.laplacian_identity_dev, identity),
+        "laplacian_constant": (kel.laplacian_constant_dev, constant),
+        "boundary_identity": (kel.boundary_identity_dev, constant),
+        "orthogonality": (kel.orthogonality_dev, identity),
+        "pythagoras": (kel.pythagoras_dev, identity),
+        "double_transform": (kel.double_transform_dev, identity),
+    })
+    return {
+        "checks": checks,
+        "removability_monotone": kel.removability_monotone,
+        "removability_shrink": kel.removability_shrink,
+        "pass": (all(chk["pass"] for chk in checks.values())
+                 and kel.removability_monotone),
+    }

@@ -12,17 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from odkirch.base_solutions import (
-    BallGeometry,
-    ExteriorGeometry,
-    ball_profile,
-    exterior_profile,
-    norm_grad_u_ball,
-    norm_grad_u_exterior,
-    norm_quadrature,
-    norm_u_ball,
-    norm_u_exterior,
-)
+from odkirch.base_solutions import BallGeometry, ExteriorGeometry, norm_quadrature
 from odkirch.cli import main
 from odkirch.hessian import binomial, k_hessian_field, k_hessian_radial
 from odkirch.kernel import kernel_to_string, parse_kernel
@@ -33,12 +23,7 @@ from odkirch.reduction import (
     solve_roots,
     system_count_check,
 )
-from odkirch.verifier import (
-    gamma_scaling_check,
-    kelvin_checks,
-    verify_ball,
-    verify_exterior,
-)
+from odkirch.verifier import gamma_scaling_check, kelvin_checks, verify
 
 from conftest import load_battery, load_corpus, make_instance
 
@@ -56,7 +41,7 @@ def test_criterion_1_norm_formulas():
     checked = 0
     for n in (2, 3, 4, 5):
         geom = ExteriorGeometry(n=n)
-        prof = exterior_profile(geom)
+        prof = geom.profile()
         if n == 2:
             p_list = [INF]
             q_list = [0.7, 1.0, 1.5, 2.2, 5.0, INF]
@@ -66,23 +51,23 @@ def test_criterion_1_norm_formulas():
             p_list = [p_thr * 1.07, p_thr + 1.0, 4.0, 5.5, 9.0, INF]
             q_list = [q_thr * 1.05, 2.0, 3.0, 4.5, 7.0, INF]
         for p in p_list:
-            closed = norm_u_exterior(p, geom)
+            closed = geom.norm_u(p)
             quad = norm_quadrature(prof.phi, p, n, 1.0, INF)
             assert abs(closed - quad) / closed <= 1e-8, ("u", n, p)
             checked += 1
         for q in q_list:
-            closed = norm_grad_u_exterior(q, geom)
+            closed = geom.norm_grad(q)
             quad = norm_quadrature(prof.dphi, q, n, 1.0, INF)
             assert abs(closed - quad) / closed <= 1e-8, ("grad", n, q)
             checked += 1
         # Ball norms at the same dimension, covering both ball sup formulas.
         bgeom = BallGeometry(n=n, radius=1.3)
-        bprof = ball_profile(bgeom)
+        bprof = bgeom.profile()
         for e in (0.75, 1.0, 2.0, 3.5, 6.0, INF):
-            closed = norm_u_ball(e, bgeom)
+            closed = bgeom.norm_u(e)
             quad = norm_quadrature(bprof.phi, e, n, 0.0, 1.3)
             assert abs(closed - quad) / closed <= 1e-8, ("ball u", n, e)
-            closed = norm_grad_u_ball(e, bgeom)
+            closed = bgeom.norm_grad(e)
             quad = norm_quadrature(bprof.dphi, e, n, 0.0, 1.3)
             assert abs(closed - quad) / closed <= 1e-8, ("ball grad", n, e)
             checked += 2
@@ -98,7 +83,7 @@ def test_criterion_2_k_hessian_identity():
     rng = np.random.default_rng(0)
     for n in range(2, 9):
         geom = BallGeometry(n=n, radius=1.3)
-        prof = ball_profile(geom)
+        prof = geom.profile()
         radii = rng.uniform(0.01, 1.29, 100)
         for k in range(1, n + 1):
             vals = k_hessian_radial(prof, radii, n, k)
@@ -114,7 +99,7 @@ def test_criterion_2_k_hessian_identity():
                 got = k_hessian_field(field, x, k, h=1e-2)
                 assert abs(got - binomial(n, k)) <= 1e-6, (n, k)
     for n in range(2, 9):
-        eprof = exterior_profile(ExteriorGeometry(n=n))
+        eprof = ExteriorGeometry(n=n).profile()
         radii = np.geomspace(1.0, 50.0, 100)
         got = k_hessian_radial(eprof, radii, n, 1)
         ref = n * radii ** (-n - 2.0)
@@ -185,12 +170,8 @@ def test_criterion_5_pde_residuals():
             continue
         inst = make_instance(case, lam)
         structure = solve_roots(build_reduced(inst))
-        exterior = case["geometry"]["kind"] == "exterior"
         for sol in roots_to_solutions(structure):
-            if exterior:
-                rep = verify_exterior(inst, sol, n_samples=100, seed=0)
-            else:
-                rep = verify_ball(inst, sol, n_samples=100, seed=0)
+            rep = verify(inst, sol, n_samples=100, seed=0)
             label = (case["name"], lam, sol.s)
             assert rep.max_interior_residual <= 1e-6, label
             assert rep.boundary_value_max <= 1e-10, label
@@ -220,7 +201,8 @@ def test_criterion_7_gamma_scaling():
         inst = make_instance(case, lam)
         structure = solve_roots(build_reduced(inst))
         for sol in roots_to_solutions(structure):
-            rep = gamma_scaling_check(inst, sol, n_samples=100, seed=0)
+            rep = gamma_scaling_check(inst, sol, verify(inst, sol),
+                                      n_samples=100, seed=0)
             label = (case["name"], lam, sol.s)
             assert abs(rep.recovered_amplitude - 1.0) <= 1e-6, label
             assert rep.max_pde_dev <= 1e-6, label

@@ -6,23 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odkirch.base_solutions import (
-    BallGeometry,
-    ExteriorGeometry,
-    ball_profile,
-    check_gradient_exponent,
-    check_u_exponent,
-    exterior_profile,
-    grad_u_ball,
-    grad_u_exterior,
-    norm_grad_u_ball,
-    norm_grad_u_exterior,
-    norm_quadrature,
-    norm_u_ball,
-    norm_u_exterior,
-    u_ball,
-    u_exterior,
-)
+from odkirch.base_solutions import BallGeometry, ExteriorGeometry, norm_quadrature
 from odkirch.errors import DomainError
 
 INF = math.inf
@@ -64,46 +48,66 @@ class TestGeometries:
         assert ExteriorGeometry(n=2).n == 2
 
 
+class TestGeometryInterface:
+    def test_exterior_excludes_the_unit_ball(self):
+        geom = ExteriorGeometry(n=3)
+        assert geom.radius == 1.0 and geom.center == (0.0, 0.0, 0.0)
+        assert geom.r_range == (1.0, INF)
+        with pytest.raises(TypeError):
+            ExteriorGeometry(n=3, radius=2.0)  # not a parameter
+
+    def test_rhs_weight(self):
+        r = np.array([1.0, 2.0])
+        assert BallGeometry(n=3, radius=2.0).rhs_weight(r) == 1.0
+        assert np.allclose(ExteriorGeometry(n=3).rhs_weight(r), r ** -5.0)
+
+    def test_check_k(self):
+        BallGeometry(n=3, radius=1.0).check_k(3)
+        ExteriorGeometry(n=3).check_k(1)
+        with pytest.raises(DomainError):
+            BallGeometry(n=3, radius=1.0).check_k(4)
+        with pytest.raises(DomainError):
+            ExteriorGeometry(n=3).check_k(2)
+
+    def test_sample_radii_inside(self):
+        rng = np.random.default_rng(0)
+        ball = BallGeometry(n=2, radius=3.0).sample_radii(rng, 50)
+        outside = ExteriorGeometry(n=2).sample_radii(rng, 50)
+        assert np.all((ball > 0.0) & (ball < 3.0))
+        assert np.all((outside >= 1.0) & (outside <= 20.0))
+
+    def test_closed_form_overflow_is_domain_error(self):
+        geom = BallGeometry(n=9, radius=1e30)
+        with pytest.raises(DomainError, match="overflows"):
+            geom.norm_u(0.3)
+        with pytest.raises(DomainError, match="overflows"):
+            BallGeometry(n=2, radius=1e300).norm_grad(0.01)
+        assert geom.norm_u(INF) == pytest.approx(0.5e60, rel=1e-15)
+
+
 class TestProfilesAndFields:
     def test_ball_boundary_conditions(self):
         geom = BallGeometry(n=3, radius=1.5)
-        prof = ball_profile(geom)
+        prof = geom.profile()
         assert prof.phi(1.5) == pytest.approx(0.0, abs=1e-15)
         assert prof.dphi(1.5) == pytest.approx(1.5)  # |grad U| = R on the sphere
         assert prof.phi(0.0) == pytest.approx(-1.125)
 
     def test_exterior_boundary_conditions(self):
         for n in (2, 3, 4, 7):
-            prof = exterior_profile(ExteriorGeometry(n=n))
+            prof = ExteriorGeometry(n=n).profile()
             assert prof.phi(1.0) == pytest.approx(0.0, abs=1e-15)
             assert abs(prof.dphi(1.0)) == pytest.approx(1.0)
 
     def test_exterior_far_field(self):
         # n = 2 stays bounded (limit -1/2); n >= 3 decays to zero.
-        flat = exterior_profile(ExteriorGeometry(n=2))
+        flat = ExteriorGeometry(n=2).profile()
         assert flat.phi(1e8) == pytest.approx(-0.5, rel=1e-12)
-        decaying = exterior_profile(ExteriorGeometry(n=3))
+        decaying = ExteriorGeometry(n=3).profile()
         assert abs(decaying.phi(1e8)) < 1e-8
 
-    def test_point_evaluators_match_profiles(self):
-        geom = BallGeometry(n=2, radius=2.0, center=(0.5, 0.5))
-        prof = ball_profile(geom)
-        x = np.array([1.0, -0.3])
-        r = float(np.linalg.norm(x - geom.x0))
-        assert u_ball(x, geom) == pytest.approx(float(prof.phi(r)))
-        grad = grad_u_ball(x, geom)
-        assert np.allclose(grad, (x - geom.x0))
-
-        egeom = ExteriorGeometry(n=4)
-        eprof = exterior_profile(egeom)
-        y = np.array([1.2, 0.0, -0.9, 0.4])
-        rr = float(np.linalg.norm(y))
-        assert u_exterior(y, egeom) == pytest.approx(float(eprof.phi(rr)))
-        gg = grad_u_exterior(y, egeom)
-        assert np.allclose(gg, float(eprof.dphi(rr)) / rr * y)
-
     def test_gradient_field_matches_finite_differences(self):
-        prof = exterior_profile(ExteriorGeometry(n=3))
+        prof = ExteriorGeometry(n=3).profile()
         u = prof.as_field()
         grad = prof.gradient_field()
         x = np.array([1.1, -0.7, 0.6])
@@ -113,20 +117,8 @@ class TestProfilesAndFields:
         ])
         assert np.allclose(grad(x), fd, atol=1e-8)
 
-    def test_domain_rejection(self):
-        geom = BallGeometry(n=2, radius=1.0)
-        with pytest.raises(DomainError):
-            u_ball(np.array([1.2, 0.0]), geom)
-        with pytest.raises(DomainError):
-            grad_u_ball(np.array([0.0, -1.4]), geom)
-        egeom = ExteriorGeometry(n=3)
-        with pytest.raises(DomainError):
-            u_exterior(np.array([0.4, 0.0, 0.0]), egeom)
-        with pytest.raises(DomainError):
-            u_ball(np.array([0.1, 0.0, 0.0]), geom)  # wrong dimension
-
     def test_scale(self):
-        prof = ball_profile(BallGeometry(n=2, radius=1.0)).scale(3.0)
+        prof = BallGeometry(n=2, radius=1.0).profile().scale(3.0)
         assert prof.phi(0.5) == pytest.approx(3.0 * 0.5 * (0.25 - 1.0))
         assert prof.dphi(0.5) == pytest.approx(1.5)
 
@@ -135,39 +127,39 @@ class TestAdmissibility:
     def test_ball_accepts_any_positive_exponent(self):
         geom = BallGeometry(n=3, radius=1.0)
         for p in (0.5, 1.0, 97.0, INF):
-            check_u_exponent(p, geom)
-            check_gradient_exponent(p, geom)
+            geom.check_exponents(p=p)
+            geom.check_exponents(q=p)
 
     @pytest.mark.parametrize("bad", [0.0, -2.0])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(DomainError):
-            check_u_exponent(bad, BallGeometry(n=2, radius=1.0))
+            BallGeometry(n=2, radius=1.0).check_exponents(p=bad)
 
     def test_planar_exterior_u_only_sup(self):
         geom = ExteriorGeometry(n=2)
-        check_u_exponent(INF, geom)
+        geom.check_exponents(p=INF)
         with pytest.raises(DomainError):
-            check_u_exponent(5.0, geom)
+            geom.check_exponents(p=5.0)
 
     def test_planar_exterior_gradient_threshold(self):
         # The planar gradient decays like r^-3, so L^q needs q > 2/3.
         geom = ExteriorGeometry(n=2)
-        check_gradient_exponent(0.7, geom)
-        check_gradient_exponent(1.0, geom)
+        geom.check_exponents(q=0.7)
+        geom.check_exponents(q=1.0)
         with pytest.raises(DomainError):
-            check_gradient_exponent(2.0 / 3.0, geom)
+            geom.check_exponents(q=2.0 / 3.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_exterior_thresholds(self, n):
         geom = ExteriorGeometry(n=n)
         p_thr = n / (n - 2.0)
         q_thr = n / (n - 1.0)
-        check_u_exponent(p_thr + 0.01, geom)
-        check_gradient_exponent(q_thr + 0.01, geom)
+        geom.check_exponents(p=p_thr + 0.01)
+        geom.check_exponents(q=q_thr + 0.01)
         with pytest.raises(DomainError):
-            check_u_exponent(p_thr, geom)
+            geom.check_exponents(p=p_thr)
         with pytest.raises(DomainError):
-            check_gradient_exponent(q_thr, geom)
+            geom.check_exponents(q=q_thr)
 
 
 class TestBallNormsDualRoute:
@@ -175,8 +167,8 @@ class TestBallNormsDualRoute:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7, INF])
     def test_u_norm(self, n, radius, p):
         geom = BallGeometry(n=n, radius=radius)
-        prof = ball_profile(geom)
-        closed = norm_u_ball(p, geom)
+        prof = geom.profile()
+        closed = geom.norm_u(p)
         quad = norm_quadrature(prof.phi, p, n, 0.0, radius)
         assert quad == pytest.approx(closed, rel=1e-9)
 
@@ -184,15 +176,15 @@ class TestBallNormsDualRoute:
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 4.0, INF])
     def test_gradient_norm(self, n, radius, q):
         geom = BallGeometry(n=n, radius=radius)
-        prof = ball_profile(geom)
-        closed = norm_grad_u_ball(q, geom)
+        prof = geom.profile()
+        closed = geom.norm_grad(q)
         quad = norm_quadrature(prof.dphi, q, n, 0.0, radius)
         assert quad == pytest.approx(closed, rel=1e-9)
 
     def test_sup_norms_explicit(self):
         geom = BallGeometry(n=4, radius=2.0)
-        assert norm_u_ball(INF, geom) == pytest.approx(2.0)
-        assert norm_grad_u_ball(INF, geom) == pytest.approx(2.0)
+        assert geom.norm_u(INF) == pytest.approx(2.0)
+        assert geom.norm_grad(INF) == pytest.approx(2.0)
 
     @given(r1=st.floats(0.2, 3.0), r2=st.floats(0.2, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -200,8 +192,8 @@ class TestBallNormsDualRoute:
         lo, hi = sorted((r1, r2))
         if hi - lo < 1e-9:
             return
-        n_lo = norm_u_ball(2.0, BallGeometry(n=3, radius=lo))
-        n_hi = norm_u_ball(2.0, BallGeometry(n=3, radius=hi))
+        n_lo = BallGeometry(n=3, radius=lo).norm_u(2.0)
+        n_hi = BallGeometry(n=3, radius=hi).norm_u(2.0)
         assert n_lo < n_hi
 
 
@@ -216,15 +208,15 @@ class TestExteriorNormsDualRoute:
             "large": 7.3,
             "sup": INF,
         }[p_kind]
-        prof = exterior_profile(geom)
-        closed = norm_u_exterior(p, geom)
+        prof = geom.profile()
+        closed = geom.norm_u(p)
         quad = norm_quadrature(prof.phi, p, n, 1.0, INF)
         assert quad == pytest.approx(closed, rel=1e-8)
 
     def test_u_norm_planar_sup(self):
         geom = ExteriorGeometry(n=2)
-        prof = exterior_profile(geom)
-        assert norm_u_exterior(INF, geom) == 0.5
+        prof = geom.profile()
+        assert geom.norm_u(INF) == 0.5
         assert norm_quadrature(prof.phi, INF, 2, 1.0, INF) == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -241,28 +233,28 @@ class TestExteriorNormsDualRoute:
         }[q_kind]
         if q != INF and q <= threshold:
             pytest.skip("inadmissible exponent for this dimension")
-        prof = exterior_profile(geom)
-        closed = norm_grad_u_exterior(q, geom)
+        prof = geom.profile()
+        closed = geom.norm_grad(q)
         quad = norm_quadrature(prof.dphi, q, n, 1.0, INF)
         assert quad == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_frozen_sup_values(self, n):
         geom = ExteriorGeometry(n=n)
-        assert norm_u_exterior(INF, geom) == pytest.approx(EXTERIOR_SUP_U[n], rel=1e-14)
-        assert norm_grad_u_exterior(INF, geom) == 1.0
+        assert geom.norm_u(INF) == pytest.approx(EXTERIOR_SUP_U[n], rel=1e-14)
+        assert geom.norm_grad(INF) == 1.0
 
     def test_planar_gradient_closed_form(self):
         # n = 2: ||grad U||_q^q = 2 pi / (3q - 2); check q = 1 against 2 pi.
         geom = ExteriorGeometry(n=2)
-        assert norm_grad_u_exterior(1.0, geom) == pytest.approx(2.0 * math.pi, rel=1e-13)
+        assert geom.norm_grad(1.0) == pytest.approx(2.0 * math.pi, rel=1e-13)
 
     def test_inadmissible_raise(self):
         geom = ExteriorGeometry(n=3)
         with pytest.raises(DomainError):
-            norm_u_exterior(2.0, geom)
+            geom.norm_u(2.0)
         with pytest.raises(DomainError):
-            norm_grad_u_exterior(1.2, geom)
+            geom.norm_grad(1.2)
 
 
 class TestNormQuadrature:

@@ -269,6 +269,17 @@ class TestExitCodes:
         assert code == 3 and "domain error" in err and "overflows" in err
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "norms"])
+    def test_closed_form_norm_overflow_is_domain_error(self, tmp_path, capsys,
+                                                       command):
+        # ||U||_0.3 of the ball n=9, R=1e30 is about exp(2.2e3), past a double.
+        case = {"geometry": {"kind": "ball", "n": 9, "radius": 1e30},
+                "k": 1, "p": 0.3, "q": 2.0, "kernel": "1 + t"}
+        path = write_config(tmp_path, case, 1.0)
+        code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err and "overflows" in err
+        assert out == "" and "Traceback" not in err
+
     def test_kernel_eval_fault(self, tmp_path, capsys):
         case = dict(BATTERY["cases"][0], kernel="log(s - 10)")
         path = write_config(tmp_path, case, 3.0)

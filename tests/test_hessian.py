@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odkirch.base_solutions import (
-    BallGeometry,
-    ExteriorGeometry,
-    ball_profile,
-    exterior_profile,
-)
+from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch.errors import DomainError
 from odkirch.hessian import (
     binomial,
@@ -92,7 +87,7 @@ class TestKHessianRadial:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ball_profile_is_constant(self, n):
         # The ball base profile has Hessian = identity, so S_k = C(n, k).
-        prof = ball_profile(BallGeometry(n=n, radius=2.0))
+        prof = BallGeometry(n=n, radius=2.0).profile()
         radii = np.linspace(0.05, 1.95, 40)
         for k in range(1, n + 1):
             vals = k_hessian_radial(prof, radii, n, k)
@@ -101,7 +96,7 @@ class TestKHessianRadial:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_exterior_laplacian_identity(self, n):
         # For the exterior base profile, S_1 = n r^(-n-2).
-        prof = exterior_profile(ExteriorGeometry(n=n))
+        prof = ExteriorGeometry(n=n).profile()
         radii = np.geomspace(1.0, 40.0, 30)
         got = k_hessian_radial(prof, radii, n, 1)
         ref = n * radii ** (-n - 2.0)
@@ -112,7 +107,7 @@ class TestKHessianRadial:
     def test_eigenvalue_route(self):
         # Independent route: e_k of the explicit eigenvalue list
         # (phi'/r with multiplicity n-1, phi'' once).
-        prof = exterior_profile(ExteriorGeometry(n=4))
+        prof = ExteriorGeometry(n=4).profile()
         n = 4
         for r in (1.3, 2.0, 7.5):
             lam = [prof.dphi(r) / r] * (n - 1) + [prof.d2phi(r)]
@@ -121,13 +116,13 @@ class TestKHessianRadial:
                 assert k_hessian_radial(prof, r, n, k) == pytest.approx(ref, rel=1e-12)
 
     def test_scalar_and_array_agree(self):
-        prof = ball_profile(BallGeometry(n=3, radius=1.0))
+        prof = BallGeometry(n=3, radius=1.0).profile()
         arr = k_hessian_radial(prof, np.array([0.5, 0.7]), 3, 2)
         assert arr[0] == k_hessian_radial(prof, 0.5, 3, 2)
         assert isinstance(k_hessian_radial(prof, 0.5, 3, 2), float)
 
     def test_domain(self):
-        prof = ball_profile(BallGeometry(n=3, radius=1.0))
+        prof = BallGeometry(n=3, radius=1.0).profile()
         with pytest.raises(DomainError):
             k_hessian_radial(prof, 0.5, 3, 4)
         with pytest.raises(DomainError):
@@ -194,7 +189,7 @@ class TestKHessianField:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 3), (5, 2)])
     def test_matches_radial_route(self, n, k):
         # Dual route: FD + principal minors against the radial closed form.
-        prof = ball_profile(BallGeometry(n=n, radius=3.0))
+        prof = BallGeometry(n=n, radius=3.0).profile()
         field = prof.as_field(center=np.zeros(n))
         rng = np.random.default_rng(11)
         for _ in range(5):

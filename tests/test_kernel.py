@@ -16,7 +16,6 @@ from odkirch.kernel import (
     eval_kernel,
     kernel_to_string,
     parse_kernel,
-    positivity_screen,
 )
 
 from conftest import load_corpus
@@ -218,15 +217,3 @@ class TestEvaluation:
             val = eval_kernel(tree, 1.0, 1.0)
             assert math.isfinite(val) and val > 0.0
 
-
-class TestPositivityScreen:
-    def test_positive_kernel_passes(self):
-        assert positivity_screen(parse_kernel("(s-2)^2 + 0.1"), 1e-6, 100.0, 1.0) is None
-
-    def test_sign_dip_located(self):
-        bad_at = positivity_screen(parse_kernel("s - 1"), 1e-3, 10.0, 1.0)
-        assert bad_at is not None and bad_at <= 1.0
-
-    def test_bad_range(self):
-        with pytest.raises(KernelSyntaxError):
-            positivity_screen(parse_kernel("1"), 1.0, 0.5, 1.0)

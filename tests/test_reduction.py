@@ -222,6 +222,19 @@ class TestTangency:
         assert structure.count == 3
         assert structure.tangencies == ()
 
+    def test_small_target_flat_stretch_is_no_tangency(self):
+        # target = lambda ||U||_p^3 is about 4e-4: |h| is flat near the target
+        # level at small s, well inside an absolute 1e-3 band but not inside
+        # the relative tangency_rtol * target one.
+        inst = ProblemInstance(
+            geometry=BallGeometry(n=5, radius=0.829238), k=3, p=1.61592,
+            q=3.50038, lam=0.014270130864769696, kernel="1 + 0.957854 * t",
+        )
+        structure = solve_roots(build_reduced(inst))
+        assert structure.count == 1
+        assert structure.roots[0].s == pytest.approx(0.01951848277187835, rel=1e-10)
+        assert structure.tangencies == ()
+
 
 class TestEdgeWarnings:
     def test_right_edge_warning(self):

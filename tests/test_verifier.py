@@ -5,21 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from odkirch.base_solutions import (
-    BallGeometry,
-    ExteriorGeometry,
-    ball_profile,
-    exterior_profile,
-)
+from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch.errors import DomainError
 from odkirch.reduction import build_reduced, roots_to_solutions, solve_roots
 from odkirch.verifier import (
     gamma_scaling_check,
+    judge_kelvin,
+    judge_solution,
     kelvin_checks,
     kelvin_transform,
     perturb_solution,
-    verify_ball,
-    verify_exterior,
+    verify,
 )
 
 from conftest import make_instance
@@ -47,7 +43,7 @@ class TestVerifyBall:
                     continue
                 inst, sols = all_solutions(case, run["lambda"])
                 for sol in sols:
-                    report = verify_ball(inst, sol, n_samples=64, seed=0)
+                    report = verify(inst, sol, n_samples=64, seed=0)
                     label = (case["name"], run["lambda"], sol.s)
                     assert report.max_interior_residual < 1e-6, label
                     assert report.boundary_value_max < 1e-10, label
@@ -57,7 +53,7 @@ class TestVerifyBall:
     def test_perturbed_solution_fails(self, battery):
         inst, sol = first_solution(battery["cases"][0], 3.0)
         bad = perturb_solution(sol, 1.02)
-        report = verify_ball(inst, bad, n_samples=32, seed=0)
+        report = verify(inst, bad, n_samples=32, seed=0)
         assert report.max_interior_residual > 1e-3
         assert report.boundary_gradient_deviation > 1e-3
 
@@ -67,15 +63,20 @@ class TestVerifyBall:
         assert bad.c == sol.c and bad.s == sol.s
         assert bad.amplitude == pytest.approx(2.0 * sol.amplitude)
 
+    def test_perturbed_field_is_scaled(self, battery):
+        _, sol = first_solution(battery["cases"][0], 3.0)
+        bad = perturb_solution(sol, 1.02)
+        x = np.array([0.3, -0.4])
+        assert bad.u(x) == pytest.approx(1.02 * sol.u(x), rel=1e-15)
+        assert np.allclose(bad.grad_u(x), 1.02 * sol.grad_u(x), rtol=1e-15, atol=0.0)
+
     def test_geometry_mismatch(self, battery):
         ball_case = battery["cases"][0]
         ext_case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
         inst_ext, sol_ext = first_solution(ext_case, 1.0)
         inst_ball, _ = first_solution(ball_case, 3.0)
         with pytest.raises(DomainError):
-            verify_ball(inst_ext, sol_ext)
-        with pytest.raises(DomainError):
-            verify_exterior(inst_ball, sol_ext)
+            verify(inst_ball, sol_ext)
 
     def test_off_center_ball(self):
         case = {
@@ -91,7 +92,7 @@ class TestVerifyBall:
         )
         structure = solve_roots(build_reduced(shifted))
         sol = roots_to_solutions(structure)[0]
-        report = verify_ball(shifted, sol, n_samples=32)
+        report = verify(shifted, sol, n_samples=32)
         assert report.max_interior_residual < 1e-6
         assert report.boundary_value_max < 1e-10
 
@@ -106,7 +107,7 @@ class TestVerifyExterior:
                     continue
                 inst, sols = all_solutions(case, run["lambda"])
                 for sol in sols:
-                    report = verify_exterior(inst, sol, n_samples=64, seed=0)
+                    report = verify(inst, sol, n_samples=64, seed=0)
                     label = (case["name"], run["lambda"], sol.s)
                     assert report.max_interior_residual < 1e-6, label
                     assert report.boundary_value_max < 1e-10, label
@@ -117,28 +118,53 @@ class TestVerifyExterior:
         case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
         inst, sol = first_solution(case, 1.0)
         bad = perturb_solution(sol, 0.97)
-        report = verify_exterior(inst, bad, n_samples=32, seed=0)
+        report = verify(inst, bad, n_samples=32, seed=0)
         assert report.max_interior_residual > 1e-3
+
+
+class TestJudge:
+    def test_battery_root_passes_perturbed_fails(self, battery):
+        inst, sol = first_solution(battery["cases"][0], 3.0)
+        doc = judge_solution(inst, sol, seed=0)
+        assert doc["pass"] is True
+        assert all(chk["pass"] for chk in doc["checks"].values())
+        assert doc["s"] == sol.s and "far_field_ratio" not in doc
+        bad = judge_solution(inst, perturb_solution(sol, 1.02), seed=0)
+        assert bad["pass"] is False
+        assert not bad["checks"]["interior_residual"]["pass"]
+
+    def test_exterior_root_reports_far_field(self, battery):
+        case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
+        inst, sol = first_solution(case, 1.0)
+        doc = judge_solution(inst, sol, seed=0)
+        assert doc["pass"] is True
+        assert doc["far_field_ratio"] == pytest.approx(0.5 * sol.amplitude, rel=1e-4)
+
+    def test_kelvin_only_outside(self):
+        assert judge_kelvin(BallGeometry(n=3, radius=1.0)) is None
+        doc = judge_kelvin(ExteriorGeometry(n=3), seed=0)
+        assert doc["pass"] is True
+        assert doc["checks"]["image_pointwise"]["threshold"] == 1e-10
 
 
 class TestKelvinTransform:
     def test_exterior_base_maps_to_ball_profile(self):
         # The image of the exterior base field is (rho^2 - 1)/2 for every n.
         for n in (2, 3, 4, 5, 7):
-            image = kelvin_transform(exterior_profile(ExteriorGeometry(n=n)), n)
+            image = kelvin_transform(ExteriorGeometry(n=n).profile(), n)
             rho = np.linspace(0.05, 1.0, 50)
             assert np.max(np.abs(image.phi(rho) - 0.5 * (rho**2 - 1.0))) < 1e-12
             assert np.max(np.abs(image.dphi(rho) - rho)) < 1e-12
             assert np.max(np.abs(image.d2phi(rho) - 1.0)) < 1e-11
 
     def test_domain_inversion(self):
-        prof = exterior_profile(ExteriorGeometry(n=3))
+        prof = ExteriorGeometry(n=3).profile()
         image = kelvin_transform(prof, 3)
         assert image.r_min == 0.0
         assert image.r_max == 1.0
 
     def test_involution(self):
-        prof = exterior_profile(ExteriorGeometry(n=4))
+        prof = ExteriorGeometry(n=4).profile()
         twice = kelvin_transform(kelvin_transform(prof, 4), 4)
         rr = np.linspace(1.0, 6.0, 40)
         assert np.max(np.abs(twice.phi(rr) - prof.phi(rr))) < 1e-12
@@ -153,7 +179,7 @@ class TestKelvinTransform:
         def mk(r):
             return np.asarray(r, dtype=float) ** (2.0 - n)
 
-        prof_like = exterior_profile(ExteriorGeometry(n=n))
+        prof_like = ExteriorGeometry(n=n).profile()
         harmonic = kelvin_transform(
             type(prof_like)(
                 phi=mk,
@@ -170,7 +196,7 @@ class TestKelvinTransform:
 
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
-            kelvin_transform(exterior_profile(ExteriorGeometry(n=3)), 1)
+            kelvin_transform(ExteriorGeometry(n=3).profile(), 1)
 
 
 class TestKelvinChecks:
@@ -210,7 +236,8 @@ class TestGammaScaling:
                     continue
                 inst, sols = all_solutions(case, run["lambda"])
                 for sol in sols:
-                    report = gamma_scaling_check(inst, sol, n_samples=48, seed=0)
+                    report = gamma_scaling_check(inst, sol, verify(inst, sol),
+                                                 n_samples=48, seed=0)
                     label = (case["name"], run["lambda"], sol.s)
                     assert abs(report.recovered_amplitude - 1.0) < 1e-6, label
                     assert report.max_pde_dev < 1e-6, label
@@ -219,13 +246,13 @@ class TestGammaScaling:
         # M = 1: gamma = (C(N,k)/lambda)^(1/k) explicitly.
         case = battery["cases"][0]
         inst, sol = first_solution(case, 3.0)
-        report = gamma_scaling_check(inst, sol)
+        report = gamma_scaling_check(inst, sol, verify(inst, sol))
         assert report.gamma == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_wrong_amplitude_detected(self, battery):
         inst, sol = first_solution(battery["cases"][0], 3.0)
         bad = perturb_solution(sol, 1.05)
-        report = gamma_scaling_check(inst, bad)
+        report = gamma_scaling_check(inst, bad, verify(inst, bad))
         # Norms move, so the kernel value and gamma move with them; the
         # product gamma * amplitude must drift off 1.
         assert abs(report.recovered_amplitude - 1.0) > 1e-3

@@ -1,0 +1,147 @@
+"""Compare the CLI outputs of two odkirch source trees, byte for byte.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [CONFIG ...]
+
+PARENT_SRC and CHANGE_SRC are directories holding the `odkirch` package (the
+`src` directory of a checkout).  Each tree runs in its own interpreter, which
+imports odkirch from that directory only and calls `odkirch.cli.main`
+in-process once per operation:
+
+- every run of tests/fixtures/battery.json, plus the near-tangent run
+  (lambda_t * (1 + 1e-6)) of the case that records a tangency: analyze,
+  verify and norms, as text and with --json, at amplitude_scale 1.0, 1.05
+  and 0.9;
+- selftest;
+- analyze, verify and norms, as text and with --json, on each CONFIG given.
+
+Exit code, stdout and stderr of every operation are compared.  Each differing
+operation is printed as a unified diff of the two sides; the script exits 1
+when any operation differs and 0 when all agree.  It is meant for refactors,
+which must leave every output unchanged.
+"""
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BATTERY = ROOT / "tests" / "fixtures" / "battery.json"
+COMMANDS = ("analyze", "verify", "norms")
+SCALES = (1.0, 1.05, 0.9)
+
+
+def battery_configs():
+    """(label, config document) for every battery run at every scale."""
+    for case in json.loads(BATTERY.read_text())["cases"]:
+        lams = [run["lambda"] for run in case["runs"]]
+        if "tangency" in case:
+            lams.append(case["tangency"]["lambda_t"] * (1.0 + 1e-6))
+        geo = case["geometry"]
+        gdoc = {"kind": geo["kind"], "dim": geo["n"]}
+        if geo["kind"] == "ball":
+            gdoc["radius"] = geo["radius"]
+        for lam in lams:
+            for scale in SCALES:
+                doc = {"schema_version": 1, "geometry": gdoc, "k": case["k"],
+                       "p": case["p"], "q": case["q"], "lambda": lam,
+                       "kernel": case["kernel"], "amplitude_scale": scale}
+                yield f"{case['name']} lambda={lam!r} scale={scale}", doc
+
+
+def operations(workdir: Path, extra_configs):
+    """(label, argv) of every operation; battery configs are written to workdir."""
+    paths = []
+    for i, (label, doc) in enumerate(battery_configs()):
+        path = workdir / f"battery{i:03d}.json"
+        path.write_text(json.dumps(doc))
+        paths.append((label, str(path)))
+    paths.extend((str(p), str(Path(p).resolve())) for p in extra_configs)
+    ops = [("selftest", ["selftest"])]
+    for label, path in paths:
+        for command in COMMANDS:
+            for flags in ([], ["--json"]):
+                ops.append((f"{command}{' --json' if flags else ''} [{label}]",
+                            [command, "-c", path, *flags]))
+    return ops
+
+
+def child(src: str, ops_file: str, out_file: str) -> int:
+    """Run every argv of ops_file through cli.main; write [code, out, err] per op."""
+    sys.path.insert(0, src)
+    from odkirch import cli
+
+    if Path(cli.__file__).resolve().parent != (Path(src) / "odkirch").resolve():
+        print(f"imported odkirch from {cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    results = []
+    for argv in json.loads(Path(ops_file).read_text()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback is an output too
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.append([code, out.getvalue(), err.getvalue()])
+    Path(out_file).write_text(json.dumps(results))
+    return 0
+
+
+def run_tree(src: str, ops_file: Path, out_file: Path) -> subprocess.Popen:
+    # -I: no PYTHONPATH, no user site, no script directory on sys.path.
+    return subprocess.Popen([sys.executable, "-I", str(Path(__file__).resolve()),
+                             "--child", str(Path(src).resolve()), str(ops_file),
+                             str(out_file)])
+
+
+def render(result) -> list:
+    code, out, err = result
+    return [f"exit {code}\n", "--- stdout\n", *out.splitlines(True),
+            "--- stderr\n", *err.splitlines(True)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("parent_src", nargs="?")
+    parser.add_argument("change_src", nargs="?")
+    parser.add_argument("configs", nargs="*", help="extra config files to run")
+    args = parser.parse_args(argv)
+    if args.child:
+        return child(*args.child)
+    if not (args.parent_src and args.change_src):
+        parser.error("PARENT_SRC and CHANGE_SRC are required")
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        workdir = Path(tmp)
+        ops = operations(workdir, args.configs)
+        ops_file = workdir / "ops.json"
+        ops_file.write_text(json.dumps([argv for _, argv in ops]))
+        outs = [workdir / "parent.json", workdir / "change.json"]
+        procs = [run_tree(src, ops_file, out)
+                 for src, out in zip((args.parent_src, args.change_src), outs)]
+        if any(proc.wait() != 0 for proc in procs):
+            print("compare_outputs: a tree failed to run", file=sys.stderr)
+            return 2
+        parent, change = (json.loads(out.read_text()) for out in outs)
+
+    differing = 0
+    for (label, _), old, new in zip(ops, parent, change):
+        if old == new:
+            continue
+        differing += 1
+        sys.stdout.writelines(difflib.unified_diff(
+            render(old), render(new), f"parent: {label}", f"change: {label}"))
+    print(f"{differing} of {len(ops)} outputs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
