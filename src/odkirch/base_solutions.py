@@ -124,6 +124,8 @@ class BallGeometry:
             raise DomainError(f"dimension must be an integer >= 1, got {self.n}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"radius must be finite and positive, got {self.radius}")
+        if not math.isfinite(self.radius * self.radius):
+            raise DomainError(f"radius {self.radius!r}: R^2 overflows a double")
         center = tuple(float(c) for c in self.center) or (0.0,) * self.n
         if len(center) != self.n:
             raise DomainError(

@@ -12,15 +12,17 @@ Schema (version 1):
       "lambda": 1.0,
       "kernel": "1 + s^2",
       "scan": {"s_min": 1e-8, "s_max": null, "n_grid": 10000,
+               "rel_width": 1e-13,
                "tangency_rtol": 1e-3},               # optional, defaults shown
       "seed": 0,                                      # optional
       "amplitude_scale": 1.0                          # optional, verify only
     }
 
 "center" is optional (origin).  "s_max": null lets the scan pick its own upper
-bound.  "amplitude_scale" deliberately corrupts candidates before
-verification; any value other than 1.0 must drive `verify` to a failing exit,
-which is how the failure path is exercised.
+bound.  "rel_width" is the relative bracket width at which bisection stops
+(0 < rel_width < 1e-2).  "amplitude_scale" deliberately corrupts candidates
+before verification; any value other than 1.0 must drive `verify` to a failing
+exit, which is how the failure path is exercised.
 
 Malformed documents raise ConfigError; domain violations (non-integrable
 exponents, k out of range) raise DomainError; kernel syntax problems are

@@ -292,26 +292,12 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
         # interior peaks still land within a golden-section bracket.
         xs = np.geomspace(1.0 / a, 1e-12 / a, n_grid)
         g = lambda x: f(1.0 / x)
-        i, vals = _grid_argmax(g, xs)
-        lo = xs[min(i + 1, n_grid - 1)]
-        hi = xs[max(i - 1, 0)]
-        x_best, v_best = golden_max(g, lo, hi)
-        if vals[i] > v_best:
-            x_best, v_best = xs[i], vals[i]
-        return 1.0 / float(x_best), float(v_best)
-    xs = np.linspace(a, b, n_grid)
-    i, vals = _grid_argmax(f, xs)
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, n_grid - 1)]
-    x_best, v_best = golden_max(f, lo, hi)
-    if vals[i] > v_best:
-        x_best, v_best = xs[i], vals[i]
-    return float(x_best), float(v_best)
-
-
-def _grid_argmax(f, xs):
-    """Evaluate f on the whole grid in one call; return (argmax index, values)."""
-    vals = np.asarray(f(xs), dtype=float)
+        to_r = lambda x: 1.0 / x
+    else:
+        xs = np.linspace(a, b, n_grid)
+        g = f
+        to_r = lambda x: x
+    vals = np.asarray(g(xs), dtype=float)
     if vals.shape != xs.shape:
         raise QuadratureError(
             f"maximize: f must map a vector of {xs.size} points to as many "
@@ -319,4 +305,9 @@ def _grid_argmax(f, xs):
         )
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("maximize: non-finite sample on grid")
-    return int(np.argmax(vals)), vals
+    i = int(np.argmax(vals))
+    lo, hi = sorted((xs[max(i - 1, 0)], xs[min(i + 1, n_grid - 1)]))
+    x_best, v_best = golden_max(g, lo, hi)
+    if vals[i] > v_best:
+        x_best, v_best = xs[i], vals[i]
+    return to_r(float(x_best)), float(v_best)

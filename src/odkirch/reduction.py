@@ -238,33 +238,38 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     def h_scalar(s):
         return eq.h(float(s))
 
+    # Cell i is [grid[i], grid[i + 1]]: it is flagged when its left end is an
+    # exact zero or when h changes sign between two nonzero ends.
+    zero = hvals == 0.0
+    negative = hvals < 0.0
+    crossing = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
+    flagged = crossing | zero[:-1]
+
     roots = []
-    sign_change_cells = set()
-    for i in range(config.n_grid - 1):
-        ha, hb = float(hvals[i]), float(hvals[i + 1])
-        if ha == 0.0:
-            if not roots or abs(roots[-1][0] - grid[i]) > config.rel_width * grid[i] * 4:
-                roots.append((float(grid[i]), 0.0, (float(grid[i]), float(grid[i]))))
-            sign_change_cells.add(i)
+    for i in np.flatnonzero(flagged).tolist():
+        lo = float(grid[i])
+        if zero[i]:
+            # Only on a grid finer than 4 rel_width can a root lie this close
+            # below a grid zero; the zero is then the same root.
+            if not roots or abs(roots[-1][0] - lo) > config.rel_width * lo * 4:
+                roots.append((lo, 0.0, (lo, lo)))
             continue
-        if (ha < 0.0) != (hb < 0.0) and hb != 0.0:
-            root, res = _bisect(h_scalar, float(grid[i]), float(grid[i + 1]),
-                                ha, hb, config.rel_width)
-            roots.append((root, res, (float(grid[i]), float(grid[i + 1]))))
-            sign_change_cells.add(i)
-    if float(hvals[-1]) == 0.0:
+        hi = float(grid[i + 1])
+        root, res = _bisect(h_scalar, lo, hi, float(hvals[i]), float(hvals[i + 1]),
+                            config.rel_width)
+        roots.append((root, res, (lo, hi)))
+    if zero[-1]:
         roots.append((float(grid[-1]), 0.0, (float(grid[-1]), float(grid[-1]))))
 
-    # Tangency suspects: interior local minima of |h| with no sign change in
-    # the surrounding cells, already within tangency_rtol of the target level.
+    # Tangency suspects: interior local minima of |h| with no flagged cell
+    # around them, already within tangency_rtol of the target level.
     tangencies = []
     habs = np.abs(hvals)
     near = config.tangency_rtol * abs(eq.target)
-    for j in range(1, config.n_grid - 1):
-        if not (habs[j] <= near and habs[j] <= habs[j - 1] and habs[j] <= habs[j + 1]):
-            continue
-        if {j - 1, j, j + 1} & sign_change_cells:
-            continue
+    inner = habs[1:-1]
+    blocked = flagged[:-1] | flagged[1:] | np.append(flagged[2:], False)
+    dips = (inner <= near) & (inner <= habs[:-2]) & (inner <= habs[2:]) & ~blocked
+    for j in (np.flatnonzero(dips) + 1).tolist():
         lo, hi = float(grid[j - 1]), float(grid[j + 1])
         s_t, neg_gap = golden_max(lambda s: -abs(h_scalar(s)), lo, hi)
         gap = -neg_gap
@@ -291,21 +296,16 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
         deduped.append((root, res, bracket))
 
     warnings = []
-    if len(habs) > _EDGE_WINDOW:
-        right = habs[-_EDGE_WINDOW:]
-        if (not any(i >= config.n_grid - 1 - _EDGE_WINDOW for i in sign_change_cells)
-                and np.all(np.diff(right) < 0.0)):
-            warnings.append(
-                f"|g - target| still decreasing at s_max = {s_max:.6g}; "
-                "roots beyond the scan range are possible, raise s_max"
-            )
-        left = habs[:_EDGE_WINDOW]
-        if (not any(i < _EDGE_WINDOW for i in sign_change_cells)
-                and np.all(np.diff(left) > 0.0)):
-            warnings.append(
-                f"|g - target| still decreasing at s_min = {s_min:.6g}; "
-                "roots below the scan range are possible, lower s_min"
-            )
+    if not flagged[-_EDGE_WINDOW:].any() and np.all(np.diff(habs[-_EDGE_WINDOW:]) < 0.0):
+        warnings.append(
+            f"|g - target| still decreasing at s_max = {s_max:.6g}; "
+            "roots beyond the scan range are possible, raise s_max"
+        )
+    if not flagged[:_EDGE_WINDOW].any() and np.all(np.diff(habs[:_EDGE_WINDOW]) > 0.0):
+        warnings.append(
+            f"|g - target| still decreasing at s_min = {s_min:.6g}; "
+            "roots below the scan range are possible, lower s_min"
+        )
 
     # |grad U| = R on the boundary sphere (R = 1 for the exterior domain).
     root_infos = tuple(
@@ -361,9 +361,12 @@ class SystemReport:
     root_count: int
     matched: bool
     centroids: tuple      # (s, t) geometric centroids of flagged clusters
-    s_range: tuple
-    t_range: tuple
-    n_grid: int
+
+
+# Cells per axis of the 2-D scan, and how many cells a cluster's box reaches
+# past its outermost cells when it is matched against a ray root.
+_SYSTEM_GRID = 400
+_MATCH_CELLS = 8.0
 
 
 def _cluster_cells(flags: np.ndarray):
@@ -391,8 +394,12 @@ def _cluster_cells(flags: np.ndarray):
     return clusters
 
 
-def system_count_check(eq: ReducedEquation, structure: SolutionStructure,
-                       n_grid: int = 400, match_cells: float = 8.0) -> SystemReport:
+def every_corner(mask: np.ndarray) -> np.ndarray:
+    """Cells of a node grid whose four corner nodes all satisfy mask."""
+    return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+
+
+def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> SystemReport:
     """Validate the root count against a two-dimensional residual scan.
 
     Scans the (s, t) box around the expected solutions for cells where both
@@ -407,8 +414,8 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure,
         s_lo, s_hi = structure.s_min, structure.s_max
     t_lo, t_hi = eq.rho * s_lo, eq.rho * s_hi
 
-    s_edges = np.geomspace(s_lo, s_hi, n_grid + 1)
-    t_edges = np.geomspace(t_lo, t_hi, n_grid + 1)
+    s_edges = np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1)
+    t_edges = np.geomspace(t_lo, t_hi, _SYSTEM_GRID + 1)
     ss, tt = np.meshgrid(s_edges, t_edges, indexing="ij")
     m = eval_kernel(eq.kernel, ss, tt)
     with np.errstate(all="ignore"):
@@ -419,21 +426,17 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure,
         f1 = ss - eq.norm_u * gamma
         f2 = tt - eq.norm_grad * gamma
 
-    def corner_stack(arr):
-        return np.stack([arr[:-1, :-1], arr[1:, :-1], arr[:-1, 1:], arr[1:, 1:]])
-
-    c1 = corner_stack(f1)
-    c2 = corner_stack(f2)
-    valid = np.all(np.isfinite(c1), axis=0) & np.all(np.isfinite(c2), axis=0)
-    flip1 = (np.min(c1, axis=0) <= 0.0) & (np.max(c1, axis=0) >= 0.0)
-    flip2 = (np.min(c2, axis=0) <= 0.0) & (np.max(c2, axis=0) >= 0.0)
-    flags = valid & flip1 & flip2
+    # A cell is flagged when its corners are finite and each residual takes
+    # both signs (or a zero) on them: neither all > 0 nor all < 0.
+    flags = every_corner(np.isfinite(f1) & np.isfinite(f2))
+    for f in (f1, f2):
+        flags &= ~every_corner(f > 0.0) & ~every_corner(f < 0.0)
 
     clusters = _cluster_cells(flags)
     log_s = np.log(s_edges)
     log_t = np.log(t_edges)
-    ds = (log_s[-1] - log_s[0]) / n_grid
-    dt = (log_t[-1] - log_t[0]) / n_grid
+    ds = (log_s[-1] - log_s[0]) / _SYSTEM_GRID
+    dt = (log_t[-1] - log_t[0]) / _SYSTEM_GRID
 
     centroids = []
     boxes = []
@@ -441,8 +444,8 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure,
         ls = [0.5 * (log_s[i] + log_s[i + 1]) for i, _ in cells]
         lt = [0.5 * (log_t[j] + log_t[j + 1]) for _, j in cells]
         centroids.append((math.exp(sum(ls) / len(ls)), math.exp(sum(lt) / len(lt))))
-        boxes.append((min(ls) - match_cells * ds, max(ls) + match_cells * ds,
-                      min(lt) - match_cells * dt, max(lt) + match_cells * dt))
+        boxes.append((min(ls) - _MATCH_CELLS * ds, max(ls) + _MATCH_CELLS * ds,
+                      min(lt) - _MATCH_CELLS * dt, max(lt) + _MATCH_CELLS * dt))
 
     matched = len(clusters) == structure.count
     if matched:
@@ -463,7 +466,4 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure,
         root_count=structure.count,
         matched=matched,
         centroids=tuple(centroids),
-        s_range=(float(s_lo), float(s_hi)),
-        t_range=(float(t_lo), float(t_hi)),
-        n_grid=n_grid,
     )

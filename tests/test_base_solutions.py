@@ -81,7 +81,7 @@ class TestGeometryInterface:
         with pytest.raises(DomainError, match="overflows"):
             geom.norm_u(0.3)
         with pytest.raises(DomainError, match="overflows"):
-            BallGeometry(n=2, radius=1e300).norm_grad(0.01)
+            BallGeometry(n=2, radius=1e150).norm_grad(0.01)
         assert geom.norm_u(INF) == pytest.approx(0.5e60, rel=1e-15)
 
 

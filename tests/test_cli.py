@@ -280,6 +280,17 @@ class TestExitCodes:
         assert code == 3 and "domain error" in err and "overflows" in err
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "norms"])
+    def test_radius_squared_overflow_is_domain_error(self, tmp_path, capsys, command):
+        # R^2 = 1e400 is past a double: ||U||_inf = R^2 / 2 and the profile
+        # phi = (r^2 - R^2) / 2 cannot be formed.
+        case = {"geometry": {"kind": "ball", "n": 2, "radius": 1e200},
+                "k": 1, "p": "inf", "q": "inf", "kernel": "1"}
+        path = write_config(tmp_path, case, 1.0)
+        code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err and "overflows" in err
+        assert out == "" and "Traceback" not in err
+
     def test_kernel_eval_fault(self, tmp_path, capsys):
         case = dict(BATTERY["cases"][0], kernel="log(s - 10)")
         path = write_config(tmp_path, case, 3.0)

@@ -196,6 +196,22 @@ class TestBatteryCounts:
         assert a.tangencies == b.tangencies
 
 
+class TestExactGridZeros:
+    @pytest.mark.parametrize("s_min, s_max", [(2.0, 100.0), (1e-2, 2.0)])
+    def test_zero_on_first_or_last_grid_point(self, s_min, s_max):
+        # M = 1, ||U||_inf = 2: g(s) = 2s meets target = 4 exactly at s = 2,
+        # which geomspace keeps exact at either end of the grid.
+        inst = ProblemInstance(
+            geometry=BallGeometry(n=2, radius=2.0), k=1, p=math.inf, q=2.0,
+            lam=2.0, kernel="1",
+        )
+        structure = solve_roots(build_reduced(inst), ScanConfig(s_min=s_min, s_max=s_max))
+        assert structure.count == 1
+        root = structure.roots[0]
+        assert root.s == 2.0 and root.residual == 0.0
+        assert root.bracket == (2.0, 2.0)
+
+
 class TestTangency:
     def test_near_tangent_level_reported_not_counted(self, battery):
         case = next(c for c in battery["cases"] if "tangency" in c)

@@ -10,11 +10,15 @@ in-process once per operation:
 - every run of tests/fixtures/battery.json, plus the near-tangent run
   (lambda_t * (1 + 1e-6)) of the case that records a tangency: analyze,
   verify and norms, as text and with --json, at amplitude_scale 1.0, 1.05
-  and 0.9;
+  and 0.9, and plot-data (the scan grid and the roots, which do not depend
+  on amplitude_scale) once;
 - selftest;
-- analyze, verify and norms, as text and with --json, on each CONFIG given.
+- analyze, verify and norms, as text and with --json, and plot-data on each
+  CONFIG given.
 
-Exit code, stdout and stderr of every operation are compared.  Each differing
+Exit code, stdout and stderr of every operation are compared.  Each tree
+writes one result file per operation, so a plot-data output of some 10,000
+lines is held in memory only while it is compared.  Each differing
 operation is printed as a unified diff of the two sides; the script exits 1
 when any operation differs and 0 when all agree.  It is meant for refactors,
 which must leave every output unchanged.
@@ -60,27 +64,29 @@ def operations(workdir: Path, extra_configs):
     for i, (label, doc) in enumerate(battery_configs()):
         path = workdir / f"battery{i:03d}.json"
         path.write_text(json.dumps(doc))
-        paths.append((label, str(path)))
-    paths.extend((str(p), str(Path(p).resolve())) for p in extra_configs)
+        paths.append((label, str(path), doc["amplitude_scale"] == 1.0))
+    paths.extend((str(p), str(Path(p).resolve()), True) for p in extra_configs)
     ops = [("selftest", ["selftest"])]
-    for label, path in paths:
+    for label, path, plot in paths:
         for command in COMMANDS:
             for flags in ([], ["--json"]):
                 ops.append((f"{command}{' --json' if flags else ''} [{label}]",
                             [command, "-c", path, *flags]))
+        if plot:
+            ops.append((f"plot-data [{label}]", ["plot-data", "-c", path]))
     return ops
 
 
-def child(src: str, ops_file: str, out_file: str) -> int:
-    """Run every argv of ops_file through cli.main; write [code, out, err] per op."""
+def child(src: str, ops_file: str, out_dir: str) -> int:
+    """Run every argv of ops_file through cli.main; write [code, out, err] of
+    operation i to out_dir/i.json."""
     sys.path.insert(0, src)
     from odkirch import cli
 
     if Path(cli.__file__).resolve().parent != (Path(src) / "odkirch").resolve():
         print(f"imported odkirch from {cli.__file__}, not {src}", file=sys.stderr)
         return 2
-    results = []
-    for argv in json.loads(Path(ops_file).read_text()):
+    for i, argv in enumerate(json.loads(Path(ops_file).read_text())):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -89,16 +95,17 @@ def child(src: str, ops_file: str, out_file: str) -> int:
                 code = exc.code
             except Exception as exc:  # a traceback is an output too
                 code = f"raised {type(exc).__name__}: {exc}"
-        results.append([code, out.getvalue(), err.getvalue()])
-    Path(out_file).write_text(json.dumps(results))
+        result = [code, out.getvalue(), err.getvalue()]
+        (Path(out_dir) / f"{i}.json").write_text(json.dumps(result))
     return 0
 
 
-def run_tree(src: str, ops_file: Path, out_file: Path) -> subprocess.Popen:
+def run_tree(src: str, ops_file: Path, out_dir: Path) -> subprocess.Popen:
+    out_dir.mkdir()
     # -I: no PYTHONPATH, no user site, no script directory on sys.path.
     return subprocess.Popen([sys.executable, "-I", str(Path(__file__).resolve()),
                              "--child", str(Path(src).resolve()), str(ops_file),
-                             str(out_file)])
+                             str(out_dir)])
 
 
 def render(result) -> list:
@@ -124,21 +131,21 @@ def main(argv=None) -> int:
         ops = operations(workdir, args.configs)
         ops_file = workdir / "ops.json"
         ops_file.write_text(json.dumps([argv for _, argv in ops]))
-        outs = [workdir / "parent.json", workdir / "change.json"]
+        outs = [workdir / "parent", workdir / "change"]
         procs = [run_tree(src, ops_file, out)
                  for src, out in zip((args.parent_src, args.change_src), outs)]
         if any(proc.wait() != 0 for proc in procs):
             print("compare_outputs: a tree failed to run", file=sys.stderr)
             return 2
-        parent, change = (json.loads(out.read_text()) for out in outs)
 
-    differing = 0
-    for (label, _), old, new in zip(ops, parent, change):
-        if old == new:
-            continue
-        differing += 1
-        sys.stdout.writelines(difflib.unified_diff(
-            render(old), render(new), f"parent: {label}", f"change: {label}"))
+        differing = 0
+        for i, (label, _) in enumerate(ops):
+            old, new = (json.loads((out / f"{i}.json").read_text()) for out in outs)
+            if old == new:
+                continue
+            differing += 1
+            sys.stdout.writelines(difflib.unified_diff(
+                render(old), render(new), f"parent: {label}", f"change: {label}"))
     print(f"{differing} of {len(ops)} outputs differ")
     return 1 if differing else 0
 
