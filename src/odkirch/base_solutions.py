@@ -65,28 +65,25 @@ class RadialProfile:
         )
 
     def as_field(self, center=None) -> Callable:
-        """Scalar field x -> phi(|x - center|)."""
+        """Field x -> phi(|x - center|) on points x of shape (..., n).
+
+        The values have shape (...), a scalar for one point (n,); `row_dot`
+        rounds each point as d @ d does, so stacking points changes no value.
+        """
         c = None if center is None else np.asarray(center, dtype=float)
 
         def u(x):
             x = np.asarray(x, dtype=float)
             d = x if c is None else x - c
-            return self.phi(math.sqrt(float(d @ d)))
+            return self.phi(np.sqrt(row_dot(d, d)))
 
         return u
 
-    def gradient_field(self, center=None) -> Callable:
-        c = None if center is None else np.asarray(center, dtype=float)
 
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            d = x if c is None else x - c
-            r = math.sqrt(float(d @ d))
-            if r == 0.0:
-                return np.zeros_like(d) * self.dphi(0.0)
-            return (self.dphi(r) / r) * d
-
-        return grad
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, (..., n) -> (...), each rounded as the
+    1-D a_i @ b_i is; einsum and (a * b).sum(-1) sum in another order."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _is_finite_exponent(x: float) -> bool:
@@ -132,10 +129,6 @@ class BallGeometry:
                 f"center has {len(center)} coordinates for dimension {self.n}"
             )
         object.__setattr__(self, "center", center)
-
-    @property
-    def x0(self) -> np.ndarray:
-        return np.asarray(self.center)
 
     @property
     def r_range(self) -> tuple:
@@ -222,10 +215,6 @@ class ExteriorGeometry:
     @property
     def center(self) -> tuple:
         return (0.0,) * self.n
-
-    @property
-    def x0(self) -> np.ndarray:
-        return np.zeros(self.n)
 
     def profile(self) -> RadialProfile:
         """Radial profile of the exterior base solution on [1, inf).

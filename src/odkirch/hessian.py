@@ -79,6 +79,8 @@ def hessian_fd(u, x, h: float | None = None) -> np.ndarray:
 
     Central second differences on the diagonal and the standard four-point
     cross stencil off it; the result is exactly symmetric by construction.
+    u must be vectorized: it maps an (m, n) array of points to m values, and
+    the whole stencil of 1 + 2n + 2n(n - 1) points goes through one call.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -86,19 +88,23 @@ def hessian_fd(u, x, h: float | None = None) -> np.ndarray:
         h = 1e-4 * max(1.0, float(np.max(np.abs(x))))
     if not (h > 0.0):
         raise DomainError(f"step size must be positive, got {h}")
-    hess = np.empty((n, n))
-    f0 = float(u(x))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        hess[i, i] = (float(u(x + ei)) - 2.0 * f0 + float(u(x - ei))) / h ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            cross = (float(u(x + ei + ej)) - float(u(x + ei - ej))
-                     - float(u(x - ei + ej)) + float(u(x - ei - ej))) / (4.0 * h ** 2)
-            hess[i, j] = cross
-            hess[j, i] = cross
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))   # pairs i < j
+    eye = np.eye(n)
+    ei, ej = eye[i], eye[j]
+    # Each stencil point moves each coordinate by 0 or +-h.
+    signs = np.concatenate([np.zeros((1, n)), eye, -eye,
+                            ei + ej, ei - ej, ej - ei, -ei - ej])
+    points = x + h * signs
+    vals = np.asarray(u(points), dtype=float)
+    if vals.shape != (len(points),):
+        raise DomainError(f"hessian_fd: u must map {len(points)} points to as "
+                          f"many values, got shape {vals.shape}")
+    f0, f_plus, f_minus = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
+    f_pp, f_pm, f_mp, f_mm = vals[2 * n + 1:].reshape(4, i.size)
+    hess = np.diag((f_plus - 2.0 * f0 + f_minus) / h ** 2)
+    cross = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h ** 2)
+    hess[i, j] = cross
+    hess[j, i] = cross
     return hess
 
 
@@ -107,7 +113,8 @@ def principal_minor_sum(mat: np.ndarray, k: int) -> float:
 
     This equals e_k of the eigenvalues for any symmetric matrix, but is
     computed directly from determinants of index-selected submatrices so it
-    never goes through an eigendecomposition.
+    never goes through an eigendecomposition.  One fancy index stacks all
+    C(n, k) submatrices for a single batched det.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -117,17 +124,18 @@ def principal_minor_sum(mat: np.ndarray, k: int) -> float:
         raise DomainError(f"minor order must satisfy 0 <= k <= {n}, got {k}")
     if k == 0:
         return 1.0
-    subs = np.stack([mat[np.ix_(idx, idx)]
-                     for idx in itertools.combinations(range(n), k)])
+    idx = np.array(list(itertools.combinations(range(n), k)))
+    subs = mat[idx[:, :, None], idx[:, None, :]]
     return float(np.sum(np.linalg.det(subs)))
 
 
 def k_hessian_field(u, x, k: int, h: float | None = None) -> float:
     """S_k(D^2 u) at a point of a general (not necessarily radial) field.
 
-    Finite-difference Hessian followed by the principal-minor expansion.
-    Accuracy is limited by the O(h^2) stencil error, so this is a cross-check
-    tool, not a precision evaluator.
+    Finite-difference Hessian followed by the principal-minor expansion.  u
+    must be vectorized over points, as `hessian_fd` requires; the fields of
+    `RadialProfile.as_field` are.  Accuracy is limited by the O(h^2) stencil
+    error, so this is a cross-check tool, not a precision evaluator.
     """
     x = np.asarray(x, dtype=float)
     n = x.size

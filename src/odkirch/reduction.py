@@ -223,13 +223,17 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     """Count and refine the positive roots of g(s) = target.
 
     Pure function of its inputs: the scan grid, bisection order and tangency
-    refinement are all deterministic.
+    refinement are all deterministic.  DomainError when the default s_max
+    overflows, or when h is exactly 0 on two adjacent grid points.
     """
     s_min = config.s_min
     s_max = config.s_max
     if s_max is None:
         scale = (eq.target / eq.coeff) ** (1.0 / eq.k)
         s_max = max(10.0 * scale, 1e3)
+        if not math.isfinite(s_max):
+            raise DomainError(f"default scan window s_max = 10 * {scale!r} is "
+                              "not finite; give scan.s_max explicitly")
     if s_max <= s_min:
         raise DomainError(f"scan range empty: [{s_min}, {s_max}]")
     grid = np.geomspace(s_min, s_max, config.n_grid)
@@ -241,6 +245,12 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     # Cell i is [grid[i], grid[i + 1]]: it is flagged when its left end is an
     # exact zero or when h changes sign between two nonzero ends.
     zero = hvals == 0.0
+    pair = np.flatnonzero(zero[:-1] & zero[1:])
+    if pair.size:
+        lo, hi = float(grid[pair[0]]), float(grid[pair[0] + 1])
+        raise DomainError(f"g(s) = target exactly at adjacent grid points s = "
+                          f"{lo!r} and {hi!r}: it holds on an interval, and a "
+                          "continuum of solutions has no count")
     negative = hvals < 0.0
     crossing = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     flagged = crossing | zero[:-1]
@@ -337,13 +347,8 @@ class Solution:
 
     @property
     def u(self):
-        """The field as a callable, point in R^n -> float."""
+        """The field as a callable, points (..., n) -> values (...)."""
         return self.profile.as_field(self.geometry.center)
-
-    @property
-    def grad_u(self):
-        """Its gradient as a callable, point in R^n -> array."""
-        return self.profile.gradient_field(self.geometry.center)
 
 
 def roots_to_solutions(structure: SolutionStructure) -> tuple:

@@ -24,7 +24,6 @@ class TestGeometries:
     def test_ball_defaults(self):
         g = BallGeometry(n=3, radius=2.0)
         assert g.center == (0.0, 0.0, 0.0)
-        assert np.array_equal(g.x0, np.zeros(3))
 
     def test_ball_center_kept(self):
         g = BallGeometry(n=2, radius=1.0, center=(1.0, -2.0))
@@ -106,21 +105,55 @@ class TestProfilesAndFields:
         decaying = ExteriorGeometry(n=3).profile()
         assert abs(decaying.phi(1e8)) < 1e-8
 
-    def test_gradient_field_matches_finite_differences(self):
-        prof = ExteriorGeometry(n=3).profile()
-        u = prof.as_field()
-        grad = prof.gradient_field()
-        x = np.array([1.1, -0.7, 0.6])
-        h = 1e-6
-        fd = np.array([
-            (u(x + h * e) - u(x - h * e)) / (2 * h) for e in np.eye(3)
-        ])
-        assert np.allclose(grad(x), fd, atol=1e-8)
-
     def test_scale(self):
         prof = BallGeometry(n=2, radius=1.0).profile().scale(3.0)
         assert prof.phi(0.5) == pytest.approx(3.0 * 0.5 * (0.25 - 1.0))
         assert prof.dphi(0.5) == pytest.approx(1.5)
+
+
+class TestVectorizedField:
+    """as_field on a stack of points gives each point's value bit for bit."""
+
+    @staticmethod
+    def single_point(prof, center, x):
+        d = x - np.asarray(center)
+        return float(prof.phi(math.sqrt(float(d @ d))))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_off_centre_ball(self, n):
+        rng = np.random.default_rng(100 + n)
+        geom = BallGeometry(n=n, radius=1.7, center=tuple(rng.normal(size=n)))
+        prof = geom.profile()
+        field = prof.as_field(geom.center)
+        pts = np.asarray(geom.center) + rng.uniform(-1.7, 1.7, size=(500, n))
+        stacked = field(pts)
+        assert stacked.shape == (500,)
+        assert np.array_equal(stacked, [self.single_point(prof, geom.center, x)
+                                        for x in pts])
+        assert np.array_equal(stacked, [field(x) for x in pts])
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_exterior(self, n):
+        rng = np.random.default_rng(200 + n)
+        geom = ExteriorGeometry(n=n)
+        prof = geom.profile()
+        field = prof.as_field(geom.center)
+        dirs = rng.normal(size=(500, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = dirs * rng.uniform(1.0, 6.0, size=(500, 1))
+        stacked = field(pts)
+        assert np.array_equal(stacked, [self.single_point(prof, geom.center, x)
+                                        for x in pts])
+
+    def test_leading_axes_and_single_point(self):
+        geom = BallGeometry(n=3, radius=2.0, center=(0.5, -1.0, 2.0))
+        field = geom.profile().as_field(geom.center)
+        pts = np.random.default_rng(3).normal(size=(4, 5, 3))
+        grid = field(pts)
+        assert grid.shape == (4, 5)
+        assert np.array_equal(grid.ravel(), field(pts.reshape(20, 3)))
+        assert np.ndim(field(pts[0, 0])) == 0
+        assert field(pts[0, 0]) == grid[0, 0]
 
 
 class TestAdmissibility:

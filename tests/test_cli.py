@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -290,6 +291,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, command, "-c", path)
         assert code == 3 and "domain error" in err and "overflows" in err
         assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("radius, q, kernel, message", [
+        (1e154, "inf", "1", "not finite"),      # default s_max overflows
+        (2.0, 2.0, "1/s", "interval"),           # g = target on an interval
+    ])
+    def test_degenerate_scan_is_domain_error(self, tmp_path, capsys, command,
+                                             radius, q, kernel, message):
+        case = {"geometry": {"kind": "ball", "n": 2, "radius": radius},
+                "k": 1, "p": "inf", "q": q, "kernel": kernel}
+        path = write_config(tmp_path, case, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err and message in err
+        assert out == "" and "Traceback" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_kernel_eval_fault(self, tmp_path, capsys):
         case = dict(BATTERY["cases"][0], kernel="log(s - 10)")

@@ -137,7 +137,7 @@ class TestHessianFd:
         a = rng.normal(size=(4, 4))
         a = 0.5 * (a + a.T)
         b = rng.normal(size=4)
-        u = lambda x: 0.5 * x @ a @ x + b @ x
+        u = lambda x: 0.5 * np.sum((x @ a) * x, axis=-1) + x @ b
         x0 = rng.normal(size=4)
         hess = hessian_fd(u, x0, h=1e-2)
         # Truncation error vanishes for quadratics; only round-off remains.
@@ -145,7 +145,7 @@ class TestHessianFd:
         assert np.array_equal(hess, hess.T)
 
     def test_smooth_field(self):
-        u = lambda x: math.sin(x[0]) * math.exp(x[1])
+        u = lambda x: np.sin(x[:, 0]) * np.exp(x[:, 1])
         x0 = np.array([0.4, -0.3])
         hess = hessian_fd(u, x0)
         ref = np.array(
@@ -159,6 +159,18 @@ class TestHessianFd:
     def test_rejects_bad_step(self):
         with pytest.raises(DomainError):
             hessian_fd(lambda x: 0.0, np.zeros(2), h=0.0)
+
+    @pytest.mark.parametrize("u", [
+        lambda x: 0.0,                          # a scalar for the whole stencil
+        lambda x: np.zeros(3),                  # too few values
+        lambda x: np.zeros((len(x), 1)),        # one column per point
+    ])
+    def test_rejects_unvectorized_field(self, u):
+        # The stencil of n = 2 has 1 + 2n + 2n(n - 1) = 9 points.
+        with pytest.raises(DomainError, match="9 points"):
+            hessian_fd(u, np.array([0.4, -0.3]))
+        with pytest.raises(DomainError, match="9 points"):
+            k_hessian_field(u, np.array([0.4, -0.3]), 1)
 
 
 class TestPrincipalMinorSum:
@@ -201,7 +213,7 @@ class TestKHessianField:
 
     def test_nonradial_polynomial(self):
         # u = x^2 y has Hessian [[2y, 2x], [2x, 0]]: S_1 = 2y, S_2 = -4x^2.
-        u = lambda x: x[0] ** 2 * x[1]
+        u = lambda x: x[:, 0] ** 2 * x[:, 1]
         pt = np.array([0.7, -1.2])
         assert k_hessian_field(u, pt, 1, h=1e-3) == pytest.approx(-2.4, rel=1e-6)
         assert k_hessian_field(u, pt, 2, h=1e-3) == pytest.approx(-4 * 0.49, rel=1e-6)
