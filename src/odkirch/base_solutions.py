@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .quadrature import integrate, integrate_decaying, maximize
+from .errors import DomainError, QuadratureError
+from .quadrature import integrate, maximize
 from .specialfun import incomplete_beta, log_gamma, sphere_area
 
 _INF = math.inf
@@ -335,23 +335,49 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     """L^p norm of a radial field by direct quadrature, or maximization for p = inf.
 
     radial_f is the radial representative (of the field or of its gradient
-    magnitude); only |radial_f| enters.  r_hi may be inf, in which case the
-    integrand must decay fast enough for tail truncation to converge, and a
-    QuadratureError reports the cases where it does not.
+    magnitude); only |radial_f| enters.  r_hi may be inf: r = 1/x then maps
+    [r_lo, inf) onto (0, 1/r_lo], where a tail decaying barely faster than
+    r^(-n) is an integrable singularity at x = 0.  A QuadratureError names
+    the radius beyond which |radial_f| underflows to 0 when the mass lost
+    there may exceed the tolerance.
     """
     if not _is_finite_exponent(p):
         _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
                             r_lo, r_hi)
         return value
 
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        return np.abs(radial_f(r)) ** p * r ** (n - 1.0)
-
-    if math.isinf(r_hi):
-        value, _ = integrate_decaying(integrand, r_lo, rel_tol=rel_tol)
+    if not math.isinf(r_hi):
+        value, _ = integrate(lambda r: np.abs(radial_f(r)) ** p * r ** (n - 1.0),
+                             r_lo, r_hi, rel_tol=rel_tol)
     else:
-        value, _ = integrate(integrand, r_lo, r_hi, rel_tol=rel_tol)
+        if not (math.isfinite(r_lo) and r_lo > 0.0):
+            raise QuadratureError(f"the map r = 1/x needs a finite positive "
+                                  f"r_lo, got {float(r_lo)!r}")
+        samples = []
+
+        def integrand(x):
+            # |f(1/x)|^p x^(-n-1) in log form: x^(-n-1) overflows where
+            # |f(1/x)|^p underflows.  integrate rejects a non-finite value.
+            with np.errstate(all="ignore"):
+                f_abs = np.abs(np.asarray(radial_f(1.0 / x), dtype=float))
+                y = np.exp(p * np.log(f_abs) - (n + 1.0) * np.log(x))
+            samples.append((x, f_abs, y))
+            return y
+
+        value, _ = integrate(integrand, 0.0, 1.0 / r_lo, rel_tol=rel_tol)
+        # Below x1, the smallest sample where |f| is not 0, the mass under
+        # the largest zero sample x0 is lost: about x0 times the integrand at x1.
+        x, f_abs, y = map(np.concatenate, zip(*samples))
+        live = f_abs > 0.0
+        if live.any():
+            i1 = np.flatnonzero(live)[np.argmin(x[live])]
+            x0 = float(np.max(x[~live & (x < x[i1])], initial=0.0))
+            lost = x0 * float(y[i1])
+            if lost > rel_tol * value:
+                raise QuadratureError(
+                    f"|f(r)| underflows to 0 beyond r = {1.0 / x0!r} (x = {x0!r}); "
+                    f"the mass lost there, about {lost:.3e}, exceeds rel_tol * "
+                    f"value = {rel_tol * value:.3e}")
     if value <= 0.0:
         return 0.0
     return math.exp((math.log(sphere_area(n)) + math.log(value)) / p)

@@ -14,11 +14,9 @@ guards against the raw difference |K15 - G7| being accidentally small.
 Endpoints are never evaluated, so integrable endpoint singularities such as
 t**(-0.8) near t = 0 are handled by subdivision alone.
 
-Improper integrals over [a, inf) are reduced to proper ones by truncation: the
-integrand's tail is fitted with a power-law envelope C * r**(-beta) from
-samples at geometrically spaced radii, the analytic tail bound
-C * R**(1-beta) / (beta - 1) fixes a cutoff R at which the discarded mass is
-below tolerance, and [a, R] is integrated under the substitution r = exp(x).
+An integral over [a, inf) is brought onto a finite interval by its caller,
+with the map r = 1/x of QUADPACK's QAGI: a slowly decaying tail becomes an
+integrable singularity at x = 0, which subdivision resolves like any other.
 
 Maximization takes a vectorized callable too: a dense grid is evaluated in
 one call f(xs), and golden-section search refines the best grid point with
@@ -89,7 +87,7 @@ def _panel(f, a: float, b: float):
         )
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
-        raise QuadratureError(f"integrand non-finite near x = {bad!r}")
+        raise QuadratureError(f"integrand non-finite near x = {float(bad)!r}")
     resk = half * float(_WEIGHTS_K @ y)
     resg = half * float(_WEIGHTS_G @ y)
     resabs = abs(half) * float(_WEIGHTS_K @ np.abs(y))
@@ -153,99 +151,6 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-12,
     total_val = math.fsum(entry[4] for entry in heap)
     total_err = math.fsum(entry[5] for entry in heap)
     return total_val, total_err
-
-
-def _tail_envelope(f, r0: float):
-    """Fit |f| ~ C * r**(-beta) from samples at geometrically spaced radii.
-
-    Returns (log_c, beta) with a small safety margin folded into both; the
-    envelope constant is kept in log form because steep fitted exponents make
-    C itself overflow.  log_c = -inf means the tail is numerically zero.
-    Raises QuadratureError when the samples do not support an integrable
-    power decay.
-    """
-    ratio = 4.0
-    radii = r0 * ratio ** np.arange(12)
-    vals = np.abs(np.asarray(f(radii), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("tail samples of integrand are non-finite")
-    if np.all(vals < 1e-300):
-        # Tail already numerically zero; any cutoff beyond r0 works.
-        return -math.inf, 2.0
-    # Trailing exact zeros mean the tail underflowed; fit the envelope on the
-    # samples before them.  Faster-than-power decay extrapolated as a power
-    # law only overestimates such a tail, so the bound stays valid.
-    m = len(vals)
-    while m > 0 and vals[m - 1] == 0.0:
-        m -= 1
-    # Within the kept range, use the last run of positive samples; interior
-    # zeros would corrupt the slope estimates.
-    k = m
-    while k > 0 and vals[k - 1] > 0.0:
-        k -= 1
-    tail_vals = vals[k:m]
-    tail_radii = radii[k:m]
-    if len(tail_vals) < 4:
-        raise QuadratureError("too few usable tail samples to estimate decay")
-    slopes = np.log(tail_vals[:-1] / tail_vals[1:]) / math.log(ratio)
-    beta = float(min(slopes[-3:]))
-    if beta <= 1.001:
-        raise QuadratureError(
-            f"integrand tail decays like r**(-{beta:.3f}); not integrable "
-            "or too slow to truncate"
-        )
-    beta = beta * (1.0 - 1e-3)  # lean conservative before bounding the tail
-    if beta <= 1.0005:
-        raise QuadratureError(f"tail decay rate {beta:.4f} too close to r**(-1)")
-    log_c = math.log(1.5) + float(
-        np.max(np.log(tail_vals) + beta * np.log(tail_radii))
-    )
-    return log_c, beta
-
-
-def integrate_decaying(f, a: float, rel_tol: float = 1e-12,
-                       abs_tol: float = 1e-300, max_panels: int = 4096):
-    """Integrate a vectorized callable f over [a, inf), a > 0.
-
-    The integrand must eventually decay at least like r**(-beta) with beta > 1.
-    Returns (value, error_estimate) where the estimate includes the analytic
-    bound on the truncated tail.
-    """
-    if not (math.isfinite(a) and a > 0.0):
-        raise QuadratureError(f"lower bound must be finite and positive, got {a}")
-    r0 = 4.0 * a
-    log_c, beta = _tail_envelope(f, r0)
-
-    def on_log_scale(x):
-        r = np.exp(x)
-        return np.asarray(f(r), dtype=float) * r
-
-    # Coarse pass to set the scale of the absolute tail budget.
-    coarse, _ = integrate(on_log_scale, math.log(a), math.log(r0 * 4.0 ** 11),
-                          rel_tol=1e-6, abs_tol=abs_tol, max_panels=max_panels)
-    budget = 0.1 * max(abs_tol, rel_tol * abs(coarse))
-    if log_c == -math.inf:
-        r_cut = r0 * 4.0 ** 11
-        tail_bound = 0.0
-    else:
-        if budget <= 0.0:
-            raise QuadratureError("cannot truncate tail: zero error budget")
-        # Solve C r_cut**(1 - beta) / (beta - 1) = budget in log form; the
-        # envelope constant can be astronomically large or small.
-        log_r_cut = (math.log(budget) + math.log(beta - 1.0) - log_c) / (1.0 - beta)
-        log_r_cut = max(log_r_cut, math.log(r0) + 11.0 * math.log(4.0))
-        if log_r_cut > 120.0 * math.log(10.0):
-            raise QuadratureError(
-                f"tail bound needs cutoff exp({log_r_cut:.1f}); decay too slow "
-                "to truncate"
-            )
-        r_cut = math.exp(log_r_cut)
-        log_tail = log_c + (1.0 - beta) * log_r_cut - math.log(beta - 1.0)
-        tail_bound = math.exp(log_tail) if log_tail > -700.0 else 0.0
-    value, err = integrate(on_log_scale, math.log(a), math.log(r_cut),
-                           rel_tol=0.9 * rel_tol, abs_tol=0.9 * abs_tol,
-                           max_panels=max_panels)
-    return value, err + tail_bound
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):

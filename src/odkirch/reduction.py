@@ -88,10 +88,11 @@ class ReducedEquation:
     geometry: object
 
     def g(self, s):
-        """Left side of the reduced equation; vectorized in s."""
+        """Left side of the reduced equation; vectorized in s, +-inf on overflow."""
         s_arr = np.asarray(s, dtype=float)
         m = eval_kernel(self.kernel, s_arr, self.rho * s_arr)
-        out = self.coeff * s_arr ** self.k * m
+        with np.errstate(over="ignore"):
+            out = self.coeff * s_arr ** self.k * m
         if np.isscalar(s) or s_arr.ndim == 0:
             return float(out)
         return out
@@ -411,6 +412,7 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     fixed-point residuals change sign, clusters the flagged cells, and matches
     clusters one-to-one with the ray roots.  Tangential touchings produce no
     sign change in either view, so the two counts must agree exactly.
+    DomainError when an edge of the box is not finite and positive.
     """
     if structure.roots:
         s_lo = min(r.s for r in structure.roots) / 10.0
@@ -418,6 +420,10 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     else:
         s_lo, s_hi = structure.s_min, structure.s_max
     t_lo, t_hi = eq.rho * s_lo, eq.rho * s_hi
+    for name, edge in (("s_lo", s_lo), ("s_hi", s_hi), ("t_lo", t_lo), ("t_hi", t_hi)):
+        if not 0.0 < edge < math.inf:
+            raise DomainError(f"2-D check box edge {name} = {edge!r} is not "
+                              "finite and positive; lower scan.s_max")
 
     s_edges = np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1)
     t_edges = np.geomspace(t_lo, t_hi, _SYSTEM_GRID + 1)

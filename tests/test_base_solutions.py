@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry, norm_quadrature
-from odkirch.errors import DomainError
+from odkirch.errors import DomainError, QuadratureError
 
 INF = math.inf
+
+
+def exterior_thresholds(n):
+    """The exponents at and below which U (n >= 3) and grad U leave L^p."""
+    u = n / (n - 2.0) if n >= 3 else None
+    return u, (2.0 / 3.0 if n == 2 else n / (n - 1.0))
 
 # Exterior sup norms frozen from a 40-digit evaluation of
 # (1/(n-2)) (n/(n-2))^(-n/2), attained at r = sqrt(n/(n-2)).
@@ -270,6 +276,52 @@ class TestExteriorNormsDualRoute:
         closed = geom.norm_grad(q)
         quad = norm_quadrature(prof.dphi, q, n, 1.0, INF)
         assert quad == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_just_above_threshold(self, n):
+        # The mapped integrands behave like x^(-1 + 0.05 (n - 2)) and
+        # x^(-1 + 0.05 (n - 1)) at x = 1/r = 0.
+        geom = ExteriorGeometry(n=n)
+        prof = geom.profile()
+        p, q = (t + 0.05 for t in exterior_thresholds(n))
+        assert norm_quadrature(prof.phi, p, n, 1.0, INF) == pytest.approx(
+            geom.norm_u(p), rel=1e-8)
+        assert norm_quadrature(prof.dphi, q, n, 1.0, INF) == pytest.approx(
+            geom.norm_grad(q), rel=1e-8)
+
+    def test_steep_u_norm(self):
+        # |U|^20 r^8 decays like r^(-132), and underflows past r of about 1e44.
+        geom = ExteriorGeometry(n=9)
+        quad = norm_quadrature(geom.profile().phi, 20.0, 9, 1.0, INF)
+        assert quad == pytest.approx(geom.norm_u(20.0), rel=1e-8)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_near_threshold_sweep_is_right_or_raises(self, n):
+        # Closer to the threshold the mass sits at ever larger r, until the
+        # profile underflows or the panels run out; that must be an error,
+        # never a wrong value.
+        geom = ExteriorGeometry(n=n)
+        prof = geom.profile()
+        u_threshold, grad_threshold = exterior_thresholds(n)
+        cases = [(prof.dphi, grad_threshold, geom.norm_grad)]
+        if u_threshold is not None:
+            cases.append((prof.phi, u_threshold, geom.norm_u))
+        for radial_f, threshold, closed in cases:
+            for delta in (0.01, 0.02, 0.03, 0.05, 0.08):
+                e = threshold + delta
+                try:
+                    quad = norm_quadrature(radial_f, e, n, 1.0, INF)
+                except QuadratureError:
+                    continue
+                assert quad == pytest.approx(closed(e), rel=1e-8)
+
+    def test_underflow_near_threshold_is_named(self):
+        # n = 3, q = 1.52: dphi underflows past r of about 1e154 while the
+        # mass beyond is far above the tolerance.
+        prof = ExteriorGeometry(n=3).profile()
+        with pytest.raises(QuadratureError,
+                           match=r"underflows to 0 beyond r = \d\.\d+e\+1[56]\d "):
+            norm_quadrature(prof.dphi, 1.52, 3, 1.0, INF)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_frozen_sup_values(self, n):

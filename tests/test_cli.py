@@ -309,6 +309,21 @@ class TestExitCodes:
         assert out == "" and "Traceback" not in err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_box_edge_overflow_is_domain_error(self, tmp_path, capsys, command):
+        # The root 2.5e307 is found, but the 2-D box around it reaches
+        # 10 * 2.5e307, past a double; g itself overflows on the scan grid.
+        case = {"geometry": {"kind": "ball", "n": 2, "radius": 1e154},
+                "k": 1, "p": "inf", "q": "inf", "kernel": "1"}
+        path = write_config(tmp_path, case, 1.0, scan={"s_max": 1e308})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err
+        assert "box edge s_hi = inf is not finite" in err
+        assert out == "" and "Traceback" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_kernel_eval_fault(self, tmp_path, capsys):
         case = dict(BATTERY["cases"][0], kernel="log(s - 10)")
         path = write_config(tmp_path, case, 3.0)
@@ -320,3 +335,34 @@ class TestExitCodes:
                             amplitude_scale=0.9)
         code, _, _ = run_cli(capsys, "verify", "-c", path)
         assert code == 1
+
+
+class TestExteriorTails:
+    """Exterior exponents close to the integrability threshold."""
+
+    @staticmethod
+    def config(tmp_path, n, p, q):
+        case = {"geometry": {"kind": "exterior", "n": n}, "k": 1, "p": p,
+                "q": q, "kernel": "1 + t"}
+        return write_config(tmp_path, case, 1.0)
+
+    @pytest.mark.parametrize("command", ["verify", "norms"])
+    @pytest.mark.parametrize("n, p, q", [(9, 20.0, 2.0), (4, 2.05, 2.0),
+                                         (3, 3.05, 2.0)])
+    def test_near_threshold_passes(self, tmp_path, capsys, command, n, p, q):
+        path = self.config(tmp_path, n, p, q)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 0 and err == ""
+        assert "verdict: PASS" in out
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("command", ["verify", "norms"])
+    def test_underflowing_gradient_is_domain_error(self, tmp_path, capsys, command):
+        # q = 1.52 is 0.02 above the threshold 3/2: dphi underflows to 0
+        # long before the mass of |dphi|^q r^2 is exhausted.
+        path = self.config(tmp_path, 3, 3.1, 1.52)
+        code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err and "underflows to 0" in err
+        assert out == "" and "Traceback" not in err

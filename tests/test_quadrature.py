@@ -7,8 +7,15 @@ import pytest
 import scipy.integrate
 from hypothesis import example, given, settings, strategies as st
 
+from odkirch.base_solutions import norm_quadrature
 from odkirch.errors import QuadratureError
-from odkirch.quadrature import golden_max, integrate, integrate_decaying, maximize
+from odkirch.quadrature import golden_max, integrate, maximize
+
+
+def integral_to_infinity(f, a):
+    """int_a^inf |f| through the map r = 1/x: in one dimension the sphere
+    area is 2, so the L^1 norm over [a, inf) is twice the integral."""
+    return 0.5 * norm_quadrature(f, 1.0, 1, a, math.inf)
 
 
 class TestIntegrate:
@@ -65,6 +72,13 @@ class TestIntegrate:
         with np.errstate(divide="ignore"), pytest.raises(QuadratureError):
             integrate(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
 
+    def test_nonfinite_message_prints_a_plain_float(self):
+        # The centre node of the one panel on [245, 246.07] is 245.535.
+        f = lambda x: np.where(x > 245.5, np.inf, 1.0)
+        with pytest.raises(QuadratureError,
+                           match=r"^integrand non-finite near x = 245\.5\d+$"):
+            integrate(f, 245.0, 246.07)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(QuadratureError):
             integrate(lambda x: np.ones(3), 0.0, 1.0)
@@ -114,6 +128,8 @@ class TestIntegrate:
 
 
 class TestIntegrateDecaying:
+    """Improper integrals of decaying integrands over [a, inf)."""
+
     @pytest.mark.parametrize(
         "f,a,exact",
         [
@@ -124,8 +140,15 @@ class TestIntegrateDecaying:
         ],
     )
     def test_analytic_tails(self, f, a, exact):
-        val, err = integrate_decaying(f, a, rel_tol=1e-12)
+        val = integral_to_infinity(f, a)
         assert val == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [1.0, 50.0])
+    def test_exponential_underflow_integrates(self, a):
+        # exp(-r) underflows to 0 past r = 745; the mass beyond is far below
+        # the tolerance, so the underflow is no error.
+        val = integral_to_infinity(lambda r: np.exp(-r), a)
+        assert val == pytest.approx(math.exp(-a), rel=1e-10)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.filterwarnings(
@@ -133,18 +156,35 @@ class TestIntegrateDecaying:
     )
     def test_against_scipy_improper(self):
         f = lambda r: r ** (-2.7) * (1.0 + np.sin(r) / r)
-        val, _ = integrate_decaying(f, 1.0, rel_tol=1e-11)
+        val = integral_to_infinity(f, 1.0)
         ref, _ = scipy.integrate.quad(f, 1.0, np.inf, epsabs=1e-13, epsrel=1e-13,
                                       limit=800)
         assert val == pytest.approx(ref, rel=1e-9)
 
     def test_rejects_growing_integrand(self):
         with pytest.raises(QuadratureError):
-            integrate_decaying(lambda r: r**0.5, 1.0)
+            integral_to_infinity(lambda r: r**0.5, 1.0)
 
     def test_rejects_nonpositive_start(self):
         with pytest.raises(QuadratureError):
-            integrate_decaying(lambda r: r**-3.0, 0.0)
+            integral_to_infinity(lambda r: r**-3.0, 0.0)
+
+    @pytest.mark.parametrize("a", [-1.0, math.inf, math.nan])
+    def test_rejects_start_off_the_half_line(self, a):
+        with pytest.raises(QuadratureError, match="finite positive r_lo"):
+            integral_to_infinity(lambda r: r**-3.0, a)
+
+    def test_underflow_that_drops_mass_is_named(self):
+        # r^(-1.01) is integrable, but a tenth of its mass lies beyond
+        # r = 1e100; a field that underflows there loses it.
+        f = lambda r: np.where(r < 1e100, r ** -1.01, 0.0)
+        with pytest.raises(QuadratureError) as info:
+            integral_to_infinity(f, 1.0)
+        message = str(info.value)
+        assert "underflows to 0 beyond r = " in message
+        assert "np.float64" not in message
+        r0 = float(message.split("beyond r = ")[1].split(" ")[0])
+        assert 1e100 <= r0 < 1e101
 
 
 class TestMaximize:
