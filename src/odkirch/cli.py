@@ -264,7 +264,8 @@ def cmd_norms(cfg: RunConfig, as_json: bool, out) -> int:
 
 
 def cmd_plot_data(cfg: RunConfig, out) -> int:
-    eq, structure, _ = _analyze(cfg)
+    eq = build_reduced(cfg.instance)
+    structure = solve_roots(eq, cfg.scan)
     grid = np.geomspace(structure.s_min, structure.s_max, structure.n_grid)
     gvals = eq.g(grid)
     rows = [(float(s), float(g), 0) for s, g in zip(grid, gvals)]

@@ -13,14 +13,22 @@ gradient norm).  Grammar, in EBNF:
 -(s^2) and 2^3^2 means 2^(3^2).  Available functions: exp, log, sqrt, abs
 (one argument), min, max (two arguments).
 
-Evaluation is vectorized over numpy arrays and checks every intermediate node
-for finiteness, so division by zero, log of a non-positive value or overflow
-surface as KernelEvalError naming the offending subexpression and point
-instead of silently propagating nan through a root scan.
+Each tree is compiled once into a closure of numpy ufuncs, applied in the
+order and on the operand types of the tree walk, so its values are the walk's
+bit for bit.  Evaluation is vectorized over numpy arrays.  A non-finite value
+stays non-finite through +, -, *, negation, log, sqrt and abs, so the compiled
+closure checks finiteness only at its result and on the operands of /, ^,
+exp, min and max, through which a non-finite value can turn finite again
+(1/inf, exp(-inf), min(inf, s), 1^nan).  When a check fails the tree is
+walked node by node, so division by zero, log of a non-positive value or
+overflow surface as KernelEvalError naming the first offending subexpression
+and point instead of silently propagating nan through a root scan.
 """
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -250,7 +258,16 @@ def _first_bad(values, s, t):
     return (float(s.ravel()[i]), float(t.ravel()[i]))
 
 
+_UFUNCS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+           "min": np.minimum, "max": np.maximum}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.divide, "^": np.power}
+# Operations whose result can be finite while an operand is not.
+_ABSORBING = {"/", "^", "exp", "min", "max"}
+
+
 def _eval(node, s, t):
+    """Walk the tree, checking every node; the error path of eval_kernel."""
     if isinstance(node, Num):
         v = np.float64(node.value)
     elif isinstance(node, Var):
@@ -258,27 +275,57 @@ def _eval(node, s, t):
     elif isinstance(node, Neg):
         v = -_eval(node.arg, s, t)
     elif isinstance(node, Call):
-        args = [_eval(a, s, t) for a in node.args]
-        fn = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-              "min": np.minimum, "max": np.maximum}[node.fn]
-        v = fn(*args)
+        v = _UFUNCS[node.fn](*[_eval(a, s, t) for a in node.args])
     else:
-        left = _eval(node.left, s, t)
-        right = _eval(node.right, s, t)
-        if node.op == "+":
-            v = left + right
-        elif node.op == "-":
-            v = left - right
-        elif node.op == "*":
-            v = left * right
-        elif node.op == "/":
-            v = np.divide(left, right)
-        else:
-            v = np.power(left, right)
+        v = _BINOPS[node.op](_eval(node.left, s, t), _eval(node.right, s, t))
     if not np.all(np.isfinite(v)):
         raise KernelEvalError("non-finite value", kernel_to_string(node),
                               _first_bad(v, s, t))
     return v
+
+
+class _NonFinite(Exception):
+    """A compiled finiteness check failed; eval_kernel re-walks the tree."""
+
+
+def _finite(f):
+    """f, raising _NonFinite when a value it returns is not finite."""
+    def checked(s, t):
+        v = f(s, t)
+        if not np.all(np.isfinite(v)):
+            raise _NonFinite
+        return v
+    return checked
+
+
+@cache
+def _compile(node):
+    """The closure (s, t) -> value of node, with _eval's ufuncs in _eval's
+    order; finiteness is checked only on the operands of _ABSORBING ones.
+
+    Cached per tree, compared by value: the parser never writes Num(-0.0),
+    the one literal equal to another (0.0) with other bits.
+    """
+    if isinstance(node, Num):
+        v = np.float64(node.value)
+        return lambda s, t: v
+    if isinstance(node, Var):
+        return (lambda s, t: s) if node.name == "s" else (lambda s, t: t)
+    if isinstance(node, Neg):
+        arg = _compile(node.arg)
+        return lambda s, t: -arg(s, t)
+    if isinstance(node, Call):
+        op, fn, children = node.fn, _UFUNCS[node.fn], node.args
+    else:
+        op, fn, children = node.op, _BINOPS[node.op], (node.left, node.right)
+    args = [_compile(c) for c in children]
+    if op in _ABSORBING:
+        args = [_finite(a) for a in args]
+    if len(args) == 1:
+        (a,) = args
+        return lambda s, t: fn(a(s, t))
+    a, b = args
+    return lambda s, t: fn(a(s, t), b(s, t))
 
 
 def eval_kernel(node, s, t):
@@ -290,13 +337,19 @@ def eval_kernel(node, s, t):
     """
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    scalar = s_arr.ndim == 0 and t_arr.ndim == 0
-    s_b, t_b = np.broadcast_arrays(np.atleast_1d(s_arr), np.atleast_1d(t_arr))
-    with np.errstate(all="ignore"):
-        out = _eval(node, s_b, t_b)
-    out = np.broadcast_to(out, s_b.shape)
-    if scalar:
-        return float(out[0])
     shape = np.broadcast_shapes(s_arr.shape, t_arr.shape)
-    return np.array(out, dtype=float).reshape(shape)
-
+    # The closure runs on the operands as given, so a subexpression of s
+    # alone costs s.size operations; each value is the same as on the
+    # broadcast grid, elementwise.
+    s_1, t_1 = np.atleast_1d(s_arr), np.atleast_1d(t_arr)
+    with np.errstate(all="ignore"):
+        try:
+            out = _compile(node)(s_1, t_1)
+            if not np.all(np.isfinite(out)):
+                raise _NonFinite
+        except _NonFinite:
+            # Raises at the first non-finite node, in walk order.
+            out = _eval(node, *np.broadcast_arrays(s_1, t_1))
+    if not shape:
+        return out.item()
+    return np.array(np.broadcast_to(out, shape), dtype=float)

@@ -22,6 +22,12 @@ crossings are counted; grid points where |h| dips near zero without changing
 sign are refined and reported as tangency suspects rather than silently
 counted or dropped.
 
+All brackets are bisected together (refine_brackets): one array call of h
+gives, for every bracket still open, each midpoint its next six bisection
+steps can visit, and the scalar loop is replayed down those values.  Roots
+and residuals are bit for bit those of one scalar call per step, from a
+handful of array calls in all.
+
 system_count_check re-derives the count without the ray reduction: it scans
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
 
@@ -200,21 +206,92 @@ class SolutionStructure:
         return len(self.roots)
 
 
-def _bisect(fun, a: float, b: float, fa: float, fb: float, rel_width: float):
-    """Shrink a sign-change bracket; returns (root, |fun(root)|)."""
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if (b - a) <= rel_width * mid or mid <= a or mid >= b:
-            break
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    root = 0.5 * (a + b)
-    return root, abs(fun(root))
+# Levels of every live bracket's bisection tree evaluated per array call of h.
+_BISECT_DEPTH = 6
+_BISECT_STEPS = 200
+
+
+def _tree_midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Midpoints of the first _BISECT_DEPTH levels of the bisection tree of
+    each [a_i, b_i], each computed as 0.5 * (lo + hi) of its interval.
+
+    Row i is in heap order: node j has the children 2j + 1 (left half) and
+    2j + 2 (right half).
+    """
+    lo, hi = a[:, None], b[:, None]
+    levels = []
+    for _ in range(_BISECT_DEPTH):
+        mid = 0.5 * (lo + hi)
+        levels.append(mid)
+        lo = np.stack([lo, mid], axis=-1).reshape(len(a), -1)
+        hi = np.stack([mid, hi], axis=-1).reshape(len(a), -1)
+    return np.concatenate(levels, axis=1)
+
+
+def refine_brackets(fun, a, b, fa, rel_width: float):
+    """Bisect the sign-change brackets [a_i, b_i], fun(a_i) = fa_i, together.
+
+    Returns (roots, residuals) as lists, bit for bit what this loop gives
+    bracket by bracket:
+
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if (b - a) <= rel_width * mid or mid <= a or mid >= b:
+                break
+            fm = fun(mid)
+            if fm == 0.0:
+                return mid, 0.0
+            if (fa < 0.0) != (fm < 0.0):
+                b = mid
+            else:
+                a, fa = mid, fm
+        root = 0.5 * (a + b)
+        return root, abs(fun(root))
+
+    fun maps an array of points to an array of values.  The loop is replayed
+    for every bracket down the values at hand; each call of fun then gives
+    every midpoint the loop can visit in its next _BISECT_DEPTH steps, for
+    every bracket that needs one, and one last call gives the residuals.
+    """
+    state = [[float(x), float(y), float(f), 0] for x, y, f in zip(a, b, fa)]
+    roots = [0.0] * len(state)
+    residuals = [None] * len(state)
+    live, values = list(range(len(state))), [[]] * len(state)
+    while live:
+        still = []
+        for i, tree in zip(live, values):
+            lo, hi, f_lo, steps = state[i]
+            node = 0
+            while True:
+                mid = 0.5 * (lo + hi)
+                if (steps == _BISECT_STEPS or (hi - lo) <= rel_width * mid
+                        or mid <= lo or mid >= hi):
+                    roots[i] = mid
+                    break
+                if node >= len(tree):
+                    state[i] = [lo, hi, f_lo, steps]
+                    still.append(i)
+                    break
+                fm = tree[node]
+                if fm == 0.0:
+                    roots[i], residuals[i] = mid, 0.0
+                    break
+                if (f_lo < 0.0) != (fm < 0.0):
+                    hi, node = mid, 2 * node + 1
+                else:
+                    lo, f_lo, node = mid, fm, 2 * node + 2
+                steps += 1
+        if still:
+            mids = _tree_midpoints(np.array([state[i][0] for i in still]),
+                                   np.array([state[i][1] for i in still]))
+            values = fun(mids.ravel()).reshape(mids.shape).tolist()
+        live = still
+    pending = [i for i, res in enumerate(residuals) if res is None]
+    if pending:
+        last = np.abs(fun(np.array([roots[i] for i in pending]))).tolist()
+        for i, res in zip(pending, last):
+            residuals[i] = res
+    return roots, residuals
 
 
 _EDGE_WINDOW = 50
@@ -240,9 +317,6 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     grid = np.geomspace(s_min, s_max, config.n_grid)
     hvals = eq.h(grid)
 
-    def h_scalar(s):
-        return eq.h(float(s))
-
     # Cell i is [grid[i], grid[i + 1]]: it is flagged when its left end is an
     # exact zero or when h changes sign between two nonzero ends.
     zero = hvals == 0.0
@@ -255,26 +329,17 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     negative = hvals < 0.0
     crossing = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     flagged = crossing | zero[:-1]
-
-    roots = []
-    for i in np.flatnonzero(flagged).tolist():
-        lo = float(grid[i])
-        if zero[i]:
-            # Only on a grid finer than 4 rel_width can a root lie this close
-            # below a grid zero; the zero is then the same root.
-            if not roots or abs(roots[-1][0] - lo) > config.rel_width * lo * 4:
-                roots.append((lo, 0.0, (lo, lo)))
-            continue
-        hi = float(grid[i + 1])
-        root, res = _bisect(h_scalar, lo, hi, float(hvals[i]), float(hvals[i + 1]),
-                            config.rel_width)
-        roots.append((root, res, (lo, hi)))
-    if zero[-1]:
-        roots.append((float(grid[-1]), 0.0, (float(grid[-1]), float(grid[-1]))))
+    cells = np.flatnonzero(flagged)
+    crossed = cells[~zero[cells]]
+    # Every bracket to bisect as (lo, hi, h(lo)): the crossed cells, then the
+    # pairs that dipping cells below split into.
+    lo_ends, hi_ends = grid[crossed].tolist(), grid[crossed + 1].tolist()
+    lo_values = hvals[crossed].tolist()
 
     # Tangency suspects: interior local minima of |h| with no flagged cell
     # around them, already within tangency_rtol of the target level.
     tangencies = []
+    dip_roots = []        # (index of its bracket or None, exact root, bracket)
     habs = np.abs(hvals)
     near = config.tangency_rtol * abs(eq.target)
     inner = habs[1:-1]
@@ -282,22 +347,42 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     dips = (inner <= near) & (inner <= habs[:-2]) & (inner <= habs[2:]) & ~blocked
     for j in (np.flatnonzero(dips) + 1).tolist():
         lo, hi = float(grid[j - 1]), float(grid[j + 1])
-        s_t, neg_gap = golden_max(lambda s: -abs(h_scalar(s)), lo, hi)
+        s_t, neg_gap = golden_max(lambda s: -abs(eq.h(s)), lo, hi)
         gap = -neg_gap
-        h_t = h_scalar(s_t)
+        h_t = eq.h(s_t)
         side = float(hvals[j - 1])
         if h_t != 0.0 and (h_t < 0.0) != (side < 0.0):
             # The dip actually crosses the level between grid points: two
             # transversal roots hide in this cell pair.
-            r1, e1 = _bisect(h_scalar, lo, s_t, side, h_t, config.rel_width)
-            r2, e2 = _bisect(h_scalar, s_t, hi, h_t, float(hvals[j + 1]),
-                             config.rel_width)
-            roots.append((r1, e1, (lo, s_t)))
-            roots.append((r2, e2, (s_t, hi)))
+            for a, b, f_a in ((lo, s_t, side), (s_t, hi, h_t)):
+                dip_roots.append((len(lo_ends), None, (a, b)))
+                lo_ends.append(a)
+                hi_ends.append(b)
+                lo_values.append(f_a)
         elif h_t == 0.0:
-            roots.append((s_t, 0.0, (lo, hi)))
+            dip_roots.append((None, s_t, (lo, hi)))
         else:
             tangencies.append(TangencyInfo(s=s_t, gap=gap, bracket=(lo, hi)))
+
+    refined = list(zip(*refine_brackets(eq.h, lo_ends, hi_ends, lo_values,
+                                        config.rel_width)))
+    bisected = iter(refined)
+    roots = []
+    for i in cells.tolist():
+        lo = float(grid[i])
+        if zero[i]:
+            # Only on a grid finer than 4 rel_width can a root lie this close
+            # below a grid zero; the zero is then the same root.
+            if not roots or abs(roots[-1][0] - lo) > config.rel_width * lo * 4:
+                roots.append((lo, 0.0, (lo, lo)))
+            continue
+        root, res = next(bisected)
+        roots.append((root, res, (lo, float(grid[i + 1]))))
+    if zero[-1]:
+        roots.append((float(grid[-1]), 0.0, (float(grid[-1]), float(grid[-1]))))
+    for k, s_t, bracket in dip_roots:
+        root, res = refined[k] if k is not None else (s_t, 0.0)
+        roots.append((root, res, bracket))
 
     roots.sort(key=lambda r: r[0])
     deduped = []
@@ -427,21 +512,20 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
 
     s_edges = np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1)
     t_edges = np.geomspace(t_lo, t_hi, _SYSTEM_GRID + 1)
-    ss, tt = np.meshgrid(s_edges, t_edges, indexing="ij")
-    m = eval_kernel(eq.kernel, ss, tt)
+    s_col, t_row = s_edges[:, None], t_edges[None, :]
+    m = eval_kernel(eq.kernel, s_col, t_row)
     with np.errstate(all="ignore"):
-        gamma = np.where(m > 0.0,
-                         (eq.lam / (eq.coeff * np.where(m > 0.0, m, 1.0)))
-                         ** (1.0 / eq.k),
-                         np.nan)
-        f1 = ss - eq.norm_u * gamma
-        f2 = tt - eq.norm_grad * gamma
+        gamma = (eq.lam / (eq.coeff * m)) ** (1.0 / eq.k)
+        s_fix = eq.norm_u * gamma
+        t_fix = eq.norm_grad * gamma
 
-    # A cell is flagged when its corners are finite and each residual takes
-    # both signs (or a zero) on them: neither all > 0 nor all < 0.
-    flags = every_corner(np.isfinite(f1) & np.isfinite(f2))
-    for f in (f1, f2):
-        flags &= ~every_corner(f > 0.0) & ~every_corner(f < 0.0)
+    # A cell is flagged when M > 0 and the fixed-point maps are finite on its
+    # corners, and each residual s - s_fix, t - t_fix takes both signs (or a
+    # zero) on them: neither all > 0 nor all < 0.  Between finite positive
+    # doubles, s - s_fix > 0 exactly when s > s_fix.
+    flags = every_corner((m > 0.0) & np.isfinite(s_fix) & np.isfinite(t_fix))
+    for edge, fix in ((s_col, s_fix), (t_row, t_fix)):
+        flags &= ~every_corner(edge > fix) & ~every_corner(edge < fix)
 
     clusters = _cluster_cells(flags)
     log_s = np.log(s_edges)

@@ -222,6 +222,23 @@ class TestPlotData:
         text = out_file.read_text()
         assert text.startswith("s,g,target,is_root\n")
 
+    def test_no_system_check(self, tmp_path, capsys):
+        # plot-data prints the scan and its roots only: the 2-D check box
+        # around the root 2.5e307 would reach past a double, and that does
+        # not stop the plot.
+        case = {"geometry": {"kind": "ball", "n": 2, "radius": 1e154},
+                "k": 1, "p": "inf", "q": "inf", "kernel": "1"}
+        path = write_config(tmp_path, case, 1.0, scan={"s_max": 1e308})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "plot-data", "-c", path)
+        assert code == 0 and err == ""
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 10_000 + 1
+        root, = (row for row in rows if row["is_root"] == "1")
+        assert float(root["s"]) == pytest.approx(2.5e307, rel=1e-12)
+
     def test_deterministic(self, tmp_path, capsys):
         path = write_config(tmp_path, BATTERY["cases"][0], 3.0)
         _, first, _ = run_cli(capsys, "plot-data", "-c", path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from odkirch import kernel
 from odkirch.errors import KernelEvalError, KernelSyntaxError
 from odkirch.kernel import (
     BinOp,
@@ -217,3 +218,113 @@ class TestEvaluation:
             val = eval_kernel(tree, 1.0, 1.0)
             assert math.isfinite(val) and val > 0.0
 
+
+
+def parity_trees():
+    """Trees over every operation, with literals that make 1/0, log(0),
+    exp overflow and 1^inf reachable."""
+    leaves = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0]).map(Num),
+        st.floats(0.1, 5.0).map(lambda v: Num(float(repr(v)))),
+        st.sampled_from([Var("s"), Var("t")]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/^"), children, children).map(
+                lambda t: BinOp(t[0], t[1], t[2])
+            ),
+            children.map(Neg),
+            st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs"]), children).map(
+                lambda t: Call(t[0], (t[1],))
+            ),
+            st.tuples(st.sampled_from(["min", "max"]), children, children).map(
+                lambda t: Call(t[0], (t[1], t[2]))
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def walk(tree, s, t):
+    """The node-by-node tree walk on the broadcast operands."""
+    s_b, t_b = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
+                                   np.atleast_1d(np.asarray(t, dtype=float)))
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(kernel._eval(tree, s_b, t_b), s_b.shape)
+
+
+def assert_parity(tree, s, t):
+    """eval_kernel returns the walk's bits, or raises the walk's error."""
+    try:
+        want = walk(tree, s, t)
+    except KernelEvalError as exc:
+        with pytest.raises(KernelEvalError) as got:
+            eval_kernel(tree, s, t)
+        assert str(got.value) == str(exc)
+        assert (got.value.subexpr, got.value.point) == (exc.subexpr, exc.point)
+        return
+    got = np.asarray(eval_kernel(tree, s, t), dtype=float)
+    shape = np.broadcast_shapes(np.shape(s), np.shape(t))
+    assert got.shape == shape
+    assert got.tobytes() == np.ascontiguousarray(want.reshape(shape)).tobytes()
+
+
+PARITY_S = np.array([-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+PARITY_T = np.array([-1.0, 0.0, 0.25, 1.0, 4.0])
+
+
+class TestCompiledParity:
+    """The compiled closure against the node-by-node walk, bit for bit."""
+
+    def test_corpus_scalars_and_arrays(self, corpus):
+        for text in corpus:
+            tree = parse_kernel(text)
+            for s in PARITY_S:
+                for t in PARITY_T:
+                    assert_parity(tree, float(s), float(t))
+            assert_parity(tree, PARITY_S, 0.5)
+            assert_parity(tree, PARITY_S[1:], PARITY_S[:-1])
+            assert_parity(tree, PARITY_S[:, None], PARITY_T[None, :])
+
+    @given(tree=parity_trees(),
+           s=st.floats(-4.0, 4.0), t=st.floats(-4.0, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_random_trees_at_scalars(self, tree, s, t):
+        assert_parity(tree, s, t)
+
+    @given(tree=parity_trees(),
+           s=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
+           t=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_random_trees_on_broadcast_arrays(self, tree, s, t):
+        assert_parity(tree, np.array(s)[:, None], np.array(t)[None, :])
+
+    @pytest.mark.parametrize("text, s, subexpr", [
+        # A non-finite operand each of /, exp, min, max and ^ turns finite.
+        ("1/(1/(s-s))", 1.0, "1.0/(s - s)"),
+        ("exp(-exp(1000*s))", 1.0, "exp(1000.0*s)"),
+        ("min(exp(1000), s)", 1.0, "exp(1000.0)"),
+        ("max(-1/(s-s), t)", 1.0, "-1.0/(s - s)"),
+        ("1^(1/(s-s))", 1.0, "1.0/(s - s)"),
+    ])
+    def test_absorbed_non_finite_still_raises(self, text, s, subexpr):
+        tree = parse_kernel(text)
+        with pytest.raises(KernelEvalError) as exc:
+            eval_kernel(tree, s, 2.0)
+        assert exc.value.subexpr == subexpr
+        assert exc.value.point == (s, 2.0)
+        assert_parity(tree, s, 2.0)
+        assert_parity(tree, np.array([0.5, s]), np.array([2.0, 2.0]))
+
+    def test_walk_runs_only_after_a_failed_check(self, corpus, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("finite evaluation walked the tree")
+
+        monkeypatch.setattr(kernel, "_eval", no_walk)
+        for text in corpus:
+            tree = parse_kernel(text)
+            eval_kernel(tree, 1.5, 2.5)
+            eval_kernel(tree, np.array([1.5, 2.0]), np.array([2.5, 3.0]))
+        with pytest.raises(AssertionError, match="walked"):
+            eval_kernel(parse_kernel("1/(s - 1)"), 1.0, 0.0)

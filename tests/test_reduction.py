@@ -14,6 +14,7 @@ from odkirch.reduction import (
     ProblemInstance,
     ScanConfig,
     build_reduced,
+    refine_brackets,
     roots_to_solutions,
     solve_roots,
     system_count_check,
@@ -371,3 +372,150 @@ class TestSystemCountCheck:
         (s_c, t_c), = report.centroids
         assert s_c == pytest.approx(structure.roots[0].s, rel=0.05)
         assert t_c == pytest.approx(eq.rho * structure.roots[0].s, rel=0.05)
+
+
+def sequential_bisect(fun, a, b, fa, rel_width):
+    """Reference: the scalar bisection loop, one call of fun per step."""
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if (b - a) <= rel_width * mid or mid <= a or mid >= b:
+            break
+        fm = fun(mid)
+        if fm == 0.0:
+            return mid, 0.0
+        if (fa < 0.0) != (fm < 0.0):
+            b = mid
+        else:
+            a, fa = mid, fm
+    root = 0.5 * (a + b)
+    return root, abs(fun(root))
+
+
+def battery_lambdas(case):
+    lams = [run["lambda"] for run in case["runs"]]
+    if "tangency" in case:
+        # Just below the fold the dip splits into a bisected pair.
+        lams.append(case["tangency"]["lambda_t"] * (1.0 - 1e-6))
+    return lams
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestBatchedBisection:
+    """refine_brackets against the sequential loop, bit for bit."""
+
+    def test_battery_brackets(self, battery):
+        rel_width = ScanConfig().rel_width
+        checked = 0
+        for case in battery["cases"]:
+            for lam in battery_lambdas(case):
+                eq = build_reduced(make_instance(case, lam))
+                for info in solve_roots(eq).roots:
+                    lo, hi = info.bracket
+                    if lo == hi:
+                        continue      # an exact grid zero, not bisected
+                    want = sequential_bisect(eq.h, lo, hi, eq.h(lo), rel_width)
+                    assert (bits(info.s), bits(info.residual)) == tuple(map(bits, want))
+                    checked += 1
+        assert checked >= 12
+
+    @pytest.mark.parametrize("zero_at", [1.5, 1.25, 1.0 + 2.0 ** -10, 1.0 + 2.0 ** -30])
+    def test_exact_zero_midpoint(self, zero_at):
+        # Dyadic points of [1, 2] are midpoints; 2^-30 lies five array calls deep.
+        def fun(s):
+            return np.asarray(s) - zero_at
+
+        want = sequential_bisect(lambda s: s - zero_at, 1.0, 2.0, 1.0 - zero_at, 1e-13)
+        assert want == (zero_at, 0.0)
+        assert refine_brackets(fun, [1.0], [2.0], [1.0 - zero_at], 1e-13) == (
+            [zero_at], [0.0])
+
+    def test_bracket_narrower_than_rel_width(self):
+        calls = []
+
+        def fun(s):
+            calls.append(np.shape(s))
+            return np.asarray(s) ** 2 - 2.0
+
+        a, b = 1.4142135623730, 1.4142135623731
+        roots, residuals = refine_brackets(fun, [a], [b], [a * a - 2.0], 1e-12)
+        want = sequential_bisect(lambda s: s * s - 2.0, a, b, a * a - 2.0, 1e-12)
+        assert (roots[0], residuals[0]) == want
+        assert want[0] == 0.5 * (a + b)
+        assert calls == [(1,)]      # no bisection step, one residual call
+
+    def test_mixed_brackets_in_one_pass(self):
+        # Brackets that need no step and about 40 steps, finishing in
+        # different array calls.
+        def fun(s):
+            return np.cos(np.asarray(s))
+
+        brackets = [(1.5, 1.6), (1.5707963267948, 1.5707963267949),
+                    (4.0, 5.0), (1.0, 2.0)]
+        rel_width = 1e-13
+        roots, residuals = refine_brackets(
+            fun, [a for a, _ in brackets], [b for _, b in brackets],
+            [math.cos(a) for a, _ in brackets], rel_width)
+        for (a, b), root, res in zip(brackets, roots, residuals):
+            want = sequential_bisect(math.cos, a, b, math.cos(a), rel_width)
+            assert (bits(root), bits(res)) == tuple(map(bits, want))
+
+    def test_step_cap(self):
+        # Halving 1e300 down to the root 2e-300 takes about 2000 steps; both
+        # stop after 200 at the same interval.
+        def fun(s):
+            return np.asarray(s) - 2e-300
+
+        roots, residuals = refine_brackets(fun, [1e-300], [1e300], [-1e-300], 1e-13)
+        want = sequential_bisect(lambda s: s - 2e-300, 1e-300, 1e300, -1e-300, 1e-13)
+        assert (roots[0], residuals[0]) == want
+        assert want[0] == pytest.approx(0.5 * (1e-300 + 1e300 / 2.0 ** 200), rel=1e-12)
+
+    def test_grid_zero_after_bisected_cell(self):
+        # h crosses in cell 40, is exactly 0 on grid point 42 and crosses
+        # back in cell 80: the zero lies within 4 rel_width of the first
+        # bisected root and is the same root; the refined roots stay with
+        # their cells.
+        config = ScanConfig(s_min=1.0, s_max=2.0, n_grid=100, rel_width=5e-3)
+        grid = np.geomspace(1.0, 2.0, 100)
+        up, zero_at, down = 0.5 * (grid[40] + grid[41]) + 1e-4, grid[42], grid[80] + 1e-3
+
+        def h(s):
+            s = np.asarray(s, dtype=float)
+            out = np.where((s < up) | (s > down), -1.0, 1.0)
+            out = np.where(s == zero_at, 0.0, out)
+            return out if out.ndim else float(out)
+
+        inst = ProblemInstance(geometry=BallGeometry(n=2, radius=1.0), k=1,
+                               p=math.inf, q=2.0, lam=1.0, kernel="1")
+        eq = build_reduced(inst)
+        object.__setattr__(eq, "h", h)
+        structure = solve_roots(eq, config)
+        assert [r.bracket for r in structure.roots] == [
+            (float(grid[40]), float(grid[41])), (float(grid[80]), float(grid[81]))]
+        for info in structure.roots:
+            lo, hi = info.bracket
+            want = sequential_bisect(h, lo, hi, h(lo), config.rel_width)
+            assert (info.s, info.residual) == want
+
+
+class TestWorkCounts:
+    def test_three_roots_in_few_array_calls(self, battery):
+        # Counts, not timings: a fall-back to one scalar call per bisection
+        # step (36 per root here) fails this.
+        case = next(c for c in battery["cases"] if c["name"] == "ball-quadratic-well")
+        eq = build_reduced(make_instance(case, 2.0))
+        calls = {"scalar": 0, "array": 0}
+        h = eq.h
+
+        def counted(s):
+            calls["scalar" if np.ndim(s) == 0 else "array"] += 1
+            return h(s)
+
+        object.__setattr__(eq, "h", counted)
+        structure = solve_roots(eq)
+        assert structure.count == 3 and structure.tangencies == ()
+        assert calls["scalar"] == 0
+        assert calls["array"] <= 10
