@@ -59,6 +59,14 @@ def _require(doc: dict, key: str, kinds, where: str):
     return value
 
 
+def _number(value, where: str) -> float:
+    """float(value); ConfigError for an integer too large for a double."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a double") from None
+
+
 def _exponent(value, key: str) -> float:
     if isinstance(value, str):
         if value.strip().lower() == "inf":
@@ -66,7 +74,7 @@ def _exponent(value, key: str) -> float:
         raise ConfigError(f"key '{key}' must be a positive number or \"inf\", "
                           f"got {value!r}")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        out = float(value)
+        out = _number(value, f"'{key}'")
         if math.isfinite(out) and out > 0.0:
             return out
     raise ConfigError(f"key '{key}' must be a positive number or \"inf\", "
@@ -79,13 +87,14 @@ def _geometry(doc):
     kind = _require(doc, "kind", str, "geometry")
     dim = _require(doc, "dim", int, "geometry")
     if kind == "ball":
-        radius = float(_require(doc, "radius", (int, float), "geometry"))
+        radius = _number(_require(doc, "radius", (int, float), "geometry"), "'radius'")
         center = doc.get("center", [])
         if not isinstance(center, list) or not all(
                 isinstance(c, (int, float)) and not isinstance(c, bool)
                 for c in center):
             raise ConfigError("'center' must be a list of numbers")
-        return BallGeometry(n=dim, radius=radius, center=tuple(center))
+        return BallGeometry(n=dim, radius=radius,
+                            center=tuple(_number(c, "'center' entry") for c in center))
     if kind == "exterior":
         for extra in ("radius", "center"):
             if extra in doc:
@@ -111,7 +120,7 @@ def build_config(doc: dict) -> RunConfig:
     k = _require(doc, "k", int, "configuration")
     p = _exponent(doc["p"] if "p" in doc else None, "p")
     q = _exponent(doc["q"] if "q" in doc else None, "q")
-    lam = float(_require(doc, "lambda", (int, float), "configuration"))
+    lam = _number(_require(doc, "lambda", (int, float), "configuration"), "'lambda'")
     kernel_text = _require(doc, "kernel", str, "configuration")
     try:
         kernel = parse_kernel(kernel_text)
@@ -135,7 +144,7 @@ def build_config(doc: dict) -> RunConfig:
             elif value is None:
                 scan_kwargs[key] = None
             else:
-                scan_kwargs[key] = float(value)
+                scan_kwargs[key] = _number(value, f"scan key '{key}'")
     for key in scan_doc:
         if key not in scan_fields:
             raise ConfigError(f"unknown scan key {key!r}")
@@ -146,8 +155,8 @@ def build_config(doc: dict) -> RunConfig:
     amplitude_scale = doc.get("amplitude_scale", 1.0)
     if (not isinstance(amplitude_scale, (int, float))
             or isinstance(amplitude_scale, bool)
-            or not math.isfinite(float(amplitude_scale))
-            or float(amplitude_scale) <= 0.0):
+            or not math.isfinite(_number(amplitude_scale, "'amplitude_scale'"))
+            or amplitude_scale <= 0.0):
         raise ConfigError("'amplitude_scale' must be a positive finite number")
 
     instance = ProblemInstance(geometry=geometry, k=k, p=p, q=q, lam=lam,

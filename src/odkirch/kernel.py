@@ -328,6 +328,16 @@ def _compile(node):
     return lambda s, t: fn(a(s, t), b(s, t))
 
 
+@cache
+def kernel_variables(node) -> frozenset:
+    """The names of the variables node reads, a subset of {"s", "t"}."""
+    if isinstance(node, (Num, Var)):
+        return frozenset([node.name] if isinstance(node, Var) else [])
+    children = ((node.arg,) if isinstance(node, Neg) else node.args
+                if isinstance(node, Call) else (node.left, node.right))
+    return frozenset().union(*map(kernel_variables, children))
+
+
 def eval_kernel(node, s, t):
     """Evaluate a kernel tree at (s, t); scalars in, float out; arrays vectorize.
 

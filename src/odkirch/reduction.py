@@ -35,7 +35,9 @@ the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||)
     gamma = (lambda / (C(N, k) M(s, t)))^(1/k),
 
 flags grid cells where both residuals change sign, clusters them, and matches
-the clusters one-to-one against the ray roots.
+the clusters one-to-one against the ray roots.  M, gamma and the fixed points
+live on the axes the kernel reads (401 nodes for s or t alone, one for a
+constant); the sign tests broadcast them to the full 401 x 401 node grid.
 """
 
 import math
@@ -46,7 +48,7 @@ import numpy as np
 from .base_solutions import BallGeometry, ExteriorGeometry
 from .errors import DomainError
 from .hessian import binomial
-from .kernel import eval_kernel, kernel_to_string, parse_kernel
+from .kernel import eval_kernel, kernel_to_string, kernel_variables, parse_kernel
 from .quadrature import golden_max
 
 
@@ -462,32 +464,33 @@ _MATCH_CELLS = 8.0
 
 def _cluster_cells(flags: np.ndarray):
     """8-connected components of True cells; deterministic scan order."""
-    visited = np.zeros_like(flags, dtype=bool)
+    seeds = [divmod(f, flags.shape[1]) for f in np.flatnonzero(flags).tolist()]
+    pending = set(seeds)
     clusters = []
-    n_i, n_j = flags.shape
-    for i, j in np.argwhere(flags):
-        if visited[i, j]:
-            continue
-        stack = [(int(i), int(j))]
-        visited[i, j] = True
-        cells = []
-        while stack:
-            ci, cj = stack.pop()
-            cells.append((ci, cj))
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ni, nj = ci + di, cj + dj
-                    if (0 <= ni < n_i and 0 <= nj < n_j
-                            and flags[ni, nj] and not visited[ni, nj]):
-                        visited[ni, nj] = True
-                        stack.append((ni, nj))
-        clusters.append(cells)
+    for seed in seeds:
+        if seed in pending:
+            pending.remove(seed)
+            stack, cells = [seed], []
+            while stack:
+                ci, cj = stack.pop()
+                cells.append((ci, cj))
+                for near in [(ci + di, cj + dj) for di in (-1, 0, 1)
+                             for dj in (-1, 0, 1)]:
+                    if near in pending:
+                        pending.remove(near)
+                        stack.append(near)
+            clusters.append(cells)
     return clusters
 
 
 def every_corner(mask: np.ndarray) -> np.ndarray:
-    """Cells of a node grid whose four corner nodes all satisfy mask."""
-    return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+    """Cells of a node grid whose four corner nodes all satisfy mask; an axis
+    of length 1 holds nodes that agree along it and stays of length 1."""
+    if mask.shape[0] > 1:
+        mask = mask[:-1] & mask[1:]
+    if mask.shape[1] > 1:
+        mask = mask[:, :-1] & mask[:, 1:]
+    return mask
 
 
 def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> SystemReport:
@@ -513,9 +516,12 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     s_edges = np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1)
     t_edges = np.geomspace(t_lo, t_hi, _SYSTEM_GRID + 1)
     s_col, t_row = s_edges[:, None], t_edges[None, :]
-    m = eval_kernel(eq.kernel, s_col, t_row)
+    uses = kernel_variables(eq.kernel)
+    m = eval_kernel(eq.kernel, s_col if "s" in uses else s_col[:1],
+                    t_row if "t" in uses else t_row[:, :1])
     with np.errstate(all="ignore"):
-        gamma = (eq.lam / (eq.coeff * m)) ** (1.0 / eq.k)
+        gamma = eq.lam / (eq.coeff * m)
+        gamma = gamma ** (1.0 / eq.k) if eq.k != 1 else gamma
         s_fix = eq.norm_u * gamma
         t_fix = eq.norm_grad * gamma
 
@@ -525,7 +531,7 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     # doubles, s - s_fix > 0 exactly when s > s_fix.
     flags = every_corner((m > 0.0) & np.isfinite(s_fix) & np.isfinite(t_fix))
     for edge, fix in ((s_col, s_fix), (t_row, t_fix)):
-        flags &= ~every_corner(edge > fix) & ~every_corner(edge < fix)
+        flags = flags & ~(every_corner(edge > fix) | every_corner(edge < fix))
 
     clusters = _cluster_cells(flags)
     log_s = np.log(s_edges)

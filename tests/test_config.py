@@ -6,6 +6,7 @@ import math
 import pytest
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
+from odkirch.cli import main
 from odkirch.config import build_config, config_to_dict, load_config
 from odkirch.errors import ConfigError, DomainError
 
@@ -110,6 +111,43 @@ class TestBuildConfig:
     def test_non_dict_root(self):
         with pytest.raises(ConfigError):
             build_config([1, 2, 3])
+
+
+# A JSON integer past the largest double: json reads it as an exact int.
+HUGE = 10 ** 400
+
+
+class TestIntegerOverflow:
+    @pytest.mark.parametrize(
+        "mutation,fragment",
+        [
+            ({"lambda": HUGE}, "'lambda'"),
+            ({"geometry": {"kind": "ball", "dim": 2, "radius": HUGE}}, "'radius'"),
+            ({"geometry": {"kind": "ball", "dim": 2, "radius": 1.0,
+                           "center": [0, HUGE]}}, "'center'"),
+            ({"p": HUGE}, "'p'"),
+            ({"q": HUGE}, "'q'"),
+            ({"scan": {"s_min": HUGE}}, "'s_min'"),
+            ({"scan": {"s_max": HUGE}}, "'s_max'"),
+            ({"scan": {"rel_width": HUGE}}, "'rel_width'"),
+            ({"scan": {"tangency_rtol": HUGE}}, "'tangency_rtol'"),
+            ({"amplitude_scale": HUGE}, "'amplitude_scale'"),
+        ],
+    )
+    def test_config_error_exit_two(self, tmp_path, capsys, mutation, fragment):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(base_doc(**mutation)))
+        assert str(HUGE) in path.read_text()
+        with pytest.raises(ConfigError, match=f"{fragment}.*too large for a double"):
+            load_config(str(path))
+        assert main(["analyze", "-c", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_largest_double_still_reads(self):
+        # 2^1024 - 2^971 is the largest finite double, exactly representable.
+        big = 2 ** 1024 - 2 ** 971
+        cfg = build_config(base_doc(**{"lambda": big}))
+        assert cfg.instance.lam == float(big)
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """Compare the CLI outputs of two odkirch source trees, byte for byte.
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [CONFIG ...]
+        [--workload-seed N ...]
 
 PARENT_SRC and CHANGE_SRC are directories holding the `odkirch` package (the
 `src` directory of a checkout).  Each tree runs in its own interpreter, which
@@ -14,7 +15,10 @@ in-process once per operation:
   on amplitude_scale) once;
 - selftest;
 - analyze, verify and norms, as text and with --json, and plot-data on each
-  CONFIG given.
+  CONFIG given, and on every config that `benchmarks/workloads.generate`
+  draws for the three benchmark workloads at each --workload-seed N.  The
+  workload module is imported from this checkout, without writing bytecode
+  under benchmarks/.
 
 Exit code, stdout and stderr of every operation are compared.  Each tree
 writes one result file per operation, so a plot-data output of some 10,000
@@ -36,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BATTERY = ROOT / "tests" / "fixtures" / "battery.json"
+BENCHMARKS = ROOT / "benchmarks"
 COMMANDS = ("analyze", "verify", "norms")
 SCALES = (1.0, 1.05, 0.9)
 
@@ -58,14 +63,32 @@ def battery_configs():
                 yield f"{case['name']} lambda={lam!r} scale={scale}", doc
 
 
-def operations(workdir: Path, extra_configs):
-    """(label, argv) of every operation; battery configs are written to workdir."""
+def workload_configs(seed: int):
+    """(label, config document) of every instance of the benchmark workloads
+    at seed, in run order."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCHMARKS))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for inst in workloads.generate(name, seed):
+            yield f"{name} seed {seed} #{inst['id']}", inst["config"]
+
+
+def operations(workdir: Path, extra_configs, workload_seeds=()):
+    """(label, argv) of every operation; battery and workload configs are
+    written to workdir."""
     paths = []
     for i, (label, doc) in enumerate(battery_configs()):
         path = workdir / f"battery{i:03d}.json"
         path.write_text(json.dumps(doc))
         paths.append((label, str(path), doc["amplitude_scale"] == 1.0))
     paths.extend((str(p), str(Path(p).resolve()), True) for p in extra_configs)
+    for seed in workload_seeds:
+        for i, (label, doc) in enumerate(workload_configs(seed)):
+            path = workdir / f"workload{seed}-{i:03d}.json"
+            path.write_text(json.dumps(doc))
+            paths.append((label, str(path), True))
     ops = [("selftest", ["selftest"])]
     for label, path, plot in paths:
         for command in COMMANDS:
@@ -120,6 +143,9 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", nargs="?")
     parser.add_argument("change_src", nargs="?")
     parser.add_argument("configs", nargs="*", help="extra config files to run")
+    parser.add_argument("--workload-seed", type=int, action="append", default=[],
+                        metavar="N", help="also run the benchmark workload "
+                        "configs of seed N (repeatable)")
     args = parser.parse_args(argv)
     if args.child:
         return child(*args.child)
@@ -128,7 +154,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         workdir = Path(tmp)
-        ops = operations(workdir, args.configs)
+        ops = operations(workdir, args.configs, args.workload_seed)
         ops_file = workdir / "ops.json"
         ops_file.write_text(json.dumps([argv for _, argv in ops]))
         outs = [workdir / "parent", workdir / "change"]
