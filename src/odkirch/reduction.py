@@ -520,8 +520,7 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     m = eval_kernel(eq.kernel, s_col if "s" in uses else s_col[:1],
                     t_row if "t" in uses else t_row[:, :1])
     with np.errstate(all="ignore"):
-        gamma = eq.lam / (eq.coeff * m)
-        gamma = gamma ** (1.0 / eq.k) if eq.k != 1 else gamma
+        gamma = (eq.lam / (eq.coeff * m)) ** (1.0 / eq.k)
         s_fix = eq.norm_u * gamma
         t_fix = eq.norm_grad * gamma
 
