@@ -331,17 +331,18 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     negative = hvals < 0.0
     crossing = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     flagged = crossing | zero[:-1]
-    cells = np.flatnonzero(flagged)
-    crossed = cells[~zero[cells]]
-    # Every bracket to bisect as (lo, hi, h(lo)): the crossed cells, then the
-    # pairs that dipping cells below split into.
+    crossed = np.flatnonzero(crossing)
+    # Every root is one bracket or one exact zero.  Brackets (lo, hi, h(lo))
+    # to bisect: the crossed cells, then the halves of dips that cross.
+    # Exact roots (s, 0.0, bracket): every grid zero, then dips refined onto
+    # a zero.
     lo_ends, hi_ends = grid[crossed].tolist(), grid[crossed + 1].tolist()
     lo_values = hvals[crossed].tolist()
+    exact = [(s, 0.0, (s, s)) for s in grid[zero].tolist()]
 
     # Tangency suspects: interior local minima of |h| with no flagged cell
     # around them, already within tangency_rtol of the target level.
     tangencies = []
-    dip_roots = []        # (index of its bracket or None, exact root, bracket)
     habs = np.abs(hvals)
     near = config.tangency_rtol * abs(eq.target)
     inner = habs[1:-1]
@@ -356,37 +357,18 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
         if h_t != 0.0 and (h_t < 0.0) != (side < 0.0):
             # The dip actually crosses the level between grid points: two
             # transversal roots hide in this cell pair.
-            for a, b, f_a in ((lo, s_t, side), (s_t, hi, h_t)):
-                dip_roots.append((len(lo_ends), None, (a, b)))
-                lo_ends.append(a)
-                hi_ends.append(b)
-                lo_values.append(f_a)
+            lo_ends += [lo, s_t]
+            hi_ends += [s_t, hi]
+            lo_values += [side, h_t]
         elif h_t == 0.0:
-            dip_roots.append((None, s_t, (lo, hi)))
+            exact.append((s_t, 0.0, (lo, hi)))
         else:
             tangencies.append(TangencyInfo(s=s_t, gap=gap, bracket=(lo, hi)))
 
-    refined = list(zip(*refine_brackets(eq.h, lo_ends, hi_ends, lo_values,
-                                        config.rel_width)))
-    bisected = iter(refined)
-    roots = []
-    for i in cells.tolist():
-        lo = float(grid[i])
-        if zero[i]:
-            # Only on a grid finer than 4 rel_width can a root lie this close
-            # below a grid zero; the zero is then the same root.
-            if not roots or abs(roots[-1][0] - lo) > config.rel_width * lo * 4:
-                roots.append((lo, 0.0, (lo, lo)))
-            continue
-        root, res = next(bisected)
-        roots.append((root, res, (lo, float(grid[i + 1]))))
-    if zero[-1]:
-        roots.append((float(grid[-1]), 0.0, (float(grid[-1]), float(grid[-1]))))
-    for k, s_t, bracket in dip_roots:
-        root, res = refined[k] if k is not None else (s_t, 0.0)
-        roots.append((root, res, bracket))
-
-    roots.sort(key=lambda r: r[0])
+    found, residuals = refine_brackets(eq.h, lo_ends, hi_ends, lo_values,
+                                       config.rel_width)
+    roots = sorted(exact + list(zip(found, residuals, zip(lo_ends, hi_ends))),
+                   key=lambda r: r[0])
     deduped = []
     for root, res, bracket in roots:
         if deduped and abs(root - deduped[-1][0]) <= 16 * config.rel_width * root:

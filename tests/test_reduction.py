@@ -479,9 +479,10 @@ class TestBatchedBisection:
 
     def test_grid_zero_after_bisected_cell(self):
         # h crosses in cell 40, is exactly 0 on grid point 42 and crosses
-        # back in cell 80: the zero lies within 4 rel_width of the first
-        # bisected root and is the same root; the refined roots stay with
-        # their cells.
+        # back in cell 80.  The grid zero sorts right after the first
+        # bisected root, within 16 rel_width of it, so the one
+        # de-duplication drops it as the same root; each bisected root keeps
+        # its own cell as its bracket.
         config = ScanConfig(s_min=1.0, s_max=2.0, n_grid=100, rel_width=5e-3)
         grid = np.geomspace(1.0, 2.0, 100)
         up, zero_at, down = 0.5 * (grid[40] + grid[41]) + 1e-4, grid[42], grid[80] + 1e-3
