@@ -18,11 +18,14 @@ Schema (version 1):
       "amplitude_scale": 1.0                          # optional, verify only
     }
 
-"center" is optional (origin).  "s_max": null lets the scan pick its own upper
-bound.  "rel_width" is the relative bracket width at which bisection stops
-(0 < rel_width < 1e-2).  "amplitude_scale" deliberately corrupts candidates
-before verification; any value other than 1.0 must drive `verify` to a failing
-exit, which is how the failure path is exercised.
+"center" is optional (origin).  "dim" is at most 438 (MAX_DIM): beyond it the
+surface measure of the unit sphere, 2 pi^(n/2) / Gamma(n/2), falls below the
+smallest normal double.  "s_max": null lets the scan pick its own upper
+bound.  "n_grid" is at most 10^6 (MAX_GRID), which keeps the scan's arrays
+within tens of megabytes.  "rel_width" is the relative bracket width at which
+bisection stops (0 < rel_width < 1e-2).  "amplitude_scale" deliberately
+corrupts candidates before verification; any value other than 1.0 must drive
+`verify` to a failing exit, which is how the failure path is exercised.
 
 Malformed documents raise ConfigError; domain violations (non-integrable
 exponents, k out of range) raise DomainError; kernel syntax problems are
@@ -39,6 +42,8 @@ from .kernel import kernel_to_string, parse_kernel
 from .reduction import ProblemInstance, ScanConfig
 
 SCHEMA_VERSION = 1
+MAX_DIM = 438
+MAX_GRID = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,8 @@ def _geometry(doc):
         raise ConfigError("'geometry' must be an object")
     kind = _require(doc, "kind", str, "geometry")
     dim = _require(doc, "dim", int, "geometry")
+    if dim > MAX_DIM:
+        raise ConfigError(f"'dim' must be at most {MAX_DIM}")
     if kind == "ball":
         radius = _number(_require(doc, "radius", (int, float), "geometry"), "'radius'")
         center = doc.get("center", [])
@@ -140,6 +147,8 @@ def build_config(doc: dict) -> RunConfig:
             if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ConfigError(f"scan key '{key}' has type {type(value).__name__}")
             if key == "n_grid":
+                if value > MAX_GRID:
+                    raise ConfigError(f"scan key 'n_grid' must be at most {MAX_GRID}")
                 scan_kwargs[key] = value
             elif value is None:
                 scan_kwargs[key] = None

@@ -17,16 +17,16 @@ c = s_* R / ||U||_p on the ball and c = s_* / ||U||_p on the exterior domain,
 and the number of solutions equals the number of roots.
 
 Roots are located by a dense log-spaced scan for sign changes of
-h(s) = g(s) - target followed by bisection.  Only bracketed (transversal)
-crossings are counted; grid points where |h| dips near zero without changing
-sign are refined and reported as tangency suspects rather than silently
-counted or dropped.
-
-All brackets are bisected together (refine_brackets): one array call of h
-gives, for every bracket still open, each midpoint its next six bisection
-steps can visit, and the scalar loop is replayed down those values.  Roots
-and residuals are bit for bit those of one scalar call per step, from a
-handful of array calls in all.
+h(s) = g(s) - target.  Every root is one bracket or one exact zero: the
+brackets are the crossed cells, then the halves of dips that cross, and the
+exact roots are every grid zero, then dips refined onto a zero.  A dip is a
+grid point where |h| has a local minimum near zero with no sign change
+nearby; golden-section search for the extremum of h toward the level between
+its neighbours makes it a root (extremum exactly 0), two brackets (extremum
+past the level) or a reported tangency suspect (otherwise).  All brackets are
+bisected together (refine_brackets), bit for bit as one scalar call per step
+would, in a handful of array calls of h; both lists are then sorted together
+and de-duplicated once, at 16 rel_width.
 
 system_count_check re-derives the count without the ray reduction: it scans
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
@@ -153,9 +153,9 @@ class ScanConfig:
     heading toward zero at either edge.
 
     A grid point where |g - target| has a local minimum below
-    tangency_rtol * target, with no sign change next to it, is refined and
-    reported as a tangency suspect (or as two roots, when the refinement
-    finds the level crossed between grid points).
+    tangency_rtol * target, with no sign change next to it, is refined by a
+    search for the extremum of g - target toward the level: one root if it
+    is 0, two bisected roots if it lies past the level, else a tangency.
     """
 
     s_min: float = 1e-8
@@ -332,10 +332,8 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     crossing = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     flagged = crossing | zero[:-1]
     crossed = np.flatnonzero(crossing)
-    # Every root is one bracket or one exact zero.  Brackets (lo, hi, h(lo))
-    # to bisect: the crossed cells, then the halves of dips that cross.
-    # Exact roots (s, 0.0, bracket): every grid zero, then dips refined onto
-    # a zero.
+    # Every root is one bracket (lo, hi, h(lo)) to bisect or one exact zero
+    # (s, 0.0, bracket); the dips below add to both lists.
     lo_ends, hi_ends = grid[crossed].tolist(), grid[crossed + 1].tolist()
     lo_values = hvals[crossed].tolist()
     exact = [(s, 0.0, (s, s)) for s in grid[zero].tolist()]
@@ -350,30 +348,31 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     dips = (inner <= near) & (inner <= habs[:-2]) & (inner <= habs[2:]) & ~blocked
     for j in (np.flatnonzero(dips) + 1).tolist():
         lo, hi = float(grid[j - 1]), float(grid[j + 1])
-        s_t, neg_gap = golden_max(lambda s: -abs(eq.h(s)), lo, hi)
-        gap = -neg_gap
-        h_t = eq.h(s_t)
+        # h's extremum toward the level: -sign(side) h is -|h| where h keeps
+        # its sign, and it does not peak on a root of a dip that crosses.
         side = float(hvals[j - 1])
-        if h_t != 0.0 and (h_t < 0.0) != (side < 0.0):
+        sign = math.copysign(1.0, side)
+        s_t, f_t = golden_max(lambda s: -sign * eq.h(s), lo, hi)
+        h_t = -sign * f_t
+        if h_t == 0.0:
+            exact.append((s_t, 0.0, (lo, hi)))
+        elif (h_t < 0.0) != (side < 0.0):
             # The dip actually crosses the level between grid points: two
             # transversal roots hide in this cell pair.
             lo_ends += [lo, s_t]
             hi_ends += [s_t, hi]
             lo_values += [side, h_t]
-        elif h_t == 0.0:
-            exact.append((s_t, 0.0, (lo, hi)))
         else:
-            tangencies.append(TangencyInfo(s=s_t, gap=gap, bracket=(lo, hi)))
+            tangencies.append(TangencyInfo(s=s_t, gap=abs(h_t), bracket=(lo, hi)))
 
     found, residuals = refine_brackets(eq.h, lo_ends, hi_ends, lo_values,
                                        config.rel_width)
     roots = sorted(exact + list(zip(found, residuals, zip(lo_ends, hi_ends))),
                    key=lambda r: r[0])
     deduped = []
-    for root, res, bracket in roots:
-        if deduped and abs(root - deduped[-1][0]) <= 16 * config.rel_width * root:
-            continue
-        deduped.append((root, res, bracket))
+    for root in roots:
+        if not deduped or root[0] - deduped[-1][0] > 16 * config.rel_width * root[0]:
+            deduped.append(root)
 
     warnings = []
     if not flagged[-_EDGE_WINDOW:].any() and np.all(np.diff(habs[-_EDGE_WINDOW:]) < 0.0):

@@ -8,6 +8,7 @@ routines do not apply.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -30,10 +31,14 @@ def beta(x: float, y: float) -> float:
 
 
 def sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
+    """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2);
+    DomainError from n = 439 on, where it is below the smallest normal double."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sphere_area requires an integer dimension >= 1, got {n}")
-    return 2.0 * math.exp(0.5 * n * math.log(math.pi) - log_gamma(0.5 * n))
+    area = 2.0 * math.exp(0.5 * n * math.log(math.pi) - log_gamma(0.5 * n))
+    if area < sys.float_info.min:
+        raise DomainError(f"sphere area in R^{n} is below the smallest normal double")
+    return area
 
 
 def incomplete_beta(z: float, x: float, y: float, rel_tol: float = 1e-12) -> float:

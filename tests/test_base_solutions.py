@@ -89,6 +89,16 @@ class TestGeometryInterface:
             BallGeometry(n=2, radius=1e150).norm_grad(0.01)
         assert geom.norm_u(INF) == pytest.approx(0.5e60, rel=1e-15)
 
+    @pytest.mark.parametrize("geom", [BallGeometry(n=1000, radius=1.0),
+                                      ExteriorGeometry(n=1000)])
+    def test_vanishing_sphere_area_is_domain_error(self, geom):
+        # The finite-exponent closed forms take the log of the sphere area,
+        # which is 0 in R^1000; the sup norms do not need it.
+        for norm in (geom.norm_u, geom.norm_grad):
+            with pytest.raises(DomainError, match="smallest normal double"):
+                norm(3.0)
+            assert math.isfinite(norm(INF))
+
 
 class TestProfilesAndFields:
     def test_ball_boundary_conditions(self):

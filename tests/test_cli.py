@@ -341,6 +341,30 @@ class TestExitCodes:
         assert out == "" and "Traceback" not in err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "norms"])
+    @pytest.mark.parametrize("geometry, scan", [
+        ({"kind": "ball", "n": 10 ** 400, "radius": 1.0}, {}),
+        ({"kind": "exterior", "n": 10 ** 400}, {}),
+        # The surface measure of the unit sphere in R^1000 underflows to 0.
+        ({"kind": "ball", "n": 1000, "radius": 1.0}, {}),
+        ({"kind": "ball", "n": 2, "radius": 1.0}, {"n_grid": 10 ** 400}),
+    ])
+    def test_huge_dimension_or_grid_is_config_error(self, tmp_path, capsys, command,
+                                                    geometry, scan):
+        case = {"geometry": geometry, "k": 1, "p": 2.0, "q": 2.0, "kernel": "1"}
+        extra = {"scan": scan} if scan else {}
+        path = write_config(tmp_path, case, 1.0, **extra)
+        code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 2 and "config error" in err and "must be at most" in err
+        assert out == "" and "Traceback" not in err
+
+    def test_largest_dimension_runs(self, tmp_path, capsys):
+        case = {"geometry": {"kind": "ball", "n": 438, "radius": 1.0},
+                "k": 1, "p": 2.0, "q": 2.0, "kernel": "1"}
+        path = write_config(tmp_path, case, 1.0)
+        code, out, err = run_cli(capsys, "analyze", "-c", path)
+        assert code == 0 and err == "" and "ball n=438" in out
+
     def test_kernel_eval_fault(self, tmp_path, capsys):
         case = dict(BATTERY["cases"][0], kernel="log(s - 10)")
         path = write_config(tmp_path, case, 3.0)

@@ -2,13 +2,15 @@
 
 import json
 import math
+import sys
 
 import pytest
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch.cli import main
-from odkirch.config import build_config, config_to_dict, load_config
+from odkirch.config import MAX_DIM, MAX_GRID, build_config, config_to_dict, load_config
 from odkirch.errors import ConfigError, DomainError
+from odkirch.specialfun import sphere_area
 
 
 def base_doc(**overrides):
@@ -148,6 +150,28 @@ class TestIntegerOverflow:
         big = 2 ** 1024 - 2 ** 971
         cfg = build_config(base_doc(**{"lambda": big}))
         assert cfg.instance.lam == float(big)
+
+
+class TestIntegerBounds:
+    def test_bounds_are_inclusive(self):
+        cfg = build_config(base_doc(
+            geometry={"kind": "exterior", "dim": MAX_DIM}, scan={"n_grid": MAX_GRID}))
+        assert cfg.instance.geometry.n == MAX_DIM and cfg.scan.n_grid == MAX_GRID
+
+    @pytest.mark.parametrize("mutation, fragment", [
+        ({"geometry": {"kind": "ball", "dim": MAX_DIM + 1, "radius": 1.0}}, "'dim'"),
+        ({"geometry": {"kind": "exterior", "dim": HUGE}}, "'dim'"),
+        ({"scan": {"n_grid": MAX_GRID + 1}}, "'n_grid'"),
+        ({"scan": {"n_grid": HUGE}}, "'n_grid'"),
+    ])
+    def test_above_bound_is_config_error(self, mutation, fragment):
+        with pytest.raises(ConfigError, match=f"{fragment} must be at most"):
+            build_config(base_doc(**mutation))
+
+    def test_max_dim_is_last_normal_sphere_area(self):
+        assert sphere_area(MAX_DIM) >= sys.float_info.min
+        with pytest.raises(DomainError):
+            sphere_area(MAX_DIM + 1)
 
 
 class TestRoundTrip:

@@ -261,11 +261,14 @@ class TestTangency:
         assert structure.count == 3
         assert structure.tangencies == ()
 
-    def test_level_below_dip_gives_two_roots(self, battery):
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14])
+    def test_level_below_dip_gives_two_roots(self, battery, eps):
         # Just below the tangent level the dip crosses: the suspect cell must
         # be promoted to two transversal roots, not reported as a tangency.
+        # From eps = 1e-8 down both roots lie between the same two grid
+        # points, and a search for the largest -|h| stops on one of them.
         case = next(c for c in battery["cases"] if "tangency" in c)
-        lam = case["tangency"]["lambda_t"] * (1.0 - 1e-6)
+        lam = case["tangency"]["lambda_t"] * (1.0 - eps)
         structure = solve_roots(build_reduced(make_instance(case, lam)))
         assert structure.count == 3
         assert structure.tangencies == ()
@@ -282,6 +285,60 @@ class TestTangency:
         assert structure.count == 1
         assert structure.roots[0].s == pytest.approx(0.01951848277187835, rel=1e-10)
         assert structure.tangencies == ()
+
+
+def scan_substituted_h(f, rel_width=1e-13):
+    """solve_roots on [1, 2] with 100 grid points and h replaced by f."""
+    def h(s):
+        s = np.asarray(s, dtype=float)
+        out = f(s)
+        return out if out.ndim else float(out)
+
+    inst = ProblemInstance(geometry=BallGeometry(n=2, radius=1.0), k=1,
+                           p=math.inf, q=2.0, lam=1.0, kernel="1")
+    eq = build_reduced(inst)
+    object.__setattr__(eq, "h", h)
+    return solve_roots(eq, ScanConfig(s_min=1.0, s_max=2.0, n_grid=100,
+                                      rel_width=rel_width))
+
+
+class TestDipBranches:
+    """A dip of |h| between grid points 50 and 51 that never changes sign
+    on the grid (target 0.5, so tangency_rtol * target = 5e-4)."""
+
+    grid = np.geomspace(1.0, 2.0, 100)
+    center = 0.5 * (grid[50] + grid[51])
+
+    def test_zero_plateau_is_one_exact_root(self):
+        # h = 0 on [c - 1e-4, c + 1e-4] and negative elsewhere: the dip's
+        # search lands on the plateau.
+        c = self.center
+        structure = scan_substituted_h(
+            lambda s: -1e-2 * np.maximum(np.abs(s - c) - 1e-4, 0.0))
+        assert structure.count == 1 and structure.tangencies == ()
+        root = structure.roots[0]
+        assert abs(root.s - c) <= 1e-4
+        assert root.residual == 0.0
+        assert root.bracket == (float(self.grid[49]), float(self.grid[51]))
+
+    def test_close_pair_inside_one_cell(self):
+        # Roots at c -+ 1e-3, both inside cell 50: the dip's minimum -1e-8
+        # splits it into two brackets.
+        c = self.center
+        structure = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6))
+        assert structure.count == 2 and structure.tangencies == ()
+        for info, want in zip(structure.roots, (c - 1e-3, c + 1e-3)):
+            assert info.s == pytest.approx(want, rel=1e-12)
+            lo, hi = info.bracket
+            assert self.grid[49] <= lo < info.s < hi <= self.grid[52]
+
+    def test_close_pair_within_rel_width_is_one_root(self):
+        # 16 rel_width = 0.08 relative: the de-duplication keeps the lower.
+        c = self.center
+        structure = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6),
+                                       rel_width=5e-3)
+        assert structure.count == 1 and structure.tangencies == ()
+        assert structure.roots[0].s < c
 
 
 class TestEdgeWarnings:

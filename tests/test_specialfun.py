@@ -76,6 +76,13 @@ class TestSphereArea:
         with pytest.raises(DomainError):
             sphere_area(2.5)
 
+    @pytest.mark.parametrize("n", [439, 456])
+    def test_below_normal_doubles(self, n):
+        # From n = 439 the area is subnormal, from n = 456 it is 0: a closed
+        # form built on its logarithm would have no digits left.
+        with pytest.raises(DomainError, match=f"R\\^{n}.*smallest normal double"):
+            sphere_area(n)
+
 
 class TestIncompleteBeta:
     @pytest.mark.parametrize(

@@ -8,11 +8,13 @@ PARENT_SRC and CHANGE_SRC are directories holding the `odkirch` package (the
 imports odkirch from that directory only and calls `odkirch.cli.main`
 in-process once per operation:
 
-- every run of tests/fixtures/battery.json, plus the near-tangent run
-  (lambda_t * (1 + 1e-6)) of the case that records a tangency: analyze,
-  verify and norms, as text and with --json, at amplitude_scale 1.0, 1.05
-  and 0.9, and plot-data (the scan grid and the roots, which do not depend
-  on amplitude_scale) once;
+- every run of tests/fixtures/battery.json, plus two runs of the case that
+  records a tangency: the near-tangent run lambda_t * (1 + 1e-6), and the
+  below-fold run lambda_t * (1 - 1e-9), whose dip splits into two bisected
+  roots between the same two grid points: analyze, verify and norms, as
+  text and with --json, at amplitude_scale 1.0, 1.05 and 0.9, and plot-data
+  (the scan grid and the roots, which do not depend on amplitude_scale)
+  once;
 - selftest;
 - analyze, verify and norms, as text and with --json, and plot-data on each
   CONFIG given, and on every config that `benchmarks/workloads.generate`
@@ -50,7 +52,8 @@ def battery_configs():
     for case in json.loads(BATTERY.read_text())["cases"]:
         lams = [run["lambda"] for run in case["runs"]]
         if "tangency" in case:
-            lams.append(case["tangency"]["lambda_t"] * (1.0 + 1e-6))
+            lam_t = case["tangency"]["lambda_t"]
+            lams += [lam_t * (1.0 + 1e-6), lam_t * (1.0 - 1e-9)]
         geo = case["geometry"]
         gdoc = {"kind": geo["kind"], "dim": geo["n"]}
         if geo["kind"] == "ball":
