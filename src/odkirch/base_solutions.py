@@ -128,6 +128,8 @@ class BallGeometry:
             raise DomainError(
                 f"center has {len(center)} coordinates for dimension {self.n}"
             )
+        if not all(map(math.isfinite, center)):
+            raise DomainError(f"center must be finite, got {center}")
         object.__setattr__(self, "center", center)
 
     @property
@@ -316,12 +318,14 @@ class ExteriorGeometry:
         return r ** (-self.n - 2.0)
 
     def far_field(self, profile: RadialProfile) -> float:
-        """|u(r_far)| r_far^(n-2) at r_far = 1e5 for n >= 3 (the decay
-        coefficient, about amplitude/2) and |u(r_far)| itself for n = 2 (the
-        bounded limit, again about amplitude/2)."""
-        r_far = 1e5
-        far = abs(float(profile.phi(r_far)))
-        return far * r_far ** (self.n - 2.0) if self.n >= 3 else far
+        """|u(r_far)| r_far^(n-2) for n >= 3 (the decay coefficient, about
+        amplitude/2) and |u(r_far)| itself for n = 2 (the bounded limit, again
+        about amplitude/2).  r_far = 1e5, lowered from n = 63 on so that
+        r_far^(n-2) stays at most about 1e300."""
+        if self.n == 2:
+            return abs(float(profile.phi(1e5)))
+        r_far = min(1e5, 10.0 ** (300.0 / (self.n - 2)))
+        return abs(float(profile.phi(r_far))) * r_far ** (self.n - 2.0)
 
     def to_doc(self) -> dict:
         return {"kind": "exterior", "dim": self.n}

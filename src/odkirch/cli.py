@@ -191,18 +191,19 @@ def cmd_verify(cfg: RunConfig, as_json: bool, out) -> int:
     w(f"count: {structure.count} "
       f"(system check clusters={sysrep.cluster_count}, "
       f"matched={'yes' if sysrep.matched else 'NO'})\n")
+
+    def write_checks(checks):
+        for name, chk in checks.items():
+            flag = "PASS" if chk["pass"] else "FAIL"
+            w(f"  {name:<22} {_f6(chk['value']):>12}  "
+              f"<= {_f6(chk['threshold'])}  {flag}\n")
+
     for i, doc in enumerate(reports, 1):
         w(f"root {i} (s={_f6(doc['s'])}):\n")
-        for name, chk in doc["checks"].items():
-            flag = "PASS" if chk["pass"] else "FAIL"
-            w(f"  {name:<22} {_f6(chk['value']):>12}  "
-              f"<= {_f6(chk['threshold'])}  {flag}\n")
+        write_checks(doc["checks"])
     if kelvin_doc is not None:
         w("kelvin transform suite:\n")
-        for name, chk in kelvin_doc["checks"].items():
-            flag = "PASS" if chk["pass"] else "FAIL"
-            w(f"  {name:<22} {_f6(chk['value']):>12}  "
-              f"<= {_f6(chk['threshold'])}  {flag}\n")
+        write_checks(kelvin_doc["checks"])
         flag = "PASS" if kelvin_doc["removability_monotone"] else "FAIL"
         w(f"  removability monotone decay, shrink "
           f"{_f6(kelvin_doc['removability_shrink'])}  {flag}\n")

@@ -28,8 +28,9 @@ corrupts candidates before verification; any value other than 1.0 must drive
 `verify` to a failing exit, which is how the failure path is exercised.
 
 Malformed documents raise ConfigError; domain violations (non-integrable
-exponents, k out of range) raise DomainError; kernel syntax problems are
-configuration problems and also raise ConfigError.
+exponents, k out of range, a non-finite "center", "s_min", "s_max" or
+"tangency_rtol", a negative "tangency_rtol") raise DomainError; kernel
+syntax problems are configuration problems and also raise ConfigError.
 """
 
 import json

@@ -5,13 +5,13 @@ gradient norm).  Grammar, in EBNF:
 
     expr   = term { ("+" | "-") term } ;
     term   = unary { ("*" | "/") unary } ;
-    unary  = "-" unary | power ;
-    power  = atom [ "^" unary ] ;
+    unary  = "-" unary | atom [ "^" unary ] ;
     atom   = NUMBER | "s" | "t" | NAME "(" expr { "," expr } ")" | "(" expr ")" ;
 
 "^" is right-associative and binds tighter than unary minus, so -s^2 means
 -(s^2) and 2^3^2 means 2^(3^2).  Available functions: exp, log, sqrt, abs
-(one argument), min, max (two arguments).
+(one argument), min, max (two arguments).  `_OPS` is the one place where an
+operation is defined and `_parts` the one place that tells node types apart.
 
 Each tree is compiled once into a closure of numpy ufuncs, applied in the
 order and on the operand types of the tree walk, so its values are the walk's
@@ -29,6 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,52 +64,93 @@ class Call:
     args: tuple
 
 
-FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "abs": 1, "min": 2, "max": 2}
 VARIABLES = ("s", "t")
+
+
+class _Op(NamedTuple):
+    fn: Callable            # the ufunc (the operator for + - * and negation)
+    level: int              # printer precedence level; higher binds tighter
+    form: str               # printed form, one "{}" per operand
+    operand_levels: tuple   # least level at which each operand prints bare
+    absorbing: bool         # the result can be finite while an operand is not
+
+
+# Precedence levels: 1 for + -, 2 for * /, 3 for negation, 4 for ^, 5 for
+# calls and leaves.  The right operand of + - prints bare from level 2, as
+# they group to the left; the grammar reads a signed operand after * / and ^,
+# and only an atom as the base of ^.
+_OPS = {
+    "+": _Op(operator.add, 1, "{} + {}", (1, 2), False),
+    "-": _Op(operator.sub, 1, "{} - {}", (1, 2), False),
+    "*": _Op(operator.mul, 2, "{}*{}", (2, 3), False),
+    "/": _Op(np.divide, 2, "{}/{}", (2, 3), True),
+    "neg": _Op(operator.neg, 3, "-{}", (4,), False),
+    "^": _Op(np.power, 4, "{}^{}", (5, 3), True),
+    "exp": _Op(np.exp, 5, "exp({})", (0,), True),
+    "log": _Op(np.log, 5, "log({})", (0,), False),
+    "sqrt": _Op(np.sqrt, 5, "sqrt({})", (0,), False),
+    "abs": _Op(np.abs, 5, "abs({})", (0,), False),
+    "min": _Op(np.minimum, 5, "min({}, {})", (0, 0), True),
+    "max": _Op(np.maximum, 5, "max({}, {})", (0, 0), True),
+}
+# The functions kernel text can call, with their number of arguments.
+FUNCTIONS = {name: len(row.operand_levels) for name, row in _OPS.items() if row.level == 5}
+
+
+def _parts(node):
+    """(operation, children) of node, the one place that tells node types
+    apart.  A number's operation is "num" and a variable's is its name;
+    leaves have no children, and every other operation is a key of _OPS."""
+    if isinstance(node, BinOp):
+        return node.op, (node.left, node.right)
+    if isinstance(node, Neg):
+        return "neg", (node.arg,)
+    if isinstance(node, Call):
+        return node.fn, node.args
+    return ("num" if isinstance(node, Num) else node.name), ()
+
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^(),])
   | (?P<ws>\s+)
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise KernelSyntaxError(
-                f"unrecognized character {text[pos]!r}", pos, "a token"
-            )
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise KernelSyntaxError(f"unrecognized character {m.group()!r}",
+                                    m.start(), "a token")
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    return tokens + [("end", "", len(text))]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def accept(self, ops: str):
+        """Consume the next token and return its text if it is one of the
+        operator characters ops; else None."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.i += 1
+            return text
+        return None
 
     def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind == "op" and text == op:
-            return self.advance()
-        raise KernelSyntaxError(f"found {text or 'end of input'!r}", pos, f"'{op}'")
+        if not self.accept(op):
+            _, text, pos = self.peek()
+            raise KernelSyntaxError(f"found {text or 'end of input'!r}", pos, f"'{op}'")
 
     def parse(self):
         node = self.expr()
@@ -117,44 +159,31 @@ class _Parser:
             raise KernelSyntaxError(f"trailing input {text!r}", pos, "end of expression")
         return node
 
+    def binary(self, ops: str, operand):
+        """operand { ops operand }, grouped to the left."""
+        node = operand()
+        while op := self.accept(ops):
+            node = BinOp(op, node, operand())
+        return node
+
     def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+        return self.binary("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
+        return self.binary("*/", self.unary)
 
     def unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
+        if self.accept("-"):
             return Neg(self.unary())
-        return self.power()
-
-    def power(self):
         node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
+        if self.accept("^"):
             # Exponent may itself carry a sign or another power: s^-t^2.
             return BinOp("^", node, self.unary())
         return node
 
     def atom(self):
-        kind, text, pos = self.advance()
+        kind, text, pos = self.peek()
+        self.i += 1
         if kind == "num":
             value = float(text)
             if not np.isfinite(value):
@@ -167,13 +196,8 @@ class _Parser:
             if text in FUNCTIONS:
                 self.expect_op("(")
                 args = [self.expr()]
-                while True:
-                    k, t, _ = self.peek()
-                    if k == "op" and t == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
+                while self.accept(","):
+                    args.append(self.expr())
                 self.expect_op(")")
                 if len(args) != FUNCTIONS[text]:
                     raise KernelSyntaxError(
@@ -201,46 +225,13 @@ def parse_kernel(text: str):
     return _Parser(text).parse()
 
 
-# Node precedence for the printer; higher binds tighter.
-_PREC_ADD = 1.0
-_PREC_MUL = 2.0
-_PREC_NEG = 2.5
-_PREC_POW = 3.0
-_PREC_ATOM = 4.0
-
-
-def _prec(node) -> float:
-    if isinstance(node, (Num, Var, Call)):
-        return _PREC_ATOM
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    return {"+": _PREC_ADD, "-": _PREC_ADD,
-            "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[node.op]
-
-
-def _render(node, min_prec: float) -> str:
-    if isinstance(node, Num):
-        out = repr(node.value)
-    elif isinstance(node, Var):
-        out = node.name
-    elif isinstance(node, Call):
-        out = f"{node.fn}({', '.join(_render(a, 0.0) for a in node.args)})"
-    elif isinstance(node, Neg):
-        out = "-" + _render(node.arg, _PREC_POW)
-    else:
-        op = node.op
-        if op in "+-":
-            out = (_render(node.left, _PREC_ADD) + f" {op} "
-                   + _render(node.right, _PREC_MUL))
-        elif op in "*/":
-            out = (_render(node.left, _PREC_MUL) + f"{op}"
-                   + _render(node.right, _PREC_NEG))
-        else:
-            out = (_render(node.left, _PREC_ATOM) + "^"
-                   + _render(node.right, _PREC_NEG))
-    if _prec(node) < min_prec:
-        return f"({out})"
-    return out
+def _render(node, min_level: int) -> str:
+    op, children = _parts(node)
+    if not children:
+        return repr(node.value) if op == "num" else op
+    row = _OPS[op]
+    out = row.form.format(*map(_render, children, row.operand_levels))
+    return f"({out})" if row.level < min_level else out
 
 
 def kernel_to_string(node) -> str:
@@ -249,7 +240,7 @@ def kernel_to_string(node) -> str:
     Re-parsing the rendered text reproduces the tree exactly (the printer and
     the grammar agree on precedence and associativity).
     """
-    return _render(node, 0.0)
+    return _render(node, 0)
 
 
 def _first_bad(values, s, t):
@@ -258,26 +249,15 @@ def _first_bad(values, s, t):
     return (float(s.ravel()[i]), float(t.ravel()[i]))
 
 
-_UFUNCS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-           "min": np.minimum, "max": np.maximum}
-_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": np.divide, "^": np.power}
-# Operations whose result can be finite while an operand is not.
-_ABSORBING = {"/", "^", "exp", "min", "max"}
-
-
 def _eval(node, s, t):
     """Walk the tree, checking every node; the error path of eval_kernel."""
-    if isinstance(node, Num):
+    op, children = _parts(node)
+    if op == "num":
         v = np.float64(node.value)
-    elif isinstance(node, Var):
-        v = s if node.name == "s" else t
-    elif isinstance(node, Neg):
-        v = -_eval(node.arg, s, t)
-    elif isinstance(node, Call):
-        v = _UFUNCS[node.fn](*[_eval(a, s, t) for a in node.args])
+    elif op in VARIABLES:
+        v = s if op == "s" else t
     else:
-        v = _BINOPS[node.op](_eval(node.left, s, t), _eval(node.right, s, t))
+        v = _OPS[op].fn(*[_eval(c, s, t) for c in children])
     if not np.all(np.isfinite(v)):
         raise KernelEvalError("non-finite value", kernel_to_string(node),
                               _first_bad(v, s, t))
@@ -301,25 +281,20 @@ def _finite(f):
 @cache
 def _compile(node):
     """The closure (s, t) -> value of node, with _eval's ufuncs in _eval's
-    order; finiteness is checked only on the operands of _ABSORBING ones.
+    order; finiteness is checked only on the operands of absorbing ones.
 
     Cached per tree, compared by value: the parser never writes Num(-0.0),
     the one literal equal to another (0.0) with other bits.
     """
-    if isinstance(node, Num):
+    op, children = _parts(node)
+    if op == "num":
         v = np.float64(node.value)
         return lambda s, t: v
-    if isinstance(node, Var):
-        return (lambda s, t: s) if node.name == "s" else (lambda s, t: t)
-    if isinstance(node, Neg):
-        arg = _compile(node.arg)
-        return lambda s, t: -arg(s, t)
-    if isinstance(node, Call):
-        op, fn, children = node.fn, _UFUNCS[node.fn], node.args
-    else:
-        op, fn, children = node.op, _BINOPS[node.op], (node.left, node.right)
+    if op in VARIABLES:
+        return (lambda s, t: s) if op == "s" else (lambda s, t: t)
+    fn, absorbing = _OPS[op].fn, _OPS[op].absorbing
     args = [_compile(c) for c in children]
-    if op in _ABSORBING:
+    if absorbing:
         args = [_finite(a) for a in args]
     if len(args) == 1:
         (a,) = args
@@ -331,10 +306,9 @@ def _compile(node):
 @cache
 def kernel_variables(node) -> frozenset:
     """The names of the variables node reads, a subset of {"s", "t"}."""
-    if isinstance(node, (Num, Var)):
-        return frozenset([node.name] if isinstance(node, Var) else [])
-    children = ((node.arg,) if isinstance(node, Neg) else node.args
-                if isinstance(node, Call) else (node.left, node.right))
+    op, children = _parts(node)
+    if op in VARIABLES:
+        return frozenset([op])
     return frozenset().union(*map(kernel_variables, children))
 
 

@@ -156,6 +156,8 @@ class ScanConfig:
     tangency_rtol * target, with no sign change next to it, is refined by a
     search for the extremum of g - target toward the level: one root if it
     is 0, two bisected roots if it lies past the level, else a tangency.
+    tangency_rtol = 0 turns this search off.  The window and tangency_rtol
+    must be finite.
     """
 
     s_min: float = 1e-8
@@ -173,6 +175,11 @@ class ScanConfig:
             raise DomainError(f"s_max = {self.s_max} must exceed s_min = {self.s_min}")
         if not (0.0 < self.rel_width < 1e-2):
             raise DomainError(f"rel_width out of range: {self.rel_width}")
+        if not math.isfinite(self.s_min) or not math.isfinite(self.s_max or 0.0):
+            raise DomainError(f"scan window [{self.s_min}, {self.s_max}] must be finite")
+        if not (0.0 <= self.tangency_rtol < math.inf):
+            raise DomainError("tangency_rtol must be finite and non-negative, "
+                              f"got {self.tangency_rtol}")
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,11 @@ class TestGeometries:
         with pytest.raises(DomainError):
             BallGeometry(n=2.5, radius=1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_ball_rejects_non_finite_center(self, bad):
+        with pytest.raises(DomainError, match="center must be finite"):
+            BallGeometry(n=2, radius=1.0, center=(bad, 0.0))
+
     def test_exterior_validation(self):
         with pytest.raises(DomainError):
             ExteriorGeometry(n=1)
@@ -120,6 +125,15 @@ class TestProfilesAndFields:
         assert flat.phi(1e8) == pytest.approx(-0.5, rel=1e-12)
         decaying = ExteriorGeometry(n=3).profile()
         assert abs(decaying.phi(1e8)) < 1e-8
+
+    def test_far_field_finite_in_every_dimension(self):
+        # r_far = 1e5 up to n = 62; above, r_far^(n-2) would overflow.
+        for n in range(3, 439):
+            prof = ExteriorGeometry(n=n).profile()
+            ratio = ExteriorGeometry(n=n).far_field(prof)
+            assert math.isfinite(ratio) and ratio > 0.0, n
+            if n <= 62:
+                assert ratio == abs(float(prof.phi(1e5))) * 1e5 ** (n - 2.0), n
 
     def test_scale(self):
         prof = BallGeometry(n=2, radius=1.0).profile().scale(3.0)

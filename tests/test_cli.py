@@ -327,6 +327,30 @@ class TestExitCodes:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("extra, message", [
+        # JSON reads 1e999 as inf; json.dumps writes it back as Infinity.
+        ({"scan": {"s_max": math.inf}}, "scan window"),
+        ({"scan": {"tangency_rtol": -1}}, "tangency_rtol"),
+        ({"scan": {"tangency_rtol": math.nan}}, "tangency_rtol"),
+        ({"scan": {"tangency_rtol": math.inf}}, "tangency_rtol"),
+        ({"geometry": {"kind": "ball", "dim": 2, "radius": 1.0,
+                       "center": [math.inf, 0]}}, "center"),
+        ({"geometry": {"kind": "ball", "dim": 2, "radius": 1.0,
+                       "center": [math.nan, 0]}}, "center"),
+    ])
+    def test_non_finite_scan_or_center_is_domain_error(self, tmp_path, capsys,
+                                                       command, extra, message):
+        case = {"geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+                "k": 1, "p": "inf", "q": "inf", "kernel": "1 + s"}
+        path = write_config(tmp_path, case, 1.0, **extra)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err and message in err
+        assert "finite" in err and out == "" and "Traceback" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_box_edge_overflow_is_domain_error(self, tmp_path, capsys, command):
         # The root 2.5e307 is found, but the 2-D box around it reaches
         # 10 * 2.5e307, past a double; g itself overflows on the scan grid.

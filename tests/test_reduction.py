@@ -115,6 +115,24 @@ class TestScanConfig:
         with pytest.raises(DomainError):
             ScanConfig(rel_width=0.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"s_min": math.inf}, "window"),
+        ({"s_max": math.inf}, "window"),
+        ({"tangency_rtol": -1.0}, "tangency_rtol"),
+        ({"tangency_rtol": math.nan}, "tangency_rtol"),
+        ({"tangency_rtol": math.inf}, "tangency_rtol"),
+    ])
+    def test_non_finite_window_or_band(self, kwargs, message):
+        with pytest.raises(DomainError, match=f"{message}.*finite"):
+            ScanConfig(**kwargs)
+
+    def test_zero_band_turns_the_dip_search_off(self, battery):
+        case = next(c for c in battery["cases"] if "tangency" in c)
+        lam = case["tangency"]["lambda_t"] * (1.0 + 1e-6)
+        structure = solve_roots(build_reduced(make_instance(case, lam)),
+                                ScanConfig(tangency_rtol=0.0))
+        assert structure.count == 1 and structure.tangencies == ()
+
 
 class TestClosedFormRoots:
     @pytest.mark.parametrize("n", [3, 4, 5])
