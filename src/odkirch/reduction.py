@@ -16,17 +16,15 @@ gives back the exact solution u = (s_* / ||U||_p) U with boundary gradient
 c = s_* R / ||U||_p on the ball and c = s_* / ||U||_p on the exterior domain,
 and the number of solutions equals the number of roots.
 
-Roots are located by a dense log-spaced scan for sign changes of
-h(s) = g(s) - target.  Every root is one bracket or one exact zero: the
-brackets are the crossed cells, then the halves of dips that cross, and the
-exact roots are every grid zero, then dips refined onto a zero.  A dip is a
-grid point where |h| has a local minimum near zero with no sign change
-nearby; golden-section search for the extremum of h toward the level between
-its neighbours makes it a root (extremum exactly 0), two brackets (extremum
-past the level) or a reported tangency suspect (otherwise).  All brackets are
-bisected together (refine_brackets), bit for bit as one scalar call per step
-would, in a handful of array calls of h; both lists are then sorted together
-and de-duplicated once, at 16 rel_width.
+Roots are counted on the monotone pieces of g.  A dense log-spaced scan
+evaluates h(s) = g(s) - target and g'(s) in one array call; the grid points
+and the critical points s_c, the zeros of g' between them, cut the window
+into pieces on which g is monotone, so each piece holds one root exactly
+when h changes sign across it or is 0 at an end.  The cells h crosses and
+the cells g' turns in are bisected together (refine_brackets), bit for bit
+as one scalar call per step would; an s_c with h(s_c) past the level splits
+its cell into two more brackets, and one within tangency_rtol * target of it
+is reported as a tangency.
 
 system_count_check re-derives the count without the ray reduction: it scans
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
@@ -49,7 +47,6 @@ from .base_solutions import BallGeometry, ExteriorGeometry
 from .errors import DomainError
 from .hessian import binomial
 from .kernel import eval_kernel, kernel_to_string, kernel_variables, parse_kernel
-from .quadrature import golden_max
 
 
 @dataclass(frozen=True)
@@ -95,19 +92,29 @@ class ReducedEquation:
     kernel: object
     geometry: object
 
-    def g(self, s):
-        """Left side of the reduced equation; vectorized in s, +-inf on overflow."""
+    def g(self, s, slope=False):
+        """Left side of the reduced equation; vectorized in s, +-inf on overflow.
+
+        With slope, the pair (g, g'), g' = C(N, k) s^k (M_s + rho M_t) + k g / s
+        from the kernel's slope along (1, rho); g' may be non-finite.
+        """
         s_arr = np.asarray(s, dtype=float)
-        m = eval_kernel(self.kernel, s_arr, self.rho * s_arr)
+        m = eval_kernel(self.kernel, s_arr, self.rho * s_arr,
+                        slope=(1.0, self.rho) if slope else None)
         with np.errstate(over="ignore"):
-            out = self.coeff * s_arr ** self.k * m
+            scaled = self.coeff * s_arr ** self.k
+            out = scaled * (m[0] if slope else m)
+        if slope:
+            with np.errstate(all="ignore"):
+                out = (out, scaled * m[1] + self.k * out / s_arr)
         if np.isscalar(s) or s_arr.ndim == 0:
-            return float(out)
+            return tuple(map(float, out)) if slope else float(out)
         return out
 
-    def h(self, s):
-        """Scan residual g(s) - target."""
-        return self.g(s) - self.target
+    def h(self, s, slope=False):
+        """Scan residual g(s) - target; with slope, the pair (h, g')."""
+        out = self.g(s, slope)
+        return (out[0] - self.target, out[1]) if slope else out - self.target
 
     @property
     def kernel_text(self) -> str:
@@ -152,12 +159,10 @@ class ScanConfig:
     order of magnitude of constant; the scan warns when the residual is still
     heading toward zero at either edge.
 
-    A grid point where |g - target| has a local minimum below
-    tangency_rtol * target, with no sign change next to it, is refined by a
-    search for the extremum of g - target toward the level: one root if it
-    is 0, two bisected roots if it lies past the level, else a tangency.
-    tangency_rtol = 0 turns this search off.  The window and tangency_rtol
-    must be finite.
+    tangency_rtol only selects which critical points of g are reported as
+    tangencies: those within tangency_rtol * target of the level that split
+    nothing, none for 0.  Counts never depend on it.  The window and
+    tangency_rtol must be finite.
     """
 
     s_min: float = 1e-8
@@ -193,11 +198,11 @@ class RootInfo:
 
 @dataclass(frozen=True)
 class TangencyInfo:
-    """A near-touching of the target level that did not produce a sign change."""
+    """A critical point of g near the target level that splits no cell."""
 
     s: float
-    gap: float            # min |g - target| found near s
-    bracket: tuple
+    gap: float            # |g(s) - target|
+    bracket: tuple        # grid cell that holds s
 
 
 @dataclass(frozen=True)
@@ -215,29 +220,30 @@ class SolutionStructure:
         return len(self.roots)
 
 
-# Levels of every live bracket's bisection tree evaluated per array call of h.
+# Levels of every live bracket's bisection tree evaluated per array call of
+# h, and the position of the tree's root midpoint, a bracket being [0, 2 _ROOT].
 _BISECT_DEPTH = 6
+_ROOT = 2 ** (_BISECT_DEPTH - 1)
 _BISECT_STEPS = 200
 
 
 def _tree_midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Midpoints of the first _BISECT_DEPTH levels of the bisection tree of
-    each [a_i, b_i], each computed as 0.5 * (lo + hi) of its interval.
+    """Row i: the midpoints 0.5 * (lo + hi) of the first _BISECT_DEPTH levels
+    of the bisection tree of [a_i, b_i], in increasing order.  With a_i and
+    b_i at positions 0 and 2 _ROOT, the node at position c with half-width w
+    (the root: c = w = _ROOT) bisects [c - w, c + w] and has the children
+    c -+ w / 2; it is column c - 1."""
+    edges = np.empty((len(a), 2 * _ROOT + 1))
+    edges[:, 0], edges[:, -1] = a, b
+    step = 2 * _ROOT
+    while step > 1:
+        ends = edges[:, ::step]
+        np.multiply(0.5, ends[:, :-1] + ends[:, 1:], out=edges[:, step // 2::step])
+        step //= 2
+    return edges[:, 1:-1]
 
-    Row i is in heap order: node j has the children 2j + 1 (left half) and
-    2j + 2 (right half).
-    """
-    lo, hi = a[:, None], b[:, None]
-    levels = []
-    for _ in range(_BISECT_DEPTH):
-        mid = 0.5 * (lo + hi)
-        levels.append(mid)
-        lo = np.stack([lo, mid], axis=-1).reshape(len(a), -1)
-        hi = np.stack([mid, hi], axis=-1).reshape(len(a), -1)
-    return np.concatenate(levels, axis=1)
 
-
-def refine_brackets(fun, a, b, fa, rel_width: float):
+def refine_brackets(fun, a, b, fa, rel_width: float, rows=None):
     """Bisect the sign-change brackets [a_i, b_i], fun(a_i) = fa_i, together.
 
     Returns (roots, residuals) as lists, bit for bit what this loop gives
@@ -260,47 +266,51 @@ def refine_brackets(fun, a, b, fa, rel_width: float):
     fun maps an array of points to an array of values.  The loop is replayed
     for every bracket down the values at hand; each call of fun then gives
     every midpoint the loop can visit in its next _BISECT_DEPTH steps, for
-    every bracket that needs one, and one last call gives the residuals.
+    every bracket that needs one, and one last call gives fun at every root.
+
+    With rows, fun returns a sequence of rows of values instead, bracket i
+    is bisected on row rows[i], and each residual is the column of fun at
+    the root, signed.
     """
     state = [[float(x), float(y), float(f), 0] for x, y, f in zip(a, b, fa)]
     roots = [0.0] * len(state)
-    residuals = [None] * len(state)
     live, values = list(range(len(state))), [[]] * len(state)
     while live:
         still = []
         for i, tree in zip(live, values):
             lo, hi, f_lo, steps = state[i]
-            node = 0
+            node = width = _ROOT
             while True:
-                mid = 0.5 * (lo + hi)
+                mid = roots[i] = 0.5 * (lo + hi)
                 if (steps == _BISECT_STEPS or (hi - lo) <= rel_width * mid
                         or mid <= lo or mid >= hi):
-                    roots[i] = mid
                     break
-                if node >= len(tree):
+                if not (tree and width):
                     state[i] = [lo, hi, f_lo, steps]
                     still.append(i)
                     break
-                fm = tree[node]
+                fm = tree[node - 1]
                 if fm == 0.0:
-                    roots[i], residuals[i] = mid, 0.0
                     break
+                width //= 2
                 if (f_lo < 0.0) != (fm < 0.0):
-                    hi, node = mid, 2 * node + 1
+                    hi, node = mid, node - width
                 else:
-                    lo, f_lo, node = mid, fm, 2 * node + 2
+                    lo, f_lo, node = mid, fm, node + width
                 steps += 1
         if still:
             mids = _tree_midpoints(np.array([state[i][0] for i in still]),
                                    np.array([state[i][1] for i in still]))
-            values = fun(mids.ravel()).reshape(mids.shape).tolist()
+            values = fun(mids.ravel())
+            if rows is not None:
+                values = np.choose(np.array([[rows[i]] for i in still]),
+                                   [row.reshape(mids.shape) for row in values])
+            values = values.reshape(mids.shape).tolist()
         live = still
-    pending = [i for i, res in enumerate(residuals) if res is None]
-    if pending:
-        last = np.abs(fun(np.array([roots[i] for i in pending]))).tolist()
-        for i, res in zip(pending, last):
-            residuals[i] = res
-    return roots, residuals
+    last = fun(np.array(roots)) if roots else ()
+    if rows is None:
+        return roots, np.abs(last).tolist()
+    return roots, list(zip(*(row.tolist() for row in last)))
 
 
 _EDGE_WINDOW = 50
@@ -309,9 +319,9 @@ _EDGE_WINDOW = 50
 def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> SolutionStructure:
     """Count and refine the positive roots of g(s) = target.
 
-    Pure function of its inputs: the scan grid, bisection order and tangency
-    refinement are all deterministic.  DomainError when the default s_max
-    overflows, or when h is exactly 0 on two adjacent grid points.
+    Pure function of its inputs: the scan grid and the bisection order are
+    deterministic.  DomainError when the default s_max overflows, or when h
+    is exactly 0 on two adjacent grid points.
     """
     s_min = config.s_min
     s_max = config.s_max
@@ -324,7 +334,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     if s_max <= s_min:
         raise DomainError(f"scan range empty: [{s_min}, {s_max}]")
     grid = np.geomspace(s_min, s_max, config.n_grid)
-    hvals = eq.h(grid)
+    hvals, slopes = eq.h(grid, slope=True)
 
     # Cell i is [grid[i], grid[i + 1]]: it is flagged when its left end is an
     # exact zero or when h changes sign between two nonzero ends.
@@ -338,48 +348,46 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     negative = hvals < 0.0
     crossing = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     flagged = crossing | zero[:-1]
-    crossed = np.flatnonzero(crossing)
-    # Every root is one bracket (lo, hi, h(lo)) to bisect or one exact zero
-    # (s, 0.0, bracket); the dips below add to both lists.
-    lo_ends, hi_ends = grid[crossed].tolist(), grid[crossed + 1].tolist()
-    lo_values = hvals[crossed].tolist()
-    exact = [(s, 0.0, (s, s)) for s in grid[zero].tolist()]
-
-    # Tangency suspects: interior local minima of |h| with no flagged cell
-    # around them, already within tangency_rtol of the target level.
-    tangencies = []
+    # g' changes sign in the turning cells that h does not cross: the
+    # critical point s_c there cuts the cell into two monotone pieces, each
+    # with at most one root.  A crossed cell keeps its one root either way,
+    # and an extremum away from the level (a maximum of h above it, a minimum
+    # below) holds neither a root nor a tangency once an end is beyond near.
+    falling = slopes < 0.0
     habs = np.abs(hvals)
     near = config.tangency_rtol * abs(eq.target)
-    inner = habs[1:-1]
-    blocked = flagged[:-1] | flagged[1:] | np.append(flagged[2:], False)
-    dips = (inner <= near) & (inner <= habs[:-2]) & (inner <= habs[2:]) & ~blocked
-    for j in (np.flatnonzero(dips) + 1).tolist():
-        lo, hi = float(grid[j - 1]), float(grid[j + 1])
-        # h's extremum toward the level: -sign(side) h is -|h| where h keeps
-        # its sign, and it does not peak on a root of a dip that crosses.
-        side = float(hvals[j - 1])
-        sign = math.copysign(1.0, side)
-        s_t, f_t = golden_max(lambda s: -sign * eq.h(s), lo, hi)
-        h_t = -sign * f_t
-        if h_t == 0.0:
-            exact.append((s_t, 0.0, (lo, hi)))
-        elif (h_t < 0.0) != (side < 0.0):
-            # The dip actually crosses the level between grid points: two
-            # transversal roots hide in this cell pair.
-            lo_ends += [lo, s_t]
-            hi_ends += [s_t, hi]
-            lo_values += [side, h_t]
-        else:
-            tangencies.append(TangencyInfo(s=s_t, gap=abs(h_t), bracket=(lo, hi)))
+    crossed = np.flatnonzero(crossing)
+    turning = np.flatnonzero((falling[:-1] != falling[1:]) & ~crossing & (
+        (falling[1:] == negative[:-1]) | zero[:-1] | zero[1:]
+        | (np.maximum(habs[:-1], habs[1:]) <= near)))
+    cells = np.concatenate([crossed, turning])
+    found, columns = refine_brackets(
+        lambda s: eq.h(s, slope=True) if turning.size else (eq.h(s),),
+        grid[cells], grid[cells + 1],
+        np.concatenate([hvals[crossed], slopes[turning]]), config.rel_width,
+        rows=[0] * crossed.size + [1] * turning.size)
 
-    found, residuals = refine_brackets(eq.h, lo_ends, hi_ends, lo_values,
+    # Every root is a bisected bracket or an exact zero: the crossed cells,
+    # the grid zeros, the critical points on the level and the pieces of the
+    # cells that a critical point past the level splits.
+    roots = [(s, abs(col[0]), (float(grid[i]), float(grid[i + 1])))
+             for i, s, col in zip(crossed.tolist(), found, columns)]
+    roots += [(s, 0.0, (s, s)) for s in grid[zero].tolist()]
+    pieces, tangencies = [], []
+    for i, s_c, (h_c, _) in zip(turning.tolist(), found[crossed.size:],
+                                columns[crossed.size:]):
+        (lo, hi), (h_lo, h_hi) = grid[i:i + 2].tolist(), hvals[i:i + 2].tolist()
+        split = [(a, b, f_a) for a, b, f_a, f_b in
+                 ((lo, s_c, h_lo, h_c), (s_c, hi, h_c, h_hi))
+                 if f_a != 0.0 and f_b != 0.0 and (f_a < 0.0) != (f_b < 0.0)]
+        pieces += split
+        if h_c == 0.0:
+            roots.append((s_c, 0.0, (lo, hi)))
+        elif not split and 0.0 not in (h_lo, h_hi) and abs(h_c) <= near:
+            tangencies.append(TangencyInfo(s=s_c, gap=abs(h_c), bracket=(lo, hi)))
+    found, residuals = refine_brackets(eq.h, *np.array(pieces).reshape(-1, 3).T,
                                        config.rel_width)
-    roots = sorted(exact + list(zip(found, residuals, zip(lo_ends, hi_ends))),
-                   key=lambda r: r[0])
-    deduped = []
-    for root in roots:
-        if not deduped or root[0] - deduped[-1][0] > 16 * config.rel_width * root[0]:
-            deduped.append(root)
+    roots += [(s, res, piece[:2]) for s, res, piece in zip(found, residuals, pieces)]
 
     warnings = []
     if not flagged[-_EDGE_WINDOW:].any() and np.all(np.diff(habs[-_EDGE_WINDOW:]) < 0.0):
@@ -398,7 +406,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
         RootInfo(s=root, amplitude=root / eq.norm_u,
                  c=root / eq.norm_u * eq.geometry.radius,
                  bracket=bracket, residual=res)
-        for root, res, bracket in deduped
+        for root, res, bracket in sorted(roots, key=lambda r: r[0])
     )
     return SolutionStructure(
         equation=eq,

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from odkirch import kernel
 from odkirch.errors import KernelEvalError, KernelSyntaxError
@@ -174,6 +174,100 @@ class TestPrinterProperties:
             return  # tree overflows at this point; nothing to compare
         got = eval_kernel(parse_kernel(kernel_to_string(tree)), s, t)
         assert got == want
+
+
+# Points where no corpus kernel has a kink (s != t, s != 2t, s != 1, 9, 10)
+# and the direction of the slope, that of the ray t = 0.6 s.
+SLOPE_POINTS = [(0.7, 0.45), (1.9, 1.3), (3.3, 2.45)]
+SLOPE_DIRECTION = (1.0, 0.6)
+
+
+def central_difference(tree, s, t, step=1e-6):
+    ds, dt = SLOPE_DIRECTION
+    up = eval_kernel(tree, s + step * ds, t + step * dt)
+    down = eval_kernel(tree, s - step * ds, t - step * dt)
+    return (up - down) / (2.0 * step)
+
+
+def assert_slope_matches(tree, s, t):
+    """The slope against a central difference, to 1e-6 relative; the floor
+    1e-8 |M| is the round-off of the difference of two values of size M."""
+    value, slope = eval_kernel(tree, s, t, slope=SLOPE_DIRECTION)
+    assert value == eval_kernel(tree, s, t)
+    want = central_difference(tree, s, t)
+    assert abs(slope - want) <= 1e-6 * abs(want) + 1e-8 * abs(value), (
+        kernel_to_string(tree), s, t, slope, want)
+
+
+class TestSlope:
+    """The slope column of _OPS: the derivative along (ds, dt)."""
+
+    def test_corpus_matches_central_difference(self, corpus):
+        for text in corpus:
+            tree = parse_kernel(text)
+            for s, t in SLOPE_POINTS:
+                assert_slope_matches(tree, s, t)
+
+    @given(tree=random_trees(), s=st.floats(0.1, 4.0), t=st.floats(0.1, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_random_trees_match_central_difference(self, tree, s, t):
+        # Away from kinks: both one-sided differences over 1e-6 agree.
+        step = 1e-6
+        try:
+            value = eval_kernel(tree, s, t)
+            ahead = central_difference(tree, s + step, t + 0.6 * step)
+            behind = central_difference(tree, s - step, t - 0.6 * step)
+        except KernelEvalError:
+            assume(False)
+        assume(abs(ahead - behind) <= 1e-7 * (abs(ahead) + abs(value)))
+        assert_slope_matches(tree, s, t)
+
+    def test_arrays_match_scalars(self, corpus):
+        s = np.array([p[0] for p in SLOPE_POINTS])
+        t = np.array([p[1] for p in SLOPE_POINTS])
+        for text in corpus:
+            tree = parse_kernel(text)
+            values, slopes = eval_kernel(tree, s, t, slope=SLOPE_DIRECTION)
+            assert values.tobytes() == eval_kernel(tree, s, t).tobytes()
+            for i in range(len(s)):
+                assert slopes[i] == eval_kernel(tree, s[i], t[i], slope=SLOPE_DIRECTION)[1]
+
+    @pytest.mark.parametrize("text, s, t, direction, slope", [
+        ("abs(s - 1)", 1.0, 0.0, (1.0, 0.0), 1.0),
+        ("abs(s - 1)", 1.0, 0.0, (-2.0, 0.0), 2.0),
+        ("abs(s - t)", 2.0, 2.0, (1.0, 0.5), 0.5),
+        ("min(s, t)", 2.0, 2.0, (1.0, 0.5), 0.5),
+        ("min(s, t)", 2.0, 2.0, (1.0, 3.0), 1.0),
+        ("max(s, t)", 2.0, 2.0, (1.0, 0.5), 1.0),
+        ("max(s, 2*t)", 2.0, 1.0, (-1.0, 0.25), 0.5),
+        ("min(max(s, 1), 10)", 1.0, 0.0, (1.0, 0.0), 1.0),
+        ("min(max(s, 1), 10)", 1.0, 0.0, (-1.0, 0.0), 0.0),
+        ("max(0.1, 1 - s/10)", 9.0, 0.0, (1.0, 0.0), 0.0),
+    ])
+    def test_one_sided_at_kinks(self, text, s, t, direction, slope):
+        # The derivative for a small step forward along the direction, which
+        # a one-sided difference reproduces exactly for these piecewise
+        # linear kernels.
+        tree = parse_kernel(text)
+        value, got = eval_kernel(tree, s, t, slope=direction)
+        step = 2.0 ** -20
+        ahead = eval_kernel(tree, s + step * direction[0], t + step * direction[1])
+        assert got == slope == (ahead - value) / step
+
+    def test_non_finite_slope_is_no_error(self):
+        # sqrt at 0: the value is finite, its slope is not.
+        tree = parse_kernel("sqrt(s - 1e-8)")
+        assert eval_kernel(tree, 1e-8, 0.0, slope=(1.0, 0.0)) == (0.0, math.inf)
+        values, slopes = eval_kernel(tree, np.array([1e-8, 1.0]), 0.0, slope=(1.0, 0.0))
+        assert values[0] == 0.0 and slopes[0] == math.inf
+        assert slopes[1] == pytest.approx(0.5)
+
+    def test_constant_and_faults(self):
+        assert eval_kernel(parse_kernel("2^-2"), np.ones(3), 1.0,
+                           slope=(1.0, 1.0))[1].tolist() == [0.0] * 3
+        with pytest.raises(KernelEvalError) as exc:
+            eval_kernel(parse_kernel("1/(s - 1)"), 1.0, 0.0, slope=(1.0, 0.0))
+        assert exc.value.subexpr == "1.0/(s - 1.0)"
 
 
 class TestEvaluation:

@@ -96,6 +96,34 @@ class TestBuildReduced:
         arr = eq.g(np.array([0.5, 1.0]))
         assert np.allclose(arr, [1.0, 2.0])
 
+    def test_slope_matches_central_difference(self, battery):
+        # g'(s) = C(N, k) s^k (M_s + rho M_t) + k g(s) / s, away from roots
+        # of g' as well: 1e-6 relative, with the round-off floor 1e-8 |g|.
+        for case in battery["cases"]:
+            eq = build_reduced(make_instance(case, 1.0))
+            s = np.array([0.05, 0.7, 1.3, 2.9, 11.0])
+            values, slopes = eq.g(s, slope=True)
+            assert values.tobytes() == eq.g(s).tobytes()
+            step = 1e-6 * s
+            want = (eq.g(s + step) - eq.g(s - step)) / (2.0 * step)
+            error = np.abs(slopes - want)
+            assert np.all(error <= 1e-6 * np.abs(want) + 1e-8 * np.abs(values))
+            assert eq.h(0.7, slope=True) == (eq.h(0.7), slopes[1])
+
+    def test_non_finite_slope_keeps_the_count(self):
+        # g' = inf at s_min = 1e-8, where M = sqrt(s - 1e-8) = 0: no warning
+        # (RuntimeWarning is an error under pytest here) and the one root.
+        inst = ProblemInstance(
+            geometry=BallGeometry(n=2, radius=1.0), k=1, p=math.inf, q=2.0,
+            lam=1.0, kernel="sqrt(s - 1e-8)",
+        )
+        eq = build_reduced(inst)
+        assert eq.g(1e-8, slope=True) == (0.0, math.inf)
+        structure = solve_roots(eq)
+        assert structure.count == 1 and structure.tangencies == ()
+        # 2 s sqrt(s) = target = 0.5, up to the shift 1e-8.
+        assert structure.roots[0].s == pytest.approx(0.25 ** (2.0 / 3.0), rel=1e-6)
+
     def test_kernel_text(self):
         inst = ProblemInstance(
             geometry=BallGeometry(n=2, radius=1.0), k=1, p=2.0, q=2.0,
@@ -305,12 +333,19 @@ class TestTangency:
         assert structure.tangencies == ()
 
 
-def scan_substituted_h(f, rel_width=1e-13):
-    """solve_roots on [1, 2] with 100 grid points and h replaced by f."""
-    def h(s):
+def substituted(f, df):
+    """A stand-in for ReducedEquation.h: h = f, and g' = df with slope."""
+    def h(s, slope=False):
         s = np.asarray(s, dtype=float)
-        out = f(s)
-        return out if out.ndim else float(out)
+        out = (f(s), df(s)) if slope else (f(s),)
+        out = tuple(x if x.ndim else float(x) for x in out)
+        return out if slope else out[0]
+    return h
+
+
+def scan_substituted_h(f, df, rel_width=1e-13):
+    """solve_roots on [1, 2] with 100 grid points, h replaced by f and g' by df."""
+    h = substituted(f, df)
 
     inst = ProblemInstance(geometry=BallGeometry(n=2, radius=1.0), k=1,
                            p=math.inf, q=2.0, lam=1.0, kernel="1")
@@ -322,41 +357,45 @@ def scan_substituted_h(f, rel_width=1e-13):
 
 class TestDipBranches:
     """A dip of |h| between grid points 50 and 51 that never changes sign
-    on the grid (target 0.5, so tangency_rtol * target = 5e-4)."""
+    on the grid (target 0.5, so tangency_rtol * target = 5e-4): g' changes
+    sign in cell 50, at the critical point c."""
 
     grid = np.geomspace(1.0, 2.0, 100)
     center = 0.5 * (grid[50] + grid[51])
 
     def test_zero_plateau_is_one_exact_root(self):
-        # h = 0 on [c - 1e-4, c + 1e-4] and negative elsewhere: the dip's
-        # search lands on the plateau.
+        # h = 0 on [c - 1e-4, c + 1e-4] and negative elsewhere: the
+        # critical point lands on the plateau, in cell 50.
         c = self.center
         structure = scan_substituted_h(
-            lambda s: -1e-2 * np.maximum(np.abs(s - c) - 1e-4, 0.0))
+            lambda s: -1e-2 * np.maximum(np.abs(s - c) - 1e-4, 0.0),
+            lambda s: -1e-2 * np.sign(s - c) * (np.abs(s - c) > 1e-4))
         assert structure.count == 1 and structure.tangencies == ()
         root = structure.roots[0]
         assert abs(root.s - c) <= 1e-4
         assert root.residual == 0.0
-        assert root.bracket == (float(self.grid[49]), float(self.grid[51]))
+        assert root.bracket == (float(self.grid[50]), float(self.grid[51]))
 
     def test_close_pair_inside_one_cell(self):
-        # Roots at c -+ 1e-3, both inside cell 50: the dip's minimum -1e-8
-        # splits it into two brackets.
+        # Roots at c -+ 1e-3, both inside cell 50: the critical point c,
+        # where h = -1e-8, splits it into two brackets.
         c = self.center
-        structure = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6))
+        structure = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6),
+                                       lambda s: 2e-2 * (s - c))
         assert structure.count == 2 and structure.tangencies == ()
         for info, want in zip(structure.roots, (c - 1e-3, c + 1e-3)):
             assert info.s == pytest.approx(want, rel=1e-12)
             lo, hi = info.bracket
             assert self.grid[49] <= lo < info.s < hi <= self.grid[52]
 
-    def test_close_pair_within_rel_width_is_one_root(self):
-        # 16 rel_width = 0.08 relative: the de-duplication keeps the lower.
+    def test_close_pair_within_rel_width_is_two_roots(self):
+        # The pair is closer than rel_width = 5e-3 relative, yet each root has
+        # its own monotone piece on either side of c, so neither is dropped.
         c = self.center
         structure = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6),
-                                       rel_width=5e-3)
-        assert structure.count == 1 and structure.tangencies == ()
-        assert structure.roots[0].s < c
+                                       lambda s: 2e-2 * (s - c), rel_width=5e-3)
+        assert structure.count == 2 and structure.tangencies == ()
+        assert structure.roots[0].s < c < structure.roots[1].s
 
 
 class TestEdgeWarnings:
@@ -554,51 +593,104 @@ class TestBatchedBisection:
 
     def test_grid_zero_after_bisected_cell(self):
         # h crosses in cell 40, is exactly 0 on grid point 42 and crosses
-        # back in cell 80.  The grid zero sorts right after the first
-        # bisected root, within 16 rel_width of it, so the one
-        # de-duplication drops it as the same root; each bisected root keeps
-        # its own cell as its bracket.
+        # back in cell 80.  The grid zero lies within rel_width of the first
+        # bisected root, yet it is a root of its own: h is 0 at an end of
+        # its pieces.  Each bisected root keeps its own cell as its bracket.
         config = ScanConfig(s_min=1.0, s_max=2.0, n_grid=100, rel_width=5e-3)
         grid = np.geomspace(1.0, 2.0, 100)
         up, zero_at, down = 0.5 * (grid[40] + grid[41]) + 1e-4, grid[42], grid[80] + 1e-3
 
-        def h(s):
-            s = np.asarray(s, dtype=float)
+        def f(s):
             out = np.where((s < up) | (s > down), -1.0, 1.0)
-            out = np.where(s == zero_at, 0.0, out)
-            return out if out.ndim else float(out)
+            return np.where(s == zero_at, 0.0, out)
 
+        h = substituted(f, np.zeros_like)
         inst = ProblemInstance(geometry=BallGeometry(n=2, radius=1.0), k=1,
                                p=math.inf, q=2.0, lam=1.0, kernel="1")
         eq = build_reduced(inst)
         object.__setattr__(eq, "h", h)
         structure = solve_roots(eq, config)
         assert [r.bracket for r in structure.roots] == [
-            (float(grid[40]), float(grid[41])), (float(grid[80]), float(grid[81]))]
-        for info in structure.roots:
+            (float(grid[40]), float(grid[41])), (float(zero_at), float(zero_at)),
+            (float(grid[80]), float(grid[81]))]
+        assert structure.roots[1].s == zero_at and structure.roots[1].residual == 0.0
+        for info in structure.roots[::2]:
             lo, hi = info.bracket
             want = sequential_bisect(h, lo, hi, h(lo), config.rel_width)
             assert (info.s, info.residual) == want
 
 
+def count_kernel_calls(monkeypatch):
+    """Counts of the scalar and array kernel calls reduction makes, h and g'
+    together."""
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(node, s, t, slope=None):
+        calls["scalar" if np.ndim(s) == 0 else "array"] += 1
+        return eval_kernel(node, s, t, slope=slope)
+
+    monkeypatch.setattr(reduction, "eval_kernel", counted)
+    return calls
+
+
+def near_fold_lambdas(case):
+    lam_t = case["tangency"]["lambda_t"]
+    return [lam_t * (1.0 + 1e-6), lam_t * (1.0 - 1e-9), lam_t * (1.0 - 1e-14)]
+
+
 class TestWorkCounts:
-    def test_three_roots_in_few_array_calls(self, battery):
+    def test_three_roots_in_few_array_calls(self, battery, monkeypatch):
         # Counts, not timings: a fall-back to one scalar call per bisection
         # step (36 per root here) fails this.
         case = next(c for c in battery["cases"] if c["name"] == "ball-quadratic-well")
         eq = build_reduced(make_instance(case, 2.0))
-        calls = {"scalar": 0, "array": 0}
-        h = eq.h
-
-        def counted(s):
-            calls["scalar" if np.ndim(s) == 0 else "array"] += 1
-            return h(s)
-
-        object.__setattr__(eq, "h", counted)
+        calls = count_kernel_calls(monkeypatch)
         structure = solve_roots(eq)
         assert structure.count == 3 and structure.tangencies == ()
         assert calls["scalar"] == 0
         assert calls["array"] <= 10
+
+    def test_no_scalar_kernel_call(self, battery, monkeypatch):
+        runs = [(case, run["lambda"]) for case in battery["cases"] for run in case["runs"]]
+        runs += [(case, lam) for case in battery["cases"] if "tangency" in case
+                 for lam in near_fold_lambdas(case)]
+        for case, lam in runs:
+            eq = build_reduced(make_instance(case, lam))
+            calls = count_kernel_calls(monkeypatch)
+            solve_roots(eq)
+            assert calls["scalar"] == 0, (case["name"], lam)
+            assert calls["array"] > 0
+
+
+class TestCriticalPoints:
+    """The critical points of g at ball-quadratic-well's fold."""
+
+    def test_tangency_is_the_critical_point(self, battery):
+        case = next(c for c in battery["cases"] if "tangency" in c)
+        lam = case["tangency"]["lambda_t"] * (1.0 + 1e-6)
+        (tang,) = solve_roots(build_reduced(make_instance(case, lam))).tangencies
+        assert tang.s == pytest.approx(case["tangency"]["s_local_max"], rel=1e-12)
+
+    def test_fold_value_at_the_critical_point(self, battery):
+        case = next(c for c in battery["cases"] if "tangency" in c)
+        lam_t = case["tangency"]["lambda_t"]
+        eq = build_reduced(make_instance(case, lam_t * (1.0 + 1e-6)))
+        (tang,) = solve_roots(eq).tangencies
+        assert eq.g(tang.s) / eq.norm_u ** eq.k == pytest.approx(lam_t, rel=1e-12)
+
+    def test_narrow_well_pair_between_grid_points(self):
+        # g = 2 s ((1000 (s - c))^2 + 1) dips by 1.6 target between two grid
+        # points around c, far outside any tangency band, and crosses the
+        # level twice there.  The roots are those of brentq on g - target.
+        inst = ProblemInstance(
+            geometry=BallGeometry(n=2, radius=1.0), k=1, p=math.inf, q=2.0,
+            lam=4.005111667807524, kernel="(1000*(s - 1.001268153956326))^2 + 1")
+        structure = solve_roots(build_reduced(inst))
+        assert structure.count == 3 and structure.tangencies == ()
+        tiny, left, right = (info.s for info in structure.roots)
+        assert tiny < 1e-5
+        assert left == pytest.approx(1.001264492304602, abs=1e-10)
+        assert right == pytest.approx(1.0012708168638624, abs=1e-10)
 
 
 # --- The 2-D check on the full 401 x 401 node grid, as it was before it

@@ -8,13 +8,15 @@ PARENT_SRC and CHANGE_SRC are directories holding the `odkirch` package (the
 imports odkirch from that directory only and calls `odkirch.cli.main`
 in-process once per operation:
 
-- every run of tests/fixtures/battery.json, plus two runs of the case that
-  records a tangency: the near-tangent run lambda_t * (1 + 1e-6), and the
-  below-fold run lambda_t * (1 - 1e-9), whose dip splits into two bisected
-  roots between the same two grid points: analyze, verify and norms, as
-  text and with --json, at amplitude_scale 1.0, 1.05 and 0.9, and plot-data
-  (the scan grid and the roots, which do not depend on amplitude_scale)
-  once;
+- every run of tests/fixtures/battery.json, plus three runs of the case
+  that records a tangency: the near-tangent run lambda_t * (1 + 1e-6), and
+  the below-fold runs lambda_t * (1 - 1e-9) and lambda_t * (1 - 1e-14),
+  where the critical point between two roots splits one grid cell into two
+  bisected brackets; and NARROW_WELL, whose two close roots share one grid
+  cell 1.6 target away from the level on the grid: analyze, verify and
+  norms, as text and with --json, at amplitude_scale 1.0, 1.05 and 0.9, and
+  plot-data (the scan grid and the roots, which do not depend on
+  amplitude_scale) once;
 - selftest;
 - analyze, verify and norms, as text and with --json, and plot-data on each
   CONFIG given, and on every config that `benchmarks/workloads.generate`
@@ -45,15 +47,22 @@ BATTERY = ROOT / "tests" / "fixtures" / "battery.json"
 BENCHMARKS = ROOT / "benchmarks"
 COMMANDS = ("analyze", "verify", "norms")
 SCALES = (1.0, 1.05, 0.9)
+# g = 2 s ((1000 (s - c))^2 + 1) crosses the level twice inside one grid
+# cell, at s = 1.001264492304602 and 1.0012708168638624, and once near 1e-6.
+NARROW_WELL = {"name": "narrow-well",
+               "geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+               "k": 1, "p": "inf", "q": 2.0,
+               "kernel": "(1000*(s - 1.001268153956326))^2 + 1",
+               "runs": [{"lambda": 4.005111667807524}]}
 
 
 def battery_configs():
     """(label, config document) for every battery run at every scale."""
-    for case in json.loads(BATTERY.read_text())["cases"]:
+    for case in json.loads(BATTERY.read_text())["cases"] + [NARROW_WELL]:
         lams = [run["lambda"] for run in case["runs"]]
         if "tangency" in case:
             lam_t = case["tangency"]["lambda_t"]
-            lams += [lam_t * (1.0 + 1e-6), lam_t * (1.0 - 1e-9)]
+            lams += [lam_t * (1.0 + 1e-6), lam_t * (1.0 - 1e-9), lam_t * (1.0 - 1e-14)]
         geo = case["geometry"]
         gdoc = {"kind": geo["kind"], "dim": geo["n"]}
         if geo["kind"] == "ball":
