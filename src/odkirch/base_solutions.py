@@ -48,12 +48,9 @@ class RadialProfile:
     r_max: float
 
     def contains(self, r) -> bool:
-        slack = 1e-9 * (1.0 + abs(self.r_min))
-        lo_ok = np.all(np.asarray(r) >= self.r_min - slack)
-        if math.isinf(self.r_max):
-            return bool(lo_ok)
-        hi_ok = np.all(np.asarray(r) <= self.r_max + 1e-9 * (1.0 + self.r_max))
-        return bool(lo_ok and hi_ok)
+        r = np.asarray(r)
+        return bool(np.all(r >= self.r_min - 1e-9 * (1.0 + abs(self.r_min)))
+                    and np.all(r <= self.r_max + 1e-9 * (1.0 + self.r_max)))
 
     def scale(self, a: float) -> "RadialProfile":
         return RadialProfile(

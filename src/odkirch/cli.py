@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .base_solutions import BallGeometry, norm_quadrature
-from .config import SCHEMA_VERSION, RunConfig, config_to_dict, load_config
+from .config import SCHEMA_VERSION, RunConfig, config_to_dict, exponent_doc, load_config
 from .errors import (ConfigError, DomainError, KernelEvalError,
                      KernelSyntaxError, QuadratureError)
 from .hessian import binomial, k_hessian_radial
@@ -78,10 +78,6 @@ def _f6(x: float) -> str:
     return format(x, ".6g")
 
 
-def _exponent_doc(x: float):
-    return "inf" if math.isinf(x) else x
-
-
 def _instance_doc(cfg: RunConfig) -> dict:
     doc = config_to_dict(cfg)
     return {key: doc[key] for key in
@@ -129,8 +125,8 @@ def cmd_analyze(cfg: RunConfig, as_json: bool, out) -> int:
     w = out.write
     w(f"geometry       {cfg.instance.geometry.describe(_f6)}\n")
     w(f"operator       k={cfg.instance.k} (C(n,k)={eq.coeff})\n")
-    w(f"exponents      p={_exponent_doc(cfg.instance.p)}, "
-      f"q={_exponent_doc(cfg.instance.q)}\n")
+    w(f"exponents      p={exponent_doc(cfg.instance.p)}, "
+      f"q={exponent_doc(cfg.instance.q)}\n")
     w(f"lambda         {_f6(cfg.instance.lam)}\n")
     w(f"kernel         {eq.kernel_text}\n")
     w(f"norm_u         {_f6(eq.norm_u)}\n")
@@ -143,16 +139,13 @@ def cmd_analyze(cfg: RunConfig, as_json: bool, out) -> int:
     for i, r in enumerate(structure.roots, 1):
         w(f"  root {i}: s={_f6(r.s)}, amplitude={_f6(r.amplitude)}, "
           f"c={_f6(r.c)}, residual={_f6(r.residual)}\n")
-    if structure.tangencies:
-        for t in structure.tangencies:
-            w(f"tangency       s={_f6(t.s)}, gap={_f6(t.gap)} "
-              "(near-touching, not counted)\n")
-    else:
+    for t in structure.tangencies:
+        w(f"tangency       s={_f6(t.s)}, gap={_f6(t.gap)} (near-touching, not counted)\n")
+    if not structure.tangencies:
         w("tangencies     (none)\n")
-    if structure.warnings:
-        for msg in structure.warnings:
-            w(f"warning        {msg}\n")
-    else:
+    for msg in structure.warnings:
+        w(f"warning        {msg}\n")
+    if not structure.warnings:
         w("warnings       (none)\n")
     w(f"system check   clusters={sysrep.cluster_count}, "
       f"matched={'yes' if sysrep.matched else 'NO'}\n")
@@ -215,21 +208,18 @@ def _norm_rows(cfg: RunConfig):
     geom = inst.geometry
     prof = geom.profile()
     rows = []
-    seen = set()
-    for name, exponent, closed, fun in (
-            ("u", inst.p, geom.norm_u, prof.phi),
-            ("u", math.inf, geom.norm_u, prof.phi),
-            ("grad_u", inst.q, geom.norm_grad, prof.dphi),
-            ("grad_u", math.inf, geom.norm_grad, prof.dphi)):
-        key = (name, exponent)
-        if key in seen:
-            continue
-        seen.add(key)
+    # The sup-norm row of a field is listed once when its exponent is inf.
+    specs = {(name, exponent): (closed, fun) for name, exponent, closed, fun in (
+        ("u", inst.p, geom.norm_u, prof.phi),
+        ("u", math.inf, geom.norm_u, prof.phi),
+        ("grad_u", inst.q, geom.norm_grad, prof.dphi),
+        ("grad_u", math.inf, geom.norm_grad, prof.dphi))}
+    for (name, exponent), (closed, fun) in specs.items():
         cval = closed(exponent)
         qval = norm_quadrature(fun, exponent, geom.n, *geom.r_range)
         rows.append({
             "field": name,
-            "exponent": _exponent_doc(exponent),
+            "exponent": exponent_doc(exponent),
             "closed_form": cval,
             "quadrature": qval,
             "rel_err": abs(cval - qval) / abs(cval),
@@ -268,8 +258,7 @@ def cmd_plot_data(cfg: RunConfig, out) -> int:
     eq = build_reduced(cfg.instance)
     structure = solve_roots(eq, cfg.scan)
     grid = np.geomspace(structure.s_min, structure.s_max, structure.n_grid)
-    gvals = eq.g(grid)
-    rows = [(float(s), float(g), 0) for s, g in zip(grid, gvals)]
+    rows = [(s, g, 0) for s, g in zip(grid.tolist(), eq.g(grid).tolist())]
     rows.extend((r.s, eq.g(r.s), 1) for r in structure.roots)
     rows.sort(key=lambda row: (row[0], row[2]))
     out.write("s,g,target,is_root\n")
@@ -378,17 +367,13 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest(out)
         cfg = load_config(args.config)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, args.json, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.json, out)
-        if args.command == "norms":
-            return cmd_norms(cfg, args.json, out)
-        if args.command == "plot-data":
-            if args.output == "-":
-                return cmd_plot_data(cfg, out)
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                return cmd_plot_data(cfg, fh)
+        if args.command != "plot-data":
+            command = {"analyze": cmd_analyze, "verify": cmd_verify, "norms": cmd_norms}
+            return command[args.command](cfg, args.json, out)
+        if args.output == "-":
+            return cmd_plot_data(cfg, out)
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            return cmd_plot_data(cfg, fh)
     except (ConfigError, KernelSyntaxError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -398,7 +383,6 @@ def main(argv=None) -> int:
     except KernelEvalError as exc:
         print(f"kernel fault: {exc}", file=sys.stderr)
         return 4
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -77,11 +77,8 @@ def _number(value, where: str) -> float:
 
 
 def _exponent(value, key: str) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() == "inf":
-            return math.inf
-        raise ConfigError(f"key '{key}' must be a positive number or \"inf\", "
-                          f"got {value!r}")
+    if isinstance(value, str) and value.strip().lower() == "inf":
+        return math.inf
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         out = _number(value, f"'{key}'")
         if math.isfinite(out) and out > 0.0:
@@ -124,9 +121,8 @@ def build_config(doc: dict) -> RunConfig:
                           f"this build reads version {SCHEMA_VERSION}")
     known = {"schema_version", "geometry", "k", "p", "q", "lambda", "kernel",
              "scan", "seed", "amplitude_scale"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}")
+    if unknown := [key for key in doc if key not in known]:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
     geometry = _geometry(_require(doc, "geometry", dict, "configuration"))
     k = _require(doc, "k", int, "configuration")
     p = _exponent(doc["p"] if "p" in doc else None, "p")
@@ -150,17 +146,12 @@ def build_config(doc: dict) -> RunConfig:
             value = scan_doc[key]
             if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ConfigError(f"scan key '{key}' has type {type(value).__name__}")
-            if key == "n_grid":
-                if value > MAX_GRID:
-                    raise ConfigError(f"scan key 'n_grid' must be at most {MAX_GRID}")
-                scan_kwargs[key] = value
-            elif value is None:
-                scan_kwargs[key] = None
-            else:
-                scan_kwargs[key] = _number(value, f"scan key '{key}'")
-    for key in scan_doc:
-        if key not in scan_fields:
-            raise ConfigError(f"unknown scan key {key!r}")
+            if key == "n_grid" and value > MAX_GRID:
+                raise ConfigError(f"scan key 'n_grid' must be at most {MAX_GRID}")
+            scan_kwargs[key] = (value if key == "n_grid" or value is None
+                                else _number(value, f"scan key '{key}'"))
+    if unknown := [key for key in scan_doc if key not in scan_fields]:
+        raise ConfigError(f"unknown scan key {unknown[0]!r}")
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -190,18 +181,20 @@ def load_config(path: str) -> RunConfig:
     return build_config(doc)
 
 
+def exponent_doc(x: float):
+    """An exponent as a document holds it: the number, or "inf"."""
+    return "inf" if math.isinf(x) else x
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """Inverse of build_config, up to default filling; round-trips exactly."""
-    def exponent_out(x):
-        return "inf" if math.isinf(x) else x
-
     scan = cfg.scan
     return {
         "schema_version": SCHEMA_VERSION,
         "geometry": cfg.instance.geometry.to_doc(),
         "k": cfg.instance.k,
-        "p": exponent_out(cfg.instance.p),
-        "q": exponent_out(cfg.instance.q),
+        "p": exponent_doc(cfg.instance.p),
+        "q": exponent_doc(cfg.instance.q),
         "lambda": cfg.instance.lam,
         "kernel": kernel_to_string(cfg.instance.kernel),
         "scan": {"s_min": scan.s_min, "s_max": scan.s_max,

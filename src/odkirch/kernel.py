@@ -15,10 +15,9 @@ operation is defined and `_parts` the one place that tells node types apart.
 
 Each tree is compiled once into a closure of numpy ufuncs, applied in the
 order and on the operand types of the tree walk, so its values are the walk's
-bit for bit.  Evaluation is vectorized over numpy arrays.  The same closure
-optionally carries a slope, the derivative along a direction (ds, dt), by the
-slope rules of `_OPS` (forward mode); at a kink of abs, min or max it is the
-one-sided derivative for a step forward.  A non-finite value
+bit for bit.  Evaluation is vectorized over numpy arrays, and can carry the
+slope along (ds, dt) by the slope rules of `_OPS` (forward mode), one-sided
+for a step forward at the kinks of abs, min and max.  A non-finite value
 stays non-finite through +, -, *, negation, log, sqrt and abs, so the compiled
 closure checks finiteness only at its result and on the operands of /, ^,
 exp, min and max, through which a non-finite value can turn finite again
@@ -81,8 +80,7 @@ class _Op(NamedTuple):
 
 def _chain(*partials):
     """The slope rule of a smooth operation: partial(*operands, value) * slope
-    summed over the operands with a slope (a constant has None); a partial of
-    None is 1."""
+    summed over the operands with a slope (not None); a partial None is 1."""
     def rule(x, dx, v):
         terms = [d if p is None else p(*x, v) * d
                  for p, d in zip(partials, dx) if d is not None]
@@ -91,20 +89,19 @@ def _chain(*partials):
 
 
 def _select(before, pick):
-    """The slope rule of min (np.less, np.minimum) or max: the slope of the
-    operand selected, and on a tie pick(da, db), the slope for a step forward."""
+    """The slope rule of min (np.less, np.minimum), max and abs(a) = max(a, -a):
+    the selected operand's slope, on a tie pick(da, db), the one for a step forward."""
     def rule(x, dx, v):
-        (a, b), (da, db) = x, [0.0 if d is None else d for d in dx]
+        (a, b), dx = (x, dx) if len(x) == 2 else ((x[0], -x[0]), (dx[0], -dx[0]))
+        da, db = [0.0 if d is None else d for d in dx]
         return np.where(before(a, b), da, np.where(before(b, a), db, pick(da, db)))
     return rule
 
 
-_max_slope = _select(np.greater, np.maximum)
-
 # Precedence levels: 1 for + -, 2 for * /, 3 for negation, 4 for ^, 5 for
 # calls and leaves.  The right operand of + - prints bare from level 2, as
 # they group to the left; the grammar reads a signed operand after * / and ^,
-# and only an atom as the base of ^.  abs(a) has the slope of max(a, -a).
+# and only an atom as the base of ^.
 _OPS = {
     "+": _Op(operator.add, 1, "{} + {}", (1, 2), False, _chain(None, None)),
     "-": _Op(operator.sub, 1, "{} - {}", (1, 2), False, _chain(None, lambda a, b, v: -1.0)),
@@ -118,10 +115,9 @@ _OPS = {
     "exp": _Op(np.exp, 5, "exp({})", (0,), True, _chain(lambda a, v: v)),
     "log": _Op(np.log, 5, "log({})", (0,), False, _chain(lambda a, v: 1.0 / a)),
     "sqrt": _Op(np.sqrt, 5, "sqrt({})", (0,), False, _chain(lambda a, v: 0.5 / v)),
-    "abs": _Op(np.abs, 5, "abs({})", (0,), False,
-               lambda x, dx, v: _max_slope((x[0], -x[0]), (dx[0], -dx[0]), v)),
+    "abs": _Op(np.abs, 5, "abs({})", (0,), False, _select(np.greater, np.maximum)),
     "min": _Op(np.minimum, 5, "min({}, {})", (0, 0), True, _select(np.less, np.minimum)),
-    "max": _Op(np.maximum, 5, "max({}, {})", (0, 0), True, _max_slope),
+    "max": _Op(np.maximum, 5, "max({}, {})", (0, 0), True, _select(np.greater, np.maximum)),
 }
 # The functions kernel text can call, with their number of arguments.
 FUNCTIONS = {name: len(row.operand_levels) for name, row in _OPS.items() if row.level == 5}
@@ -298,23 +294,12 @@ class _NonFinite(Exception):
     """A compiled finiteness check failed; eval_kernel re-walks the tree."""
 
 
-def _finite(f):
-    """f, raising _NonFinite when a value it returns is not finite."""
-    def checked(s, t, ds, dt):
-        out = f(s, t, ds, dt)
-        if not np.all(np.isfinite(out[0])):
-            raise _NonFinite
-        return out
-    return checked
-
-
 @cache
 def _compile(node):
-    """The closure (s, t, ds, dt) -> (value, slope) of node.  The value takes
-    _eval's ufuncs in _eval's order; finiteness is checked only on the
-    operands of absorbing ones.  The slope is the derivative of the value
-    along (ds, dt) by the slope rules of _OPS, unchecked; it is None for a
-    constant, and everywhere when ds and dt are None.
+    """The closure (s, t, ds, dt) -> (value, slope along (ds, dt)) of node.
+    The value takes _eval's ufuncs in _eval's order, raising _NonFinite where
+    an operand of an absorbing one is not finite.  The slope is unchecked,
+    and None for a constant and when ds and dt are None.
 
     Cached per tree, compared by value: the parser never writes Num(-0.0),
     the one literal equal to another (0.0) with other bits.
@@ -327,21 +312,22 @@ def _compile(node):
         return (lambda s, t, ds, dt: (s, ds) if op == "s" else (t, dt))
     fn, absorbing, slope = _OPS[op].fn, _OPS[op].absorbing, _OPS[op].slope
     args = [_compile(c) for c in children]
-    if absorbing:
-        args = [_finite(a) for a in args]
     if len(args) == 1:
         (a,) = args
 
         def unary(s, t, ds, dt):
             x, dx = a(s, t, ds, dt)
+            if absorbing and not np.isfinite(x).all():
+                raise _NonFinite
             v = fn(x)
             return v, None if dx is None else slope((x,), (dx,), v)
         return unary
     a, b = args
 
     def binary(s, t, ds, dt):
-        x, dx = a(s, t, ds, dt)
-        y, dy = b(s, t, ds, dt)
+        (x, dx), (y, dy) = a(s, t, ds, dt), b(s, t, ds, dt)
+        if absorbing and not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise _NonFinite
         v = fn(x, y)
         return v, None if dx is None and dy is None else slope((x, y), (dx, dy), v)
     return binary
@@ -356,23 +342,14 @@ def kernel_variables(node) -> frozenset:
     return frozenset().union(*map(kernel_variables, children))
 
 
-def _shaped(values, shape):
-    """values broadcast to shape as a new float array, or a float for shape ()."""
-    values = np.asarray(values, dtype=float)
-    if not shape:
-        return values.item()
-    return np.array(values if values.shape == shape else np.broadcast_to(values, shape))
-
-
 def eval_kernel(node, s, t, slope=None):
     """Evaluate a kernel tree at (s, t); scalars in, float out; arrays vectorize.
 
     Scalars and arrays may be mixed; broadcasting follows numpy rules.  Any
     non-finite intermediate raises KernelEvalError identifying the faulting
     subexpression and the first offending point.  With slope = (ds, dt) the
-    result is the pair (value, derivative of the value along (ds, dt)), where
-    the derivative is one-sided at a kink and may be non-finite without error
-    (sqrt at 0).
+    result is the pair (value, its derivative along (ds, dt)); the derivative
+    is one-sided at a kink and may be non-finite without error (sqrt at 0).
     """
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
@@ -389,6 +366,7 @@ def eval_kernel(node, s, t, slope=None):
         except _NonFinite:
             # Raises at the first non-finite node, in walk order.
             out, tangent = _eval(node, *np.broadcast_arrays(s_1, t_1)), None
-    if slope is None:
-        return _shaped(out, shape)
-    return _shaped(out, shape), _shaped(0.0 if tangent is None else tangent, shape)
+    pair = (out,) if slope is None else (out, 0.0 if tangent is None else tangent)
+    outs = [np.array(v if np.shape(v) == shape else np.broadcast_to(v, shape), dtype=float)
+            if shape else np.asarray(v, dtype=float).item() for v in pair]
+    return outs[0] if slope is None else tuple(outs)

@@ -63,10 +63,7 @@ _WG_CENTER = 0.417959183673469
 _NODES = np.array([-x for x in _XGK] + [0.0] + [x for x in reversed(_XGK)])
 _WEIGHTS_K = np.array(list(_WGK) + [_WGK_CENTER] + list(reversed(_WGK)))
 _WEIGHTS_G = np.zeros(15)
-for _i, _w in zip((1, 3, 5), _WG):
-    _WEIGHTS_G[_i] = _w
-    _WEIGHTS_G[14 - _i] = _w
-_WEIGHTS_G[7] = _WG_CENTER
+_WEIGHTS_G[1::2] = _WG + (_WG_CENTER,) + _WG[::-1]
 
 _EPS = np.finfo(float).eps
 

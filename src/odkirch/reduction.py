@@ -222,17 +222,18 @@ class SolutionStructure:
 
 # Levels of every live bracket's bisection tree evaluated per array call of
 # h, and the position of the tree's root midpoint, a bracket being [0, 2 _ROOT].
+# The edge warnings look at _EDGE_WINDOW grid points at either end.
 _BISECT_DEPTH = 6
 _ROOT = 2 ** (_BISECT_DEPTH - 1)
 _BISECT_STEPS = 200
+_EDGE_WINDOW = 50
 
 
 def _tree_midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i: the midpoints 0.5 * (lo + hi) of the first _BISECT_DEPTH levels
-    of the bisection tree of [a_i, b_i], in increasing order.  With a_i and
-    b_i at positions 0 and 2 _ROOT, the node at position c with half-width w
-    (the root: c = w = _ROOT) bisects [c - w, c + w] and has the children
-    c -+ w / 2; it is column c - 1."""
+    of the bisection tree of [a_i, b_i], in increasing order.  Placing a_i at
+    0 and b_i at 2 _ROOT, column c - 1 is the midpoint c of [c - w, c + w]
+    (the root: c = w = _ROOT), whose halves have the midpoints c -+ w / 2."""
     edges = np.empty((len(a), 2 * _ROOT + 1))
     edges[:, 0], edges[:, -1] = a, b
     step = 2 * _ROOT
@@ -268,9 +269,8 @@ def refine_brackets(fun, a, b, fa, rel_width: float, rows=None):
     every midpoint the loop can visit in its next _BISECT_DEPTH steps, for
     every bracket that needs one, and one last call gives fun at every root.
 
-    With rows, fun returns a sequence of rows of values instead, bracket i
-    is bisected on row rows[i], and each residual is the column of fun at
-    the root, signed.
+    With rows, fun returns rows of values, bracket i is bisected on row
+    rows[i], and its residual is the signed column of fun at its root.
     """
     state = [[float(x), float(y), float(f), 0] for x, y, f in zip(a, b, fa)]
     roots = [0.0] * len(state)
@@ -299,21 +299,13 @@ def refine_brackets(fun, a, b, fa, rel_width: float, rows=None):
                     lo, f_lo, node = mid, fm, node + width
                 steps += 1
         if still:
-            mids = _tree_midpoints(np.array([state[i][0] for i in still]),
-                                   np.array([state[i][1] for i in still]))
-            values = fun(mids.ravel())
-            if rows is not None:
-                values = np.choose(np.array([[rows[i]] for i in still]),
-                                   [row.reshape(mids.shape) for row in values])
-            values = values.reshape(mids.shape).tolist()
+            mids = _tree_midpoints(*np.array([state[i][:2] for i in still]).T)
+            values = np.atleast_2d(fun(mids.ravel())).reshape(-1, *mids.shape)
+            values = values[[0 if rows is None else rows[i] for i in still],
+                            np.arange(len(still))].tolist()
         live = still
-    last = fun(np.array(roots)) if roots else ()
-    if rows is None:
-        return roots, np.abs(last).tolist()
-    return roots, list(zip(*(row.tolist() for row in last)))
-
-
-_EDGE_WINDOW = 50
+    last = np.atleast_2d(fun(np.array(roots))) if roots else np.empty((1, 0))
+    return roots, (np.abs(last[0]).tolist() if rows is None else last.T.tolist())
 
 
 def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> SolutionStructure:
@@ -323,8 +315,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     deterministic.  DomainError when the default s_max overflows, or when h
     is exactly 0 on two adjacent grid points.
     """
-    s_min = config.s_min
-    s_max = config.s_max
+    s_min, s_max = config.s_min, config.s_max
     if s_max is None:
         scale = (eq.target / eq.coeff) ** (1.0 / eq.k)
         s_max = max(10.0 * scale, 1e3)
@@ -348,48 +339,47 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     negative = hvals < 0.0
     crossing = (negative[:-1] != negative[1:]) & ~zero[:-1] & ~zero[1:]
     flagged = crossing | zero[:-1]
-    # g' changes sign in the turning cells that h does not cross: the
-    # critical point s_c there cuts the cell into two monotone pieces, each
-    # with at most one root.  A crossed cell keeps its one root either way,
-    # and an extremum away from the level (a maximum of h above it, a minimum
-    # below) holds neither a root nor a tangency once an end is beyond near.
+    # g' changes sign in the turning cells that h does not cross, at a
+    # critical point s_c that cuts the cell into two monotone pieces.  An
+    # extremum that turns away from the level (a maximum of h above it, a
+    # minimum below) holds neither a root nor a tangency.
     falling = slopes < 0.0
-    habs = np.abs(hvals)
-    near = config.tangency_rtol * abs(eq.target)
     crossed = np.flatnonzero(crossing)
     turning = np.flatnonzero((falling[:-1] != falling[1:]) & ~crossing & (
-        (falling[1:] == negative[:-1]) | zero[:-1] | zero[1:]
-        | (np.maximum(habs[:-1], habs[1:]) <= near)))
+        (falling[1:] == negative[:-1]) | zero[:-1] | zero[1:]))
     cells = np.concatenate([crossed, turning])
     found, columns = refine_brackets(
-        lambda s: eq.h(s, slope=True) if turning.size else (eq.h(s),),
-        grid[cells], grid[cells + 1],
+        lambda s: eq.h(s, slope=True), grid[cells], grid[cells + 1],
         np.concatenate([hvals[crossed], slopes[turning]]), config.rel_width,
         rows=[0] * crossed.size + [1] * turning.size)
 
     # Every root is a bisected bracket or an exact zero: the crossed cells,
     # the grid zeros, the critical points on the level and the pieces of the
-    # cells that a critical point past the level splits.
+    # cells that a critical point past the level splits.  A critical point in
+    # a cell with a zero end is on the zero's monotone piece: no root of its own.
     roots = [(s, abs(col[0]), (float(grid[i]), float(grid[i + 1])))
              for i, s, col in zip(crossed.tolist(), found, columns)]
     roots += [(s, 0.0, (s, s)) for s in grid[zero].tolist()]
     pieces, tangencies = [], []
+    near = config.tangency_rtol * abs(eq.target)
     for i, s_c, (h_c, _) in zip(turning.tolist(), found[crossed.size:],
                                 columns[crossed.size:]):
         (lo, hi), (h_lo, h_hi) = grid[i:i + 2].tolist(), hvals[i:i + 2].tolist()
         split = [(a, b, f_a) for a, b, f_a, f_b in
                  ((lo, s_c, h_lo, h_c), (s_c, hi, h_c, h_hi))
-                 if f_a != 0.0 and f_b != 0.0 and (f_a < 0.0) != (f_b < 0.0)]
+                 if f_a < 0.0 < f_b or f_b < 0.0 < f_a]
         pieces += split
+        if split or 0.0 in (h_lo, h_hi) or not abs(h_c) <= near:
+            continue
         if h_c == 0.0:
             roots.append((s_c, 0.0, (lo, hi)))
-        elif not split and 0.0 not in (h_lo, h_hi) and abs(h_c) <= near:
+        else:
             tangencies.append(TangencyInfo(s=s_c, gap=abs(h_c), bracket=(lo, hi)))
     found, residuals = refine_brackets(eq.h, *np.array(pieces).reshape(-1, 3).T,
                                        config.rel_width)
     roots += [(s, res, piece[:2]) for s, res, piece in zip(found, residuals, pieces)]
 
-    warnings = []
+    warnings, habs = [], np.abs(hvals)
     if not flagged[-_EDGE_WINDOW:].any() and np.all(np.diff(habs[-_EDGE_WINDOW:]) < 0.0):
         warnings.append(
             f"|g - target| still decreasing at s_max = {s_max:.6g}; "
@@ -529,13 +519,11 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
         flags = flags & ~(every_corner(edge > fix) | every_corner(edge < fix))
 
     clusters = _cluster_cells(flags)
-    log_s = np.log(s_edges)
-    log_t = np.log(t_edges)
+    log_s, log_t = np.log(s_edges), np.log(t_edges)
     ds = (log_s[-1] - log_s[0]) / _SYSTEM_GRID
     dt = (log_t[-1] - log_t[0]) / _SYSTEM_GRID
 
-    centroids = []
-    boxes = []
+    centroids, boxes = [], []
     for cells in clusters:
         ls = [0.5 * (log_s[i] + log_s[i + 1]) for i, _ in cells]
         lt = [0.5 * (log_t[j] + log_t[j + 1]) for _, j in cells]
@@ -547,12 +535,9 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     if matched:
         taken = set()
         for info in structure.roots:
-            pt = (math.log(info.s), math.log(eq.rho * info.s))
-            hit = None
-            for idx, (a, b, c, d) in enumerate(boxes):
-                if idx not in taken and a <= pt[0] <= b and c <= pt[1] <= d:
-                    hit = idx
-                    break
+            ls, lt = math.log(info.s), math.log(eq.rho * info.s)
+            hit = next((idx for idx, (a, b, c, d) in enumerate(boxes)
+                        if idx not in taken and a <= ls <= b and c <= lt <= d), None)
             if hit is None:
                 matched = False
                 break

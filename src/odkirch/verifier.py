@@ -59,13 +59,12 @@ class ResidualReport:
 
 
 def _unit_directions(rng, count: int, n: int) -> np.ndarray:
-    vecs = rng.normal(size=(count, n))
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     # A zero draw has probability zero; regenerate deterministically if seen.
-    while np.any(norms == 0.0):
+    while True:
         vecs = rng.normal(size=(count, n))
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs / norms
+        if np.all(norms != 0.0):
+            return vecs / norms
 
 
 def _normal_derivative(u, x: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray:

@@ -376,6 +376,27 @@ class TestDipBranches:
         assert root.residual == 0.0
         assert root.bracket == (float(self.grid[50]), float(self.grid[51]))
 
+    def test_plateau_through_a_grid_point_is_one_root(self):
+        # h = 0 on [grid[50] - 1e-3, grid[50] + 1e-3] and negative elsewhere:
+        # the bisection of g' in cell 50 stops on the plateau, on the grid
+        # zero's monotone piece, so it adds no second root.
+        p = float(self.grid[50])
+        structure = scan_substituted_h(
+            lambda s: -1e-2 * np.maximum(np.abs(s - p) - 1e-3, 0.0),
+            lambda s: -1e-2 * np.sign(s - p) * (np.abs(s - p) > 1e-3))
+        assert structure.count == 1 and structure.tangencies == ()
+        assert structure.roots[0].s == p and structure.roots[0].bracket == (p, p)
+
+    def test_extremum_away_from_the_level_is_no_tangency(self):
+        # h = (s - c)^2 - 4e-4 has its minimum -4e-4 below the level, within
+        # tangency_rtol * target = 5e-4 of it, as are both ends of cell 50:
+        # a maximum of |h| is no near-touching.  Its roots are 0.02 from c.
+        c = self.center
+        structure = scan_substituted_h(lambda s: (s - c) ** 2 - 4e-4,
+                                       lambda s: 2.0 * (s - c))
+        assert structure.tangencies == ()
+        assert [info.s for info in structure.roots] == pytest.approx([c - 0.02, c + 0.02])
+
     def test_close_pair_inside_one_cell(self):
         # Roots at c -+ 1e-3, both inside cell 50: the critical point c,
         # where h = -1e-8, splits it into two brackets.
