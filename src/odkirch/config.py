@@ -23,7 +23,7 @@ surface measure of the unit sphere, 2 pi^(n/2) / Gamma(n/2), falls below the
 smallest normal double.  "s_max": null lets the scan pick its own upper
 bound.  "n_grid" is at most 10^6 (MAX_GRID), which keeps the scan's arrays
 within tens of megabytes.  "rel_width" is the relative bracket width at which
-bisection stops (0 < rel_width < 1e-2).  "tangency_rtol" only selects which
+root refinement stops (0 < rel_width < 1e-2).  "tangency_rtol" only selects which
 critical points of g are reported as tangencies: those within tangency_rtol
 * target of the level, none for 0; no count depends on it.
 "amplitude_scale" deliberately corrupts candidates before verification; any

@@ -19,8 +19,8 @@ with the map r = 1/x of QUADPACK's QAGI: a slowly decaying tail becomes an
 integrable singularity at x = 0, which subdivision resolves like any other.
 
 Maximization takes a vectorized callable too: a dense grid is evaluated in
-one call f(xs), and golden-section search refines the best grid point with
-scalar calls.
+one call f(xs), and each round of refinement samples the neighbourhood of
+the best point so far in one more call.
 """
 
 import heapq
@@ -66,6 +66,9 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1::2] = _WG + (_WG_CENTER,) + _WG[::-1]
 
 _EPS = np.finfo(float).eps
+# Samples per refinement round of maximize: each round narrows the interval
+# around the best point 32-fold.
+_REFINE_POINTS = 65
 
 
 def _panel(f, a: float, b: float):
@@ -150,39 +153,19 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-12,
     return total_val, total_err
 
 
-def golden_max(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section maximization of f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if (b - a) <= tol * (abs(a) + abs(b) + 1.0):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
-
-
 def maximize(f, a: float, b: float, n_grid: int = 4096):
     """Maximize a continuous f over [a, b], b possibly infinite.
 
     f must be vectorized: it maps an array of points to an array of as many
-    values, and a scalar to a scalar.  A dense grid scan, one call f(xs) on
-    all n_grid points, locates the neighbourhood of the global maximum and
-    golden-section search refines it with scalar calls; grid endpoints stay in
-    contention so boundary maxima are found exactly.  An infinite right
-    endpoint is handled by the substitution r = 1/x, which compresses
-    [a, inf) into (0, 1/a] and concentrates samples where a decaying profile
-    can still be large.  Returns (argmax, max_value).
+    values, finite ones.  A dense grid scan, one call f(xs) on all n_grid
+    points, locates the neighbourhood of the global maximum.  Each round of
+    refinement then samples the interval between the neighbours of the best
+    point so far at _REFINE_POINTS points in one call, until the interval is
+    no wider than 1e-12 (|lo| + |hi| + 1); grid endpoints stay in contention
+    so boundary maxima are found exactly.  An infinite right endpoint is
+    handled by the substitution r = 1/x, which compresses [a, inf) into
+    (0, 1/a] and concentrates samples where a decaying profile can still be
+    large.  Returns (argmax, max_value), the best sample seen.
     """
     if n_grid < 16:
         raise QuadratureError("maximize needs at least 16 grid points")
@@ -191,7 +174,7 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
             raise QuadratureError("infinite-domain maximize requires a > 0")
         # Geometric spacing covers twelve decades of r at uniform log density,
         # so suprema approached at infinity are resolved to round-off while
-        # interior peaks still land within a golden-section bracket.
+        # interior peaks still land between two neighbouring grid points.
         xs = np.geomspace(1.0 / a, 1e-12 / a, n_grid)
         g = lambda x: f(1.0 / x)
         to_r = lambda x: 1.0 / x
@@ -199,17 +182,20 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
         xs = np.linspace(a, b, n_grid)
         g = f
         to_r = lambda x: x
-    vals = np.asarray(g(xs), dtype=float)
-    if vals.shape != xs.shape:
-        raise QuadratureError(
-            f"maximize: f must map a vector of {xs.size} points to as many "
-            f"values, got shape {vals.shape}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("maximize: non-finite sample on grid")
-    i = int(np.argmax(vals))
-    lo, hi = sorted((xs[max(i - 1, 0)], xs[min(i + 1, n_grid - 1)]))
-    x_best, v_best = golden_max(g, lo, hi)
-    if vals[i] > v_best:
-        x_best, v_best = xs[i], vals[i]
-    return to_r(float(x_best)), float(v_best)
+    x_best, v_best = None, -math.inf
+    while True:
+        vals = np.asarray(g(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise QuadratureError(
+                f"maximize: f must map a vector of {xs.size} points to as many "
+                f"values, got shape {vals.shape}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("maximize: non-finite sample on grid")
+        i = int(np.argmax(vals))
+        if vals[i] > v_best:
+            x_best, v_best = xs[i], vals[i]
+        lo, hi = sorted((xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]))
+        if (hi - lo) <= 1e-12 * (abs(lo) + abs(hi) + 1.0):
+            return to_r(float(x_best)), float(v_best)
+        xs = np.linspace(lo, hi, _REFINE_POINTS)

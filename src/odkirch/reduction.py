@@ -21,10 +21,10 @@ evaluates h(s) = g(s) - target and g'(s) in one array call; the grid points
 and the critical points s_c, the zeros of g' between them, cut the window
 into pieces on which g is monotone, so each piece holds one root exactly
 when h changes sign across it or is 0 at an end.  The cells h crosses and
-the cells g' turns in are bisected together (refine_brackets), bit for bit
-as one scalar call per step would; an s_c with h(s_c) past the level splits
-its cell into two more brackets, and one within tangency_rtol * target of it
-is reported as a tangency.
+the cells g' turns in are narrowed together (refine_brackets), each array
+call cutting every open bracket into 64 sections; an s_c with h(s_c) past
+the level splits its cell into two more brackets, and one within
+tangency_rtol * target of it is reported as a tangency.
 
 system_count_check re-derives the count without the ray reduction: it scans
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
@@ -220,90 +220,52 @@ class SolutionStructure:
         return len(self.roots)
 
 
-# Levels of every live bracket's bisection tree evaluated per array call of
-# h, and the position of the tree's root midpoint, a bracket being [0, 2 _ROOT].
-# The edge warnings look at _EDGE_WINDOW grid points at either end.
-_BISECT_DEPTH = 6
-_ROOT = 2 ** (_BISECT_DEPTH - 1)
-_BISECT_STEPS = 200
+# Sections of every live bracket per array call of h (six halvings), and the
+# rounds a bracket may take, about 200 halvings.  The edge warnings look at
+# _EDGE_WINDOW grid points at either end.
+_SECTIONS = 64
+_ROUNDS = 34
 _EDGE_WINDOW = 50
 
 
-def _tree_midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row i: the midpoints 0.5 * (lo + hi) of the first _BISECT_DEPTH levels
-    of the bisection tree of [a_i, b_i], in increasing order.  Placing a_i at
-    0 and b_i at 2 _ROOT, column c - 1 is the midpoint c of [c - w, c + w]
-    (the root: c = w = _ROOT), whose halves have the midpoints c -+ w / 2."""
-    edges = np.empty((len(a), 2 * _ROOT + 1))
-    edges[:, 0], edges[:, -1] = a, b
-    step = 2 * _ROOT
-    while step > 1:
-        ends = edges[:, ::step]
-        np.multiply(0.5, ends[:, :-1] + ends[:, 1:], out=edges[:, step // 2::step])
-        step //= 2
-    return edges[:, 1:-1]
-
-
 def refine_brackets(fun, a, b, fa, rel_width: float, rows=None):
-    """Bisect the sign-change brackets [a_i, b_i], fun(a_i) = fa_i, together.
+    """Narrow the sign-change brackets [a_i, b_i], fun(a_i) = fa_i, together.
 
-    Returns (roots, residuals) as lists, bit for bit what this loop gives
-    bracket by bracket:
+    Each round makes one call of fun, on the _SECTIONS - 1 evenly spaced
+    interior points lo + (hi - lo) j / _SECTIONS of every live bracket, and
+    the bracket becomes its first section whose right end is exactly 0 or
+    has the other sign, (f < 0) != (fa < 0), than fa; hi ends the last one.
+    An exact 0 closes the bracket at that point.  A bracket stays live while
+    hi - lo > rel_width * mid and lo < mid < hi, mid = (lo + hi) / 2, for at
+    most _ROUNDS rounds.  Returns (roots, residuals) as lists: the midpoints
+    of the final brackets, and |fun| there from one last call.
 
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if (b - a) <= rel_width * mid or mid <= a or mid >= b:
-                break
-            fm = fun(mid)
-            if fm == 0.0:
-                return mid, 0.0
-            if (fa < 0.0) != (fm < 0.0):
-                b = mid
-            else:
-                a, fa = mid, fm
-        root = 0.5 * (a + b)
-        return root, abs(fun(root))
-
-    fun maps an array of points to an array of values.  The loop is replayed
-    for every bracket down the values at hand; each call of fun then gives
-    every midpoint the loop can visit in its next _BISECT_DEPTH steps, for
-    every bracket that needs one, and one last call gives fun at every root.
-
-    With rows, fun returns rows of values, bracket i is bisected on row
-    rows[i], and its residual is the signed column of fun at its root.
+    fun maps an array of points to an array of values.  With rows, fun
+    returns rows of values, bracket i is narrowed on row rows[i], and its
+    residual is the signed column of fun at its root.
     """
-    state = [[float(x), float(y), float(f), 0] for x, y, f in zip(a, b, fa)]
-    roots = [0.0] * len(state)
-    live, values = list(range(len(state))), [[]] * len(state)
-    while live:
-        still = []
-        for i, tree in zip(live, values):
-            lo, hi, f_lo, steps = state[i]
-            node = width = _ROOT
-            while True:
-                mid = roots[i] = 0.5 * (lo + hi)
-                if (steps == _BISECT_STEPS or (hi - lo) <= rel_width * mid
-                        or mid <= lo or mid >= hi):
-                    break
-                if not (tree and width):
-                    state[i] = [lo, hi, f_lo, steps]
-                    still.append(i)
-                    break
-                fm = tree[node - 1]
-                if fm == 0.0:
-                    break
-                width //= 2
-                if (f_lo < 0.0) != (fm < 0.0):
-                    hi, node = mid, node - width
-                else:
-                    lo, f_lo, node = mid, fm, node + width
-                steps += 1
-        if still:
-            mids = _tree_midpoints(*np.array([state[i][:2] for i in still]).T)
-            values = np.atleast_2d(fun(mids.ravel())).reshape(-1, *mids.shape)
-            values = values[[0 if rows is None else rows[i] for i in still],
-                            np.arange(len(still))].tolist()
-        live = still
+    lo, hi = np.array(a, dtype=float), np.array(b, dtype=float)
+    negative = np.asarray(fa, dtype=float) < 0.0
+    row = np.zeros(lo.size, dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    steps = np.arange(_SECTIONS + 1) / _SECTIONS
+    for _ in range(_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((hi - lo > rel_width * mid) & (lo < mid) & (mid < hi))
+        if not live.size:
+            break
+        edges = lo[live, None] + (hi - lo)[live, None] * steps
+        edges[:, -1] = hi[live]
+        inner = edges[:, 1:-1]
+        values = np.atleast_2d(fun(inner.ravel())).reshape(-1, *inner.shape)
+        ends = np.ones((live.size, _SECTIONS))
+        ends[:, :-1] = values[row[live], np.arange(live.size)]
+        hit = (ends == 0.0) | ((ends < 0.0) != negative[live, None])
+        hit[:, -1] = True
+        pick = np.arange(live.size), hit.argmax(axis=1)
+        right = edges[:, 1:][pick]
+        lo[live] = np.where(ends[pick] == 0.0, right, edges[pick])
+        hi[live] = right
+    roots = (0.5 * (lo + hi)).tolist()
     last = np.atleast_2d(fun(np.array(roots))) if roots else np.empty((1, 0))
     return roots, (np.abs(last[0]).tolist() if rows is None else last.T.tolist())
 
@@ -311,7 +273,7 @@ def refine_brackets(fun, a, b, fa, rel_width: float, rows=None):
 def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> SolutionStructure:
     """Count and refine the positive roots of g(s) = target.
 
-    Pure function of its inputs: the scan grid and the bisection order are
+    Pure function of its inputs: the scan grid and the refinement rounds are
     deterministic.  DomainError when the default s_max overflows, or when h
     is exactly 0 on two adjacent grid points.
     """
@@ -353,7 +315,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
         np.concatenate([hvals[crossed], slopes[turning]]), config.rel_width,
         rows=[0] * crossed.size + [1] * turning.size)
 
-    # Every root is a bisected bracket or an exact zero: the crossed cells,
+    # Every root is a refined bracket or an exact zero: the crossed cells,
     # the grid zeros, the critical points on the level and the pieces of the
     # cells that a critical point past the level splits.  A critical point in
     # a cell with a zero end is on the zero's monotone piece: no root of its own.

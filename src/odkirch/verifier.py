@@ -313,7 +313,8 @@ def judge_solution(instance: ProblemInstance, solution: Solution,
         "boundary_gradient": rep.boundary_gradient_deviation,
         "norm_consistency": norm_dev,
         "gamma_amplitude": abs(gam.recovered_amplitude - 1.0),
-        "gamma_pde": gam.max_pde_dev,
+        # Relative to C(N, k), the scale of the base equation's right side.
+        "gamma_pde": gam.max_pde_dev / binomial(instance.geometry.n, instance.k),
     }
     checks = _check_table({name: (v, THRESHOLDS[name]) for name, v in values.items()})
     doc = {

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from odkirch.base_solutions import norm_quadrature
 from odkirch.errors import QuadratureError
-from odkirch.quadrature import golden_max, integrate, maximize
+from odkirch.quadrature import integrate, maximize
 
 
 def integral_to_infinity(f, a):
@@ -211,8 +211,9 @@ class TestMaximize:
         x, v = maximize(lambda r: 1.0 / r, 3.0, math.inf)
         assert v == pytest.approx(1.0 / 3.0, rel=1e-9)
 
-    def test_golden_max_quadratic(self):
-        x, v = golden_max(lambda x: -(x - 1.3) ** 2 + 2.0, 0.0, 3.0)
+    def test_quadratic_peak_refined(self):
+        # The peak lies between grid points; refinement reaches it.
+        x, v = maximize(lambda x: -(x - 1.3) ** 2 + 2.0, 0.0, 3.0, n_grid=16)
         assert x == pytest.approx(1.3, abs=1e-6)
         assert v == pytest.approx(2.0, abs=1e-12)
 
@@ -225,7 +226,8 @@ class TestMaximize:
 
     @pytest.mark.parametrize("b", [5.0, math.inf])
     def test_grid_is_one_vectorized_call(self, b):
-        # One call on the whole grid, then scalar golden-section steps.
+        # One call on the whole grid, then one array call per refinement
+        # round; no scalar call.
         calls = []
 
         def f(r):
@@ -235,8 +237,17 @@ class TestMaximize:
         x, v = maximize(f, 1.0, b, n_grid=1000)
         assert x == pytest.approx(2.0, abs=1e-6)
         assert calls[0] == (1000,)
-        assert all(shape == () for shape in calls[1:])
-        assert len(calls) <= 1 + 200
+        assert all(shape == (65,) for shape in calls[1:])
+        assert 2 <= len(calls) <= 12
+
+    def test_nonfinite_refinement_sample(self):
+        # The NaN stretch around the peak lies between grid points: only
+        # the refinement samples reach it.
+        def f(x):
+            return np.where(np.abs(x - 2.5) < 1e-4, np.nan, np.exp(-(x - 2.5) ** 2))
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            maximize(f, 0.0, 5.0)
 
     def test_nonfinite_sample_on_infinite_grid(self):
         def f(r):

@@ -542,8 +542,13 @@ def bits(x):
     return np.float64(x).tobytes()
 
 
+def sign_change(fun, lo, hi):
+    return (fun(lo) < 0.0) != (fun(hi) < 0.0)
+
+
 class TestBatchedBisection:
-    """refine_brackets against the sequential loop, bit for bit."""
+    """refine_brackets against the sequential bisection loop: the same roots
+    to rel_width."""
 
     def test_battery_brackets(self, battery):
         rel_width = ScanConfig().rel_width
@@ -554,15 +559,20 @@ class TestBatchedBisection:
                 for info in solve_roots(eq).roots:
                     lo, hi = info.bracket
                     if lo == hi:
-                        continue      # an exact grid zero, not bisected
-                    want = sequential_bisect(eq.h, lo, hi, eq.h(lo), rel_width)
-                    assert (bits(info.s), bits(info.residual)) == tuple(map(bits, want))
+                        continue      # an exact grid zero, not refined
+                    want, want_res = sequential_bisect(eq.h, lo, hi, eq.h(lo), rel_width)
+                    assert lo < info.s < hi and sign_change(eq.h, lo, hi)
+                    if info.residual == want_res == 0.0:
+                        continue      # both on a stretch where h is exactly 0
+                    assert abs(info.s - want) <= rel_width * info.s
+                    assert info.residual == abs(eq.h(info.s))
                     checked += 1
         assert checked >= 12
 
     @pytest.mark.parametrize("zero_at", [1.5, 1.25, 1.0 + 2.0 ** -10, 1.0 + 2.0 ** -30])
     def test_exact_zero_midpoint(self, zero_at):
-        # Dyadic points of [1, 2] are midpoints; 2^-30 lies five array calls deep.
+        # Dyadic points of [1, 2] are section ends; 2^-30 lies five array
+        # calls deep.
         def fun(s):
             return np.asarray(s) - zero_at
 
@@ -583,12 +593,15 @@ class TestBatchedBisection:
         want = sequential_bisect(lambda s: s * s - 2.0, a, b, a * a - 2.0, 1e-12)
         assert (roots[0], residuals[0]) == want
         assert want[0] == 0.5 * (a + b)
-        assert calls == [(1,)]      # no bisection step, one residual call
+        assert calls == [(1,)]      # no refinement round, one residual call
 
     def test_mixed_brackets_in_one_pass(self):
-        # Brackets that need no step and about 40 steps, finishing in
+        # Brackets that need no round and about seven, finishing in
         # different array calls.
+        calls = []
+
         def fun(s):
+            calls.append(np.shape(s))
             return np.cos(np.asarray(s))
 
         brackets = [(1.5, 1.6), (1.5707963267948, 1.5707963267949),
@@ -597,26 +610,35 @@ class TestBatchedBisection:
         roots, residuals = refine_brackets(
             fun, [a for a, _ in brackets], [b for _, b in brackets],
             [math.cos(a) for a, _ in brackets], rel_width)
-        for (a, b), root, res in zip(brackets, roots, residuals):
-            want = sequential_bisect(math.cos, a, b, math.cos(a), rel_width)
-            assert (bits(root), bits(res)) == tuple(map(bits, want))
+        for (a, b), root, res, exact in zip(brackets, roots, residuals,
+                                            (0.5, 0.5, 1.5, 0.5)):
+            want, _ = sequential_bisect(math.cos, a, b, math.cos(a), rel_width)
+            assert abs(root - want) <= rel_width * root
+            assert abs(root - exact * math.pi) <= rel_width * root
+            assert res == abs(math.cos(root))
+        # The brackets of width 0.1 and of 1 around 3 pi / 2 take 7 rounds,
+        # the one of 1 around pi / 2 takes 8, the narrow one none.
+        assert calls == [(3 * 63,)] * 7 + [(63,), (4,)]
 
     def test_step_cap(self):
-        # Halving 1e300 down to the root 2e-300 takes about 2000 steps; both
-        # stop after 200 at the same interval.
+        # Narrowing 1e300 down to the root 2e-300 takes about 330 rounds;
+        # refinement stops after 34, with hi at 1e300 / 64^34.
+        calls = []
+
         def fun(s):
+            calls.append(np.shape(s))
             return np.asarray(s) - 2e-300
 
         roots, residuals = refine_brackets(fun, [1e-300], [1e300], [-1e-300], 1e-13)
-        want = sequential_bisect(lambda s: s - 2e-300, 1e-300, 1e300, -1e-300, 1e-13)
-        assert (roots[0], residuals[0]) == want
-        assert want[0] == pytest.approx(0.5 * (1e-300 + 1e300 / 2.0 ** 200), rel=1e-12)
+        assert roots[0] == pytest.approx(0.5 * (1e-300 + 1e300 / 2.0 ** 204), rel=1e-12)
+        assert residuals[0] == roots[0] - 2e-300
+        assert len(calls) == 34 + 1
 
     def test_grid_zero_after_bisected_cell(self):
         # h crosses in cell 40, is exactly 0 on grid point 42 and crosses
         # back in cell 80.  The grid zero lies within rel_width of the first
-        # bisected root, yet it is a root of its own: h is 0 at an end of
-        # its pieces.  Each bisected root keeps its own cell as its bracket.
+        # refined root, yet it is a root of its own: h is 0 at an end of
+        # its pieces.  Each refined root keeps its own cell as its bracket.
         config = ScanConfig(s_min=1.0, s_max=2.0, n_grid=100, rel_width=5e-3)
         grid = np.geomspace(1.0, 2.0, 100)
         up, zero_at, down = 0.5 * (grid[40] + grid[41]) + 1e-4, grid[42], grid[80] + 1e-3
@@ -635,10 +657,12 @@ class TestBatchedBisection:
             (float(grid[40]), float(grid[41])), (float(zero_at), float(zero_at)),
             (float(grid[80]), float(grid[81]))]
         assert structure.roots[1].s == zero_at and structure.roots[1].residual == 0.0
-        for info in structure.roots[::2]:
+        for info, jump in zip(structure.roots[::2], (up, down)):
             lo, hi = info.bracket
-            want = sequential_bisect(h, lo, hi, h(lo), config.rel_width)
-            assert (info.s, info.residual) == want
+            want, _ = sequential_bisect(h, lo, hi, h(lo), config.rel_width)
+            assert abs(info.s - want) <= config.rel_width * info.s
+            assert abs(info.s - jump) <= config.rel_width * info.s
+            assert info.residual == 1.0
 
 
 def count_kernel_calls(monkeypatch):
@@ -652,6 +676,13 @@ def count_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(reduction, "eval_kernel", counted)
     return calls
+
+
+# g = 2 s ((1000 (s - c))^2 + 1) dips by 1.6 target between two grid points
+# around c and crosses the level twice there.
+NARROW_WELL = ProblemInstance(
+    geometry=BallGeometry(n=2, radius=1.0), k=1, p=math.inf, q=2.0,
+    lam=4.005111667807524, kernel="(1000*(s - 1.001268153956326))^2 + 1")
 
 
 def near_fold_lambdas(case):
@@ -682,6 +713,21 @@ class TestWorkCounts:
             assert calls["scalar"] == 0, (case["name"], lam)
             assert calls["array"] > 0
 
+    def test_array_calls_pinned(self, battery, monkeypatch):
+        # Each array call past the scan narrows every open bracket 64-fold,
+        # as six bisection levels per call did: 8 calls for one round of
+        # brackets, more where a critical point splits its cell.
+        runs = [(make_instance(case, run["lambda"]), 8)
+                for case in battery["cases"] for run in case["runs"]]
+        case = next(c for c in battery["cases"] if "tangency" in c)
+        runs += [(make_instance(case, lam), want)
+                 for lam, want in zip(near_fold_lambdas(case), (8, 14, 13))]
+        runs.append((NARROW_WELL, 15))
+        for inst, want in runs:
+            calls = count_kernel_calls(monkeypatch)
+            solve_roots(build_reduced(inst))
+            assert (calls["array"], calls["scalar"]) == (want, 0), inst.lam
+
 
 class TestCriticalPoints:
     """The critical points of g at ball-quadratic-well's fold."""
@@ -703,10 +749,7 @@ class TestCriticalPoints:
         # g = 2 s ((1000 (s - c))^2 + 1) dips by 1.6 target between two grid
         # points around c, far outside any tangency band, and crosses the
         # level twice there.  The roots are those of brentq on g - target.
-        inst = ProblemInstance(
-            geometry=BallGeometry(n=2, radius=1.0), k=1, p=math.inf, q=2.0,
-            lam=4.005111667807524, kernel="(1000*(s - 1.001268153956326))^2 + 1")
-        structure = solve_roots(build_reduced(inst))
+        structure = solve_roots(build_reduced(NARROW_WELL))
         assert structure.count == 3 and structure.tangencies == ()
         tiny, left, right = (info.s for info in structure.roots)
         assert tiny < 1e-5

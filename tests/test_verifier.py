@@ -7,7 +7,8 @@ import pytest
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch.errors import DomainError
-from odkirch.reduction import build_reduced, roots_to_solutions, solve_roots
+from odkirch.reduction import (ProblemInstance, build_reduced, roots_to_solutions,
+                               solve_roots)
 from odkirch.verifier import (
     gamma_scaling_check,
     judge_kelvin,
@@ -132,6 +133,18 @@ class TestJudge:
         bad = judge_solution(inst, perturb_solution(sol, 1.02), seed=0)
         assert bad["pass"] is False
         assert not bad["checks"]["interior_residual"]["pass"]
+
+    @pytest.mark.parametrize("scale, passes", [(1.0, True), (1.05, False)])
+    def test_gamma_pde_relative_to_binomial(self, scale, passes):
+        # C(24, 12) = 2.7e6 scales the base equation's right side; its
+        # round-off alone once read 1.1e-6 against the 1e-6 gate.
+        inst = ProblemInstance(geometry=BallGeometry(n=24, radius=1.0), k=12,
+                               p=math.inf, q=math.inf, lam=1.0, kernel="1 + s")
+        (sol,) = roots_to_solutions(solve_roots(build_reduced(inst)))
+        check = judge_solution(inst, perturb_solution(sol, scale), seed=0)[
+            "checks"]["gamma_pde"]
+        assert check["pass"] is passes
+        assert (check["value"] < 1e-10) is passes
 
     def test_exterior_root_reports_far_field(self, battery):
         case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")

@@ -27,9 +27,16 @@ in-process once per operation:
 Exit code, stdout and stderr of every operation are compared.  Each tree
 writes one result file per operation, so a plot-data output of some 10,000
 lines is held in memory only while it is compared.  Each differing
-operation is printed as a unified diff of the two sides; the script exits 1
-when any operation differs and 0 when all agree.  It is meant for refactors,
-which must leave every output unchanged.
+operation is printed as a unified diff of the two sides.  A summary line
+then sorts them: a difference is float-only when the exit code and stderr
+agree and the stdout differs only in floats (JSON output parsed, with the
+same keys, lengths and non-float values; text and CSV output equal once
+every float literal is masked), and structural otherwise.  Each JSON key
+path holding a float-only difference, list indices collapsed (`roots[].s`),
+gets one line with the number of outputs it differs in and its largest
+relative change.  The script exits 1 when any operation differs and 0 when
+all agree.  It is meant for refactors, which must leave every output
+unchanged or say which floats move.
 """
 
 import argparse
@@ -37,6 +44,8 @@ import contextlib
 import difflib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -149,6 +158,48 @@ def render(result) -> list:
             "--- stderr\n", *err.splitlines(True)]
 
 
+# A float literal, digits with a decimal point or an exponent or a lone 0
+# (a float 0 printed with %g), with the spaces that pad it to a column width.
+FLOAT = re.compile(r" *[-+]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
+                   r"|(?<![\w.])0(?![\w.]))")
+
+
+def float_changes(old, new, path="", out=None):
+    """{key path: largest relative change} of the floats that differ between
+    two parsed JSON documents, or None when they differ in anything else."""
+    out = {} if out is None else out
+    # Floats print with 17 digits, so an integral one reads back as an int:
+    # a pair with a float in it is a float change, a pair of ints is not.
+    if (isinstance(old, float) or isinstance(new, float)) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
+        if old != new:
+            rel = abs(new - old) / abs(old) if old else math.inf
+            out[path] = max(out.get(path, 0.0), rel)
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            if float_changes(old[key], new[key], f"{path}.{key}" if path else key,
+                             out) is None:
+                return None
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for a, b in zip(old, new):
+            if float_changes(a, b, f"{path}[]", out) is None:
+                return None
+    elif type(old) is not type(new) or old != new:
+        return None
+    return out
+
+
+def classify(old, new):
+    """{key path: relative change} for a float-only difference ({} for text
+    or CSV output), None for a structural one."""
+    if old[0] != new[0] or old[2] != new[2]:
+        return None
+    try:
+        return float_changes(json.loads(old[1]), json.loads(new[1]))
+    except ValueError:
+        return {} if FLOAT.sub("#", old[1]) == FLOAT.sub("#", new[1]) else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
@@ -176,7 +227,8 @@ def main(argv=None) -> int:
             print("compare_outputs: a tree failed to run", file=sys.stderr)
             return 2
 
-        differing = 0
+        differing = structural = 0
+        paths = {}        # key path -> [outputs, largest relative change]
         for i, (label, _) in enumerate(ops):
             old, new = (json.loads((out / f"{i}.json").read_text()) for out in outs)
             if old == new:
@@ -184,7 +236,17 @@ def main(argv=None) -> int:
             differing += 1
             sys.stdout.writelines(difflib.unified_diff(
                 render(old), render(new), f"parent: {label}", f"change: {label}"))
+            changes = classify(old, new)
+            if changes is None:
+                structural += 1
+            for path, rel in (changes or {}).items():
+                entry = paths.setdefault(path, [0, 0.0])
+                entry[0] += 1
+                entry[1] = max(entry[1], rel)
     print(f"{differing} of {len(ops)} outputs differ")
+    print(f"{structural} structural, {differing - structural} float-only")
+    for path, (count, rel) in sorted(paths.items()):
+        print(f"  {path}: {count} outputs, largest relative change {rel:.3g}")
     return 1 if differing else 0
 
 
