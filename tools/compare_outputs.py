@@ -147,7 +147,9 @@ def child(src: str, ops_file: str, out_dir: str) -> int:
 def run_tree(src: str, ops_file: Path, out_dir: Path) -> subprocess.Popen:
     out_dir.mkdir()
     # -I: no PYTHONPATH, no user site, no script directory on sys.path.
-    return subprocess.Popen([sys.executable, "-I", str(Path(__file__).resolve()),
+    # -B: no bytecode left in the compared trees, which would speed up the
+    # next process start from one of them and not the other.
+    return subprocess.Popen([sys.executable, "-I", "-B", str(Path(__file__).resolve()),
                              "--child", str(Path(src).resolve()), str(ops_file),
                              str(out_dir)])
 
