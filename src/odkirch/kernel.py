@@ -333,15 +333,6 @@ def _compile(node):
     return binary
 
 
-@cache
-def kernel_variables(node) -> frozenset:
-    """The names of the variables node reads, a subset of {"s", "t"}."""
-    op, children = _parts(node)
-    if op in VARIABLES:
-        return frozenset([op])
-    return frozenset().union(*map(kernel_variables, children))
-
-
 def eval_kernel(node, s, t, slope=None):
     """Evaluate a kernel tree at (s, t); scalars in, float out; arrays vectorize.
 

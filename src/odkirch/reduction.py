@@ -26,16 +26,22 @@ call cutting every open bracket into 64 sections; an s_c with h(s_c) past
 the level splits its cell into two more brackets, and one within
 tangency_rtol * target of it is reported as a tangency.
 
-system_count_check re-derives the count without the ray reduction: it scans
+system_count_check re-derives the count without the scalar equation, from
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
 
-    s = ||U||_p * gamma(s, t),    t = ||grad U||_q * gamma(s, t),
-    gamma = (lambda / (C(N, k) M(s, t)))^(1/k),
+    F1 = s - a gamma(s, t) = 0,    F2 = t - b gamma(s, t) = 0,
+    gamma = (lambda / (C(N, k) M(s, t)))^(1/k),  a = ||U||_p,  b = ||grad U||_q.
 
-flags grid cells where both residuals change sign, clusters them, and matches
-the clusters one-to-one against the ray roots.  M, gamma and the fixed points
-live on the axes the kernel reads (401 nodes for s or t alone, one for a
-constant); the sign tests broadcast them to the full 401 x 401 node grid.
+Since b F1 - a F2 = b s - a t, every zero of F lies on the line t = rho s,
+where F2 = rho F1.  F is an invertible linear image of the pair
+(F1, b s - a t), whose second member changes sign across the line, so the
+topological degree of F on a thin box around a segment of the line is +-1
+when F1 has opposite signs at the segment's ends and 0 when it has one sign
+there (Kearfott 1979, Numer. Math. 32).  The check samples F1 on 401
+geometric nodes of the line, counts the segments of nonzero degree and
+matches them one by one against the ray roots.  On the line F1 has the sign
+of h, but the check computes it by its own formula on its own grid.  Two
+zeros in one segment give degree 0 and count as none.
 """
 
 import math
@@ -46,7 +52,7 @@ import numpy as np
 from .base_solutions import BallGeometry, ExteriorGeometry
 from .errors import DomainError
 from .hessian import binomial
-from .kernel import eval_kernel, kernel_to_string, kernel_variables, parse_kernel
+from .kernel import eval_kernel, kernel_to_string, parse_kernel
 
 
 @dataclass(frozen=True)
@@ -398,57 +404,26 @@ def roots_to_solutions(structure: SolutionStructure) -> tuple:
 
 @dataclass(frozen=True)
 class SystemReport:
-    cluster_count: int
+    cluster_count: int    # segments of t = rho s where F1 changes sign
     root_count: int
     matched: bool
-    centroids: tuple      # (s, t) geometric centroids of flagged clusters
 
 
-# Cells per axis of the 2-D scan, and how many cells a cluster's box reaches
-# past its outermost cells when it is matched against a ray root.
+# Segments of the line t = rho s in the 2-D check.
 _SYSTEM_GRID = 400
-_MATCH_CELLS = 8.0
-
-
-def _cluster_cells(flags: np.ndarray):
-    """8-connected components of True cells; deterministic scan order."""
-    seeds = [divmod(f, flags.shape[1]) for f in np.flatnonzero(flags).tolist()]
-    pending = set(seeds)
-    clusters = []
-    for seed in seeds:
-        if seed in pending:
-            pending.remove(seed)
-            stack, cells = [seed], []
-            while stack:
-                ci, cj = stack.pop()
-                cells.append((ci, cj))
-                for near in [(ci + di, cj + dj) for di in (-1, 0, 1)
-                             for dj in (-1, 0, 1)]:
-                    if near in pending:
-                        pending.remove(near)
-                        stack.append(near)
-            clusters.append(cells)
-    return clusters
-
-
-def every_corner(mask: np.ndarray) -> np.ndarray:
-    """Cells of a node grid whose four corner nodes all satisfy mask; an axis
-    of length 1 holds nodes that agree along it and stays of length 1."""
-    if mask.shape[0] > 1:
-        mask = mask[:-1] & mask[1:]
-    if mask.shape[1] > 1:
-        mask = mask[:, :-1] & mask[:, 1:]
-    return mask
 
 
 def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> SystemReport:
-    """Validate the root count against a two-dimensional residual scan.
+    """Validate the root count by the degree of the 2-D fixed-point system.
 
-    Scans the (s, t) box around the expected solutions for cells where both
-    fixed-point residuals change sign, clusters the flagged cells, and matches
-    clusters one-to-one with the ray roots.  Tangential touchings produce no
-    sign change in either view, so the two counts must agree exactly.
-    DomainError when an edge of the box is not finite and positive.
+    Samples F1 = s - ||U||_p gamma on 401 geometric nodes (s, rho s) of the
+    box [min root / 10, max root * 10] (the scan window when there are no
+    roots), in one kernel call.  Segment i, [s_i, s_(i+1)), counts when
+    M > 0 and gamma is finite at both ends and F1 is exactly 0 at s_i or
+    has opposite signs at the two ends.  matched holds when the counted
+    segments are as many as the ray roots and the j-th of them holds the
+    j-th root, give or take one segment.  DomainError when an edge of the
+    box is not finite and positive.
     """
     if structure.roots:
         s_lo = min(r.s for r in structure.roots) / 10.0
@@ -461,52 +436,21 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
             raise DomainError(f"2-D check box edge {name} = {edge!r} is not "
                               "finite and positive; lower scan.s_max")
 
-    s_edges = np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1)
-    t_edges = np.geomspace(t_lo, t_hi, _SYSTEM_GRID + 1)
-    s_col, t_row = s_edges[:, None], t_edges[None, :]
-    uses = kernel_variables(eq.kernel)
-    m = eval_kernel(eq.kernel, s_col if "s" in uses else s_col[:1],
-                    t_row if "t" in uses else t_row[:, :1])
+    s = np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1)
+    m = eval_kernel(eq.kernel, s, eq.rho * s)
     with np.errstate(all="ignore"):
-        gamma = (eq.lam / (eq.coeff * m)) ** (1.0 / eq.k)
-        s_fix = eq.norm_u * gamma
-        t_fix = eq.norm_grad * gamma
+        s_fix = eq.norm_u * (eq.lam / (eq.coeff * m)) ** (1.0 / eq.k)
+        # The sign of F1 where M > 0 and s_fix is finite, NaN elsewhere.
+        side = np.where((m > 0.0) & np.isfinite(s_fix), np.sign(s - s_fix), np.nan)
+    # NaN never compares, so either test below implies a valid left end.
+    left, right = side[:-1], side[1:]
+    counted = np.flatnonzero(np.isfinite(right) & ((left == 0.0) | (left * right < 0.0)))
 
-    # A cell is flagged when M > 0 and the fixed-point maps are finite on its
-    # corners, and each residual s - s_fix, t - t_fix takes both signs (or a
-    # zero) on them: neither all > 0 nor all < 0.  Between finite positive
-    # doubles, s - s_fix > 0 exactly when s > s_fix.
-    flags = every_corner((m > 0.0) & np.isfinite(s_fix) & np.isfinite(t_fix))
-    for edge, fix in ((s_col, s_fix), (t_row, t_fix)):
-        flags = flags & ~(every_corner(edge > fix) | every_corner(edge < fix))
-
-    clusters = _cluster_cells(flags)
-    log_s, log_t = np.log(s_edges), np.log(t_edges)
-    ds = (log_s[-1] - log_s[0]) / _SYSTEM_GRID
-    dt = (log_t[-1] - log_t[0]) / _SYSTEM_GRID
-
-    centroids, boxes = [], []
-    for cells in clusters:
-        ls = [0.5 * (log_s[i] + log_s[i + 1]) for i, _ in cells]
-        lt = [0.5 * (log_t[j] + log_t[j + 1]) for _, j in cells]
-        centroids.append((math.exp(sum(ls) / len(ls)), math.exp(sum(lt) / len(lt))))
-        boxes.append((min(ls) - _MATCH_CELLS * ds, max(ls) + _MATCH_CELLS * ds,
-                      min(lt) - _MATCH_CELLS * dt, max(lt) + _MATCH_CELLS * dt))
-
-    matched = len(clusters) == structure.count
-    if matched:
-        taken = set()
-        for info in structure.roots:
-            ls, lt = math.log(info.s), math.log(eq.rho * info.s)
-            hit = next((idx for idx, (a, b, c, d) in enumerate(boxes)
-                        if idx not in taken and a <= ls <= b and c <= lt <= d), None)
-            if hit is None:
-                matched = False
-                break
-            taken.add(hit)
+    holding = np.searchsorted(s, [r.s for r in structure.roots], side="right") - 1
+    matched = (counted.size == structure.count
+               and bool(np.all(np.abs(counted - holding) <= 1)))
     return SystemReport(
-        cluster_count=len(clusters),
+        cluster_count=int(counted.size),
         root_count=structure.count,
         matched=matched,
-        centroids=tuple(centroids),
     )

@@ -1,7 +1,6 @@
 """Kernel expression language: parsing, printing, evaluation, faults."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from odkirch.kernel import (
     Var,
     eval_kernel,
     kernel_to_string,
-    kernel_variables,
     parse_kernel,
 )
 
@@ -424,11 +422,3 @@ class TestCompiledParity:
             eval_kernel(tree, np.array([1.5, 2.0]), np.array([2.5, 3.0]))
         with pytest.raises(AssertionError, match="walked"):
             eval_kernel(parse_kernel("1/(s - 1)"), 1.0, 0.0)
-
-
-class TestKernelVariables:
-    @given(tree=st.one_of(random_trees(), parity_trees()))
-    @settings(max_examples=200, deadline=None)
-    def test_names_in_printed_text(self, tree):
-        printed = kernel_to_string(tree)
-        assert kernel_variables(tree) == set(re.findall(r"\b[st]\b", printed))

@@ -12,11 +12,13 @@ in-process once per operation:
   that records a tangency: the near-tangent run lambda_t * (1 + 1e-6), and
   the below-fold runs lambda_t * (1 - 1e-9) and lambda_t * (1 - 1e-14),
   where the critical point between two roots splits one grid cell into two
-  bisected brackets; and NARROW_WELL, whose two close roots share one grid
-  cell 1.6 target away from the level on the grid: analyze, verify and
-  norms, as text and with --json, at amplitude_scale 1.0, 1.05 and 0.9, and
-  plot-data (the scan grid and the roots, which do not depend on
-  amplitude_scale) once;
+  bisected brackets; NARROW_WELL, whose two close roots share one grid
+  cell 1.6 target away from the level on the grid; and ITEM3_RUNS, the
+  instances with 0 and 2 roots on which the 2-D check once counted 5 and
+  10 clusters, and the abs kernel whose 3 roots it counts as 1: analyze,
+  verify and norms, as text and with --json, at amplitude_scale 1.0, 1.05
+  and 0.9, and plot-data (the scan grid and the roots, which do not depend
+  on amplitude_scale) once;
 - selftest;
 - analyze, verify and norms, as text and with --json, and plot-data on each
   CONFIG given, and on every config that `benchmarks/workloads.generate`
@@ -63,11 +65,29 @@ NARROW_WELL = {"name": "narrow-well",
                "k": 1, "p": "inf", "q": 2.0,
                "kernel": "(1000*(s - 1.001268153956326))^2 + 1",
                "runs": [{"lambda": 4.005111667807524}]}
+# Counter disagreements of ROADMAP item 3: two false positives of the old 2-D
+# cell flags (0 roots but 5 clusters, 2 roots but 10) and a close pair that
+# the 2-D check merges (3 roots, 1 segment).
+ITEM3_RUNS = [
+    {"name": "item3-ball-false-positive",
+     "geometry": {"kind": "ball", "n": 6, "radius": 1.0},
+     "k": 2, "p": 7.5, "q": 2.0, "kernel": "exp(-t)*s^4",
+     "runs": [{"lambda": 0.6524044984771312}]},
+    {"name": "item3-exterior-false-positive",
+     "geometry": {"kind": "exterior", "n": 2},
+     "k": 1, "p": "inf", "q": 5.0, "kernel": "exp(-t)*s^4",
+     "runs": [{"lambda": 2.6e-5}]},
+    {"name": "item3-abs-merge",
+     "geometry": {"kind": "ball", "n": 2, "radius": 0.5},
+     "k": 2, "p": 0.3, "q": "inf", "kernel": "abs(s-1)+1e-3",
+     "runs": [{"lambda": 11.19167451866462}]},
+]
 
 
 def battery_configs():
     """(label, config document) for every battery run at every scale."""
-    for case in json.loads(BATTERY.read_text())["cases"] + [NARROW_WELL]:
+    cases = json.loads(BATTERY.read_text())["cases"] + [NARROW_WELL, *ITEM3_RUNS]
+    for case in cases:
         lams = [run["lambda"] for run in case["runs"]]
         if "tangency" in case:
             lam_t = case["tangency"]["lambda_t"]
