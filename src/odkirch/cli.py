@@ -8,7 +8,8 @@ Subcommands:
     plot-data  CSV of the reduced equation for external plotting
     selftest   quick self-contained sanity battery, no configuration needed
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(including a plot-data output file that cannot be opened for writing),
 3 domain or numerical-convergence error, 4 kernel evaluation fault.
 
 Structured output (--json) is deterministic: keys are sorted, floats carry 17
@@ -372,7 +373,11 @@ def main(argv=None) -> int:
             return command[args.command](cfg, args.json, out)
         if args.output == "-":
             return cmd_plot_data(cfg, out)
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.output, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc}") from exc
+        with fh:
             return cmd_plot_data(cfg, fh)
     except (ConfigError, KernelSyntaxError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,8 +12,7 @@ Schema (version 1):
       "lambda": 1.0,
       "kernel": "1 + s^2",
       "scan": {"s_min": 1e-8, "s_max": null, "n_grid": 10000,
-               "rel_width": 1e-13,
-               "tangency_rtol": 1e-3},               # optional, defaults shown
+               "rel_width": 1e-13},                  # optional, defaults shown
       "seed": 0,                                      # optional
       "amplitude_scale": 1.0                          # optional, verify only
     }
@@ -23,17 +22,15 @@ surface measure of the unit sphere, 2 pi^(n/2) / Gamma(n/2), falls below the
 smallest normal double.  "s_max": null lets the scan pick its own upper
 bound.  "n_grid" is at most 10^6 (MAX_GRID), which keeps the scan's arrays
 within tens of megabytes.  "rel_width" is the relative bracket width at which
-root refinement stops (0 < rel_width < 1e-2).  "tangency_rtol" only selects which
-critical points of g are reported as tangencies: those within tangency_rtol
-* target of the level, none for 0; no count depends on it.
+root refinement stops (0 < rel_width < 1e-2).
 "amplitude_scale" deliberately corrupts candidates before verification; any
 value other than 1.0 must drive `verify` to a failing exit, which is how the
 failure path is exercised.
 
 Malformed documents raise ConfigError; domain violations (non-integrable
-exponents, k out of range, a non-finite "center", "s_min", "s_max" or
-"tangency_rtol", a negative "tangency_rtol") raise DomainError; kernel
-syntax problems are configuration problems and also raise ConfigError.
+exponents, k out of range, a non-finite "center", "s_min" or "s_max") raise
+DomainError; kernel syntax problems are configuration problems and also raise
+ConfigError.
 """
 
 import json
@@ -139,8 +136,7 @@ def build_config(doc: dict) -> RunConfig:
         raise ConfigError("'scan' must be an object")
     scan_kwargs = {}
     scan_fields = {"s_min": (int, float), "s_max": (int, float, type(None)),
-                   "n_grid": int, "rel_width": (int, float),
-                   "tangency_rtol": (int, float)}
+                   "n_grid": int, "rel_width": (int, float)}
     for key, kinds in scan_fields.items():
         if key in scan_doc:
             value = scan_doc[key]
@@ -176,8 +172,10 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path} is nested too deeply to read") from None
     return build_config(doc)
 
 
@@ -198,8 +196,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "lambda": cfg.instance.lam,
         "kernel": kernel_to_string(cfg.instance.kernel),
         "scan": {"s_min": scan.s_min, "s_max": scan.s_max,
-                 "n_grid": scan.n_grid, "rel_width": scan.rel_width,
-                 "tangency_rtol": scan.tangency_rtol},
+                 "n_grid": scan.n_grid, "rel_width": scan.rel_width},
         "seed": cfg.seed,
         "amplitude_scale": cfg.amplitude_scale,
     }

@@ -10,8 +10,9 @@ gradient norm).  Grammar, in EBNF:
 
 "^" is right-associative and binds tighter than unary minus, so -s^2 means
 -(s^2) and 2^3^2 means 2^(3^2).  Available functions: exp, log, sqrt, abs
-(one argument), min, max (two arguments).  `_OPS` is the one place where an
-operation is defined and `_parts` the one place that tells node types apart.
+(one argument), min, max (two arguments).  A tree is the tuple
+(op, *operands), op a key of `_OPS`, the one place where an operation is
+defined; a leaf is ("num", value), ("s",) or ("t",).
 
 Each tree is compiled once into a closure of numpy ufuncs, applied in the
 order and on the operand types of the tree walk, so its values are the walk's
@@ -29,7 +30,6 @@ and point instead of silently propagating nan through a root scan.
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -37,36 +37,10 @@ import numpy as np
 
 from .errors import KernelEvalError, KernelSyntaxError
 
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-
-
 VARIABLES = ("s", "t")
+# The longest battery or corpus kernel has 19 tokens.  The cap bounds the depth
+# of every tree walk and of the parse (six frames per pair of parentheses).
+MAX_TOKENS = 200
 
 
 class _Op(NamedTuple):
@@ -123,19 +97,6 @@ _OPS = {
 FUNCTIONS = {name: len(row.operand_levels) for name, row in _OPS.items() if row.level == 5}
 
 
-def _parts(node):
-    """(operation, children) of node, the one place that tells node types
-    apart.  A number's operation is "num" and a variable's is its name;
-    leaves have no children, and every other operation is a key of _OPS."""
-    if isinstance(node, BinOp):
-        return node.op, (node.left, node.right)
-    if isinstance(node, Neg):
-        return "neg", (node.arg,)
-    if isinstance(node, Call):
-        return node.fn, node.args
-    return ("num" if isinstance(node, Num) else node.name), ()
-
-
 _TOKEN_RE = re.compile(r"""
     (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
@@ -152,6 +113,9 @@ def _tokenize(text: str):
             raise KernelSyntaxError(f"unrecognized character {m.group()!r}",
                                     m.start(), "a token")
         if m.lastgroup != "ws":
+            if len(tokens) == MAX_TOKENS:
+                raise KernelSyntaxError(f"kernel longer than {MAX_TOKENS} tokens",
+                                        m.start(), "end of expression")
             tokens.append((m.lastgroup, m.group(), m.start()))
     return tokens + [("end", "", len(text))]
 
@@ -189,7 +153,7 @@ class _Parser:
         """operand { ops operand }, grouped to the left."""
         node = operand()
         while op := self.accept(ops):
-            node = BinOp(op, node, operand())
+            node = (op, node, operand())
         return node
 
     def expr(self):
@@ -200,11 +164,11 @@ class _Parser:
 
     def unary(self):
         if self.accept("-"):
-            return Neg(self.unary())
+            return ("neg", self.unary())
         node = self.atom()
         if self.accept("^"):
             # Exponent may itself carry a sign or another power: s^-t^2.
-            return BinOp("^", node, self.unary())
+            return ("^", node, self.unary())
         return node
 
     def atom(self):
@@ -215,10 +179,10 @@ class _Parser:
             if not np.isfinite(value):
                 raise KernelSyntaxError(f"numeric literal {text!r} overflows",
                                         pos, "a representable number")
-            return Num(value)
+            return ("num", value)
         if kind == "name":
             if text in VARIABLES:
-                return Var(text)
+                return (text,)
             if text in FUNCTIONS:
                 self.expect_op("(")
                 args = [self.expr()]
@@ -230,7 +194,7 @@ class _Parser:
                         f"{text} takes {FUNCTIONS[text]} argument(s), got {len(args)}",
                         pos, f"{FUNCTIONS[text]} argument(s)"
                     )
-                return Call(text, tuple(args))
+                return (text, *args)
             raise KernelSyntaxError(
                 f"unknown identifier {text!r}", pos,
                 f"one of {', '.join(VARIABLES)} or a function name"
@@ -245,18 +209,20 @@ class _Parser:
 
 
 def parse_kernel(text: str):
-    """Parse a kernel expression into its syntax tree."""
+    """Parse a kernel expression of at most MAX_TOKENS tokens into its tree."""
     if not isinstance(text, str) or not text.strip():
         raise KernelSyntaxError("empty kernel expression", 0, "an expression")
     return _Parser(text).parse()
 
 
 def _render(node, min_level: int) -> str:
-    op, children = _parts(node)
-    if not children:
-        return repr(node.value) if op == "num" else op
+    op, *args = node
+    if op == "num":
+        return repr(args[0])
+    if op in VARIABLES:
+        return op
     row = _OPS[op]
-    out = row.form.format(*map(_render, children, row.operand_levels))
+    out = row.form.format(*map(_render, args, row.operand_levels))
     return f"({out})" if row.level < min_level else out
 
 
@@ -264,7 +230,8 @@ def kernel_to_string(node) -> str:
     """Render a syntax tree with minimal parentheses.
 
     Re-parsing the rendered text reproduces the tree exactly (the printer and
-    the grammar agree on precedence and associativity).
+    the grammar agree on precedence and associativity) while it stays within
+    MAX_TOKENS; --x prints as -(-x).
     """
     return _render(node, 0)
 
@@ -277,13 +244,13 @@ def _first_bad(values, s, t):
 
 def _eval(node, s, t):
     """Walk the tree, checking every node; the error path of eval_kernel."""
-    op, children = _parts(node)
+    op, *args = node
     if op == "num":
-        v = np.float64(node.value)
+        v = np.float64(args[0])
     elif op in VARIABLES:
         v = s if op == "s" else t
     else:
-        v = _OPS[op].fn(*[_eval(c, s, t) for c in children])
+        v = _OPS[op].fn(*[_eval(c, s, t) for c in args])
     if not np.all(np.isfinite(v)):
         raise KernelEvalError("non-finite value", kernel_to_string(node),
                               _first_bad(v, s, t))
@@ -301,17 +268,17 @@ def _compile(node):
     an operand of an absorbing one is not finite.  The slope is unchecked,
     and None for a constant and when ds and dt are None.
 
-    Cached per tree, compared by value: the parser never writes Num(-0.0),
-    the one literal equal to another (0.0) with other bits.
+    Cached per tree, compared by value: the parser never writes
+    ("num", -0.0), the one literal equal to another (0.0) with other bits.
     """
-    op, children = _parts(node)
+    op, *args = node
     if op == "num":
-        v = np.float64(node.value)
+        v = np.float64(args[0])
         return lambda s, t, ds, dt: (v, None)
     if op in VARIABLES:
         return (lambda s, t, ds, dt: (s, ds) if op == "s" else (t, dt))
     fn, absorbing, slope = _OPS[op].fn, _OPS[op].absorbing, _OPS[op].slope
-    args = [_compile(c) for c in children]
+    args = [_compile(c) for c in args]
     if len(args) == 1:
         (a,) = args
 

@@ -24,7 +24,7 @@ when h changes sign across it or is 0 at an end.  The cells h crosses and
 the cells g' turns in are narrowed together (refine_brackets), each array
 call cutting every open bracket into 64 sections; an s_c with h(s_c) past
 the level splits its cell into two more brackets, and one within
-tangency_rtol * target of it is reported as a tangency.
+TANGENCY_RTOL * target of it is reported as a tangency.
 
 system_count_check re-derives the count without the scalar equation, from
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
@@ -163,19 +163,13 @@ class ScanConfig:
     s_max = None picks ten times the root the equation would have with M = 1
     (and no less than 1e3), which covers every kernel whose size is within an
     order of magnitude of constant; the scan warns when the residual is still
-    heading toward zero at either edge.
-
-    tangency_rtol only selects which critical points of g are reported as
-    tangencies: those within tangency_rtol * target of the level that split
-    nothing, none for 0.  Counts never depend on it.  The window and
-    tangency_rtol must be finite.
+    heading toward zero at either edge.  The window must be finite.
     """
 
     s_min: float = 1e-8
     s_max: float | None = None
     n_grid: int = 10_000
     rel_width: float = 1e-13
-    tangency_rtol: float = 1e-3
 
     def __post_init__(self):
         if self.n_grid < 100:
@@ -188,9 +182,6 @@ class ScanConfig:
             raise DomainError(f"rel_width out of range: {self.rel_width}")
         if not math.isfinite(self.s_min) or not math.isfinite(self.s_max or 0.0):
             raise DomainError(f"scan window [{self.s_min}, {self.s_max}] must be finite")
-        if not (0.0 <= self.tangency_rtol < math.inf):
-            raise DomainError("tangency_rtol must be finite and non-negative, "
-                              f"got {self.tangency_rtol}")
 
 
 @dataclass(frozen=True)
@@ -228,10 +219,13 @@ class SolutionStructure:
 
 # Sections of every live bracket per array call of h (six halvings), and the
 # rounds a bracket may take, about 200 halvings.  The edge warnings look at
-# _EDGE_WINDOW grid points at either end.
+# _EDGE_WINDOW grid points at either end.  A critical point of g that splits
+# nothing is reported as a tangency within TANGENCY_RTOL * target of the
+# level; no count depends on it.
 _SECTIONS = 64
 _ROUNDS = 34
 _EDGE_WINDOW = 50
+TANGENCY_RTOL = 1e-3
 
 
 def refine_brackets(fun, a, b, fa, rel_width: float, rows=None):
@@ -329,7 +323,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
              for i, s, col in zip(crossed.tolist(), found, columns)]
     roots += [(s, 0.0, (s, s)) for s in grid[zero].tolist()]
     pieces, tangencies = [], []
-    near = config.tangency_rtol * abs(eq.target)
+    near = TANGENCY_RTOL * abs(eq.target)
     for i, s_c, (h_c, _) in zip(turning.tolist(), found[crossed.size:],
                                 columns[crossed.size:]):
         (lo, hi), (h_lo, h_hi) = grid[i:i + 2].tolist(), hvals[i:i + 2].tolist()

@@ -222,6 +222,14 @@ class TestPlotData:
         text = out_file.read_text()
         assert text.startswith("s,g,target,is_root\n")
 
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, BATTERY["cases"][0], 3.0)
+        out_file = tmp_path / "missing" / "curve.csv"
+        code, out, err = run_cli(capsys, "plot-data", "-c", path, "-o", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: cannot write {out_file}: ")
+        assert err.count("\n") == 1 and not out_file.parent.exists()
+
     def test_no_system_check(self, tmp_path, capsys):
         # plot-data prints the scan and its roots only: the 2-D check box
         # around the root 2.5e307 would reach past a double, and that does
@@ -269,6 +277,26 @@ class TestExitCodes:
         path = write_config(tmp_path, dict(BATTERY["cases"][0], kernel="s +"), 3.0)
         code, _, err = run_cli(capsys, "analyze", "-c", str(path))
         assert code == 2 and "config error" in err
+
+    @pytest.mark.parametrize("kernel", [
+        "-" * 3000 + "s", "+".join(["s"] * 400), "(" * 1500 + "s" + ")" * 1500,
+        "^".join(["s"] * 2001)], ids=["minus-chain", "sum", "parentheses", "tower"])
+    def test_overlong_kernel_is_config_error(self, tmp_path, capsys, kernel):
+        path = write_config(tmp_path, dict(BATTERY["cases"][0], kernel=kernel), 3.0)
+        code, out, err = run_cli(capsys, "analyze", "-c", path)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: bad kernel expression: kernel longer than 200")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "is not valid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "analyze", "-c", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and message in err
 
     def test_domain_violation(self, tmp_path, capsys):
         case = dict(BATTERY["cases"][4])  # exterior
@@ -330,13 +358,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra, message", [
         # JSON reads 1e999 as inf; json.dumps writes it back as Infinity.
         ({"scan": {"s_max": math.inf}}, "scan window"),
-        ({"scan": {"tangency_rtol": -1}}, "tangency_rtol"),
-        ({"scan": {"tangency_rtol": math.nan}}, "tangency_rtol"),
-        ({"scan": {"tangency_rtol": math.inf}}, "tangency_rtol"),
-        ({"geometry": {"kind": "ball", "dim": 2, "radius": 1.0,
-                       "center": [math.inf, 0]}}, "center"),
-        ({"geometry": {"kind": "ball", "dim": 2, "radius": 1.0,
-                       "center": [math.nan, 0]}}, "center"),
+        pytest.param({"geometry": {"kind": "ball", "dim": 2, "radius": 1.0,
+                                   "center": [math.inf, 0]}}, "center", id="extra4-center"),
+        pytest.param({"geometry": {"kind": "ball", "dim": 2, "radius": 1.0,
+                                   "center": [math.nan, 0]}}, "center", id="extra5-center"),
     ])
     def test_non_finite_scan_or_center_is_domain_error(self, tmp_path, capsys,
                                                        command, extra, message):

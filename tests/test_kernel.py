@@ -8,16 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from odkirch import kernel
 from odkirch.errors import KernelEvalError, KernelSyntaxError
-from odkirch.kernel import (
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Var,
-    eval_kernel,
-    kernel_to_string,
-    parse_kernel,
-)
+from odkirch.kernel import MAX_TOKENS, eval_kernel, kernel_to_string, parse_kernel
 
 from conftest import load_corpus
 
@@ -32,50 +23,57 @@ def py_eval(text, s, t):
     return eval(text.replace("^", "**"), {"__builtins__": {}}, env)
 
 
+S, T = ("s",), ("t",)
+
+
+def num(value):
+    return ("num", float(value))
+
+
 class TestParsing:
     def test_precedence(self):
-        assert parse_kernel("1 + 2 * 3") == BinOp(
-            "+", Num(1.0), BinOp("*", Num(2.0), Num(3.0))
-        )
-        assert parse_kernel("2 * 3 ^ 2") == BinOp(
-            "*", Num(2.0), BinOp("^", Num(3.0), Num(2.0))
-        )
+        assert parse_kernel("1 + 2 * 3") == ("+", num(1), ("*", num(2), num(3)))
+        assert parse_kernel("2 * 3 ^ 2") == ("*", num(2), ("^", num(3), num(2)))
 
     def test_left_associativity(self):
-        assert parse_kernel("1 - 2 - 3") == BinOp(
-            "-", BinOp("-", Num(1.0), Num(2.0)), Num(3.0)
-        )
-        assert parse_kernel("8 / 4 / 2") == BinOp(
-            "/", BinOp("/", Num(8.0), Num(4.0)), Num(2.0)
-        )
+        assert parse_kernel("1 - 2 - 3") == ("-", ("-", num(1), num(2)), num(3))
+        assert parse_kernel("8 / 4 / 2") == ("/", ("/", num(8), num(4)), num(2))
 
     def test_power_right_associative(self):
-        assert parse_kernel("2 ^ 3 ^ 2") == BinOp(
-            "^", Num(2.0), BinOp("^", Num(3.0), Num(2.0))
-        )
+        assert parse_kernel("2 ^ 3 ^ 2") == ("^", num(2), ("^", num(3), num(2)))
         assert eval_kernel(parse_kernel("2^3^2"), 1.0, 1.0) == 512.0
 
     def test_unary_minus_binds_looser_than_power(self):
         # -s^2 is -(s^2), not (-s)^2.
-        assert parse_kernel("-s^2") == Neg(BinOp("^", Var("s"), Num(2.0)))
+        assert parse_kernel("-s^2") == ("neg", ("^", S, num(2)))
         assert eval_kernel(parse_kernel("-s^2"), 3.0, 0.0) == -9.0
         assert eval_kernel(parse_kernel("(-s)^2"), 3.0, 0.0) == 9.0
 
     def test_power_with_signed_exponent(self):
-        assert parse_kernel("s^-1") == BinOp("^", Var("s"), Neg(Num(1.0)))
+        assert parse_kernel("s^-1") == ("^", S, ("neg", num(1)))
         assert eval_kernel(parse_kernel("s^-1"), 4.0, 0.0) == 0.25
 
     def test_calls(self):
-        assert parse_kernel("min(s, t)") == Call("min", (Var("s"), Var("t")))
-        assert parse_kernel("exp(-s)") == Call("exp", (Neg(Var("s")),))
+        assert parse_kernel("min(s, t)") == ("min", S, T)
+        assert parse_kernel("exp(-s)") == ("exp", ("neg", S))
 
     def test_scientific_notation(self):
-        assert parse_kernel("2e-3") == Num(0.002)
-        assert parse_kernel("1.5E2") == Num(150.0)
-        assert parse_kernel(".5") == Num(0.5)
+        assert parse_kernel("2e-3") == num(0.002)
+        assert parse_kernel("1.5E2") == num(150)
+        assert parse_kernel(".5") == num(0.5)
 
     def test_whitespace_insensitive(self):
         assert parse_kernel(" 1+ s *t ") == parse_kernel("1+s*t")
+
+
+# log(s - 1), 6 tokens, inside a chain of minus signs, a sum, nested
+# parentheses and a tower of powers, each as deep as MAX_TOKENS allows;
+# then the same four forms too long to parse, and one token past the cap.
+LOG = "log(s-1)"
+AT_CAP = ["-" * 194 + LOG, "s+" * 97 + LOG, "(" * 97 + LOG + ")" * 97, "s^" * 97 + LOG]
+PAST_CAP = ["-" * 3000 + "s", "+".join(["s"] * 400), "(" * 1500 + "s" + ")" * 1500,
+            "^".join(["s"] * 2001), "s+" * 100 + "s"]
+DEEP_IDS = ["minus-chain", "sum", "parentheses", "tower"]
 
 
 class TestSyntaxErrors:
@@ -102,6 +100,14 @@ class TestSyntaxErrors:
     def test_unknown_variable_named(self):
         with pytest.raises(KernelSyntaxError, match="unknown identifier 'x'"):
             parse_kernel("x + 1")
+
+    @pytest.mark.parametrize("text", PAST_CAP, ids=DEEP_IDS + ["one-past"])
+    def test_longer_kernel_is_an_error(self, text):
+        # Every token is one character: the first past the cap is at offset
+        # MAX_TOKENS.
+        with pytest.raises(KernelSyntaxError, match=f"longer than {MAX_TOKENS} tokens") as exc:
+            parse_kernel(text)
+        assert exc.value.offset == MAX_TOKENS
 
 
 class TestRoundTrip:
@@ -136,22 +142,16 @@ class TestRoundTrip:
 def random_trees(max_depth=4):
     """Hypothesis strategy over kernel syntax trees."""
     leaves = st.one_of(
-        st.floats(0.1, 5.0).map(lambda v: Num(float(repr(v)))),
-        st.sampled_from([Var("s"), Var("t")]),
+        st.floats(0.1, 5.0).map(lambda v: num(repr(v))),
+        st.sampled_from([S, T]),
     )
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from("+-*"), children, children).map(
-                lambda t: BinOp(t[0], t[1], t[2])
-            ),
-            children.map(Neg),
-            st.tuples(st.sampled_from(["exp", "abs"]), children).map(
-                lambda t: Call(t[0], (t[1],))
-            ),
-            st.tuples(st.sampled_from(["min", "max"]), children, children).map(
-                lambda t: Call(t[0], (t[1], t[2]))
-            ),
+            st.tuples(st.sampled_from("+-*"), children, children),
+            children.map(lambda c: ("neg", c)),
+            st.tuples(st.sampled_from(["exp", "abs"]), children),
+            st.tuples(st.sampled_from(["min", "max"]), children, children),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
@@ -268,6 +268,35 @@ class TestSlope:
         assert exc.value.subexpr == "1.0/(s - 1.0)"
 
 
+class TestDepth:
+    @pytest.mark.parametrize("text", AT_CAP, ids=DEEP_IDS)
+    def test_deepest_kernels_evaluate_and_fault(self, text):
+        assert len(kernel._tokenize(text)) == MAX_TOKENS + 1  # and the end token
+        tree = parse_kernel(text)
+        if text.startswith("-"):
+            # --x prints as -(-x), two tokens more a level.
+            with pytest.raises(KernelSyntaxError, match="longer than"):
+                parse_kernel(kernel_to_string(tree))
+        else:
+            assert parse_kernel(kernel_to_string(tree)) == tree
+        assert_slope_matches(tree, 1.2, 0.5)
+        with pytest.raises(KernelEvalError) as exc:
+            eval_kernel(tree, 1.0, 0.5, slope=SLOPE_DIRECTION)
+        assert (exc.value.subexpr, exc.value.point) == ("log(s - 1.0)", (1.0, 0.5))
+
+
+class TestCompileCache:
+    def test_equal_texts_share_one_closure(self):
+        first, second = parse_kernel("exp(-s)"), parse_kernel(" exp( - s ) ")
+        assert first == second and first is not second
+        kernel._compile.cache_clear()
+        closure = kernel._compile(first)
+        # One miss per distinct subtree: exp(-s), -s and s.
+        assert kernel._compile.cache_info()[:2] == (0, 3)
+        assert kernel._compile(second) is closure
+        assert kernel._compile.cache_info()[:2] == (1, 3)
+
+
 class TestEvaluation:
     def test_scalar_returns_float(self):
         out = eval_kernel(parse_kernel("s + t"), 1.0, 2.0)
@@ -318,23 +347,17 @@ def parity_trees():
     """Trees over every operation, with literals that make 1/0, log(0),
     exp overflow and 1^inf reachable."""
     leaves = st.one_of(
-        st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0]).map(Num),
-        st.floats(0.1, 5.0).map(lambda v: Num(float(repr(v)))),
-        st.sampled_from([Var("s"), Var("t")]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0]).map(num),
+        st.floats(0.1, 5.0).map(lambda v: num(repr(v))),
+        st.sampled_from([S, T]),
     )
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from("+-*/^"), children, children).map(
-                lambda t: BinOp(t[0], t[1], t[2])
-            ),
-            children.map(Neg),
-            st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs"]), children).map(
-                lambda t: Call(t[0], (t[1],))
-            ),
-            st.tuples(st.sampled_from(["min", "max"]), children, children).map(
-                lambda t: Call(t[0], (t[1], t[2]))
-            ),
+            st.tuples(st.sampled_from("+-*/^"), children, children),
+            children.map(lambda c: ("neg", c)),
+            st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs"]), children),
+            st.tuples(st.sampled_from(["min", "max"]), children, children),
         )
 
     return st.recursive(leaves, extend, max_leaves=10)

@@ -19,6 +19,11 @@ in-process once per operation:
   verify and norms, as text and with --json, at amplitude_scale 1.0, 1.05
   and 0.9, and plot-data (the scan grid and the roots, which do not depend
   on amplitude_scale) once;
+- analyze, as text and with --json, for every kernel of
+  tests/fixtures/kernel_corpus.txt on the two geometries of
+  `test_corpus_kernels` (ball n=3 R=1.2 p=2 q=3 and exterior n=3 p=4 q=2,
+  k=1) at lambda 0.3 and 3, which compares the printed kernels and the
+  kernel fault messages;
 - selftest;
 - analyze, verify and norms, as text and with --json, and plot-data on each
   CONFIG given, and on every config that `benchmarks/workloads.generate`
@@ -55,6 +60,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BATTERY = ROOT / "tests" / "fixtures" / "battery.json"
+CORPUS = ROOT / "tests" / "fixtures" / "kernel_corpus.txt"
 BENCHMARKS = ROOT / "benchmarks"
 COMMANDS = ("analyze", "verify", "norms")
 SCALES = (1.0, 1.05, 0.9)
@@ -104,6 +110,20 @@ def battery_configs():
                 yield f"{case['name']} lambda={lam!r} scale={scale}", doc
 
 
+def corpus_configs():
+    """(label, config document) for every corpus kernel on the geometries of
+    test_corpus_kernels in tests/test_reduction.py."""
+    lines = CORPUS.read_text().splitlines()
+    kernels = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+    for gdoc, p, q in (({"kind": "ball", "dim": 3, "radius": 1.2}, 2.0, 3.0),
+                       ({"kind": "exterior", "dim": 3}, 4.0, 2.0)):
+        for kernel in kernels:
+            for lam in (0.3, 3.0):
+                doc = {"schema_version": 1, "geometry": gdoc, "k": 1, "p": p,
+                       "q": q, "lambda": lam, "kernel": kernel}
+                yield f"corpus {gdoc['kind']} {kernel!r} lambda={lam}", doc
+
+
 def workload_configs(seed: int):
     """(label, config document) of every instance of the benchmark workloads
     at seed, in run order."""
@@ -117,22 +137,26 @@ def workload_configs(seed: int):
 
 
 def operations(workdir: Path, extra_configs, workload_seeds=()):
-    """(label, argv) of every operation; battery and workload configs are
-    written to workdir."""
-    paths = []
+    """(label, argv) of every operation; battery, corpus and workload configs
+    are written to workdir."""
+    paths = []    # (label, config path, commands, plot-data too)
     for i, (label, doc) in enumerate(battery_configs()):
         path = workdir / f"battery{i:03d}.json"
         path.write_text(json.dumps(doc))
-        paths.append((label, str(path), doc["amplitude_scale"] == 1.0))
-    paths.extend((str(p), str(Path(p).resolve()), True) for p in extra_configs)
+        paths.append((label, str(path), COMMANDS, doc["amplitude_scale"] == 1.0))
+    for i, (label, doc) in enumerate(corpus_configs()):
+        path = workdir / f"corpus{i:03d}.json"
+        path.write_text(json.dumps(doc))
+        paths.append((label, str(path), ("analyze",), False))
+    paths.extend((str(p), str(Path(p).resolve()), COMMANDS, True) for p in extra_configs)
     for seed in workload_seeds:
         for i, (label, doc) in enumerate(workload_configs(seed)):
             path = workdir / f"workload{seed}-{i:03d}.json"
             path.write_text(json.dumps(doc))
-            paths.append((label, str(path), True))
+            paths.append((label, str(path), COMMANDS, True))
     ops = [("selftest", ["selftest"])]
-    for label, path, plot in paths:
-        for command in COMMANDS:
+    for label, path, commands, plot in paths:
+        for command in commands:
             for flags in ([], ["--json"]):
                 ops.append((f"{command}{' --json' if flags else ''} [{label}]",
                             [command, "-c", path, *flags]))
