@@ -19,7 +19,7 @@ from .reduction import (ProblemInstance, ReducedEquation, RootInfo,
                         ScanConfig, Solution, SolutionStructure,
                         build_reduced, roots_to_solutions, solve_roots,
                         system_count_check)
-from .specialfun import beta, incomplete_beta, log_gamma, sphere_area
+from .specialfun import incomplete_beta, log_gamma, sphere_area
 from .verifier import (THRESHOLDS, GammaReport, KelvinReport, ResidualReport,
                        gamma_scaling_check, judge_kelvin, judge_solution,
                        kelvin_checks, kelvin_transform, perturb_solution,

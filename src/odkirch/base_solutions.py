@@ -61,17 +61,16 @@ class RadialProfile:
             r_max=self.r_max,
         )
 
-    def as_field(self, center=None) -> Callable:
+    def as_field(self, center) -> Callable:
         """Field x -> phi(|x - center|) on points x of shape (..., n).
 
         The values have shape (...), a scalar for one point (n,); `row_dot`
         rounds each point as d @ d does, so stacking points changes no value.
         """
-        c = None if center is None else np.asarray(center, dtype=float)
+        c = np.asarray(center, dtype=float)
 
         def u(x):
-            x = np.asarray(x, dtype=float)
-            d = x if c is None else x - c
+            d = np.asarray(x, dtype=float) - c
             return self.phi(np.sqrt(row_dot(d, d)))
 
         return u
@@ -92,13 +91,22 @@ def _is_finite_exponent(x: float) -> bool:
     return True
 
 
+def _nonzero(norm: float, what: str) -> float:
+    """A closed-form norm; DomainError when it underflows to 0."""
+    if norm == 0.0:
+        raise DomainError(f"closed-form {what} underflows to 0")
+    return norm
+
+
 def _exp_norm(log_norm: float, what: str) -> float:
-    """A closed-form norm exp(log_norm); DomainError when it overflows a double."""
+    """A closed-form norm exp(log_norm); DomainError when it overflows a
+    double or underflows to 0."""
     try:
-        return math.exp(log_norm)
+        norm = math.exp(log_norm)
     except OverflowError:
         raise DomainError(f"closed-form {what} = exp({log_norm:.6g}) "
                           "overflows a double") from None
+    return _nonzero(norm, f"{what} = exp({log_norm:.6g})")
 
 
 def _log_beta(x: float, y: float) -> float:
@@ -158,7 +166,7 @@ class BallGeometry:
         self.check_exponents(p=p)
         n, radius = self.n, self.radius
         if p == _INF:
-            return 0.5 * radius ** 2
+            return _nonzero(0.5 * radius ** 2, "||U||_inf")
         log_pow = (-(p + 1.0) * math.log(2.0)
                    + math.log(sphere_area(n))
                    + (2.0 * p + n) * math.log(radius)

@@ -6,7 +6,7 @@ Subcommands:
     verify     re-derive everything numerically and pass/fail the candidates
     norms      closed-form norms against the quadrature oracle
     plot-data  CSV of the reduced equation for external plotting
-    selftest   quick self-contained sanity battery, no configuration needed
+    selftest   verify and norms on three built-in instances, no config needed
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (including a plot-data output file that cannot be opened for writing),
@@ -19,22 +19,35 @@ significant digits.
 """
 
 import argparse
+import io
 import json
 import math
 import sys
 
 import numpy as np
 
-from .base_solutions import BallGeometry, norm_quadrature
-from .config import SCHEMA_VERSION, RunConfig, config_to_dict, exponent_doc, load_config
+from .base_solutions import norm_quadrature
+from .config import (SCHEMA_VERSION, RunConfig, build_config, config_to_dict,
+                     exponent_doc, load_config)
 from .errors import (ConfigError, DomainError, KernelEvalError,
-                     KernelSyntaxError, QuadratureError)
-from .hessian import binomial, k_hessian_radial
-from .kernel import eval_kernel, kernel_to_string, parse_kernel
-from .reduction import (ProblemInstance, ScanConfig, build_reduced,
-                        roots_to_solutions, solve_roots, system_count_check)
-from .specialfun import beta, incomplete_beta, sphere_area
+                     KernelSyntaxError, OdkirchError, QuadratureError)
+from .reduction import (build_reduced, roots_to_solutions, solve_roots,
+                        system_count_check)
 from .verifier import THRESHOLDS, judge_kelvin, judge_solution, perturb_solution
+
+# The instances selftest runs through verify and norms: the constant-kernel
+# ball whose one root is s = 0.75, a 2-Hessian ball, and an exterior domain,
+# whose finite-q gradient norm goes through incomplete_beta and whose verify
+# run includes the Kelvin suite.  Kernels that read t make a wrong gradient
+# norm move the roots.
+_SELFTEST = (
+    {"schema_version": 1, "geometry": {"kind": "ball", "dim": 2, "radius": 1.0},
+     "k": 1, "p": "inf", "q": 2.0, "lambda": 3.0, "kernel": "1"},
+    {"schema_version": 1, "geometry": {"kind": "ball", "dim": 4, "radius": 2.0},
+     "k": 2, "p": 2.0, "q": 2.0, "lambda": 1.0, "kernel": "1 + t"},
+    {"schema_version": 1, "geometry": {"kind": "exterior", "dim": 3},
+     "k": 1, "p": 4.0, "q": 2.0, "lambda": 1.0, "kernel": "1 + t"},
+)
 
 
 def _format_float(x: float) -> str:
@@ -268,72 +281,18 @@ def cmd_plot_data(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _selftest_checks():
-    def sphere_areas():
-        return (abs(sphere_area(2) - 2 * math.pi) < 1e-12
-                and abs(sphere_area(3) - 4 * math.pi) < 1e-12
-                and abs(sphere_area(4) - 2 * math.pi ** 2) < 1e-12)
-
-    def beta_identity():
-        lhs = beta(2.5, 3.5)
-        rhs = math.gamma(2.5) * math.gamma(3.5) / math.gamma(6.0)
-        return abs(lhs - rhs) < 1e-14 and abs(beta(2.5, 3.5) - beta(3.5, 2.5)) < 1e-15
-
-    def incomplete_beta_values():
-        full = abs(incomplete_beta(1.0, 2.0, 3.0) - beta(2.0, 3.0)) < 1e-12
-        # integral of t (1-t)^(-2) over [0, 2/3] has the closed value 2 - ln 3
-        neg = abs(incomplete_beta(2.0 / 3.0, 2.0, -1.0) - (2.0 - math.log(3.0))) < 1e-10
-        return full and neg
-
-    def ball_hessian_constant():
-        geom = BallGeometry(n=4, radius=2.0)
-        prof = geom.profile()
-        vals = k_hessian_radial(prof, np.array([0.3, 1.0, 1.9]), 4, 2)
-        return bool(np.all(np.abs(vals - binomial(4, 2)) < 1e-12))
-
-    def norm_agreement():
-        geom = BallGeometry(n=3, radius=1.0)
-        closed = geom.norm_u(2.0)
-        quad = norm_quadrature(geom.profile().phi, 2.0, 3, 0.0, 1.0)
-        return abs(closed - quad) / closed < 1e-9
-
-    def kernel_round_trip():
-        for text in ("1", "s*t", "-s^2", "min(s, t)/2", "exp(-(s-2)^2)"):
-            tree = parse_kernel(text)
-            if parse_kernel(kernel_to_string(tree)) != tree:
-                return False
-        return abs(eval_kernel(parse_kernel("2^-2"), 1.0, 1.0) - 0.25) < 1e-15
-
-    def constant_kernel_root():
-        inst = ProblemInstance(geometry=BallGeometry(n=2, radius=1.0), k=1,
-                               p=math.inf, q=2.0, lam=3.0, kernel="1")
-        structure = solve_roots(build_reduced(inst))
-        if structure.count != 1:
-            return False
-        root = structure.roots[0]
-        return abs(root.s - 0.75) < 1e-10 and abs(root.c - 1.5) < 1e-10
-
-    return [
-        ("sphere areas", sphere_areas),
-        ("beta identity", beta_identity),
-        ("incomplete beta", incomplete_beta_values),
-        ("ball k-hessian constant", ball_hessian_constant),
-        ("norm closed vs quadrature", norm_agreement),
-        ("kernel round-trip", kernel_round_trip),
-        ("constant kernel root", constant_kernel_root),
-    ]
-
-
 def cmd_selftest(out) -> int:
     failures = 0
-    for name, check in _selftest_checks():
-        try:
-            ok = bool(check())
-        except Exception as exc:  # a selftest must never crash the reporter
-            ok = False
-            out.write(f"selftest {name}: raised {type(exc).__name__}: {exc}\n")
-        out.write(f"selftest {name}: {'PASS' if ok else 'FAIL'}\n")
-        failures += 0 if ok else 1
+    for doc in _SELFTEST:
+        geometry = doc["geometry"]
+        case = f"{geometry['kind']} n={geometry['dim']} k={doc['k']}"
+        for name, command in (("verify", cmd_verify), ("norms", cmd_norms)):
+            try:
+                ok, note = command(build_config(doc), False, io.StringIO()) == 0, ""
+            except OdkirchError as exc:
+                ok, note = False, f" ({type(exc).__name__}: {exc})"
+            out.write(f"selftest {case} {name}: {'PASS' if ok else 'FAIL'}{note}\n")
+            failures += 0 if ok else 1
     out.write(f"selftest: {'all passed' if failures == 0 else f'{failures} failed'}\n")
     return 0 if failures == 0 else 1
 
@@ -357,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-c", "--config", required=True)
     sp.add_argument("-o", "--output", default="-",
                     help="output file, '-' for stdout (default)")
-    sub.add_parser("selftest", help="quick sanity battery, no config needed")
+    sub.add_parser("selftest", help="verify and norms on built-in instances")
     return parser
 
 

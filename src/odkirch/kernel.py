@@ -74,8 +74,8 @@ def _select(before, pick):
 
 # Precedence levels: 1 for + -, 2 for * /, 3 for negation, 4 for ^, 5 for
 # calls and leaves.  The right operand of + - prints bare from level 2, as
-# they group to the left; the grammar reads a signed operand after * / and ^,
-# and only an atom as the base of ^.
+# they group to the left; the grammar reads a signed operand after * /, ^ and
+# negation, and only an atom as the base of ^.
 _OPS = {
     "+": _Op(operator.add, 1, "{} + {}", (1, 2), False, _chain(None, None)),
     "-": _Op(operator.sub, 1, "{} - {}", (1, 2), False, _chain(None, lambda a, b, v: -1.0)),
@@ -83,7 +83,7 @@ _OPS = {
              _chain(lambda a, b, v: b, lambda a, b, v: a)),
     "/": _Op(np.divide, 2, "{}/{}", (2, 3), True,
              _chain(lambda a, b, v: 1.0 / b, lambda a, b, v: -v / b)),
-    "neg": _Op(operator.neg, 3, "-{}", (4,), False, _chain(lambda a, v: -1.0)),
+    "neg": _Op(operator.neg, 3, "-{}", (3,), False, _chain(lambda a, v: -1.0)),
     "^": _Op(np.power, 4, "{}^{}", (5, 3), True,
              _chain(lambda a, b, v: b * a ** (b - 1.0), lambda a, b, v: v * np.log(a))),
     "exp": _Op(np.exp, 5, "exp({})", (0,), True, _chain(lambda a, v: v)),
@@ -230,8 +230,8 @@ def kernel_to_string(node) -> str:
     """Render a syntax tree with minimal parentheses.
 
     Re-parsing the rendered text reproduces the tree exactly (the printer and
-    the grammar agree on precedence and associativity) while it stays within
-    MAX_TOKENS; --x prints as -(-x).
+    the grammar agree on precedence and associativity), and the text has no
+    more tokens than any source of the tree, so it stays within MAX_TOKENS.
     """
     return _render(node, 0)
 

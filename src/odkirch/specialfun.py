@@ -23,13 +23,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def beta(x: float, y: float) -> float:
-    """Euler beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0."""
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
-
-
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2);
     DomainError from n = 439 on, where it is below the smallest normal double."""
@@ -44,9 +37,8 @@ def sphere_area(n: int) -> float:
 def incomplete_beta(z: float, x: float, y: float, rel_tol: float = 1e-12) -> float:
     """Lower incomplete beta B_z(x, y) = integral of t^(x-1) (1-t)^(y-1) over [0, z].
 
-    Requires x > 0 so the integrand is integrable at t = 0.  The second
-    argument y may be any real number, including y <= 0, provided z < 1; for
-    y > 0 the full range z = 1 is allowed and recovers B(x, y).
+    Requires x > 0 so the integrand is integrable at t = 0, and 0 <= z < 1,
+    so the second argument y may be any real number, including y <= 0.
 
     For x < 1 the leftmost stretch is integrated under the substitution
     t = u**(1/x), which absorbs the t**(x-1) endpoint singularity into the
@@ -54,16 +46,8 @@ def incomplete_beta(z: float, x: float, y: float, rel_tol: float = 1e-12) -> flo
     """
     if not (x > 0.0):
         raise DomainError(f"incomplete_beta requires x > 0, got x = {x}")
-    if not (0.0 <= z <= 1.0):
-        raise DomainError(f"incomplete_beta requires 0 <= z <= 1, got z = {z}")
-    if z == 1.0:
-        if y <= 0.0:
-            raise DomainError(
-                f"incomplete_beta diverges at z = 1 when y <= 0 (y = {y})"
-            )
-        # B_1(x, y) is the complete beta; the gamma form avoids integrating
-        # across the (1 - t)**(y - 1) endpoint singularity when y < 1.
-        return beta(x, y)
+    if not (0.0 <= z < 1.0):
+        raise DomainError(f"incomplete_beta requires 0 <= z < 1, got z = {z}")
     if z == 0.0:
         return 0.0
 

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch.cli import main
 
 from conftest import load_battery
@@ -254,12 +259,44 @@ class TestPlotData:
         assert first == second
 
 
+SELFTEST_CASES = ("ball n=2 k=1", "ball n=4 k=2", "exterior n=3 k=1")
+
+
 class TestSelftest:
     def test_passes(self, capsys):
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            f"selftest {case} {command}: PASS"
+            for case in SELFTEST_CASES for command in ("verify", "norms")
+        ] + ["selftest: all passed"]
+
+    @pytest.mark.parametrize("geometry, norm, failing", [
+        (BallGeometry, "norm_u", SELFTEST_CASES[:2]),
+        (ExteriorGeometry, "norm_grad", SELFTEST_CASES[2:]),
+    ])
+    def test_wrong_closed_form_fails(self, capsys, monkeypatch, geometry, norm,
+                                     failing):
+        closed = getattr(geometry, norm)
+        monkeypatch.setattr(geometry, norm,
+                            lambda self, exponent: 1.05 * closed(self, exponent))
         code, out, _ = run_cli(capsys, "selftest")
-        assert code == 0
-        assert out.count("PASS") == 7
-        assert "all passed" in out
+        assert code == 1
+        for case in SELFTEST_CASES:
+            for command in ("verify", "norms"):
+                flag = "FAIL" if case in failing else "PASS"
+                assert f"selftest {case} {command}: {flag}\n" in out
+        assert f"selftest: {2 * len(failing)} failed\n" in out
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "odkirch.cli",
+             "selftest"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.count(": PASS\n") == 6
 
 
 class TestExitCodes:
@@ -324,6 +361,26 @@ class TestExitCodes:
         path = write_config(tmp_path, case, 1.0)
         code, out, err = run_cli(capsys, command, "-c", path)
         assert code == 3 and "domain error" in err and "overflows" in err
+        assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "norms"])
+    @pytest.mark.parametrize("radius, p, q, norm", [
+        (1e-100, 2.0, 2.0, "||U||_2"),
+        (1e-100, 2.0, "inf", "||U||_2"),
+        (1e-162, "inf", 2.0, "||U||_inf"),
+        (1e-162, "inf", "inf", "||U||_inf"),
+        (1e-150, "inf", 2.0, "||grad U||_2"),
+    ])
+    def test_closed_form_norm_underflow_is_domain_error(self, tmp_path, capsys,
+                                                        command, radius, p, q, norm):
+        # ||U||_2 is about R^3.5, ||U||_inf = R^2 / 2 and ||grad U||_2 about
+        # R^2.5: each is 0 in a double.
+        case = {"geometry": {"kind": "ball", "n": 3, "radius": radius},
+                "k": 1, "p": p, "q": q, "kernel": "1 + t"}
+        path = write_config(tmp_path, case, 1.0)
+        code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and "domain error" in err
+        assert f"closed-form {norm}" in err and "underflows to 0" in err
         assert out == "" and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "norms"])

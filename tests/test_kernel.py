@@ -116,6 +116,7 @@ class TestRoundTrip:
             tree = parse_kernel(text)
             printed = kernel_to_string(tree)
             assert parse_kernel(printed) == tree, text
+            assert len(kernel._tokenize(printed)) <= len(kernel._tokenize(text)), text
 
     def test_corpus_semantics_stable(self, corpus):
         rng = np.random.default_rng(3)
@@ -273,12 +274,9 @@ class TestDepth:
     def test_deepest_kernels_evaluate_and_fault(self, text):
         assert len(kernel._tokenize(text)) == MAX_TOKENS + 1  # and the end token
         tree = parse_kernel(text)
-        if text.startswith("-"):
-            # --x prints as -(-x), two tokens more a level.
-            with pytest.raises(KernelSyntaxError, match="longer than"):
-                parse_kernel(kernel_to_string(tree))
-        else:
-            assert parse_kernel(kernel_to_string(tree)) == tree
+        printed = kernel_to_string(tree)
+        assert parse_kernel(printed) == tree
+        assert len(kernel._tokenize(printed)) <= len(kernel._tokenize(text))
         assert_slope_matches(tree, 1.2, 0.5)
         with pytest.raises(KernelEvalError) as exc:
             eval_kernel(tree, 1.0, 0.5, slope=SLOPE_DIRECTION)
