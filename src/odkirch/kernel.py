@@ -14,18 +14,14 @@ gradient norm).  Grammar, in EBNF:
 (op, *operands), op a key of `_OPS`, the one place where an operation is
 defined; a leaf is ("num", value), ("s",) or ("t",).
 
-Each tree is compiled once into a closure of numpy ufuncs, applied in the
-order and on the operand types of the tree walk, so its values are the walk's
-bit for bit.  Evaluation is vectorized over numpy arrays, and can carry the
-slope along (ds, dt) by the slope rules of `_OPS` (forward mode), one-sided
-for a step forward at the kinks of abs, min and max.  A non-finite value
-stays non-finite through +, -, *, negation, log, sqrt and abs, so the compiled
-closure checks finiteness only at its result and on the operands of /, ^,
-exp, min and max, through which a non-finite value can turn finite again
-(1/inf, exp(-inf), min(inf, s), 1^nan).  When a check fails the tree is
-walked node by node, so division by zero, log of a non-positive value or
-overflow surface as KernelEvalError naming the first offending subexpression
-and point instead of silently propagating nan through a root scan.
+Each tree is compiled once into a closure of numpy ufuncs, one per node, run
+children first and left to right.  Evaluation is vectorized over numpy
+arrays, and can carry the slope along (ds, dt) by the slope rules of `_OPS`
+(forward mode), one-sided for a step forward at the kinks of abs, min and
+max.  Every node checks its own value, so division by zero, log of a
+non-positive value, overflow or a non-finite input surface as KernelEvalError
+naming the first offending subexpression and point instead of silently
+propagating nan through a root scan.
 """
 
 import operator
@@ -48,7 +44,6 @@ class _Op(NamedTuple):
     level: int              # printer precedence level; higher binds tighter
     form: str               # printed form, one "{}" per operand
     operand_levels: tuple   # least level at which each operand prints bare
-    absorbing: bool         # the result can be finite while an operand is not
     slope: Callable         # (operands, their slopes, value) -> slope of value
 
 
@@ -77,21 +72,20 @@ def _select(before, pick):
 # they group to the left; the grammar reads a signed operand after * /, ^ and
 # negation, and only an atom as the base of ^.
 _OPS = {
-    "+": _Op(operator.add, 1, "{} + {}", (1, 2), False, _chain(None, None)),
-    "-": _Op(operator.sub, 1, "{} - {}", (1, 2), False, _chain(None, lambda a, b, v: -1.0)),
-    "*": _Op(operator.mul, 2, "{}*{}", (2, 3), False,
-             _chain(lambda a, b, v: b, lambda a, b, v: a)),
-    "/": _Op(np.divide, 2, "{}/{}", (2, 3), True,
+    "+": _Op(operator.add, 1, "{} + {}", (1, 2), _chain(None, None)),
+    "-": _Op(operator.sub, 1, "{} - {}", (1, 2), _chain(None, lambda a, b, v: -1.0)),
+    "*": _Op(operator.mul, 2, "{}*{}", (2, 3), _chain(lambda a, b, v: b, lambda a, b, v: a)),
+    "/": _Op(np.divide, 2, "{}/{}", (2, 3),
              _chain(lambda a, b, v: 1.0 / b, lambda a, b, v: -v / b)),
-    "neg": _Op(operator.neg, 3, "-{}", (3,), False, _chain(lambda a, v: -1.0)),
-    "^": _Op(np.power, 4, "{}^{}", (5, 3), True,
+    "neg": _Op(operator.neg, 3, "-{}", (3,), _chain(lambda a, v: -1.0)),
+    "^": _Op(np.power, 4, "{}^{}", (5, 3),
              _chain(lambda a, b, v: b * a ** (b - 1.0), lambda a, b, v: v * np.log(a))),
-    "exp": _Op(np.exp, 5, "exp({})", (0,), True, _chain(lambda a, v: v)),
-    "log": _Op(np.log, 5, "log({})", (0,), False, _chain(lambda a, v: 1.0 / a)),
-    "sqrt": _Op(np.sqrt, 5, "sqrt({})", (0,), False, _chain(lambda a, v: 0.5 / v)),
-    "abs": _Op(np.abs, 5, "abs({})", (0,), False, _select(np.greater, np.maximum)),
-    "min": _Op(np.minimum, 5, "min({}, {})", (0, 0), True, _select(np.less, np.minimum)),
-    "max": _Op(np.maximum, 5, "max({}, {})", (0, 0), True, _select(np.greater, np.maximum)),
+    "exp": _Op(np.exp, 5, "exp({})", (0,), _chain(lambda a, v: v)),
+    "log": _Op(np.log, 5, "log({})", (0,), _chain(lambda a, v: 1.0 / a)),
+    "sqrt": _Op(np.sqrt, 5, "sqrt({})", (0,), _chain(lambda a, v: 0.5 / v)),
+    "abs": _Op(np.abs, 5, "abs({})", (0,), _select(np.greater, np.maximum)),
+    "min": _Op(np.minimum, 5, "min({}, {})", (0, 0), _select(np.less, np.minimum)),
+    "max": _Op(np.maximum, 5, "max({}, {})", (0, 0), _select(np.greater, np.maximum)),
 }
 # The functions kernel text can call, with their number of arguments.
 FUNCTIONS = {name: len(row.operand_levels) for name, row in _OPS.items() if row.level == 5}
@@ -237,36 +231,22 @@ def kernel_to_string(node) -> str:
 
 
 def _first_bad(values, s, t):
-    flat_bad = np.nonzero(~np.isfinite(np.broadcast_to(values, s.shape).ravel()))[0]
-    i = int(flat_bad[0])
+    i = np.flatnonzero(~np.isfinite(np.broadcast_to(values, s.shape)))[0]
     return (float(s.ravel()[i]), float(t.ravel()[i]))
 
 
-def _eval(node, s, t):
-    """Walk the tree, checking every node; the error path of eval_kernel."""
-    op, *args = node
-    if op == "num":
-        v = np.float64(args[0])
-    elif op in VARIABLES:
-        v = s if op == "s" else t
-    else:
-        v = _OPS[op].fn(*[_eval(c, s, t) for c in args])
-    if not np.all(np.isfinite(v)):
-        raise KernelEvalError("non-finite value", kernel_to_string(node),
-                              _first_bad(v, s, t))
-    return v
-
-
-class _NonFinite(Exception):
-    """A compiled finiteness check failed; eval_kernel re-walks the tree."""
+def _fault(node, v, s, t):
+    """Raise node's fault at v's first non-finite point of the grid, if not empty."""
+    s, t = np.broadcast_arrays(s, t)
+    if s.size:
+        raise KernelEvalError("non-finite value", kernel_to_string(node), _first_bad(v, s, t))
 
 
 @cache
 def _compile(node):
     """The closure (s, t, ds, dt) -> (value, slope along (ds, dt)) of node.
-    The value takes _eval's ufuncs in _eval's order, raising _NonFinite where
-    an operand of an absorbing one is not finite.  The slope is unchecked,
-    and None for a constant and when ds and dt are None.
+    Every node checks its value, a literal once here; the slope is
+    unchecked, and None for a constant and when ds and dt are None.
 
     Cached per tree, compared by value: the parser never writes
     ("num", -0.0), the one literal equal to another (0.0) with other bits.
@@ -274,28 +254,35 @@ def _compile(node):
     op, *args = node
     if op == "num":
         v = np.float64(args[0])
+        if not np.isfinite(v):
+            return lambda s, t, ds, dt: _fault(node, v, s, t) or (v, None)
         return lambda s, t, ds, dt: (v, None)
     if op in VARIABLES:
-        return (lambda s, t, ds, dt: (s, ds) if op == "s" else (t, dt))
-    fn, absorbing, slope = _OPS[op].fn, _OPS[op].absorbing, _OPS[op].slope
+        def leaf(s, t, ds, dt):
+            v, dv = (s, ds) if op == "s" else (t, dt)
+            if not np.isfinite(v).all():
+                _fault(node, v, s, t)
+            return v, dv
+        return leaf
+    fn, slope = _OPS[op].fn, _OPS[op].slope
     args = [_compile(c) for c in args]
     if len(args) == 1:
         (a,) = args
 
         def unary(s, t, ds, dt):
             x, dx = a(s, t, ds, dt)
-            if absorbing and not np.isfinite(x).all():
-                raise _NonFinite
             v = fn(x)
+            if not np.isfinite(v).all():
+                _fault(node, v, s, t)
             return v, None if dx is None else slope((x,), (dx,), v)
         return unary
     a, b = args
 
     def binary(s, t, ds, dt):
         (x, dx), (y, dy) = a(s, t, ds, dt), b(s, t, ds, dt)
-        if absorbing and not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise _NonFinite
         v = fn(x, y)
+        if not np.isfinite(v).all():
+            _fault(node, v, s, t)
         return v, None if dx is None and dy is None else slope((x, y), (dx, dy), v)
     return binary
 
@@ -312,18 +299,11 @@ def eval_kernel(node, s, t, slope=None):
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(s_arr.shape, t_arr.shape)
-    # The closure runs on the operands as given, so a subexpression of s
-    # alone costs s.size operations; each value is the same as on the
-    # broadcast grid, elementwise.
+    # The closure runs on the operands as given: a subexpression of s alone
+    # costs s.size operations, each value the same as on the broadcast grid.
     s_1, t_1 = np.atleast_1d(s_arr), np.atleast_1d(t_arr)
     with np.errstate(all="ignore"):
-        try:
-            out, tangent = _compile(node)(s_1, t_1, *(slope or (None, None)))
-            if not np.all(np.isfinite(out)):
-                raise _NonFinite
-        except _NonFinite:
-            # Raises at the first non-finite node, in walk order.
-            out, tangent = _eval(node, *np.broadcast_arrays(s_1, t_1)), None
+        out, tangent = _compile(node)(s_1, t_1, *(slope or (None, None)))
     pair = (out,) if slope is None else (out, 0.0 if tangent is None else tangent)
     outs = [np.array(v if np.shape(v) == shape else np.broadcast_to(v, shape), dtype=float)
             if shape else np.asarray(v, dtype=float).item() for v in pair]

@@ -267,13 +267,15 @@ def gamma_scaling_check(instance: ProblemInstance, solution: Solution,
 
     M is `report.kernel_value`, the kernel at the quadrature-recomputed norms
     of u that `verify` found, so this closes the loop between solver, norms
-    and scaling without shared code.
+    and scaling without shared code.  M > 0 at a true root, where M C(N, k)
+    s^k = lambda ||U||_p^k > 0; for M <= 0 no real gamma exists, and the
+    report is all nan, which fails both gamma checks.
     """
     geom = instance.geometry
     n = geom.n
     m_val = report.kernel_value
     if m_val <= 0.0:
-        raise DomainError(f"kernel value {m_val} not positive at the solution norms")
+        return GammaReport(gamma=math.nan, recovered_amplitude=math.nan, max_pde_dev=math.nan)
     coeff = binomial(n, instance.k)
     gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
     scaled = solution.profile.scale(gamma)

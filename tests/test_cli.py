@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ import pytest
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch.cli import main
+from odkirch.errors import DomainError
 
 from conftest import load_battery
 
@@ -99,6 +101,13 @@ class TestAnalyze:
         assert doc["tangencies"][0]["s"] == pytest.approx(
             case["tangency"]["s_local_max"], rel=1e-3
         )
+        code, out, _ = run_cli(capsys, "analyze", "-c", path)
+        assert code == 0 and "count          1\n" in out
+        assert re.findall(r"^tangency .*$", out, re.M) == [
+            f"tangency       s={doc['tangencies'][0]['s']:.6g}, "
+            f"gap={doc['tangencies'][0]['gap']:.6g} (near-touching, not counted)"
+        ]
+        assert "s=0.692" in out
 
     def test_exterior_case(self, tmp_path, capsys):
         case = next(c for c in BATTERY["cases"]
@@ -148,6 +157,32 @@ class TestVerify:
         failing = [name for name, chk in doc["roots"][0]["checks"].items()
                    if not chk["pass"]]
         assert "interior_residual" in failing
+
+    @pytest.mark.parametrize("k, lam", [(1, 0.39), (2, 0.76)])
+    @pytest.mark.parametrize("scale", [1.0, 1.05])
+    def test_non_positive_kernel_at_corrupted_field_fails(self, tmp_path, capsys,
+                                                          k, lam, scale):
+        # M = 2 - s has roots near 0.05 and 1.95; a field 1.05 times too large
+        # has its norm past 2 at the second, where no real gamma exists.
+        case = {"geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+                "k": k, "p": "inf", "q": 2.0, "kernel": "2 - s"}
+        path = write_config(tmp_path, case, lam, amplitude_scale=scale)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "verify", "-c", path, "--json")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["count"] == 2
+        if scale == 1.0:
+            assert code == 0 and doc["verdict"] == "pass"
+            return
+        assert code == 1 and doc["verdict"] == "fail"
+        root = doc["roots"][1]
+        assert root["kernel_value"] < 0.0
+        assert root["gamma"] == root["recovered_amplitude"] == "nan"
+        assert not root["checks"]["gamma_amplitude"]["pass"]
+        assert not root["checks"]["gamma_pde"]["pass"]
 
     def test_zero_roots_still_passes(self, tmp_path, capsys):
         case = next(c for c in BATTERY["cases"] if c["name"] == "ball-decaying")
@@ -288,6 +323,21 @@ class TestSelftest:
                 assert f"selftest {case} {command}: {flag}\n" in out
         assert f"selftest: {2 * len(failing)} failed\n" in out
 
+    def test_domain_error_is_a_fail_line(self, capsys, monkeypatch):
+        def overflow(self, exponent):
+            raise DomainError("closed-form norm overflows")
+
+        monkeypatch.setattr(BallGeometry, "norm_u", overflow)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        for case in SELFTEST_CASES:
+            for command in ("verify", "norms"):
+                line = (f"selftest {case} {command}: FAIL "
+                        f"(DomainError: closed-form norm overflows)"
+                        if case.startswith("ball") else f"selftest {case} {command}: PASS")
+                assert line + "\n" in out
+        assert out.endswith("selftest: 4 failed\n")
+
     def test_module_entry_point(self):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
@@ -395,15 +445,20 @@ class TestExitCodes:
         assert out == "" and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
-    @pytest.mark.parametrize("radius, q, kernel, message", [
-        (1e154, "inf", "1", "not finite"),      # default s_max overflows
-        (2.0, 2.0, "1/s", "interval"),           # g = target on an interval
+    @pytest.mark.parametrize("radius, q, kernel, message, extra", [
+        # The default s_max overflows.
+        pytest.param(1e154, "inf", "1", "not finite", {}, id="1e+154-inf-1-not finite"),
+        # g = target on an interval.
+        pytest.param(2.0, 2.0, "1/s", "interval", {}, id="2.0-2.0-1/s-interval"),
+        # The ball-constant case with s_min above its default s_max of 1e3.
+        pytest.param(1.0, 2.0, "1", "scan range empty: [10000.0, 1000.0]",
+                     {"scan": {"s_min": 1e4}}, id="1.0-2.0-1-scan range empty"),
     ])
     def test_degenerate_scan_is_domain_error(self, tmp_path, capsys, command,
-                                             radius, q, kernel, message):
+                                             radius, q, kernel, message, extra):
         case = {"geometry": {"kind": "ball", "n": 2, "radius": radius},
                 "k": 1, "p": "inf", "q": q, "kernel": kernel}
-        path = write_config(tmp_path, case, 1.0)
+        path = write_config(tmp_path, case, 1.0, **extra)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, command, "-c", path)

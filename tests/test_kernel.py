@@ -361,12 +361,27 @@ def parity_trees():
     return st.recursive(leaves, extend, max_leaves=10)
 
 
+def _walk(node, s, t):
+    """Walk the tree, checking every node: the reference evaluator."""
+    op, *args = node
+    if op == "num":
+        v = np.float64(args[0])
+    elif op in kernel.VARIABLES:
+        v = s if op == "s" else t
+    else:
+        v = kernel._OPS[op].fn(*[_walk(c, s, t) for c in args])
+    if not np.all(np.isfinite(v)):
+        raise KernelEvalError("non-finite value", kernel_to_string(node),
+                              kernel._first_bad(v, s, t))
+    return v
+
+
 def walk(tree, s, t):
     """The node-by-node tree walk on the broadcast operands."""
     s_b, t_b = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
                                    np.atleast_1d(np.asarray(t, dtype=float)))
     with np.errstate(all="ignore"):
-        return np.broadcast_to(kernel._eval(tree, s_b, t_b), s_b.shape)
+        return np.broadcast_to(_walk(tree, s_b, t_b), s_b.shape)
 
 
 def assert_parity(tree, s, t):
@@ -377,7 +392,8 @@ def assert_parity(tree, s, t):
         with pytest.raises(KernelEvalError) as got:
             eval_kernel(tree, s, t)
         assert str(got.value) == str(exc)
-        assert (got.value.subexpr, got.value.point) == (exc.subexpr, exc.point)
+        assert got.value.subexpr == exc.subexpr
+        assert np.array_equal(got.value.point, exc.point, equal_nan=True)
         return
     got = np.asarray(eval_kernel(tree, s, t), dtype=float)
     shape = np.broadcast_shapes(np.shape(s), np.shape(t))
@@ -390,7 +406,8 @@ PARITY_T = np.array([-1.0, 0.0, 0.25, 1.0, 4.0])
 
 
 class TestCompiledParity:
-    """The compiled closure against the node-by-node walk, bit for bit."""
+    """The compiled closure against the node-by-node walk, bit for bit: the
+    values, and each fault's message, subexpression and point."""
 
     def test_corpus_scalars_and_arrays(self, corpus):
         for text in corpus:
@@ -432,14 +449,39 @@ class TestCompiledParity:
         assert_parity(tree, s, 2.0)
         assert_parity(tree, np.array([0.5, s]), np.array([2.0, 2.0]))
 
-    def test_walk_runs_only_after_a_failed_check(self, corpus, monkeypatch):
-        def no_walk(*args):
-            raise AssertionError("finite evaluation walked the tree")
+    @pytest.mark.parametrize("text, subexpr", [
+        # Children run left to right before their node, so the first fault
+        # named is the walk's: the left operand's, and a child's before its
+        # parent's.
+        ("log(s - 3) + 1/(s - s)", "log(s - 3.0)"),
+        ("1/(s - s) - log(s - 3)", "1.0/(s - s)"),
+        ("max(exp(1000*s), log(-s))", "exp(1000.0*s)"),
+        ("sqrt(log(s - 3))", "log(s - 3.0)"),
+    ])
+    def test_first_fault_in_walk_order(self, text, subexpr):
+        tree = parse_kernel(text)
+        with pytest.raises(KernelEvalError) as exc:
+            eval_kernel(tree, 1.0, 2.0)
+        assert exc.value.subexpr == subexpr
+        assert_parity(tree, 1.0, 2.0)
+        assert_parity(tree, np.array([0.5, 1.0]), np.array([2.0, 3.0]))
 
-        monkeypatch.setattr(kernel, "_eval", no_walk)
+    @pytest.mark.parametrize("text, s, t, subexpr", [
+        # A non-finite input is named as its leaf, before any node above it.
+        ("1/s", math.inf, 1.0, "s"),
+        ("exp(-t)", 1.0, -math.inf, "t"),
+        ("min(s, 1)", math.nan, 1.0, "s"),
+    ])
+    def test_non_finite_input_names_its_leaf(self, text, s, t, subexpr):
+        tree = parse_kernel(text)
+        with pytest.raises(KernelEvalError) as exc:
+            eval_kernel(tree, s, t)
+        assert exc.value.subexpr == subexpr
+        assert np.array_equal(exc.value.point, (s, t), equal_nan=True)
+        assert_parity(tree, np.array([0.5, s]), t)
+
+    def test_empty_grid_has_no_fault(self, corpus):
         for text in corpus:
             tree = parse_kernel(text)
-            eval_kernel(tree, 1.5, 2.5)
-            eval_kernel(tree, np.array([1.5, 2.0]), np.array([2.5, 3.0]))
-        with pytest.raises(AssertionError, match="walked"):
-            eval_kernel(parse_kernel("1/(s - 1)"), 1.0, 0.0)
+            assert eval_kernel(tree, PARITY_S[:, None], PARITY_T[:0]).shape == (7, 0)
+            assert_parity(tree, PARITY_S[:, None], PARITY_T[:0])

@@ -15,10 +15,12 @@ in-process once per operation:
   bisected brackets; NARROW_WELL, whose two close roots share one grid
   cell 1.6 target away from the level on the grid; and ITEM3_RUNS, the
   instances with 0 and 2 roots on which the 2-D check once counted 5 and
-  10 clusters, and the abs kernel whose 3 roots it counts as 1: analyze,
-  verify and norms, as text and with --json, at amplitude_scale 1.0, 1.05
-  and 0.9, and plot-data (the scan grid and the roots, which do not depend
-  on amplitude_scale) once;
+  10 clusters, and the abs kernel whose 3 roots it counts as 1; and
+  NON_POSITIVE_RUNS, the kernel 2 - s on the ball n=2 with k = 1 and 2,
+  which turns negative at the norms of the 1.05-scaled field at its second
+  root: analyze, verify and norms, as text and with --json, at
+  amplitude_scale 1.0, 1.05 and 0.9, and plot-data (the scan grid and the
+  roots, which do not depend on amplitude_scale) once;
 - analyze, as text and with --json, for every kernel of
   tests/fixtures/kernel_corpus.txt on the two geometries of
   `test_corpus_kernels` (ball n=3 R=1.2 p=2 q=3 and exterior n=3 p=4 q=2,
@@ -89,10 +91,21 @@ ITEM3_RUNS = [
      "runs": [{"lambda": 11.19167451866462}]},
 ]
 
+# M = 2 - s has roots near s = 0.05 and 1.95; at amplitude_scale 1.05 the
+# second root's field has norm past 2, where M < 0 and no real gamma exists.
+NON_POSITIVE_RUNS = [
+    {"name": f"non-positive-kernel-k{k}",
+     "geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+     "k": k, "p": "inf", "q": 2.0, "kernel": "2 - s",
+     "runs": [{"lambda": lam}]}
+    for k, lam in ((1, 0.39), (2, 0.76))
+]
+
 
 def battery_configs():
     """(label, config document) for every battery run at every scale."""
-    cases = json.loads(BATTERY.read_text())["cases"] + [NARROW_WELL, *ITEM3_RUNS]
+    cases = (json.loads(BATTERY.read_text())["cases"]
+             + [NARROW_WELL, *ITEM3_RUNS, *NON_POSITIVE_RUNS])
     for case in cases:
         lams = [run["lambda"] for run in case["runs"]]
         if "tangency" in case:
