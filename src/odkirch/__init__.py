@@ -22,7 +22,6 @@ from .reduction import (ProblemInstance, ReducedEquation, RootInfo,
 from .specialfun import incomplete_beta, log_gamma, sphere_area
 from .verifier import (THRESHOLDS, GammaReport, KelvinReport, ResidualReport,
                        gamma_scaling_check, judge_kelvin, judge_solution,
-                       kelvin_checks, kelvin_transform, perturb_solution,
-                       verify)
+                       kelvin_checks, perturb_solution, verify)
 
 __version__ = "0.1.0"

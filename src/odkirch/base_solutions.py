@@ -5,7 +5,9 @@ it equals the constant C(N, k), it vanishes on the sphere of radius R and its
 normal derivative there is R.  The exterior problem on the complement of the
 closed unit ball is solved by U(x) = (|x|^(-N) - |x|^(2-N))/2, which satisfies
 Delta U = N |x|^(-N-2), vanishes on |x| = 1 where |grad U| = 1, and decays at
-infinity (stays bounded when N = 2).
+infinity (stays bounded when N = 2).  Both are two-term power sums in r, and
+a RadialProfile holds them as data: scaling by a appends the factor a, and the
+Kelvin image in R^N maps each term c r^a to c rho^(2-N-a).
 
 Norms come in two deliberately independent flavours: closed forms assembled
 from beta functions, and direct quadrature of |f|^p r^(N-1) (maximization for
@@ -19,8 +21,7 @@ on both geometries unchanged.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,19 +34,60 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial function r -> phi(r) with its first two derivatives.
+    """A radial function phi(r) = f_m ... f_1 sum_i c_i r^(a_i), held as data.
 
-    All three callables must accept scalars and numpy arrays alike.  The
-    domain [r_min, r_max] is what `contains` reports; the callables themselves
-    are not clipped, so evaluating a small step outside (as finite-difference
-    stencils at the boundary do) is allowed.
+    `coeffs` c_i and `powers` a_i are the terms of a power sum; `factors` are
+    applied to the sum one multiply at a time, innermost first: the base
+    field's 1/2, then each `scale`.  phi, dphi and d2phi evaluate the sum and
+    its derivatives term by term on scalars and numpy arrays alike.  The
+    domain [r_min, r_max] is what `contains` reports; evaluation is not
+    clipped, so a small step outside (as finite-difference stencils at the
+    boundary take) is allowed.
     """
 
-    phi: Callable
-    dphi: Callable
-    d2phi: Callable
+    coeffs: tuple
+    powers: tuple
+    factors: tuple
     r_min: float
     r_max: float
+    _terms: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms, order = [], list(zip(self.coeffs, self.powers))
+        for _ in range(3):
+            terms.append([(c, a) for c, a in order if c != 0.0])
+            order = [(c * a, a - 1.0) for c, a in order]
+        object.__setattr__(self, "_terms", terms)
+
+    def _eval(self, order: int, r):
+        """The order-th derivative at r: its precomputed terms c != 0 summed
+        left to right, a constant as a scalar, r^1 as r itself and a
+        coefficient of +-1 without a multiply; then each factor multiplies."""
+        r = np.asarray(r, dtype=float)
+        total = None
+        for c, a in self._terms[order]:
+            x = c if a == 0.0 else r if a == 1.0 else r ** a
+            if total is None:
+                total = np.full_like(r, c) if a == 0.0 else x if c == 1.0 else c * x
+            elif a == 0.0 or c == 1.0:
+                total = total + x
+            elif c == -1.0:
+                total = total - x
+            else:
+                total = total + c * x
+        total = np.zeros_like(r) if total is None else total
+        for f in self.factors:
+            total = f * total
+        return total
+
+    def phi(self, r):
+        return self._eval(0, r)
+
+    def dphi(self, r):
+        return self._eval(1, r)
+
+    def d2phi(self, r):
+        return self._eval(2, r)
 
     def contains(self, r) -> bool:
         r = np.asarray(r)
@@ -53,15 +95,19 @@ class RadialProfile:
                     and np.all(r <= self.r_max + 1e-9 * (1.0 + self.r_max)))
 
     def scale(self, a: float) -> "RadialProfile":
-        return RadialProfile(
-            phi=lambda r: a * self.phi(r),
-            dphi=lambda r: a * self.dphi(r),
-            d2phi=lambda r: a * self.d2phi(r),
-            r_min=self.r_min,
-            r_max=self.r_max,
-        )
+        return replace(self, factors=self.factors + (a,))
 
-    def as_field(self, center) -> Callable:
+    def kelvin(self, n: int) -> "RadialProfile":
+        """The Kelvin image |y|^(2-n) u(y/|y|^2) in R^n, an involution: each
+        term c r^a becomes c rho^(2-n-a), and [r_min, inf) becomes (0, 1/r_min]."""
+        if n < 2:
+            raise DomainError(f"Kelvin transform needs dimension >= 2, got {n}")
+        return replace(
+            self, powers=tuple(2.0 - n - a for a in self.powers),
+            r_min=0.0 if math.isinf(self.r_max) else 1.0 / self.r_max,
+            r_max=_INF if self.r_min == 0.0 else 1.0 / self.r_min)
+
+    def as_field(self, center):
         """Field x -> phi(|x - center|) on points x of shape (..., n).
 
         The values have shape (...), a scalar for one point (n,); `row_dot`
@@ -143,14 +189,8 @@ class BallGeometry:
 
     def profile(self) -> RadialProfile:
         """Radial profile of the ball base solution: phi(r) = (r^2 - R^2)/2."""
-        rsq = self.radius ** 2
-        return RadialProfile(
-            phi=lambda r: 0.5 * (np.asarray(r, dtype=float) ** 2 - rsq),
-            dphi=lambda r: np.asarray(r, dtype=float),
-            d2phi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            r_min=0.0,
-            r_max=self.radius,
-        )
+        return RadialProfile(coeffs=(1.0, -self.radius ** 2), powers=(2.0, 0.0),
+                             factors=(0.5,), r_min=0.0, r_max=self.radius)
 
     def check_k(self, k: int) -> None:
         if not (1 <= k <= self.n):
@@ -224,27 +264,10 @@ class ExteriorGeometry:
         return (0.0,) * self.n
 
     def profile(self) -> RadialProfile:
-        """Radial profile of the exterior base solution on [1, inf).
-
-        phi(r) = (r^(-n) - r^(2-n))/2; for n = 2 the second term is the
-        constant 1, so phi stays bounded instead of decaying.
-        """
-        n = self.n
-
-        def phi(r):
-            r = np.asarray(r, dtype=float)
-            return 0.5 * (r ** (-n) - r ** (2.0 - n))
-
-        def dphi(r):
-            r = np.asarray(r, dtype=float)
-            return 0.5 * (-n * r ** (-n - 1.0) + (n - 2.0) * r ** (1.0 - n))
-
-        def d2phi(r):
-            r = np.asarray(r, dtype=float)
-            return 0.5 * (n * (n + 1.0) * r ** (-n - 2.0)
-                          - (n - 2.0) * (n - 1.0) * r ** (-n))
-
-        return RadialProfile(phi=phi, dphi=dphi, d2phi=d2phi, r_min=1.0, r_max=_INF)
+        """Radial profile of the exterior base solution on [1, inf):
+        phi(r) = (r^(-n) - r^(2-n))/2, bounded but not decaying when n = 2."""
+        return RadialProfile(coeffs=(1.0, -1.0), powers=(float(-self.n), 2.0 - self.n),
+                             factors=(0.5,), r_min=1.0, r_max=_INF)
 
     def check_k(self, k: int) -> None:
         if k != 1:

@@ -41,7 +41,9 @@ there (Kearfott 1979, Numer. Math. 32).  The check samples F1 on 401
 geometric nodes of the line, counts the segments of nonzero degree and
 matches them one by one against the ray roots.  On the line F1 has the sign
 of h, but the check computes it by its own formula on its own grid.  Two
-zeros in one segment give degree 0 and count as none.
+zeros in one segment would give degree 0, so the grid also holds the
+midpoints of consecutive ray roots, one segment per ray root; a pair that the
+ray scan also misses can still share a segment and hide.
 """
 
 import math
@@ -412,25 +414,25 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
 
     Samples F1 = s - ||U||_p gamma on 401 geometric nodes (s, rho s) of the
     box [min root / 10, max root * 10] (the scan window when there are no
-    roots), in one kernel call.  Segment i, [s_i, s_(i+1)), counts when
-    M > 0 and gamma is finite at both ends and F1 is exactly 0 at s_i or
-    has opposite signs at the two ends.  matched holds when the counted
-    segments are as many as the ray roots and the j-th of them holds the
-    j-th root, give or take one segment.  DomainError when an edge of the
-    box is not finite and positive.
+    roots) and the midpoints of consecutive ray roots, in one kernel call.
+    Segment i, [s_i, s_(i+1)), counts when it is not empty (a midpoint can
+    fall on a node), M > 0 and gamma is finite at both ends, and F1 is
+    exactly 0 at s_i or has opposite signs at the two ends.  matched holds
+    when the counted segments are as many as the ray roots and the j-th of
+    them holds the j-th root, give or take one segment.  DomainError when an
+    edge of the box is not finite and positive.
     """
-    if structure.roots:
-        s_lo = min(r.s for r in structure.roots) / 10.0
-        s_hi = max(r.s for r in structure.roots) * 10.0
-    else:
-        s_lo, s_hi = structure.s_min, structure.s_max
+    ray = np.array([r.s for r in structure.roots])     # ascending
+    s_lo, s_hi = ((float(ray[0]) / 10.0, float(ray[-1]) * 10.0) if ray.size
+                  else (structure.s_min, structure.s_max))
     t_lo, t_hi = eq.rho * s_lo, eq.rho * s_hi
     for name, edge in (("s_lo", s_lo), ("s_hi", s_hi), ("t_lo", t_lo), ("t_hi", t_hi)):
         if not 0.0 < edge < math.inf:
             raise DomainError(f"2-D check box edge {name} = {edge!r} is not "
                               "finite and positive; lower scan.s_max")
 
-    s = np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1)
+    s = np.sort(np.concatenate([np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1),
+                                0.5 * (ray[1:] + ray[:-1])]))
     m = eval_kernel(eq.kernel, s, eq.rho * s)
     with np.errstate(all="ignore"):
         s_fix = eq.norm_u * (eq.lam / (eq.coeff * m)) ** (1.0 / eq.k)
@@ -438,9 +440,10 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
         side = np.where((m > 0.0) & np.isfinite(s_fix), np.sign(s - s_fix), np.nan)
     # NaN never compares, so either test below implies a valid left end.
     left, right = side[:-1], side[1:]
-    counted = np.flatnonzero(np.isfinite(right) & ((left == 0.0) | (left * right < 0.0)))
+    counted = np.flatnonzero(np.isfinite(right) & (s[:-1] < s[1:])
+                             & ((left == 0.0) | (left * right < 0.0)))
 
-    holding = np.searchsorted(s, [r.s for r in structure.roots], side="right") - 1
+    holding = np.searchsorted(s, ray, side="right") - 1
     matched = (counted.size == structure.count
                and bool(np.all(np.abs(counted - holding) <= 1)))
     return SystemReport(

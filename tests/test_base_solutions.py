@@ -1,6 +1,7 @@
 """Base solution fields and the closed-form vs quadrature norm dual route."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,47 @@ class TestProfilesAndFields:
         prof = BallGeometry(n=2, radius=1.0).profile().scale(3.0)
         assert prof.phi(0.5) == pytest.approx(3.0 * 0.5 * (0.25 - 1.0))
         assert prof.dphi(0.5) == pytest.approx(1.5)
+
+    def test_scales_round_one_multiply_at_a_time(self):
+        prof = ExteriorGeometry(n=5).profile()
+        r = np.linspace(1.0, 9.0, 33)
+        twice = prof.scale(1.3).scale(0.7)
+        assert twice.factors == (0.5, 1.3, 0.7)
+        for name in ("phi", "dphi", "d2phi"):
+            base = getattr(prof, name)(r)
+            assert np.array_equal(getattr(twice, name)(r), 0.7 * (1.3 * base))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 64])
+    def test_power_sums_round_as_the_closed_forms(self, n):
+        # phi, phi' and phi'' of both base fields, written out by hand: the
+        # term-by-term sums must give the same bits.
+        r = np.linspace(1.0, 7.0, 41)
+        ext = ExteriorGeometry(n=n).profile()
+        assert np.array_equal(ext.phi(r), 0.5 * (r ** (-n) - r ** (2.0 - n)))
+        assert np.array_equal(ext.dphi(r), 0.5 * (-n * r ** (-n - 1.0)
+                                                  + (n - 2.0) * r ** (1.0 - n)))
+        assert np.array_equal(ext.d2phi(r), 0.5 * (n * (n + 1.0) * r ** (-n - 2.0)
+                                                   - (n - 2.0) * (n - 1.0) * r ** (-n)))
+        ball = BallGeometry(n=n, radius=7.0).profile()
+        rr = np.concatenate([[0.0], r])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.array_equal(ball.phi(rr), 0.5 * (rr ** 2 - 49.0))
+            assert np.array_equal(ball.dphi(rr), rr)
+            assert np.array_equal(ball.d2phi(rr), np.ones_like(rr))
+        assert np.ndim(ball.d2phi(0.5)) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64])
+    def test_kelvin_maps_powers(self, n):
+        # c r^a -> c rho^(2-n-a): the exterior base field goes to the
+        # unit-ball one, and a second transform gives back the same data.
+        prof = ExteriorGeometry(n=n).profile()
+        image = prof.kelvin(n)
+        assert image.powers == (2.0, 0.0)
+        assert image == BallGeometry(n=n, radius=1.0).profile()
+        assert image.kelvin(n) == prof
+        scaled = prof.scale(2.5)
+        assert scaled.kelvin(n).kelvin(n) == scaled
 
 
 class TestVectorizedField:

@@ -208,6 +208,72 @@ class TestVerify:
         assert first == second
 
 
+QUADRATIC_WELL = next(c for c in BATTERY["cases"] if "tangency" in c)
+LAMBDA_T = QUADRATIC_WELL["tangency"]["lambda_t"]
+
+
+class TestClosePairs:
+    """Three roots, two of them close together: the 2-D check gives each ray
+    root a segment of its own, so the counters agree and verify passes."""
+
+    CASES = {
+        "abs-kernel": ({"geometry": {"kind": "ball", "n": 2, "radius": 0.5},
+                        "k": 2, "p": 0.3, "q": "inf", "kernel": "abs(s-1)+1e-3"},
+                       11.19167451866462),
+        "below-fold-1e-6": (QUADRATIC_WELL, LAMBDA_T * (1.0 - 1e-6)),
+        "below-fold-1e-9": (QUADRATIC_WELL, LAMBDA_T * (1.0 - 1e-9)),
+        "below-fold-1e-14": (QUADRATIC_WELL, LAMBDA_T * (1.0 - 1e-14)),
+        "narrow-well": ({"geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+                         "k": 1, "p": "inf", "q": 2.0,
+                         "kernel": "(1000*(s - 1.001268153956326))^2 + 1"},
+                        4.005111667807524),
+    }
+
+    @pytest.mark.parametrize("scale, want", [(1.0, 0), (1.05, 1)])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_verify(self, tmp_path, capsys, name, scale, want):
+        case, lam = self.CASES[name]
+        path = write_config(tmp_path, case, lam, amplitude_scale=scale)
+        code, out, err = run_cli(capsys, "verify", "-c", path)
+        assert code == want and err == ""
+        assert "count: 3 (system check clusters=3, matched=yes)" in out
+
+
+class TestScaleOfTheGeometry:
+    """Instances whose check once failed a correct root for its scale alone."""
+
+    @pytest.mark.parametrize("n, p", [(48, 3.0), (64, "inf")])
+    def test_high_dimension_kelvin_suite(self, tmp_path, capsys, n, p):
+        # rho^(2-n) at rho = 2^-20 overflows from n = 64 on; the removability
+        # ratios are compared as logs.
+        case = {"geometry": {"kind": "exterior", "n": n}, "k": 1, "p": p,
+                "q": p, "kernel": "1 + s"}
+        path = write_config(tmp_path, case, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "verify", "-c", path, "--json")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 0 and err == ""
+        kelvin = json.loads(out)["kelvin"]
+        assert kelvin["pass"] and kelvin["removability_monotone"]
+        assert 0.0 < kelvin["removability_shrink"] < 1e-3
+
+    @pytest.mark.parametrize("scale, want", [(1.0, 0), (1.05, 1)])
+    def test_off_centre_ball(self, tmp_path, capsys, scale, want):
+        # The boundary stencil's step grows with the coordinates, as
+        # hessian_fd's does: at 1e-4 alone it is lost to rounding at 1e5.
+        doc = {"schema_version": 1, "k": 1, "p": 2.0, "q": 2.0, "lambda": 1.0,
+               "kernel": "1 + s", "amplitude_scale": scale,
+               "geometry": {"kind": "ball", "dim": 3, "radius": 1.0,
+                            "center": [1e5, 0.0, 0.0]}}
+        path = tmp_path / "off-centre.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "-c", str(path), "--json")
+        assert code == want and err == ""
+        checks = json.loads(out)["roots"][0]["checks"]
+        assert checks["boundary_gradient"]["pass"] == (scale == 1.0)
+
+
 class TestNorms:
     def test_ball(self, tmp_path, capsys):
         path = write_config(tmp_path, BATTERY["cases"][3], 2.0)

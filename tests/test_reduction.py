@@ -752,7 +752,7 @@ ITEM3_INSTANCES = [
     (dict(geometry=ExteriorGeometry(n=2), k=1, p=math.inf, q=5.0, lam=2.6e-5,
           kernel="exp(-t)*s^4"), 2, 2),
     (dict(geometry=ball(2, 0.5), k=2, p=0.3, q=math.inf, lam=11.19167451866462,
-          kernel="abs(s-1)+1e-3"), 3, 1),
+          kernel="abs(s-1)+1e-3"), 3, 3),
 ]
 
 
@@ -805,18 +805,17 @@ class TestSystemCheckParity:
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-14, None])
     def test_close_pairs_merge(self, battery, eps):
-        # Two roots inside one segment leave F1 with one sign at both of its
-        # ends: the degree of the system there is 0 and the segment does not
-        # count.  Below the fold and in the narrow well (eps None) a close
-        # pair sits next to a third root, so 3 roots give 1 segment, as in
-        # item 3's abs kernel above; a finer count needs enclosures (ROADMAP
-        # item 6).
+        # Below the fold and in the narrow well (eps None) a close pair sits
+        # next to a third root.  Without a node between them, the pair would
+        # share one segment where F1 has one sign at both ends, degree 0; the
+        # midpoints of consecutive ray roots give each root its own segment,
+        # so all 3 count and match.
         case = next(c for c in battery["cases"] if "tangency" in c)
         inst = (NARROW_WELL if eps is None
                 else make_instance(case, case["tangency"]["lambda_t"] * (1.0 - eps)))
         eq = build_reduced(inst)
         report = system_count_check(eq, solve_roots(eq))
-        assert (report.root_count, report.cluster_count, report.matched) == (3, 1, False)
+        assert (report.root_count, report.cluster_count, report.matched) == (3, 3, True)
 
     @pytest.mark.parametrize("shift,matched", [(1.0 + 1e-3, True), (1.5, False)])
     def test_root_must_lie_in_its_segment(self, battery, shift, matched):
@@ -907,11 +906,12 @@ def kernel_call_sizes(monkeypatch):
 
 
 class TestSystemCheckWork:
-    """One kernel call of 401 points on the line, whatever the kernel reads."""
+    """One kernel call on the line, whatever the kernel reads: 401 grid
+    points plus one midpoint between each pair of consecutive ray roots."""
 
     @pytest.mark.parametrize("kernel,lam,points", [
-        ("(s - 2)^2 + 0.1", 2.0, 401), ("1 + t", 2.0, 401),
-        ("1", 3.0, 401), ("1/(1 + s*t)", 1.0, 401)])
+        ("(s - 2)^2 + 0.1", 2.0, 403), ("1 + t", 2.0, 401),
+        ("1", 3.0, 401), ("1/(1 + s*t)", 1.0, 402)])
     def test_kernel_points(self, monkeypatch, kernel, lam, points):
         eq = build_reduced(ProblemInstance(geometry=ball(2), k=1, p=math.inf,
                                            q=2.0, lam=lam, kernel=kernel))
@@ -919,7 +919,7 @@ class TestSystemCheckWork:
         sizes = kernel_call_sizes(monkeypatch)
         report = system_count_check(eq, structure)
         assert report.matched and report.cluster_count >= 1
-        assert sizes == [points]
+        assert sizes == [points] == [401 + structure.count - 1]
 
     def test_one_call_per_battery_run(self, battery, monkeypatch):
         runs = [(case["name"], build_reduced(make_instance(case, run["lambda"])))
@@ -929,4 +929,4 @@ class TestSystemCheckWork:
         for (name, eq), structure in zip(runs, structures):
             sizes.clear()
             system_count_check(eq, structure)
-            assert sizes == [401], (name, eq.lam)
+            assert sizes == [401 + max(structure.count - 1, 0)], (name, eq.lam)

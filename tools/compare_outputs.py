@@ -8,14 +8,17 @@ PARENT_SRC and CHANGE_SRC are directories holding the `odkirch` package (the
 imports odkirch from that directory only and calls `odkirch.cli.main`
 in-process once per operation:
 
-- every run of tests/fixtures/battery.json, plus three runs of the case
+- every run of tests/fixtures/battery.json, plus four runs of the case
   that records a tangency: the near-tangent run lambda_t * (1 + 1e-6), and
-  the below-fold runs lambda_t * (1 - 1e-9) and lambda_t * (1 - 1e-14),
+  the below-fold runs lambda_t * (1 - 1e-6), (1 - 1e-9) and (1 - 1e-14),
   where the critical point between two roots splits one grid cell into two
   bisected brackets; NARROW_WELL, whose two close roots share one grid
-  cell 1.6 target away from the level on the grid; and ITEM3_RUNS, the
+  cell 1.6 target away from the level on the grid; ITEM3_RUNS, the
   instances with 0 and 2 roots on which the 2-D check once counted 5 and
-  10 clusters, and the abs kernel whose 3 roots it counts as 1; and
+  10 clusters, and the abs kernel whose 3 roots it once counted as 1;
+  SCALE_RUNS, the exterior instances in R^48 (p = q = 3) and R^64
+  (p = q = inf) whose Kelvin suite once failed, and the ball centred at
+  (1e5, 0, 0) whose boundary step was once lost to rounding; and
   NON_POSITIVE_RUNS, the kernel 2 - s on the ball n=2 with k = 1 and 2,
   which turns negative at the norms of the 1.05-scaled field at its second
   root: analyze, verify and norms, as text and with --json, at
@@ -75,7 +78,7 @@ NARROW_WELL = {"name": "narrow-well",
                "runs": [{"lambda": 4.005111667807524}]}
 # Counter disagreements of ROADMAP item 3: two false positives of the old 2-D
 # cell flags (0 roots but 5 clusters, 2 roots but 10) and a close pair that
-# the 2-D check merges (3 roots, 1 segment).
+# the 2-D check once merged (3 roots, 1 segment).
 ITEM3_RUNS = [
     {"name": "item3-ball-false-positive",
      "geometry": {"kind": "ball", "n": 6, "radius": 1.0},
@@ -89,6 +92,18 @@ ITEM3_RUNS = [
      "geometry": {"kind": "ball", "n": 2, "radius": 0.5},
      "k": 2, "p": 0.3, "q": "inf", "kernel": "abs(s-1)+1e-3",
      "runs": [{"lambda": 11.19167451866462}]},
+]
+
+# Instances whose checks once failed a correct root for its scale alone: the
+# Kelvin suite in R^48 and R^64 (rho^(2-n) overflowed from n = 64 on) and a
+# ball centred at 1e5, where a boundary step of 1e-4 was lost to rounding.
+SCALE_RUNS = [
+    *({"name": f"exterior-n{n}", "geometry": {"kind": "exterior", "n": n},
+       "k": 1, "p": p, "q": p, "kernel": "1 + s", "runs": [{"lambda": 1.0}]}
+      for n, p in ((48, 3.0), (64, "inf"))),
+    {"name": "off-centre-ball",
+     "geometry": {"kind": "ball", "n": 3, "radius": 1.0, "center": [1e5, 0.0, 0.0]},
+     "k": 1, "p": 2.0, "q": 2.0, "kernel": "1 + s", "runs": [{"lambda": 1.0}]},
 ]
 
 # M = 2 - s has roots near s = 0.05 and 1.95; at amplitude_scale 1.05 the
@@ -105,16 +120,19 @@ NON_POSITIVE_RUNS = [
 def battery_configs():
     """(label, config document) for every battery run at every scale."""
     cases = (json.loads(BATTERY.read_text())["cases"]
-             + [NARROW_WELL, *ITEM3_RUNS, *NON_POSITIVE_RUNS])
+             + [NARROW_WELL, *ITEM3_RUNS, *SCALE_RUNS, *NON_POSITIVE_RUNS])
     for case in cases:
         lams = [run["lambda"] for run in case["runs"]]
         if "tangency" in case:
             lam_t = case["tangency"]["lambda_t"]
-            lams += [lam_t * (1.0 + 1e-6), lam_t * (1.0 - 1e-9), lam_t * (1.0 - 1e-14)]
+            lams += [lam_t * (1.0 + 1e-6), lam_t * (1.0 - 1e-6), lam_t * (1.0 - 1e-9),
+                     lam_t * (1.0 - 1e-14)]
         geo = case["geometry"]
         gdoc = {"kind": geo["kind"], "dim": geo["n"]}
         if geo["kind"] == "ball":
             gdoc["radius"] = geo["radius"]
+        if "center" in geo:
+            gdoc["center"] = geo["center"]
         for lam in lams:
             for scale in SCALES:
                 doc = {"schema_version": 1, "geometry": gdoc, "k": case["k"],
