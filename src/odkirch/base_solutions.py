@@ -379,8 +379,10 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
         return value
 
     if not math.isinf(r_hi):
-        value, _ = integrate(lambda r: np.abs(radial_f(r)) ** p * r ** (n - 1.0),
-                             r_lo, r_hi, rel_tol=rel_tol)
+        # integrate rejects a non-finite value and names the point.
+        with np.errstate(all="ignore"):
+            value, _ = integrate(lambda r: np.abs(radial_f(r)) ** p * r ** (n - 1.0),
+                                 r_lo, r_hi, rel_tol=rel_tol)
     else:
         if not (math.isfinite(r_lo) and r_lo > 0.0):
             raise QuadratureError(f"the map r = 1/x needs a finite positive "

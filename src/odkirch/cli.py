@@ -12,6 +12,9 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error
 (including a plot-data output file that cannot be opened for writing),
 3 domain or numerical-convergence error, 4 kernel evaluation fault.
 
+analyze, verify and norms each build one record: --json prints it, the text
+output renders it, and a "fail" verdict in it makes the exit code 1.
+
 Structured output (--json) is deterministic: keys are sorted, floats carry 17
 significant digits, and no timestamps or machine identifiers appear, so two
 runs of the same configuration are byte-identical.  Human output rounds to 6
@@ -19,7 +22,7 @@ significant digits.
 """
 
 import argparse
-import io
+import functools
 import json
 import math
 import sys
@@ -27,8 +30,7 @@ import sys
 import numpy as np
 
 from .base_solutions import norm_quadrature
-from .config import (SCHEMA_VERSION, RunConfig, build_config, config_to_dict,
-                     exponent_doc, load_config)
+from .config import RunConfig, build_config, config_to_dict, exponent_doc, load_config
 from .errors import (ConfigError, DomainError, KernelEvalError,
                      KernelSyntaxError, OdkirchError, QuadratureError)
 from .reduction import (build_reduced, roots_to_solutions, solve_roots,
@@ -92,112 +94,84 @@ def _f6(x: float) -> str:
     return format(x, ".6g")
 
 
-def _instance_doc(cfg: RunConfig) -> dict:
-    doc = config_to_dict(cfg)
-    return {key: doc[key] for key in
-            ("geometry", "k", "p", "q", "lambda", "kernel")}
-
-
 def _analyze(cfg: RunConfig):
+    """The reduced equation, its roots, and the 2-D system check's record."""
     eq = build_reduced(cfg.instance)
     structure = solve_roots(eq, cfg.scan)
     report = system_count_check(eq, structure)
-    return eq, structure, report
+    return eq, structure, {"cluster_count": report.cluster_count,
+                           "root_count": report.root_count,
+                           "matched": report.matched}
 
 
-def cmd_analyze(cfg: RunConfig, as_json: bool, out) -> int:
-    eq, structure, sysrep = _analyze(cfg)
-    if as_json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "analyze",
-            **_instance_doc(cfg),
-            "coeff": eq.coeff,
-            "norm_u": eq.norm_u,
-            "norm_grad": eq.norm_grad,
-            "rho": eq.rho,
-            "target": eq.target,
-            "scan": {"s_min": structure.s_min, "s_max": structure.s_max,
-                     "n_grid": structure.n_grid},
-            "count": structure.count,
-            "roots": [
-                {"s": r.s, "amplitude": r.amplitude, "c": r.c,
-                 "residual": r.residual, "bracket": list(r.bracket)}
-                for r in structure.roots
-            ],
-            "tangencies": [
-                {"s": t.s, "gap": t.gap, "bracket": list(t.bracket)}
-                for t in structure.tangencies
-            ],
-            "warnings": list(structure.warnings),
-            "system_check": {"cluster_count": sysrep.cluster_count,
-                             "root_count": sysrep.root_count,
-                             "matched": sysrep.matched},
-        }
-        out.write(canonical_json(doc) + "\n")
-        return 0
-    w = out.write
-    w(f"geometry       {cfg.instance.geometry.describe(_f6)}\n")
-    w(f"operator       k={cfg.instance.k} (C(n,k)={eq.coeff})\n")
-    w(f"exponents      p={exponent_doc(cfg.instance.p)}, "
-      f"q={exponent_doc(cfg.instance.q)}\n")
-    w(f"lambda         {_f6(cfg.instance.lam)}\n")
-    w(f"kernel         {eq.kernel_text}\n")
-    w(f"norm_u         {_f6(eq.norm_u)}\n")
-    w(f"norm_grad      {_f6(eq.norm_grad)}\n")
-    w(f"rho            {_f6(eq.rho)}\n")
-    w(f"target         {_f6(eq.target)}\n")
-    w(f"scan           s in [{_f6(structure.s_min)}, {_f6(structure.s_max)}], "
-      f"{structure.n_grid} points\n")
-    w(f"count          {structure.count}\n")
-    for i, r in enumerate(structure.roots, 1):
-        w(f"  root {i}: s={_f6(r.s)}, amplitude={_f6(r.amplitude)}, "
-          f"c={_f6(r.c)}, residual={_f6(r.residual)}\n")
-    for t in structure.tangencies:
-        w(f"tangency       s={_f6(t.s)}, gap={_f6(t.gap)} (near-touching, not counted)\n")
-    if not structure.tangencies:
+def _analyze_record(cfg: RunConfig) -> dict:
+    eq, structure, system_check = _analyze(cfg)
+    return {
+        "coeff": eq.coeff, "norm_u": eq.norm_u, "norm_grad": eq.norm_grad,
+        "rho": eq.rho, "target": eq.target,
+        "scan": {"s_min": structure.s_min, "s_max": structure.s_max,
+                 "n_grid": structure.n_grid},
+        "count": structure.count,
+        "roots": [{"s": r.s, "amplitude": r.amplitude, "c": r.c,
+                   "residual": r.residual, "bracket": list(r.bracket)}
+                  for r in structure.roots],
+        "tangencies": [{"s": t.s, "gap": t.gap, "bracket": list(t.bracket)}
+                       for t in structure.tangencies],
+        "warnings": list(structure.warnings),
+        "system_check": system_check,
+    }
+
+
+def _analyze_text(rec: dict, geometry, w) -> None:
+    w(f"geometry       {geometry.describe(_f6)}\n")
+    w(f"operator       k={rec['k']} (C(n,k)={rec['coeff']})\n")
+    w(f"exponents      p={rec['p']}, q={rec['q']}\n")
+    w(f"lambda         {_f6(rec['lambda'])}\n")
+    w(f"kernel         {rec['kernel']}\n")
+    for key in ("norm_u", "norm_grad", "rho", "target"):
+        w(f"{key:<15}{_f6(rec[key])}\n")
+    scan = rec["scan"]
+    w(f"scan           s in [{_f6(scan['s_min'])}, {_f6(scan['s_max'])}], "
+      f"{scan['n_grid']} points\n")
+    w(f"count          {rec['count']}\n")
+    for i, r in enumerate(rec["roots"], 1):
+        w(f"  root {i}: s={_f6(r['s'])}, amplitude={_f6(r['amplitude'])}, "
+          f"c={_f6(r['c'])}, residual={_f6(r['residual'])}\n")
+    for t in rec["tangencies"]:
+        w(f"tangency       s={_f6(t['s'])}, gap={_f6(t['gap'])} "
+          f"(near-touching, not counted)\n")
+    if not rec["tangencies"]:
         w("tangencies     (none)\n")
-    for msg in structure.warnings:
+    for msg in rec["warnings"]:
         w(f"warning        {msg}\n")
-    if not structure.warnings:
+    if not rec["warnings"]:
         w("warnings       (none)\n")
-    w(f"system check   clusters={sysrep.cluster_count}, "
-      f"matched={'yes' if sysrep.matched else 'NO'}\n")
-    return 0
+    check = rec["system_check"]
+    w(f"system check   clusters={check['cluster_count']}, "
+      f"matched={'yes' if check['matched'] else 'NO'}\n")
 
 
-def cmd_verify(cfg: RunConfig, as_json: bool, out) -> int:
-    eq, structure, sysrep = _analyze(cfg)
+def _verify_record(cfg: RunConfig) -> dict:
+    _, structure, system_check = _analyze(cfg)
     solutions = roots_to_solutions(structure)
     if cfg.amplitude_scale != 1.0:
         solutions = tuple(perturb_solution(s, cfg.amplitude_scale)
                           for s in solutions)
     reports = [judge_solution(cfg.instance, sol, seed=cfg.seed) for sol in solutions]
-    kelvin_doc = judge_kelvin(cfg.instance.geometry, seed=cfg.seed)
-    all_ok = (sysrep.matched and all(doc["pass"] for doc in reports)
-              and (kelvin_doc is None or kelvin_doc["pass"]))
-    verdict = "pass" if all_ok else "fail"
-    if as_json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            **_instance_doc(cfg),
-            "amplitude_scale": cfg.amplitude_scale,
-            "count": structure.count,
-            "system_check": {"cluster_count": sysrep.cluster_count,
-                             "root_count": sysrep.root_count,
-                             "matched": sysrep.matched},
-            "roots": reports,
-            "kelvin": kelvin_doc,
-            "verdict": verdict,
-        }
-        out.write(canonical_json(doc) + "\n")
-        return 0 if all_ok else 1
-    w = out.write
-    w(f"verdict: {verdict.upper()}\n")
-    w(f"count: {structure.count} "
-      f"(system check clusters={sysrep.cluster_count}, "
-      f"matched={'yes' if sysrep.matched else 'NO'})\n")
+    kelvin = judge_kelvin(cfg.instance.geometry, seed=cfg.seed)
+    ok = (system_check["matched"] and all(doc["pass"] for doc in reports)
+          and (kelvin is None or kelvin["pass"]))
+    return {"amplitude_scale": cfg.amplitude_scale, "count": structure.count,
+            "system_check": system_check, "roots": reports, "kelvin": kelvin,
+            "verdict": "pass" if ok else "fail"}
+
+
+def _verify_text(rec: dict, geometry, w) -> None:
+    check = rec["system_check"]
+    w(f"verdict: {rec['verdict'].upper()}\n")
+    w(f"count: {rec['count']} "
+      f"(system check clusters={check['cluster_count']}, "
+      f"matched={'yes' if check['matched'] else 'NO'})\n")
 
     def write_checks(checks):
         for name, chk in checks.items():
@@ -205,19 +179,19 @@ def cmd_verify(cfg: RunConfig, as_json: bool, out) -> int:
             w(f"  {name:<22} {_f6(chk['value']):>12}  "
               f"<= {_f6(chk['threshold'])}  {flag}\n")
 
-    for i, doc in enumerate(reports, 1):
+    for i, doc in enumerate(rec["roots"], 1):
         w(f"root {i} (s={_f6(doc['s'])}):\n")
         write_checks(doc["checks"])
-    if kelvin_doc is not None:
+    kelvin = rec["kelvin"]
+    if kelvin is not None:
         w("kelvin transform suite:\n")
-        write_checks(kelvin_doc["checks"])
-        flag = "PASS" if kelvin_doc["removability_monotone"] else "FAIL"
+        write_checks(kelvin["checks"])
+        flag = "PASS" if kelvin["removability_monotone"] else "FAIL"
         w(f"  removability monotone decay, shrink "
-          f"{_f6(kelvin_doc['removability_shrink'])}  {flag}\n")
-    return 0 if all_ok else 1
+          f"{_f6(kelvin['removability_shrink'])}  {flag}\n")
 
 
-def _norm_rows(cfg: RunConfig):
+def _norms_record(cfg: RunConfig) -> dict:
     inst = cfg.instance
     geom = inst.geometry
     prof = geom.profile()
@@ -238,34 +212,39 @@ def _norm_rows(cfg: RunConfig):
             "quadrature": qval,
             "rel_err": abs(cval - qval) / abs(cval),
         })
-    return rows
+    threshold = THRESHOLDS["norm_agreement"]
+    ok = all(row["rel_err"] <= threshold for row in rows)
+    return {"rows": rows, "threshold": threshold, "verdict": "pass" if ok else "fail"}
 
 
-def cmd_norms(cfg: RunConfig, as_json: bool, out) -> int:
-    rows = _norm_rows(cfg)
-    ok = all(row["rel_err"] <= THRESHOLDS["norm_agreement"] for row in rows)
-    if as_json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "norms",
-            **_instance_doc(cfg),
-            "rows": rows,
-            "threshold": THRESHOLDS["norm_agreement"],
-            "verdict": "pass" if ok else "fail",
-        }
-        out.write(canonical_json(doc) + "\n")
-        return 0 if ok else 1
-    w = out.write
-    w(f"geometry   {cfg.instance.geometry.describe(_f6)}\n")
+def _norms_text(rec: dict, geometry, w) -> None:
+    w(f"geometry   {geometry.describe(_f6)}\n")
     w(f"{'field':<8} {'exponent':>8} {'closed form':>16} "
       f"{'quadrature':>16} {'rel err':>10}\n")
-    for row in rows:
+    for row in rec["rows"]:
         w(f"{row['field']:<8} {str(row['exponent']):>8} "
           f"{_f6(row['closed_form']):>16} {_f6(row['quadrature']):>16} "
           f"{_f6(row['rel_err']):>10}\n")
-    w(f"verdict: {'PASS' if ok else 'FAIL'} "
-      f"(threshold {_f6(THRESHOLDS['norm_agreement'])})\n")
-    return 0 if ok else 1
+    w(f"verdict: {rec['verdict'].upper()} (threshold {_f6(rec['threshold'])})\n")
+
+
+# name: (help, record builder, text view).  A record builder turns a config
+# into the body of the command's --json document; the text view renders the
+# whole document, with the geometry for its description.
+_COMMANDS = {
+    "analyze": ("reduce, count and refine roots", _analyze_record, _analyze_text),
+    "verify": ("numerically verify constructed solutions", _verify_record,
+               _verify_text),
+    "norms": ("closed-form norms against quadrature", _norms_record, _norms_text),
+}
+_HEADER = ("schema_version", "geometry", "k", "p", "q", "lambda", "kernel")
+
+
+def _record(command: str, cfg: RunConfig) -> dict:
+    """The --json document of command on cfg: the instance header and its body."""
+    doc = config_to_dict(cfg)
+    return {"command": command, **{key: doc[key] for key in _HEADER},
+            **_COMMANDS[command][1](cfg)}
 
 
 def cmd_plot_data(cfg: RunConfig, out) -> int:
@@ -286,9 +265,9 @@ def cmd_selftest(out) -> int:
     for doc in _SELFTEST:
         geometry = doc["geometry"]
         case = f"{geometry['kind']} n={geometry['dim']} k={doc['k']}"
-        for name, command in (("verify", cmd_verify), ("norms", cmd_norms)):
+        for name in ("verify", "norms"):
             try:
-                ok, note = command(build_config(doc), False, io.StringIO()) == 0, ""
+                ok, note = _record(name, build_config(doc))["verdict"] == "pass", ""
             except OdkirchError as exc:
                 ok, note = False, f" ({type(exc).__name__}: {exc})"
             out.write(f"selftest {case} {name}: {'PASS' if ok else 'FAIL'}{note}\n")
@@ -297,16 +276,16 @@ def cmd_selftest(out) -> int:
     return 0 if failures == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="odkirch",
         description="Solution structure of overdetermined ball/exterior "
                     "problems with Kirchhoff-type coefficients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (("analyze", "reduce, count and refine roots"),
-                       ("verify", "numerically verify constructed solutions"),
-                       ("norms", "closed-form norms against quadrature")):
+    for name, (text, _, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("-c", "--config", required=True,
                         help="path to a JSON run configuration")
@@ -321,15 +300,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
     try:
         if args.command == "selftest":
             return cmd_selftest(out)
         cfg = load_config(args.config)
-        if args.command != "plot-data":
-            command = {"analyze": cmd_analyze, "verify": cmd_verify, "norms": cmd_norms}
-            return command[args.command](cfg, args.json, out)
+        if args.command in _COMMANDS:
+            record = _record(args.command, cfg)
+            if args.json:
+                out.write(canonical_json(record) + "\n")
+            else:
+                _COMMANDS[args.command][2](record, cfg.instance.geometry, out.write)
+            return 1 if record.get("verdict") == "fail" else 0
         if args.output == "-":
             return cmd_plot_data(cfg, out)
         try:

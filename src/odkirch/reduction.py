@@ -54,7 +54,7 @@ import numpy as np
 from .base_solutions import BallGeometry, ExteriorGeometry
 from .errors import DomainError
 from .hessian import binomial
-from .kernel import eval_kernel, kernel_to_string, parse_kernel
+from .kernel import eval_kernel, parse_kernel
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,6 @@ class ReducedEquation:
         """Scan residual g(s) - target; with slope, the pair (h, g')."""
         out = self.g(s, slope)
         return (out[0] - self.target, out[1]) if slope else out - self.target
-
-    @property
-    def kernel_text(self) -> str:
-        return kernel_to_string(self.kernel)
 
 
 def build_reduced(instance: ProblemInstance) -> ReducedEquation:

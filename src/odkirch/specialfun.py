@@ -54,18 +54,16 @@ def incomplete_beta(z: float, x: float, y: float, rel_tol: float = 1e-12) -> flo
     def kernel(t):
         return t ** (x - 1.0) * (1.0 - t) ** (y - 1.0)
 
-    if x >= 1.0:
-        val, _ = integrate(kernel, 0.0, z, rel_tol=rel_tol)
-        return val
-
-    split = min(z, 0.5)
-
     def left(u):
         # t = u**(1/x), dt = (1/x) u**(1/x - 1) du, so t**(x-1) dt = du / x.
         return (1.0 - u ** (1.0 / x)) ** (y - 1.0) / x
 
-    val, _ = integrate(left, 0.0, split ** x, rel_tol=rel_tol)
-    if z > split:
-        right, _ = integrate(kernel, split, z, rel_tol=rel_tol)
-        val += right
+    # integrate rejects a non-finite value and names the point.
+    with np.errstate(all="ignore"):
+        if x >= 1.0:
+            return integrate(kernel, 0.0, z, rel_tol=rel_tol)[0]
+        split = min(z, 0.5)
+        val, _ = integrate(left, 0.0, split ** x, rel_tol=rel_tol)
+        if z > split:
+            val += integrate(kernel, split, z, rel_tol=rel_tol)[0]
     return val

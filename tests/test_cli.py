@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
+from odkirch import cli
 from odkirch.cli import main
 from odkirch.errors import DomainError
 
@@ -415,6 +416,51 @@ class TestSelftest:
         assert proc.stdout.count(": PASS\n") == 6
 
 
+class TestParser:
+    """Argument errors, --help, and the parser every call of main shares."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["analyze"], ["plot-data", "-c", "x.json", "--json"],
+        ["analyze", "-c", "x.json", "-o", "x.csv"], ["selftest", "-c", "x.json"],
+    ], ids=["no-command", "unknown-command", "no-config", "plot-data-json",
+            "analyze-output", "selftest-config"])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == "" and captured.err.startswith("usage:")
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        for command in ("analyze", "verify", "norms", "plot-data", "selftest"):
+            assert command in out
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        path = write_config(tmp_path, BATTERY["cases"][0], 3.0)
+        argvs = [["analyze", "-c", path, "--json"], ["analyze", "-c", path],
+                 ["plot-data", "-c", path], ["verify", "-c", path, "--json"]]
+        first = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            first.append(run_cli(capsys, *argv))
+        cli._parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in argvs] == first
+        assert cli._parser.cache_info().misses == 1
+
+    def test_not_built_at_import(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import odkirch.cli as cli; print(cli._parser.cache_info().misses)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "analyze", "-c", str(tmp_path / "nope.json"))
@@ -604,6 +650,23 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "verify", "-c", path)
         assert code == 1
 
+    # Ball q = 1e300: the verify quadrature of |grad u|^q with amplitude 1.5
+    # overflows.  Exterior p = q = 1e300: the closed-form gradient norm's
+    # incomplete beta integrand overflows (and gives inf * 0) in every command.
+    @pytest.mark.parametrize("geometry, p, command", [
+        ({"kind": "ball", "n": 2, "radius": 1.0}, "inf", "verify"),
+        ({"kind": "exterior", "n": 3}, 1e300, "analyze"),
+        ({"kind": "exterior", "n": 3}, 1e300, "verify"),
+        ({"kind": "exterior", "n": 3}, 1e300, "norms"),
+    ])
+    def test_overflowing_integrand_is_one_error_line(self, tmp_path, capsys,
+                                                      geometry, p, command):
+        case = {"geometry": geometry, "k": 1, "p": p, "q": 1e300, "kernel": "1"}
+        path = write_config(tmp_path, case, 3.0)
+        code, out, err = run_cli(capsys, command, "-c", path)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("domain error:")
+
 
 class TestExteriorTails:
     """Exterior exponents close to the integrability threshold."""
@@ -634,3 +697,4 @@ class TestExteriorTails:
         code, out, err = run_cli(capsys, command, "-c", path)
         assert code == 3 and "domain error" in err and "underflows to 0" in err
         assert out == "" and "Traceback" not in err
+

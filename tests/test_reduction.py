@@ -11,7 +11,7 @@ from odkirch import reduction
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch.errors import DomainError, KernelEvalError, OdkirchError
 from odkirch.hessian import binomial
-from odkirch.kernel import eval_kernel, parse_kernel
+from odkirch.kernel import eval_kernel, kernel_to_string, parse_kernel
 from odkirch.reduction import (
     ProblemInstance,
     ScanConfig,
@@ -127,7 +127,7 @@ class TestBuildReduced:
             geometry=BallGeometry(n=2, radius=1.0), k=1, p=2.0, q=2.0,
             lam=1.0, kernel="(s - 2)^2 + 0.1",
         )
-        assert build_reduced(inst).kernel_text == "(s - 2.0)^2.0 + 0.1"
+        assert kernel_to_string(build_reduced(inst).kernel) == "(s - 2.0)^2.0 + 0.1"
 
 
 class TestScanConfig:

@@ -30,6 +30,13 @@ in-process once per operation:
   k=1) at lambda 0.3 and 3, which compares the printed kernels and the
   kernel fault messages;
 - selftest;
+- USAGE_ARGVS, the argument errors that exit 2 with a usage line (no
+  command, an unknown command, analyze without -c, plot-data --json,
+  analyze -o, selftest -c) and --help, run before every operation below so
+  that those reuse a parser that has already rejected an argv;
+- WARNING_RUNS, the ball with q = 1e300 and the exterior domain with
+  p = q = 1e300, whose quadrature integrands overflow: analyze, verify and
+  norms, as text and with --json;
 - analyze, verify and norms, as text and with --json, and plot-data on each
   CONFIG given, and on every config that `benchmarks/workloads.generate`
   draws for the three benchmark workloads at each --workload-seed N.  The
@@ -116,6 +123,22 @@ NON_POSITIVE_RUNS = [
     for k, lam in ((1, 0.39), (2, 0.76))
 ]
 
+# Argument errors (exit 2, usage on stderr) and --help (exit 0).
+USAGE_ARGVS = (
+    [], ["bogus"], ["analyze"], ["plot-data", "-c", "x.json", "--json"],
+    ["analyze", "-c", "x.json", "-o", "x.csv"], ["selftest", "-c", "x.json"],
+    ["--help"],
+)
+
+# Integrands that overflow to inf or nan inside the quadrature of a norm:
+# each run ends in one domain error line and no RuntimeWarning.
+WARNING_RUNS = [
+    {"schema_version": 1, "geometry": {"kind": "ball", "dim": 2, "radius": 1.0},
+     "k": 1, "p": "inf", "q": 1e300, "lambda": 3.0, "kernel": "1"},
+    {"schema_version": 1, "geometry": {"kind": "exterior", "dim": 3},
+     "k": 1, "p": 1e300, "q": 1e300, "lambda": 3.0, "kernel": "1"},
+]
+
 
 def battery_configs():
     """(label, config document) for every battery run at every scale."""
@@ -179,6 +202,10 @@ def operations(workdir: Path, extra_configs, workload_seeds=()):
         path = workdir / f"corpus{i:03d}.json"
         path.write_text(json.dumps(doc))
         paths.append((label, str(path), ("analyze",), False))
+    for i, doc in enumerate(WARNING_RUNS):
+        path = workdir / f"warning{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append((f"warning run {i}", str(path), COMMANDS, False))
     paths.extend((str(p), str(Path(p).resolve()), COMMANDS, True) for p in extra_configs)
     for seed in workload_seeds:
         for i, (label, doc) in enumerate(workload_configs(seed)):
@@ -186,6 +213,7 @@ def operations(workdir: Path, extra_configs, workload_seeds=()):
             path.write_text(json.dumps(doc))
             paths.append((label, str(path), COMMANDS, True))
     ops = [("selftest", ["selftest"])]
+    ops.extend((f"argv {argv}", argv) for argv in USAGE_ARGVS)
     for label, path, commands, plot in paths:
         for command in commands:
             for flags in ([], ["--json"]):
