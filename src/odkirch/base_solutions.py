@@ -9,10 +9,12 @@ infinity (stays bounded when N = 2).  Both are two-term power sums in r, and
 a RadialProfile holds them as data: scaling by a appends the factor a, and the
 Kelvin image in R^N maps each term c r^a to c rho^(2-N-a).
 
-Norms come in two deliberately independent flavours: closed forms assembled
-from beta functions, and direct quadrature of |f|^p r^(N-1) (maximization for
-the sup norm).  They share nothing but the profile definitions, so agreement
-between them validates both.
+Norms come in two deliberately independent flavours.  `profile_norm` is one
+closed form, a beta integral, for any sum of one or two powers, read from the
+profile's coefficients, powers and factors alone, as is the admissibility of
+an exponent.  `norm_quadrature` integrates |f|^p r^(N-1) directly
+(maximization for the sup norm).  They share nothing but the profile, so
+agreement between them validates both.
 
 Everything that depends on the geometry is a method of the two geometry
 classes.  The exterior domain also carries the radius 1 and centre 0 of the
@@ -21,7 +23,7 @@ on both geometries unchanged.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +41,11 @@ class RadialProfile:
     `coeffs` c_i and `powers` a_i are the terms of a power sum; `factors` are
     applied to the sum one multiply at a time, innermost first: the base
     field's 1/2, then each `scale`.  phi, dphi and d2phi evaluate the sum and
-    its derivatives term by term on scalars and numpy arrays alike.  The
-    domain [r_min, r_max] is what `contains` reports; evaluation is not
-    clipped, so a small step outside (as finite-difference stencils at the
-    boundary take) is allowed.
+    its derivatives term by term, on scalars and numpy arrays alike, from
+    `_terms`: their nonzero terms (c, a), derived unless given (`scale` gives
+    its parent's).  The domain [r_min, r_max] is what `contains` reports;
+    evaluation is not clipped, so a small step outside (as finite-difference
+    stencils at the boundary take) is allowed.
     """
 
     coeffs: tuple
@@ -50,14 +53,15 @@ class RadialProfile:
     factors: tuple
     r_min: float
     r_max: float
-    _terms: list = field(init=False, repr=False, compare=False)
+    _terms: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        terms, order = [], list(zip(self.coeffs, self.powers))
-        for _ in range(3):
-            terms.append([(c, a) for c, a in order if c != 0.0])
-            order = [(c * a, a - 1.0) for c, a in order]
-        object.__setattr__(self, "_terms", terms)
+        if self._terms is None:
+            terms, order = [], list(zip(self.coeffs, self.powers))
+            for _ in range(3):
+                terms.append([(c, a) for c, a in order if c != 0.0])
+                order = [(c * a, a - 1.0) for c, a in order]
+            object.__setattr__(self, "_terms", terms)
 
     def _eval(self, order: int, r):
         """The order-th derivative at r: its precomputed terms c != 0 summed
@@ -95,15 +99,27 @@ class RadialProfile:
                     and np.all(r <= self.r_max + 1e-9 * (1.0 + self.r_max)))
 
     def scale(self, a: float) -> "RadialProfile":
-        return replace(self, factors=self.factors + (a,))
+        """This profile times a.  Scaling changes no coefficient or power, so
+        the scaled profile shares its parent's derived terms."""
+        return RadialProfile(self.coeffs, self.powers, self.factors + (a,),
+                             self.r_min, self.r_max, self._terms)
+
+    def sign_changes(self, order: int) -> list:
+        """Radii inside (r_min, r_max) where the order-th derivative, two terms
+        c_i r^a_i + c_j r^a_j of opposite signs, changes sign: r^(a_i - a_j) = -c_j/c_i."""
+        if len(self._terms[order]) < 2:
+            return []
+        (c_i, a_i), (c_j, a_j) = self._terms[order]
+        r = (-c_j / c_i) ** (1.0 / (a_i - a_j)) if c_i * c_j < 0.0 else math.nan
+        return [r] if self.r_min < r < self.r_max else []
 
     def kelvin(self, n: int) -> "RadialProfile":
         """The Kelvin image |y|^(2-n) u(y/|y|^2) in R^n, an involution: each
         term c r^a becomes c rho^(2-n-a), and [r_min, inf) becomes (0, 1/r_min]."""
         if n < 2:
             raise DomainError(f"Kelvin transform needs dimension >= 2, got {n}")
-        return replace(
-            self, powers=tuple(2.0 - n - a for a in self.powers),
+        return RadialProfile(
+            self.coeffs, tuple(2.0 - n - a for a in self.powers), self.factors,
             r_min=0.0 if math.isinf(self.r_max) else 1.0 / self.r_max,
             r_max=_INF if self.r_min == 0.0 else 1.0 / self.r_min)
 
@@ -137,35 +153,104 @@ def _is_finite_exponent(x: float) -> bool:
     return True
 
 
-def _nonzero(norm: float, what: str) -> float:
-    """A closed-form norm; DomainError when it underflows to 0."""
+def _log_beta(x: float, y: float) -> float:
+    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
+
+
+def _check_exponent(profile: RadialProfile, order: int, x: float, n: int) -> None:
+    """Raise DomainError unless the order-th derivative is in L^x in R^n: on a
+    bounded domain any x > 0 (no power is negative at r = 0); out to r = inf
+    the largest power a must satisfy a < 0 and x > n / -a."""
+    if not _is_finite_exponent(x) or not math.isinf(profile.r_max):
+        return
+    what, letter = (("U", "p"), ("grad U", "q"))[order]
+    a = max(a for _, a in profile._terms[order])
+    if a >= 0.0:
+        raise DomainError(f"{what} in R^{n} does not decay at infinity; only "
+                          f"its sup norm is finite (use {letter} = inf)")
+    if x <= n / -a:
+        raise DomainError(f"{what} in R^{n} is in L^{letter} only for "
+                          f"{letter} > {n / -a:g}, got {letter} = {x}")
+
+
+def profile_norm(profile: RadialProfile, order: int, p: float, n: int,
+                 what: str) -> float:
+    """||f||_p in R^n of the profile's order-th derivative f, from f's terms
+    (one or two powers c r^a, of opposite signs) and factors alone.
+
+    p = inf: the largest |f| at the ends of the domain and the sign change of
+    f'.  One term: a power integral from r = 0 or inf, the end the domain
+    reaches, to the other end r_e.  Two terms, c_j r^a_j dominant at r = 0 or
+    inf: y = kappa r^d, kappa = -c_i/c_j, d = a_i - a_j, alpha = (a_j p + n)/d,
+    makes the integral |c_j|^p kappa^(-alpha) / |d| times that of
+    y^(alpha-1) |1 - y|^p from 0 to y_e = kappa r_e^d: B(alpha, p + 1) up to
+    the sign change y = 1, past it B_w(p + 1, -alpha - p) with w = 1 - 1/y.
+    A y_e within a few ulp of 1 is a profile vanishing on the boundary.
+    DomainError for an inadmissible p and for a norm past the double range.
+    """
+    _check_exponent(profile, order, p, n)
+    terms = profile._terms[order]
+    scale = abs(math.prod(profile.factors))
+    if p == _INF:
+        radii = (profile.r_min, profile.r_max, *profile.sign_changes(order + 1))
+        norm = scale * max(abs(sum(c * r ** a for c, a in terms)) for r in radii)
+    else:
+        at_zero = profile.r_min == 0.0
+        r_e = profile.r_max if at_zero else profile.r_min
+        (c_j, a_j), *rest = sorted(terms, key=lambda t: t[1], reverse=not at_zero)
+        e = a_j * p + n
+        log_pow = p * math.log(scale * abs(c_j)) + math.log(sphere_area(n))
+        if not rest:
+            log_pow += e * math.log(r_e) - math.log(abs(e))
+        else:
+            (c_i, a_i), = rest
+            d = a_i - a_j
+            alpha = e / d
+            log_part = _log_beta(alpha, p + 1.0)
+            y_e = -c_i * r_e ** d / c_j
+            if y_e < 1.0 - 4.0 * math.ulp(1.0):
+                log_part = math.log(incomplete_beta(y_e, alpha, p + 1.0))
+            elif y_e > 1.0 + 4.0 * math.ulp(1.0):
+                log_part = math.log(math.exp(log_part) + incomplete_beta(
+                    1.0 - 1.0 / y_e, p + 1.0, -alpha - p))
+            log_pow += (-alpha * (math.log(abs(c_i)) - math.log(abs(c_j)))
+                        - math.log(abs(d)) + log_part)
+        what = f"{what} = exp({log_pow / p:.6g})"
+        try:
+            norm = math.exp(log_pow / p)
+        except OverflowError:
+            raise DomainError(f"closed-form {what} overflows a double") from None
     if norm == 0.0:
         raise DomainError(f"closed-form {what} underflows to 0")
     return norm
 
 
-def _exp_norm(log_norm: float, what: str) -> float:
-    """A closed-form norm exp(log_norm); DomainError when it overflows a
-    double or underflows to 0."""
-    try:
-        norm = math.exp(log_norm)
-    except OverflowError:
-        raise DomainError(f"closed-form {what} = exp({log_norm:.6g}) "
-                          "overflows a double") from None
-    return _nonzero(norm, f"{what} = exp({log_norm:.6g})")
+class _Geometry:
+    """The base field's profile, built with the geometry, and what it gives."""
 
+    def profile(self) -> RadialProfile:
+        return self._profile
 
-def _log_beta(x: float, y: float) -> float:
-    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
+    def check_exponents(self, p: float = _INF, q: float = _INF) -> None:
+        """Raise DomainError unless U is in L^p and grad U in L^q."""
+        _check_exponent(self._profile, 0, p, self.n)
+        _check_exponent(self._profile, 1, q, self.n)
+
+    def norm_u(self, p: float) -> float:
+        return profile_norm(self._profile, 0, p, self.n, f"||U||_{p:g}")
+
+    def norm_grad(self, q: float) -> float:
+        return profile_norm(self._profile, 1, q, self.n, f"||grad U||_{q:g}")
 
 
 @dataclass(frozen=True)
-class BallGeometry:
+class BallGeometry(_Geometry):
     """Open ball of radius `radius` centred at `center` in R^n."""
 
     n: int
     radius: float
     center: tuple = ()
+    _profile: RadialProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
@@ -176,53 +261,21 @@ class BallGeometry:
             raise DomainError(f"radius {self.radius!r}: R^2 overflows a double")
         center = tuple(float(c) for c in self.center) or (0.0,) * self.n
         if len(center) != self.n:
-            raise DomainError(
-                f"center has {len(center)} coordinates for dimension {self.n}"
-            )
+            raise DomainError(f"center has {len(center)} coordinates for dimension {self.n}")
         if not all(map(math.isfinite, center)):
             raise DomainError(f"center must be finite, got {center}")
         object.__setattr__(self, "center", center)
+        object.__setattr__(self, "_profile", RadialProfile(
+            coeffs=(1.0, -self.radius ** 2), powers=(2.0, 0.0), factors=(0.5,),
+            r_min=0.0, r_max=self.radius))
 
     @property
     def r_range(self) -> tuple:
         return (0.0, self.radius)
 
-    def profile(self) -> RadialProfile:
-        """Radial profile of the ball base solution: phi(r) = (r^2 - R^2)/2."""
-        return RadialProfile(coeffs=(1.0, -self.radius ** 2), powers=(2.0, 0.0),
-                             factors=(0.5,), r_min=0.0, r_max=self.radius)
-
     def check_k(self, k: int) -> None:
         if not (1 <= k <= self.n):
             raise DomainError(f"ball problem needs 1 <= k <= {self.n}, got k = {k}")
-
-    def check_exponents(self, p: float = _INF, q: float = _INF) -> None:
-        """Raise DomainError unless U is in L^p and grad U in L^q: any p, q > 0."""
-        _is_finite_exponent(p)
-        _is_finite_exponent(q)
-
-    def norm_u(self, p: float) -> float:
-        """||U||_p on the ball, closed form."""
-        self.check_exponents(p=p)
-        n, radius = self.n, self.radius
-        if p == _INF:
-            return _nonzero(0.5 * radius ** 2, "||U||_inf")
-        log_pow = (-(p + 1.0) * math.log(2.0)
-                   + math.log(sphere_area(n))
-                   + (2.0 * p + n) * math.log(radius)
-                   + _log_beta(0.5 * n, p + 1.0))
-        return _exp_norm(log_pow / p, f"||U||_{p:g}")
-
-    def norm_grad(self, q: float) -> float:
-        """||grad U||_q on the ball, closed form."""
-        self.check_exponents(q=q)
-        n, radius = self.n, self.radius
-        if q == _INF:
-            return radius
-        log_pow = (math.log(sphere_area(n))
-                   + (q + n) * math.log(radius)
-                   - math.log(q + n))
-        return _exp_norm(log_pow / q, f"||grad U||_{q:g}")
 
     def sample_radii(self, rng, count: int) -> np.ndarray:
         """Seeded interior radii at which the verifier samples the PDE."""
@@ -246,96 +299,28 @@ class BallGeometry:
 
 
 @dataclass(frozen=True)
-class ExteriorGeometry:
+class ExteriorGeometry(_Geometry):
     """Complement of the closed unit ball in R^n, n >= 2."""
 
     n: int
+    _profile: RadialProfile = field(init=False, repr=False, compare=False)
     radius = 1.0                  # of the excluded ball, centred at the origin
     r_range = (1.0, _INF)
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise DomainError(
-                f"exterior geometry needs integer dimension >= 2, got {self.n}"
-            )
+            raise DomainError(f"exterior geometry needs integer dimension >= 2, got {self.n}")
+        object.__setattr__(self, "_profile", RadialProfile(
+            coeffs=(1.0, -1.0), powers=(float(-self.n), 2.0 - self.n),
+            factors=(0.5,), r_min=1.0, r_max=_INF))
 
     @property
     def center(self) -> tuple:
         return (0.0,) * self.n
 
-    def profile(self) -> RadialProfile:
-        """Radial profile of the exterior base solution on [1, inf):
-        phi(r) = (r^(-n) - r^(2-n))/2, bounded but not decaying when n = 2."""
-        return RadialProfile(coeffs=(1.0, -1.0), powers=(float(-self.n), 2.0 - self.n),
-                             factors=(0.5,), r_min=1.0, r_max=_INF)
-
     def check_k(self, k: int) -> None:
         if k != 1:
-            raise DomainError(f"exterior problem is Laplacian-only (k = 1), "
-                              f"got k = {k}")
-
-    def check_exponents(self, p: float = _INF, q: float = _INF) -> None:
-        """Raise DomainError unless U is in L^p and grad U in L^q."""
-        n = self.n
-        if _is_finite_exponent(p):
-            if n == 2:
-                raise DomainError(
-                    "planar exterior solution is bounded but not decaying; "
-                    "only the sup norm is finite (use p = inf)"
-                )
-            if p <= n / (n - 2.0):
-                raise DomainError(
-                    f"exterior solution in R^{n} is in L^p only for "
-                    f"p > {n / (n - 2.0):g}, got p = {p}"
-                )
-        # The planar gradient decays like r^-3, faster than the generic r^(1-n).
-        threshold = 2.0 / 3.0 if n == 2 else n / (n - 1.0)
-        if _is_finite_exponent(q) and q <= threshold:
-            raise DomainError(
-                f"exterior gradient in R^{n} is in L^q only for q > {threshold}, "
-                f"got q = {q}"
-            )
-
-    def norm_u(self, p: float) -> float:
-        """||U||_p on the exterior domain, closed form.
-
-        The sup norm is attained at r = sqrt(n/(n-2)) for n >= 3, giving
-        (1/(n-2)) (n/(n-2))^(-n/2); in the plane |U| increases to its limit 1/2.
-        """
-        self.check_exponents(p=p)
-        n = self.n
-        if p == _INF:
-            if n == 2:
-                return 0.5
-            return (1.0 / (n - 2.0)) * (n / (n - 2.0)) ** (-0.5 * n)
-        log_pow = (-(p + 1.0) * math.log(2.0)
-                   + math.log(sphere_area(n))
-                   + _log_beta(0.5 * (p * (n - 2.0) - n), p + 1.0))
-        return _exp_norm(log_pow / p, f"||U||_{p:g}")
-
-    def norm_grad(self, q: float) -> float:
-        """||grad U||_q on the exterior domain, closed form.
-
-        The sup norm equals 1, attained on the boundary sphere.  The finite-q
-        value for n >= 3 splits at the interior zero of the gradient into an
-        Euler beta plus an incomplete beta with negative second argument.
-        """
-        self.check_exponents(q=q)
-        n = self.n
-        if q == _INF:
-            return 1.0
-        if n == 2:
-            return (2.0 * math.pi / (3.0 * q - 2.0)) ** (1.0 / q)
-        log_pref = (-q * math.log(2.0)
-                    + math.log(sphere_area(n))
-                    + (q + 1.0) * math.log(n)
-                    - math.log(2.0 * (n - 2.0))
-                    + 0.5 * ((n - 2.0) - (n + 1.0) * q)
-                    * (math.log(n) - math.log(n - 2.0)))
-        outer = math.exp(_log_beta(0.5 * ((n - 1.0) * q - n), q + 1.0))
-        inner = incomplete_beta(2.0 / n, q + 1.0, 0.5 * (n - (n + 1.0) * q))
-        return _exp_norm((log_pref + math.log(outer + inner)) / q,
-                         f"||grad U||_{q:g}")
+            raise DomainError(f"exterior problem is Laplacian-only (k = 1), got k = {k}")
 
     def sample_radii(self, rng, count: int) -> np.ndarray:
         """Seeded radii in [1, 20], log-uniform, at which the verifier samples the PDE."""
@@ -363,42 +348,49 @@ class ExteriorGeometry:
 
 
 def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
-                    rel_tol: float = 1e-10) -> float:
+                    rel_tol: float = 1e-10, breaks=()) -> float:
     """L^p norm of a radial field by direct quadrature, or maximization for p = inf.
 
     radial_f is the radial representative (of the field or of its gradient
     magnitude); only |radial_f| enters.  r_hi may be inf: r = 1/x then maps
     [r_lo, inf) onto (0, 1/r_lo], where a tail decaying barely faster than
-    r^(-n) is an integrable singularity at x = 0.  A QuadratureError names
-    the radius beyond which |radial_f| underflows to 0 when the mass lost
-    there may exceed the tolerance.
+    r^(-n) is an integrable singularity at x = 0.  `breaks` are radii inside
+    (r_lo, r_hi) where |radial_f|^p may have a kink, such as the sign changes
+    of radial_f: as in QUADPACK's QAGP, each piece between them is integrated
+    on its own, so no panel straddles one.  A QuadratureError names the
+    radius beyond which |radial_f| underflows to 0 when the mass lost there
+    may exceed the tolerance.
     """
     if not _is_finite_exponent(p):
         _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
                             r_lo, r_hi)
         return value
 
+    samples = []
     if not math.isinf(r_hi):
-        # integrate rejects a non-finite value and names the point.
-        with np.errstate(all="ignore"):
-            value, _ = integrate(lambda r: np.abs(radial_f(r)) ** p * r ** (n - 1.0),
-                                 r_lo, r_hi, rel_tol=rel_tol)
+        edges = [r_lo, *sorted(breaks), r_hi]
+
+        def integrand(r):
+            return np.abs(radial_f(r)) ** p * r ** (n - 1.0)
     else:
         if not (math.isfinite(r_lo) and r_lo > 0.0):
             raise QuadratureError(f"the map r = 1/x needs a finite positive "
                                   f"r_lo, got {float(r_lo)!r}")
-        samples = []
+        edges = [0.0, *sorted(1.0 / r for r in breaks), 1.0 / r_lo]
 
         def integrand(x):
             # |f(1/x)|^p x^(-n-1) in log form: x^(-n-1) overflows where
-            # |f(1/x)|^p underflows.  integrate rejects a non-finite value.
-            with np.errstate(all="ignore"):
-                f_abs = np.abs(np.asarray(radial_f(1.0 / x), dtype=float))
-                y = np.exp(p * np.log(f_abs) - (n + 1.0) * np.log(x))
+            # |f(1/x)|^p underflows.
+            f_abs = np.abs(np.asarray(radial_f(1.0 / x), dtype=float))
+            y = np.exp(p * np.log(f_abs) - (n + 1.0) * np.log(x))
             samples.append((x, f_abs, y))
             return y
 
-        value, _ = integrate(integrand, 0.0, 1.0 / r_lo, rel_tol=rel_tol)
+    # integrate rejects a non-finite value and names the point.
+    with np.errstate(all="ignore"):
+        value = math.fsum(integrate(integrand, a, b, rel_tol=rel_tol)[0]
+                          for a, b in zip(edges, edges[1:]))
+    if math.isinf(r_hi):
         # Below x1, the smallest sample where |f| is not 0, the mass under
         # the largest zero sample x0 is lost: about x0 times the integrand at x1.
         x, f_abs, y = map(np.concatenate, zip(*samples))

@@ -197,16 +197,13 @@ def _norms_record(cfg: RunConfig) -> dict:
     prof = geom.profile()
     rows = []
     # The sup-norm row of a field is listed once when its exponent is inf.
-    specs = {(name, exponent): (closed, fun) for name, exponent, closed, fun in (
-        ("u", inst.p, geom.norm_u, prof.phi),
-        ("u", math.inf, geom.norm_u, prof.phi),
-        ("grad_u", inst.q, geom.norm_grad, prof.dphi),
-        ("grad_u", math.inf, geom.norm_grad, prof.dphi))}
-    for (name, exponent), (closed, fun) in specs.items():
-        cval = closed(exponent)
-        qval = norm_quadrature(fun, exponent, geom.n, *geom.r_range)
+    for order, exponent in dict.fromkeys(((0, inst.p), (0, math.inf),
+                                          (1, inst.q), (1, math.inf))):
+        cval = (geom.norm_u, geom.norm_grad)[order](exponent)
+        qval = norm_quadrature((prof.phi, prof.dphi)[order], exponent, geom.n,
+                               *geom.r_range, breaks=prof.sign_changes(order))
         rows.append({
-            "field": name,
+            "field": ("u", "grad_u")[order],
             "exponent": exponent_doc(exponent),
             "closed_form": cval,
             "quadrature": qval,

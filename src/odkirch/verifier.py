@@ -106,8 +106,10 @@ def verify(instance: ProblemInstance, solution: Solution,
                           f"an instance on {geom}")
     n, radius = geom.n, geom.radius
     prof = solution.profile
-    nu_q = norm_quadrature(prof.phi, instance.p, n, *geom.r_range)
-    ng_q = norm_quadrature(prof.dphi, instance.q, n, *geom.r_range)
+    nu_q = norm_quadrature(prof.phi, instance.p, n, *geom.r_range,
+                           breaks=prof.sign_changes(0))
+    ng_q = norm_quadrature(prof.dphi, instance.q, n, *geom.r_range,
+                           breaks=prof.sign_changes(1))
     m_val = eval_kernel(instance.kernel, nu_q, ng_q)
 
     rng = np.random.default_rng(seed)

@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from odkirch.base_solutions import BallGeometry, ExteriorGeometry, norm_quadrature
+from odkirch import base_solutions
+from odkirch.base_solutions import (BallGeometry, ExteriorGeometry, RadialProfile,
+                                    norm_quadrature, profile_norm)
 from odkirch.errors import DomainError, QuadratureError
 
 INF = math.inf
@@ -150,6 +153,35 @@ class TestProfilesAndFields:
             base = getattr(prof, name)(r)
             assert np.array_equal(getattr(twice, name)(r), 0.7 * (1.3 * base))
 
+    @pytest.mark.parametrize("geom", [BallGeometry(n=3, radius=1.7), ExteriorGeometry(n=5),
+                                      ExteriorGeometry(n=2)])
+    def test_scale_shares_the_derived_terms(self, geom):
+        # A scaled profile carries its parent's terms, and evaluates exactly as
+        # a profile that derives them afresh from the same data.
+        prof = geom.profile()
+        scaled = prof.scale(2.0).scale(0.3)
+        assert prof.scale(2.0)._terms is prof._terms and scaled._terms is prof._terms
+        fresh = RadialProfile(coeffs=prof.coeffs, powers=prof.powers,
+                              factors=(0.5, 2.0, 0.3), r_min=prof.r_min, r_max=prof.r_max)
+        assert scaled == fresh and fresh._terms == prof._terms
+        r = prof.r_min + np.random.default_rng(7).uniform(0.0, 3.0, 64)
+        for name in ("phi", "dphi", "d2phi"):
+            assert np.array_equal(getattr(scaled, name)(r), getattr(fresh, name)(r))
+        assert scaled.sign_changes(1) == prof.sign_changes(1)
+
+    def test_sign_changes(self):
+        # Only zeros strictly inside the domain count: the base fields vanish
+        # on the boundary, and the exterior gradient at sqrt(n/(n-2)).
+        assert BallGeometry(n=3, radius=1.2).profile().sign_changes(0) == []
+        assert BallGeometry(n=3, radius=1.2).profile().sign_changes(1) == []
+        ext = ExteriorGeometry(n=4).profile()
+        assert ext.sign_changes(0) == []
+        assert ext.sign_changes(1) == [pytest.approx(math.sqrt(2.0), rel=1e-15)]
+        assert ExteriorGeometry(n=2).profile().sign_changes(1) == []
+        same_sign = RadialProfile(coeffs=(1.0, 1.0), powers=(2.0, 0.0), factors=(1.0,),
+                                  r_min=0.0, r_max=5.0)
+        assert same_sign.sign_changes(0) == []
+
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 64])
     def test_power_sums_round_as_the_closed_forms(self, n):
         # phi, phi' and phi'' of both base fields, written out by hand: the
@@ -266,6 +298,148 @@ class TestAdmissibility:
         with pytest.raises(DomainError):
             geom.check_exponents(q=q_thr)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_thresholds_are_exact(self, n):
+        # n / -a for the largest power a at infinity: n/(n-2), n/(n-1), and
+        # 2/3 for the planar gradient, which decays like r^-3.
+        geom = ExteriorGeometry(n=n)
+        q_thr = 2.0 / 3.0 if n == 2 else n / (n - 1.0)
+        geom.check_exponents(q=math.nextafter(q_thr, INF))
+        with pytest.raises(DomainError, match=f"only for q > {q_thr:g}, got q = "):
+            geom.check_exponents(q=q_thr)
+        if n == 2:
+            with pytest.raises(DomainError, match="does not decay at infinity"):
+                geom.check_exponents(p=1e6)
+            return
+        p_thr = n / (n - 2.0)
+        geom.check_exponents(p=math.nextafter(p_thr, INF))
+        with pytest.raises(DomainError, match=f"only for p > {p_thr:g}, got p = "):
+            geom.check_exponents(p=p_thr)
+
+
+def sphere_area_ref(n):
+    return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+
+
+def quad_pieces(f, edges):
+    """Sum of scipy's QUADPACK quad of f over consecutive edges, to a
+    relative 2e-14 each."""
+    return math.fsum(scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                     for a, b in zip(edges, edges[1:]))
+
+
+def ball_reference(n, radius, p, field):
+    """(|S^(n-1)| integral of |f(r)|^p r^(n-1) over [0, R])^(1/p) by scipy,
+    with f = (r^2 - R^2)/2 or f' = r written out."""
+    f = (lambda r: 0.5 * (r * r - radius * radius)) if field == "u" else (lambda r: r)
+    total = quad_pieces(lambda r: abs(f(r)) ** p * r ** (n - 1.0), [0.0, radius])
+    return (sphere_area_ref(n) * total) ** (1.0 / p)
+
+
+def exterior_reference(n, p, field):
+    """The same over [1, inf) for f = (r^(-n) - r^(2-n))/2 or its derivative,
+    in t = log r: |f|^p r^(n-1) dr = exp(p log|f(e^t)| + n t) dt with the
+    power that rules at infinity taken out of log|f| by hand, so that the
+    exponent is a small number times t.  Pieces break at the kink of |f'|
+    and double out to where the integrand is below e^-60 of its start."""
+    if field == "u":
+        rate = (2.0 - n) * p + n
+        def log_f(t):   # log|f| - (2-n) t = log(|1 - e^(-2t)| / 2)
+            return math.log(0.5) + math.log(-math.expm1(-2.0 * t))
+        edges = [0.0]
+    elif n == 2:
+        rate = -3.0 * p + n
+        def log_f(t):   # f' = -r^-3
+            return 0.0
+        edges = [0.0]
+    else:
+        rate = (1.0 - n) * p + n
+        def log_f(t):   # log|f'| - (1-n) t = log(|(n-2) - n e^(-2t)| / 2)
+            x = abs((n - 2.0) - n * math.exp(-2.0 * t))
+            return math.log(0.5) + (math.log(x) if x > 0.0 else -INF)
+        edges = [0.0, 0.5 * math.log(n / (n - 2.0))]
+    assert rate < 0.0
+    while edges[-1] < 60.0 / -rate:
+        edges.append(max(2.0 * edges[-1], 1.0))
+    total = quad_pieces(lambda t: math.exp(p * log_f(t) + rate * t), edges)
+    return (sphere_area_ref(n) * total) ** (1.0 / p)
+
+
+class TestClosedFormsAgainstQuadpack:
+    """profile_norm against a direct scipy quadrature of the defining integral."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 11])
+    @pytest.mark.parametrize("radius", [0.01, 0.3, 1.2, 7.0, 1e3])
+    def test_ball(self, n, radius):
+        geom = BallGeometry(n=n, radius=radius)
+        for p in (0.3, 1.0, 2.0, 5.5, 40.0):
+            assert geom.norm_u(p) == pytest.approx(ball_reference(n, radius, p, "u"),
+                                                   rel=1e-12), p
+            assert geom.norm_grad(p) == pytest.approx(ball_reference(n, radius, p, "grad"),
+                                                      rel=1e-12), p
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_exterior(self, n):
+        geom = ExteriorGeometry(n=n)
+        q_thr = 2.0 / 3.0 if n == 2 else n / (n - 1.0)
+        for q in (q_thr * 1.001, q_thr + 0.1, 7.0):
+            assert geom.norm_grad(q) == pytest.approx(exterior_reference(n, q, "grad"),
+                                                      rel=1e-12), q
+        if n >= 3:
+            p_thr = n / (n - 2.0)
+            for p in (p_thr * 1.001, p_thr + 0.1, 7.0):
+                assert geom.norm_u(p) == pytest.approx(exterior_reference(n, p, "u"),
+                                                       rel=1e-12), p
+
+    @pytest.mark.parametrize("c0, r_max", [(-4.0, 1.0), (-0.25, 1.0), (-1.0, 1.0)])
+    def test_bounded_two_term_sum(self, c0, r_max):
+        # f = r^2 + c0 on [0, 1] changes sign at r = 2 (past the domain), at
+        # r = 1/2 (inside it) and at r = 1 (on its boundary).
+        prof = RadialProfile(coeffs=(1.0, c0), powers=(2.0, 0.0), factors=(1.0,),
+                             r_min=0.0, r_max=r_max)
+        for p in (0.5, 2.0, 9.0):
+            total = quad_pieces(lambda r: abs(r * r + c0) ** p * r ** 2.0,
+                                [0.0, *prof.sign_changes(0), r_max])
+            ref = (sphere_area_ref(3) * total) ** (1.0 / p)
+            assert profile_norm(prof, 0, p, 3, "f") == pytest.approx(ref, rel=1e-12)
+        assert profile_norm(prof, 0, INF, 3, "f") == max(-c0, abs(1.0 + c0))
+
+
+class TestClosedFormQuadratureCalls:
+    """Only the exterior gradient, whose profile changes sign inside the
+    domain, needs an incomplete beta; the rest are complete betas."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = base_solutions.incomplete_beta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(base_solutions, "incomplete_beta", counted)
+        return calls
+
+    @pytest.mark.parametrize("radius", [0.3, 1.2, 7.0])
+    def test_ball_norms(self, calls, radius):
+        # y_e = R^2 / R^2 lands on 1 however R^2 rounds.
+        for n in (2, 3, 7):
+            geom = BallGeometry(n=n, radius=radius)
+            for p in (0.3, 2.0, 5.5):
+                geom.norm_u(p)
+                geom.norm_grad(p)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_exterior_norms(self, calls, n):
+        geom = ExteriorGeometry(n=n)
+        if n >= 3:
+            geom.norm_u(4.0)
+            assert calls == []
+        geom.norm_grad(2.0)
+        assert len(calls) == (1 if n >= 3 else 0)
+
 
 class TestBallNormsDualRoute:
     @pytest.mark.parametrize("n,radius", [(2, 1.0), (3, 1.5), (5, 0.7)])
@@ -380,6 +554,15 @@ class TestExteriorNormsDualRoute:
                 except QuadratureError:
                     continue
                 assert quad == pytest.approx(closed(e), rel=1e-8)
+
+    def test_gradient_kink_is_a_breakpoint(self):
+        # |f'|^q has a kink at the zero r* = sqrt(n/(n-2)) of f', which one
+        # K15/G7 panel straddled here (9.9e-10 off without the breakpoint).
+        geom = ExteriorGeometry(n=4)
+        prof = geom.profile()
+        quad = norm_quadrature(prof.dphi, 3.45936, 4, 1.0, INF,
+                               breaks=prof.sign_changes(1))
+        assert quad == pytest.approx(geom.norm_grad(3.45936), rel=1e-10)
 
     def test_underflow_near_threshold_is_named(self):
         # n = 3, q = 1.52: dphi underflows past r of about 1e154 while the

@@ -47,15 +47,20 @@ Exit code, stdout and stderr of every operation are compared.  Each tree
 writes one result file per operation, so a plot-data output of some 10,000
 lines is held in memory only while it is compared.  Each differing
 operation is printed as a unified diff of the two sides.  A summary line
-then sorts them: a difference is float-only when the exit code and stderr
-agree and the stdout differs only in floats (JSON output parsed, with the
-same keys, lengths and non-float values; text and CSV output equal once
-every float literal is masked), and structural otherwise.  Each JSON key
-path holding a float-only difference, list indices collapsed (`roots[].s`),
-gets one line with the number of outputs it differs in and its largest
-relative change.  The script exits 1 when any operation differs and 0 when
-all agree.  It is meant for refactors, which must leave every output
-unchanged or say which floats move.
+then sorts them: a difference is float-only when the exit codes agree, the
+stderr is equal once every float literal is masked (a kernel fault names
+the point where it failed), and the stdout differs only in floats, and
+structural otherwise.  The stdout is compared as JSON output parsed, with
+the same keys, lengths and non-float values; as plot-data CSV parsed row by
+row, with the same header and rows, s, g and target compared as floats
+(so a float that prints as an integer is still a float) and is_root
+exactly; and as any other text equal once every float literal is masked.
+Each JSON key path holding a float-only difference, list indices collapsed
+(`roots[].s`), and each plot-data column (`plot-data.s`) gets one line with
+the number of outputs it differs in and its largest relative change.  The
+script exits 1 when any operation differs and 0 when all agree.  It is meant
+for refactors, which must leave every output unchanged or say which floats
+move.
 """
 
 import argparse
@@ -294,11 +299,35 @@ def float_changes(old, new, path="", out=None):
     return out
 
 
+CSV_HEADER = "s,g,target,is_root\n"
+
+
+def csv_changes(old: str, new: str):
+    """{plot-data column: largest relative change} of two plot-data outputs
+    whose rows after the header differ only in s, g and target, or None."""
+    old_rows, new_rows = old.splitlines(), new.splitlines()
+    if len(old_rows) != len(new_rows):
+        return None
+    out = {}
+    for a, b in zip(old_rows[1:], new_rows[1:]):
+        a, b = a.split(","), b.split(",")
+        if len(a) != 4 or len(b) != 4 or a[3] != b[3]:
+            return None
+        for name, x, y in zip(("s", "g", "target"), a, b):
+            try:
+                float_changes(float(x), float(y), f"plot-data.{name}", out)
+            except ValueError:
+                return None
+    return out
+
+
 def classify(old, new):
     """{key path: relative change} for a float-only difference ({} for text
-    or CSV output), None for a structural one."""
-    if old[0] != new[0] or old[2] != new[2]:
+    output or a stderr alone), None for a structural one."""
+    if old[0] != new[0] or FLOAT.sub("#", old[2]) != FLOAT.sub("#", new[2]):
         return None
+    if old[1].startswith(CSV_HEADER) and new[1].startswith(CSV_HEADER):
+        return csv_changes(old[1], new[1])
     try:
         return float_changes(json.loads(old[1]), json.loads(new[1]))
     except ValueError:
