@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (including a plot-data output file that cannot be opened for writing),
-3 domain or numerical-convergence error, 4 kernel evaluation fault.
+3 domain or numerical-convergence error, 4 kernel evaluation fault; the
+same code, and no traceback, when the reader closes stdout early (`| head`).
 
 analyze, verify and norms each build one record: --json prints it, the text
 output renders it, and a "fail" verdict in it makes the exit code 1.
@@ -25,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -33,7 +35,7 @@ from .base_solutions import norm_quadrature
 from .config import RunConfig, build_config, config_to_dict, exponent_doc, load_config
 from .errors import (ConfigError, DomainError, KernelEvalError,
                      KernelSyntaxError, OdkirchError, QuadratureError)
-from .reduction import (build_reduced, roots_to_solutions, solve_roots,
+from .reduction import (_scan_grid, build_reduced, roots_to_solutions, solve_roots,
                         system_count_check)
 from .verifier import THRESHOLDS, judge_kelvin, judge_solution, perturb_solution
 
@@ -247,7 +249,7 @@ def _record(command: str, cfg: RunConfig) -> dict:
 def cmd_plot_data(cfg: RunConfig, out) -> int:
     eq = build_reduced(cfg.instance)
     structure = solve_roots(eq, cfg.scan)
-    grid = np.geomspace(structure.s_min, structure.s_max, structure.n_grid)
+    grid = _scan_grid(structure.s_min, structure.s_max, structure.n_grid)
     rows = [(s, g, 0) for s, g in zip(grid.tolist(), eq.g(grid).tolist())]
     rows.extend((r.s, eq.g(r.s), 1) for r in structure.roots)
     rows.sort(key=lambda row: (row[0], row[2]))
@@ -298,26 +300,33 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = sys.stdout
+    out, code = sys.stdout, 0
     try:
-        if args.command == "selftest":
-            return cmd_selftest(out)
-        cfg = load_config(args.config)
-        if args.command in _COMMANDS:
+        cfg = None if args.command == "selftest" else load_config(args.config)
+        if cfg is None:
+            code = cmd_selftest(out)
+        elif args.command in _COMMANDS:
             record = _record(args.command, cfg)
+            code = 1 if record.get("verdict") == "fail" else 0
             if args.json:
                 out.write(canonical_json(record) + "\n")
             else:
                 _COMMANDS[args.command][2](record, cfg.instance.geometry, out.write)
-            return 1 if record.get("verdict") == "fail" else 0
-        if args.output == "-":
-            return cmd_plot_data(cfg, out)
-        try:
-            fh = open(args.output, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.output}: {exc}") from exc
-        with fh:
-            return cmd_plot_data(cfg, fh)
+        elif args.output == "-":
+            code = cmd_plot_data(cfg, out)
+        else:
+            try:
+                fh = open(args.output, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.output}: {exc}") from exc
+            with fh:
+                code = cmd_plot_data(cfg, fh)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head`) after code was known; quiet the last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (ConfigError, KernelSyntaxError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,10 @@ and the critical points s_c, the zeros of g' between them, cut the window
 into pieces on which g is monotone, so each piece holds one root exactly
 when h changes sign across it or is 0 at an end.  The cells h crosses and
 the cells g' turns in are narrowed together (refine_brackets), each array
-call cutting every open bracket into 64 sections; an s_c with h(s_c) past
-the level splits its cell into two more brackets, and one within
-TANGENCY_RTOL * target of it is reported as a tangency.
+call cutting every open bracket into 64 sections around the secant point of
+its ends' h or g'; an s_c with h(s_c) past the level splits its cell into
+two more brackets, and one within TANGENCY_RTOL * target of it is reported
+as a tangency.
 
 system_count_check re-derives the count without the scalar equation, from
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
@@ -46,6 +47,7 @@ midpoints of consecutive ray roots, one segment per ray root; a pair that the
 ray scan also misses can still share a segment and hide.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -215,55 +217,84 @@ class SolutionStructure:
         return len(self.roots)
 
 
-# Sections of every live bracket per array call of h (six halvings), and the
-# rounds a bracket may take, about 200 halvings.  The edge warnings look at
-# _EDGE_WINDOW grid points at either end.  A critical point of g that splits
-# nothing is reported as a tangency within TANGENCY_RTOL * target of the
-# level; no count depends on it.
+# Sections of every bracket per array call of h, and the rounds a bracket may
+# take: n rounds narrow it at least 32^(n - 1)-fold, _ROUNDS 2^200-fold.
+# The edge warnings look at _EDGE_WINDOW grid points at either end.  A
+# critical point of g that splits nothing is reported as a tangency within
+# TANGENCY_RTOL * target of the level; no count depends on it.
 _SECTIONS = 64
-_ROUNDS = 34
+_ROUNDS = 41
 _EDGE_WINDOW = 50
 TANGENCY_RTOL = 1e-3
+_HALF = np.linspace(-1.0, 1.0, _SECTIONS + 1)
 
 
-def refine_brackets(fun, a, b, fa, rel_width: float, rows=None):
+@functools.lru_cache(maxsize=4)
+def _scan_grid(s_min: float, s_max: float, n: int) -> np.ndarray:
+    """np.geomspace(s_min, s_max, n), read-only, computed once per process."""
+    grid = np.geomspace(s_min, s_max, n)
+    grid.flags.writeable = False
+    return grid
+
+
+def refine_brackets(fun, a, b, fa, rel_width: float, rows=None, fb=None):
     """Narrow the sign-change brackets [a_i, b_i], fun(a_i) = fa_i, together.
 
-    Each round makes one call of fun, on the _SECTIONS - 1 evenly spaced
-    interior points lo + (hi - lo) j / _SECTIONS of every live bracket, and
-    the bracket becomes its first section whose right end is exactly 0 or
-    has the other sign, (f < 0) != (fa < 0), than fa; hi ends the last one.
-    An exact 0 closes the bracket at that point.  A bracket stays live while
-    hi - lo > rel_width * mid and lo < mid < hi, mid = (lo + hi) / 2, for at
-    most _ROUNDS rounds.  Returns (roots, residuals) as lists: the midpoints
-    of the final brackets, and |fun| there from one last call.
+    Each round makes one call of fun, on _SECTIONS + 1 points of every live
+    bracket [lo, hi]: the secant point x of fun at lo and hi, and _SECTIONS/2
+    equal sections either side of it over [x - d, x + d] within the bracket,
+    d = max(8 (hi - lo)^2 / x, rel_width x); the midpoint and the bracket
+    without a secant point in [lo, hi] and in every round after a miss.  The
+    bracket becomes its first piece, cut at lo, the points and hi, whose right
+    end is exactly 0, which closes it there, or has the other sign, (f < 0)
+    != (fa < 0), than fa: a section, 32 times narrower or more, or a miss,
+    the piece outside the sections.  So fun(lo) keeps fa's sign and the root
+    stays in (lo, hi].  A bracket stays live while hi - lo > rel_width * mid
+    and lo < mid < hi, mid = (lo + hi) / 2, for at most _ROUNDS rounds.
+    Returns (roots, residuals) as lists: the final midpoints, and |fun| there.
 
     fun maps an array of points to an array of values.  With rows, fun
     returns rows of values, bracket i is narrowed on row rows[i], and its
-    residual is the signed column of fun at its root.
+    residual is the signed column of fun at its root.  fb holds the values
+    at b, on the same rows; without it the first round is uniform.
     """
-    lo, hi = np.array(a, dtype=float), np.array(b, dtype=float)
-    negative = np.asarray(fa, dtype=float) < 0.0
-    row = np.zeros(lo.size, dtype=int) if rows is None else np.asarray(rows, dtype=int)
-    steps = np.arange(_SECTIONS + 1) / _SECTIONS
-    for _ in range(_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((hi - lo > rel_width * mid) & (lo < mid) & (mid < hi))
-        if not live.size:
-            break
-        edges = lo[live, None] + (hi - lo)[live, None] * steps
-        edges[:, -1] = hi[live]
-        inner = edges[:, 1:-1]
-        values = np.atleast_2d(fun(inner.ravel())).reshape(-1, *inner.shape)
-        ends = np.ones((live.size, _SECTIONS))
-        ends[:, :-1] = values[row[live], np.arange(live.size)]
-        hit = (ends == 0.0) | ((ends < 0.0) != negative[live, None])
-        hit[:, -1] = True
-        pick = np.arange(live.size), hit.argmax(axis=1)
-        right = edges[:, 1:][pick]
-        lo[live] = np.where(ends[pick] == 0.0, right, edges[pick])
-        hi[live] = right
-    roots = (0.5 * (lo + hi)).tolist()
+    ends = np.array([a, b], dtype=float).T
+    f_ends = np.array([fa, np.full(len(ends), np.nan) if fb is None else fb], dtype=float).T
+    row = np.zeros(len(ends), dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    fresh = np.ones(len(ends), dtype=bool)
+    at, roots = np.arange(len(ends)), np.empty(len(ends))     # where live roots go
+    with np.errstate(all="ignore"):
+        for n_round in range(_ROUNDS + 1):
+            (lo, hi), (f_lo, f_hi) = ends.T, f_ends.T
+            mid = 0.5 * (lo + hi)
+            live = (hi - lo > rel_width * mid) & (lo < mid) & (mid < hi) & (n_round < _ROUNDS)
+            if not (at.size and live.all()):      # brackets done leave the arrays
+                roots[at[~live]] = mid[~live]
+                at, ends, f_ends, row, fresh = (
+                    v[live] for v in (at, ends, f_ends, row, fresh))
+                if not at.size:
+                    break
+                (lo, hi), (f_lo, f_hi), mid = ends.T, f_ends.T, mid[live]
+            index = np.arange(len(at))
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            window = fresh & (lo <= x) & (x <= hi)
+            x = np.where(window, x, mid)
+            d = np.where(window, np.maximum(8.0 * (hi - lo) ** 2, rel_width * x * x)
+                         / np.abs(x), np.inf)
+            w_lo, w_hi = np.fmax(x - d, lo), np.fmin(x + d, hi)
+            inner = x[:, None] + np.where(_HALF < 0.0, (x - w_lo)[:, None],
+                                          (w_hi - x)[:, None]) * _HALF
+            points = np.column_stack([lo, w_lo, inner[:, 1:-1], w_hi, hi])
+            raw = np.atleast_2d(fun(points[:, 1:-1].ravel())).reshape(-1, *inner.shape)
+            values = np.column_stack([f_lo, raw[row, index], f_hi])
+            hit = (values == 0.0) | ((values < 0.0) != (f_lo < 0.0)[:, None])
+            hit[:, 0], hit[:, -1] = False, True
+            right = hit.argmax(axis=1)
+            fresh &= (right > 1) & (right < _SECTIONS + 2)
+            left = right - (values[index, right] != 0.0)      # right itself at an exact 0
+            pair = index[:, None], np.column_stack([left, right])
+            ends, f_ends = points[pair], values[pair]
+    roots = roots.tolist()
     last = np.atleast_2d(fun(np.array(roots))) if roots else np.empty((1, 0))
     return roots, (np.abs(last[0]).tolist() if rows is None else last.T.tolist())
 
@@ -284,7 +315,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
                               "not finite; give scan.s_max explicitly")
     if s_max <= s_min:
         raise DomainError(f"scan range empty: [{s_min}, {s_max}]")
-    grid = np.geomspace(s_min, s_max, config.n_grid)
+    grid = _scan_grid(s_min, s_max, config.n_grid)
     hvals, slopes = eq.h(grid, slope=True)
 
     # Cell i is [grid[i], grid[i + 1]]: it is flagged when its left end is an
@@ -308,10 +339,13 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     turning = np.flatnonzero((falling[:-1] != falling[1:]) & ~crossing & (
         (falling[1:] == negative[:-1]) | zero[:-1] | zero[1:]))
     cells = np.concatenate([crossed, turning])
+    # g' adds a slope walk to every kernel call: only turning cells need it.
+    fun = (lambda s: eq.h(s, slope=True)) if turning.size else eq.h
     found, columns = refine_brackets(
-        lambda s: eq.h(s, slope=True), grid[cells], grid[cells + 1],
+        fun, grid[cells], grid[cells + 1],
         np.concatenate([hvals[crossed], slopes[turning]]), config.rel_width,
-        rows=[0] * crossed.size + [1] * turning.size)
+        rows=[0] * crossed.size + [1] * turning.size,
+        fb=np.concatenate([hvals[crossed + 1], slopes[turning + 1]]))
 
     # Every root is a refined bracket or an exact zero: the crossed cells,
     # the grid zeros, the critical points on the level and the pieces of the
@@ -325,7 +359,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
     for i, s_c, (h_c, _) in zip(turning.tolist(), found[crossed.size:],
                                 columns[crossed.size:]):
         (lo, hi), (h_lo, h_hi) = grid[i:i + 2].tolist(), hvals[i:i + 2].tolist()
-        split = [(a, b, f_a) for a, b, f_a, f_b in
+        split = [(a, b, f_a, f_b) for a, b, f_a, f_b in
                  ((lo, s_c, h_lo, h_c), (s_c, hi, h_c, h_hi))
                  if f_a < 0.0 < f_b or f_b < 0.0 < f_a]
         pieces += split
@@ -335,9 +369,10 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
             roots.append((s_c, 0.0, (lo, hi)))
         else:
             tangencies.append(TangencyInfo(s=s_c, gap=abs(h_c), bracket=(lo, hi)))
-    found, residuals = refine_brackets(eq.h, *np.array(pieces).reshape(-1, 3).T,
-                                       config.rel_width)
-    roots += [(s, res, piece[:2]) for s, res, piece in zip(found, residuals, pieces)]
+    if pieces:
+        a, b, f_a, f_b = np.array(pieces).T
+        found, residuals = refine_brackets(eq.h, a, b, f_a, config.rel_width, fb=f_b)
+        roots += [(s, res, piece[:2]) for s, res, piece in zip(found, residuals, pieces)]
 
     warnings, habs = [], np.abs(hvals)
     if not flagged[-_EDGE_WINDOW:].any() and np.all(np.diff(habs[-_EDGE_WINDOW:]) < 0.0):

@@ -360,6 +360,22 @@ class TestPlotData:
         _, second, _ = run_cli(capsys, "plot-data", "-c", path)
         assert first == second
 
+    def test_reader_closing_early(self, tmp_path):
+        # `plot-data | head -3`: the reader closes the pipe after three of the
+        # 10,001 lines.  The command still exits 0 and prints no traceback.
+        path = write_config(tmp_path, BATTERY["cases"][0], 3.0)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "odkirch.cli", "plot-data", "-c", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0 and err == ""
+        assert lines[0] == "s,g,target,is_root\n" and lines[2].endswith(",0\n")
+
 
 SELFTEST_CASES = ("ball n=2 k=1", "ball n=4 k=2", "exterior n=3 k=1")
 

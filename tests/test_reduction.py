@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from odkirch import reduction
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
@@ -591,13 +591,18 @@ class TestBatchedBisection:
             assert abs(root - want) <= rel_width * root
             assert abs(root - exact * math.pi) <= rel_width * root
             assert res == abs(math.cos(root))
-        # The brackets of width 0.1 and of 1 around 3 pi / 2 take 7 rounds,
-        # the one of 1 around pi / 2 takes 8, the narrow one none.
-        assert calls == [(3 * 63,)] * 7 + [(63,), (4,)]
+        # 65 points per live bracket: a uniform first round (no values at b),
+        # then rounds around the secant point take the bracket of width 0.1 to
+        # rel_width in 3 rounds, the two of width 1 in 4; the narrow one needs
+        # none.
+        assert calls == [(3 * 65,)] * 3 + [(2 * 65,), (4,)]
 
     def test_step_cap(self):
-        # Narrowing 1e300 down to the root 2e-300 takes about 330 rounds;
-        # refinement stops after 34, with hi at 1e300 / 64^34.
+        # Narrowing 1e300 down to the root 2e-300 takes about 330 halvings.
+        # After the first, uniform, round the secant point's offset 1e-300 /
+        # 1.6e298 underflows to 0, so x = lo and each round keeps the 32
+        # sections right of it: refinement stops after 41 rounds, with hi at
+        # 1e300 / (64 * 32^40).
         calls = []
 
         def fun(s):
@@ -605,9 +610,9 @@ class TestBatchedBisection:
             return np.asarray(s) - 2e-300
 
         roots, residuals = refine_brackets(fun, [1e-300], [1e300], [-1e-300], 1e-13)
-        assert roots[0] == pytest.approx(0.5 * (1e-300 + 1e300 / 2.0 ** 204), rel=1e-12)
+        assert roots[0] == pytest.approx(0.5 * (1e-300 + 1e300 / 2.0 ** 206), rel=1e-12)
         assert residuals[0] == roots[0] - 2e-300
-        assert len(calls) == 34 + 1
+        assert len(calls) == 41 + 1
 
     def test_grid_zero_after_bisected_cell(self):
         # h crosses in cell 40, is exactly 0 on grid point 42 and crosses
@@ -638,6 +643,79 @@ class TestBatchedBisection:
             assert abs(info.s - want) <= config.rel_width * info.s
             assert abs(info.s - jump) <= config.rel_width * info.s
             assert info.residual == 1.0
+
+
+def steep_feature(kind, scale, lo, root, part):
+    """tanh(scale (s - root)), or the kink |s - p| - c whose right zero is
+    root, with p = root - c inside [lo, root] when part < 0.5."""
+    if kind == "tanh":
+        return lambda s: np.tanh(scale * (np.asarray(s) - root))
+    c = (root - lo) * (0.5 + part)
+    return lambda s: np.abs(np.asarray(s) - (root - c)) - c
+
+
+class TestWindowRefinement:
+    """Rounds around the secant point on steep features, where the secant
+    point lands outside the window: the bracket, the agreement with the
+    sequential loop and the round cap hold, and the miss path runs."""
+
+    def test_steep_features(self):
+        rel_width = 1e-13
+        misses = []
+
+        @given(kind=st.sampled_from(["tanh", "kink"]), lo=st.floats(0.1, 10.0),
+               width=st.floats(-6.0, 0.0), place=st.floats(0.01, 0.99),
+               scale=st.floats(0.0, 8.0), part=st.floats(0.01, 2.0),
+               sign=st.sampled_from([1.0, -1.0]))
+        @example(kind="tanh", lo=1.0, width=-3.0, place=0.9, scale=8.0, part=1.0,
+                 sign=1.0)
+        @settings(max_examples=150, deadline=None)
+        def check(kind, lo, width, place, scale, part, sign):
+            hi = lo * (1.0 + 10.0 ** width)
+            root = lo + (hi - lo) * place
+            feature = steep_feature(kind, 10.0 ** scale, lo, root, part)
+
+            def f(s):
+                return sign * feature(s)
+
+            calls = []
+
+            def fun(s):
+                calls.append(np.array(s))
+                return f(s)
+
+            fa, fb = float(f(lo)), float(f(hi))
+            assume((fa < 0.0) != (fb < 0.0) and 0.0 not in (fa, fb))
+            (found,), (res,) = refine_brackets(fun, [lo], [hi], [fa], rel_width, fb=[fb])
+            want, _ = sequential_bisect(lambda s: float(f(s)), lo, hi, fa, rel_width)
+            assert lo <= found <= hi
+            left, right = f(found * (1.0 - rel_width)), f(found * (1.0 + rel_width))
+            assert 0.0 in (left, right) or (left < 0.0) != (right < 0.0)
+            assert abs(found - want) <= rel_width * found
+            assert res == abs(f(found))
+            # Every round narrows the bracket 32-fold or more, one miss aside.
+            cap = 2 + math.floor(math.log((hi - lo) / (rel_width * lo), 32))
+            assert len(calls) <= min(cap, reduction._ROUNDS) + 1
+            missed = False
+            for points in calls[:-1]:
+                if missed:                  # 64 uniform sections for good
+                    steps = np.diff(points)
+                    ulps = 4.0 * np.spacing(points[-1])
+                    assert np.allclose(steps, steps.mean(), rtol=0.0, atol=ulps)
+                else:
+                    values = f(points)
+                    hit = (values == 0.0) | ((values < 0.0) != (fa < 0.0))
+                    missed = bool(hit[0] or not hit.any())
+            misses.append(missed)
+
+        check()
+        assert any(misses) and not all(misses)
+
+    def test_scan_grid_is_geomspace(self):
+        grid = reduction._scan_grid(1e-8, 1e3, 10_000)
+        assert reduction._scan_grid(1e-8, 1e3, 10_000) is grid
+        assert np.array_equal(grid, np.geomspace(1e-8, 1e3, 10_000))
+        assert not grid.flags.writeable
 
 
 def count_kernel_calls(monkeypatch):
@@ -689,19 +767,38 @@ class TestWorkCounts:
             assert calls["array"] > 0
 
     def test_array_calls_pinned(self, battery, monkeypatch):
-        # Each array call past the scan narrows every open bracket 64-fold,
-        # as six bisection levels per call did: 8 calls for one round of
-        # brackets, more where a critical point splits its cell.
-        runs = [(make_instance(case, run["lambda"]), 8)
+        # The scan, three rounds around the secant points of the cells' end
+        # values and one residual call: 5 calls for one pass of brackets, 3
+        # where the first secant point is an exact zero of h or g' (the
+        # constant kernel's linear h, and ball-decaying's turning cell at
+        # lambda 5), more where a critical point splits its cell.
+        exact = {("ball-constant", 3.0), ("ball-decaying", 5.0)}
+        runs = [(make_instance(case, run["lambda"]),
+                 3 if (case["name"], run["lambda"]) in exact else 5)
                 for case in battery["cases"] for run in case["runs"]]
         case = next(c for c in battery["cases"] if "tangency" in c)
         runs += [(make_instance(case, lam), want)
-                 for lam, want in zip(near_fold_lambdas(case), (8, 14, 13))]
-        runs.append((NARROW_WELL, 15))
+                 for lam, want in zip(near_fold_lambdas(case), (5, 12, 10))]
+        runs.append((NARROW_WELL, 12))
         for inst, want in runs:
             calls = count_kernel_calls(monkeypatch)
             solve_roots(build_reduced(inst))
             assert (calls["array"], calls["scalar"]) == (want, 0), inst.lam
+
+    def test_no_root_turning_run(self, battery, monkeypatch):
+        # ball-decaying at lambda 5 has no root: its one turning cell is
+        # narrowed on g' with no early stop, and with no split cell the
+        # second refinement is skipped.  2 calls after the scan.
+        case = next(c for c in battery["cases"] if c["name"] == "ball-decaying")
+        eq = build_reduced(make_instance(case, 5.0))
+        refined = []
+        monkeypatch.setattr(reduction, "refine_brackets",
+                            lambda *args, **kw: refined.append(len(args[1])) or
+                            refine_brackets(*args, **kw))
+        calls = count_kernel_calls(monkeypatch)
+        structure = solve_roots(eq)
+        assert structure.count == 0 and structure.tangencies == ()
+        assert refined == [1] and calls == {"scalar": 0, "array": 1 + 2}
 
 
 class TestCriticalPoints:
