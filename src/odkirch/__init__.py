@@ -20,8 +20,7 @@ from .reduction import (ProblemInstance, ReducedEquation, RootInfo,
                         build_reduced, roots_to_solutions, solve_roots,
                         system_count_check)
 from .specialfun import incomplete_beta, log_gamma, sphere_area
-from .verifier import (THRESHOLDS, GammaReport, KelvinReport, ResidualReport,
-                       gamma_scaling_check, judge_kelvin, judge_solution,
-                       kelvin_checks, perturb_solution, verify)
+from .verifier import (THRESHOLDS, gamma_scaling_check, judge_kelvin,
+                       judge_solution, perturb_solution, verify)
 
 __version__ = "0.1.0"

@@ -100,10 +100,7 @@ def _analyze(cfg: RunConfig):
     """The reduced equation, its roots, and the 2-D system check's record."""
     eq = build_reduced(cfg.instance)
     structure = solve_roots(eq, cfg.scan)
-    report = system_count_check(eq, structure)
-    return eq, structure, {"cluster_count": report.cluster_count,
-                           "root_count": report.root_count,
-                           "matched": report.matched}
+    return eq, structure, system_count_check(eq, structure)
 
 
 def _analyze_record(cfg: RunConfig) -> dict:

@@ -429,18 +429,14 @@ def roots_to_solutions(structure: SolutionStructure) -> tuple:
                  for info in structure.roots)
 
 
-@dataclass(frozen=True)
-class SystemReport:
-    cluster_count: int    # segments of t = rho s where F1 changes sign
-    root_count: int
-    matched: bool
-
-
-# Segments of the line t = rho s in the 2-D check.
+# Segments of the line t = rho s in the 2-D check, and the exponents of its
+# geometric nodes s_lo^(1 - u) s_hi^u, a product that cannot overflow.
 _SYSTEM_GRID = 400
+_UNIT = np.linspace(0.0, 1.0, _SYSTEM_GRID + 1)
+_COUNIT = 1.0 - _UNIT
 
 
-def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> SystemReport:
+def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> dict:
     """Validate the root count by the degree of the 2-D fixed-point system.
 
     Samples F1 = s - ||U||_p gamma on 401 geometric nodes (s, rho s) of the
@@ -452,6 +448,9 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     when the counted segments are as many as the ray roots and the j-th of
     them holds the j-th root, give or take one segment.  DomainError when an
     edge of the box is not finite and positive.
+
+    Returns the "system_check" record of `odkirch analyze --json`:
+    cluster_count, the counted segments, root_count and matched.
     """
     ray = np.array([r.s for r in structure.roots])     # ascending
     s_lo, s_hi = ((float(ray[0]) / 10.0, float(ray[-1]) * 10.0) if ray.size
@@ -462,8 +461,9 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
             raise DomainError(f"2-D check box edge {name} = {edge!r} is not "
                               "finite and positive; lower scan.s_max")
 
-    s = np.sort(np.concatenate([np.geomspace(s_lo, s_hi, _SYSTEM_GRID + 1),
-                                0.5 * (ray[1:] + ray[:-1])]))
+    nodes = s_lo ** _COUNIT * s_hi ** _UNIT
+    nodes[0], nodes[-1] = s_lo, s_hi
+    s = np.sort(np.concatenate([nodes, 0.5 * (ray[1:] + ray[:-1])]))
     m = eval_kernel(eq.kernel, s, eq.rho * s)
     with np.errstate(all="ignore"):
         s_fix = eq.norm_u * (eq.lam / (eq.coeff * m)) ** (1.0 / eq.k)
@@ -477,8 +477,5 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> Sys
     holding = np.searchsorted(s, ray, side="right") - 1
     matched = (counted.size == structure.count
                and bool(np.all(np.abs(counted - holding) <= 1)))
-    return SystemReport(
-        cluster_count=int(counted.size),
-        root_count=structure.count,
-        matched=matched,
-    )
+    return {"cluster_count": int(counted.size), "root_count": structure.count,
+            "matched": matched}

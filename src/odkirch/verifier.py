@@ -13,14 +13,14 @@ Delta w(y) = |y|^(-n-2) (Delta u)(y/|y|^2), the boundary sphere is fixed with
 exactly when u stays appropriately bounded at infinity.  The image is
 RadialProfile.kelvin; only image_pointwise evaluates the definition itself.
 
-THRESHOLDS, judge_solution and judge_kelvin turn the reports into the
-pass/fail verdict that `odkirch verify` prints, so library callers get the
-same answer as the command line.
+verify, gamma_scaling_check and judge_kelvin return their quantities under
+the names that `odkirch verify --json` prints them; THRESHOLDS,
+judge_solution and judge_kelvin turn them into the pass/fail verdict, so
+library callers get the same answer as the command line.
 """
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +44,6 @@ THRESHOLDS = {
     "kelvin_constant": 1e-8,
     "norm_agreement": 1e-8,
 }
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    max_interior_residual: float
-    boundary_value_max: float
-    boundary_gradient_deviation: float
-    c_reported: float
-    norm_u_quad: float
-    norm_grad_quad: float
-    kernel_value: float
-    far_field_ratio: float | None = None
 
 
 def _unit_directions(rng, count: int, n: int) -> np.ndarray:
@@ -88,7 +76,7 @@ def perturb_solution(solution: Solution, factor: float) -> Solution:
 
 
 def verify(instance: ProblemInstance, solution: Solution,
-           n_samples: int = 64, seed: int = 0) -> ResidualReport:
+           n_samples: int = 64, seed: int = 0) -> dict:
     """Check that the candidate solves the problem it claims to solve.
 
     Interior: M(||u||_p, ||grad u||_q) S_k(D^2 u) = lambda w(|x - x0|) at
@@ -97,8 +85,10 @@ def verify(instance: ProblemInstance, solution: Solution,
     unit ball, where k = 1).  Boundary: u = 0 and |normal derivative| = c at
     random points of the sphere of radius R about x0 (R = 1, x0 = 0 for the
     exterior domain), the derivative taken by finite differences of the
-    scalar field.  On the exterior domain far_field_ratio also reports the
-    decay (n >= 3) or bounded limit (n = 2) at large radius.
+    scalar field; norm_consistency compares the quadrature ||u||_p with s.
+    On the exterior domain far_field_ratio also reports the decay (n >= 3)
+    or bounded limit (n = 2) at large radius.  Keys are those of the per-root
+    record of `odkirch verify --json`.
     """
     geom = instance.geometry
     if solution.geometry != geom:
@@ -121,40 +111,89 @@ def verify(instance: ProblemInstance, solution: Solution,
     h = 1e-4 * max(1.0, radius, *map(abs, geom.center))
     u = solution.u
     x = np.asarray(geom.center) + radius * dirs
-    bval = float(np.max(np.abs(u(x))))
     dn = _normal_derivative(u, x, dirs, h)
-    bgrad = float(np.max(np.abs(np.abs(dn) - solution.c)))
-    return ResidualReport(
-        max_interior_residual=interior,
-        boundary_value_max=bval,
-        boundary_gradient_deviation=bgrad,
-        c_reported=solution.c,
-        norm_u_quad=nu_q,
-        norm_grad_quad=ng_q,
-        kernel_value=float(m_val),
-        far_field_ratio=geom.far_field(prof),
-    )
+    values = {
+        "interior_residual": interior,
+        "boundary_value": float(np.max(np.abs(u(x)))),
+        "boundary_gradient": float(np.max(np.abs(np.abs(dn) - solution.c))),
+        "norm_consistency": abs(nu_q - solution.s) / max(1.0, abs(solution.s)),
+        "norm_u_quad": nu_q,
+        "norm_grad_quad": ng_q,
+        "kernel_value": float(m_val),
+    }
+    far = geom.far_field(prof)
+    if far is not None:
+        values["far_field_ratio"] = far
+    return values
 
 
-@dataclass(frozen=True)
-class KelvinReport:
-    image_pointwise_dev: float      # w of the base field vs (rho^2 - 1)/2
-    laplacian_identity_dev: float   # Delta w vs |y|^(-n-2) (Delta u)(y/|y|^2)
-    laplacian_constant_dev: float   # Delta w vs the constant n, base field only
-    boundary_identity_dev: float    # |grad w|^2 vs |grad u|^2 on the fixed sphere
-    orthogonality_dev: float        # radial/tangential split of a non-radial field
-    pythagoras_dev: float
-    double_transform_dev: float     # Kelvin applied twice vs the original profile
-    removability_ratios: tuple      # log(|w| / comparison) at 2^-4 .. 2^-20
-    removability_monotone: bool
-    removability_shrink: float
+def gamma_scaling_check(instance: ProblemInstance, solution: Solution,
+                        values: dict, n_samples: int = 48, seed: int = 0) -> dict:
+    """Rescale the solution by gamma = (M C(N,k) / lambda)^(1/k) and test that
+    v = gamma u satisfies the normalized equation of the base field:
+    S_k(D^2 v) = C(N, k) on the ball, Delta v = n |x|^(-n-2) outside.
 
-
-def kelvin_checks(geom: ExteriorGeometry, seed: int = 0,
-                  n_samples: int = 48) -> KelvinReport:
-    """Run the Kelvin-transform identity suite for one exterior dimension."""
+    M is `values["kernel_value"]`, the kernel at the quadrature-recomputed
+    norms of u that `verify` found, so this closes the loop between solver,
+    norms and scaling without shared code.  gamma_amplitude is |gamma *
+    amplitude - 1|, and gamma_pde the deviation relative to C(N, k), the
+    scale of the base equation's right side.  M > 0 at a true root, where
+    M C(N, k) s^k = lambda ||U||_p^k > 0; for M <= 0 no real gamma exists,
+    and all four values are nan, which fails both gamma checks.
+    """
+    geom = instance.geometry
     n = geom.n
-    base = geom.profile()
+    m_val = values["kernel_value"]
+    if m_val <= 0.0:
+        return dict.fromkeys(("gamma", "recovered_amplitude", "gamma_amplitude",
+                              "gamma_pde"), math.nan)
+    coeff = binomial(n, instance.k)
+    gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
+    scaled = solution.profile.scale(gamma)
+
+    rng = np.random.default_rng(seed)
+    radii = geom.sample_radii(rng, n_samples)
+    dev = float(np.max(np.abs(
+        k_hessian_radial(scaled, radii, n, instance.k) - coeff * geom.rhs_weight(radii)
+    )))
+    recovered = float(gamma * solution.amplitude)
+    return {"gamma": float(gamma), "recovered_amplitude": recovered,
+            "gamma_amplitude": abs(recovered - 1.0), "gamma_pde": dev / coeff}
+
+
+def _check_table(values: dict) -> dict:
+    """{name: (value, threshold)} -> {name: {value, threshold, pass}}."""
+    return {name: {"value": v, "threshold": t, "pass": v <= t}
+            for name, (v, t) in values.items()}
+
+
+def judge_solution(instance: ProblemInstance, solution: Solution,
+                   seed: int = 0) -> dict:
+    """Pass or fail one solution: `verify` and the gamma check against THRESHOLDS.
+
+    Returns the per-root record of `odkirch verify --json`: the recomputed
+    norms, kernel value and gamma, every check with its value, threshold and
+    pass flag, and the overall "pass".
+    """
+    doc = verify(instance, solution, seed=seed)
+    doc.update(gamma_scaling_check(instance, solution, doc, seed=seed))
+    checks = _check_table({name: (doc.pop(name), t)
+                           for name, t in THRESHOLDS.items() if name in doc})
+    return {"s": solution.s, "amplitude": solution.amplitude, "c": solution.c,
+            **doc, "checks": checks,
+            "pass": all(chk["pass"] for chk in checks.values())}
+
+
+def judge_kelvin(geometry, seed: int = 0, n_samples: int = 48) -> dict | None:
+    """Pass or fail the Kelvin-transform identity suite of an exterior
+    geometry; None on a ball.
+
+    Returns the "kelvin" record of `odkirch verify --json`.
+    """
+    if not isinstance(geometry, ExteriorGeometry):
+        return None
+    n = geometry.n
+    base = geometry.profile()
     image = base.kelvin(n)
 
     rng = np.random.default_rng(seed)
@@ -201,129 +240,20 @@ def kelvin_checks(geom: ExteriorGeometry, seed: int = 0,
     log_cmp = (2.0 - n) * np.log(r) if n >= 3 else np.log(np.log(1.0 / r))
     log_ratios = np.log(np.abs(image.phi(r))) - log_cmp
     monotone = bool(np.all(log_ratios[1:] < log_ratios[:-1]))
-    shrink = math.exp(log_ratios[-1] - log_ratios[0])
 
-    return KelvinReport(
-        image_pointwise_dev=pointwise_dev,
-        laplacian_identity_dev=identity_dev,
-        laplacian_constant_dev=constant_dev,
-        boundary_identity_dev=boundary_dev,
-        orthogonality_dev=ortho,
-        pythagoras_dev=pyth,
-        double_transform_dev=double_dev,
-        removability_ratios=tuple(log_ratios.tolist()),
-        removability_monotone=monotone,
-        removability_shrink=shrink,
-    )
-
-
-@dataclass(frozen=True)
-class GammaReport:
-    gamma: float
-    recovered_amplitude: float   # gamma * amplitude, must come back as 1
-    max_pde_dev: float           # rescaled field against the base equation
-
-
-def gamma_scaling_check(instance: ProblemInstance, solution: Solution,
-                        report: ResidualReport, n_samples: int = 48,
-                        seed: int = 0) -> GammaReport:
-    """Rescale the solution by gamma = (M C(N,k) / lambda)^(1/k) and test that
-    v = gamma u satisfies the normalized equation of the base field:
-    S_k(D^2 v) = C(N, k) on the ball, Delta v = n |x|^(-n-2) outside.
-
-    M is `report.kernel_value`, the kernel at the quadrature-recomputed norms
-    of u that `verify` found, so this closes the loop between solver, norms
-    and scaling without shared code.  M > 0 at a true root, where M C(N, k)
-    s^k = lambda ||U||_p^k > 0; for M <= 0 no real gamma exists, and the
-    report is all nan, which fails both gamma checks.
-    """
-    geom = instance.geometry
-    n = geom.n
-    m_val = report.kernel_value
-    if m_val <= 0.0:
-        return GammaReport(gamma=math.nan, recovered_amplitude=math.nan, max_pde_dev=math.nan)
-    coeff = binomial(n, instance.k)
-    gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
-    scaled = solution.profile.scale(gamma)
-
-    rng = np.random.default_rng(seed)
-    radii = geom.sample_radii(rng, n_samples)
-    dev = float(np.max(np.abs(
-        k_hessian_radial(scaled, radii, n, instance.k) - coeff * geom.rhs_weight(radii)
-    )))
-    return GammaReport(
-        gamma=float(gamma),
-        recovered_amplitude=float(gamma * solution.amplitude),
-        max_pde_dev=dev,
-    )
-
-
-def _check_table(values: dict) -> dict:
-    """{name: (value, threshold)} -> {name: {value, threshold, pass}}."""
-    return {name: {"value": v, "threshold": t, "pass": v <= t}
-            for name, (v, t) in values.items()}
-
-
-def judge_solution(instance: ProblemInstance, solution: Solution,
-                   seed: int = 0) -> dict:
-    """Pass or fail one solution: `verify` and the gamma check against THRESHOLDS.
-
-    Returns the per-root record of `odkirch verify --json`: the recomputed
-    norms, kernel value and gamma, every check with its value, threshold and
-    pass flag, and the overall "pass".
-    """
-    rep = verify(instance, solution, seed=seed)
-    gam = gamma_scaling_check(instance, solution, rep, seed=seed)
-    norm_dev = abs(rep.norm_u_quad - solution.s) / max(1.0, abs(solution.s))
-    values = {
-        "interior_residual": rep.max_interior_residual,
-        "boundary_value": rep.boundary_value_max,
-        "boundary_gradient": rep.boundary_gradient_deviation,
-        "norm_consistency": norm_dev,
-        "gamma_amplitude": abs(gam.recovered_amplitude - 1.0),
-        # Relative to C(N, k), the scale of the base equation's right side.
-        "gamma_pde": gam.max_pde_dev / binomial(instance.geometry.n, instance.k),
-    }
-    checks = _check_table({name: (v, THRESHOLDS[name]) for name, v in values.items()})
-    doc = {
-        "s": solution.s,
-        "amplitude": solution.amplitude,
-        "c": rep.c_reported,
-        "norm_u_quad": rep.norm_u_quad,
-        "norm_grad_quad": rep.norm_grad_quad,
-        "kernel_value": rep.kernel_value,
-        "gamma": gam.gamma,
-        "recovered_amplitude": gam.recovered_amplitude,
-        "checks": checks,
-        "pass": all(chk["pass"] for chk in checks.values()),
-    }
-    if rep.far_field_ratio is not None:
-        doc["far_field_ratio"] = rep.far_field_ratio
-    return doc
-
-
-def judge_kelvin(geometry, seed: int = 0) -> dict | None:
-    """Pass or fail the Kelvin suite of an exterior geometry; None on a ball.
-
-    Returns the "kelvin" record of `odkirch verify --json`.
-    """
-    if not isinstance(geometry, ExteriorGeometry):
-        return None
-    kel = kelvin_checks(geometry, seed=seed)
     identity, constant = THRESHOLDS["kelvin_identity"], THRESHOLDS["kelvin_constant"]
     checks = _check_table({
-        "image_pointwise": (kel.image_pointwise_dev, identity),
-        "laplacian_identity": (kel.laplacian_identity_dev, identity),
-        "laplacian_constant": (kel.laplacian_constant_dev, constant),
-        "boundary_identity": (kel.boundary_identity_dev, constant),
-        "orthogonality": (kel.orthogonality_dev, identity),
-        "pythagoras": (kel.pythagoras_dev, identity),
-        "double_transform": (kel.double_transform_dev, identity),
+        "image_pointwise": (pointwise_dev, identity),
+        "laplacian_identity": (identity_dev, identity),
+        "laplacian_constant": (constant_dev, constant),
+        "boundary_identity": (boundary_dev, constant),
+        "orthogonality": (ortho, identity),
+        "pythagoras": (pyth, identity),
+        "double_transform": (double_dev, identity),
     })
     return {
         "checks": checks,
-        "removability_monotone": kel.removability_monotone,
-        "removability_shrink": kel.removability_shrink,
-        "pass": (all(chk["pass"] for chk in checks.values())
-                 and kel.removability_monotone),
+        "removability_monotone": monotone,
+        "removability_shrink": math.exp(log_ratios[-1] - log_ratios[0]),
+        "pass": all(chk["pass"] for chk in checks.values()) and monotone,
     }

@@ -17,8 +17,11 @@ from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch import cli
 from odkirch.cli import main
 from odkirch.errors import DomainError
+from odkirch.reduction import (build_reduced, roots_to_solutions, solve_roots,
+                               system_count_check)
+from odkirch.verifier import judge_kelvin, judge_solution
 
-from conftest import load_battery
+from conftest import load_battery, make_instance
 
 BATTERY = load_battery()
 
@@ -147,6 +150,23 @@ class TestVerify:
             "boundary_identity", "orthogonality", "pythagoras",
             "double_transform",
         }
+
+    @pytest.mark.parametrize("name,lam", [("ball-constant", 3.0),
+                                          ("exterior-saturating", 1.0)])
+    def test_library_returns_what_json_prints(self, tmp_path, capsys, name, lam):
+        # 17 significant digits round-trip every float, so == is exact.
+        case = next(c for c in BATTERY["cases"] if c["name"] == name)
+        path = write_config(tmp_path, case, lam)
+        code, out, _ = run_cli(capsys, "verify", "-c", path, "--json")
+        doc = json.loads(out)
+        inst = make_instance(case, lam)
+        eq = build_reduced(inst)
+        structure = solve_roots(eq)
+        assert code == 0 and structure.count >= 1
+        assert doc["roots"] == [judge_solution(inst, sol)
+                                for sol in roots_to_solutions(structure)]
+        assert doc["kelvin"] == judge_kelvin(inst.geometry)
+        assert doc["system_check"] == system_count_check(eq, structure)
 
     def test_corrupted_amplitude_fails(self, tmp_path, capsys):
         path = write_config(tmp_path, BATTERY["cases"][0], 3.0,
