@@ -15,8 +15,7 @@ from .errors import (ConfigError, DomainError, KernelEvalError,
 from .hessian import (binomial, elementary_symmetric, hessian_fd,
                       k_hessian_field, k_hessian_radial, principal_minor_sum)
 from .kernel import eval_kernel, kernel_to_string, parse_kernel
-from .reduction import (ProblemInstance, ReducedEquation, RootInfo,
-                        ScanConfig, Solution, SolutionStructure,
+from .reduction import (ProblemInstance, ReducedEquation, ScanConfig, Solution,
                         build_reduced, roots_to_solutions, solve_roots,
                         system_count_check)
 from .specialfun import incomplete_beta, log_gamma, sphere_area

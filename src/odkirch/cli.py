@@ -97,28 +97,14 @@ def _f6(x: float) -> str:
 
 
 def _analyze(cfg: RunConfig):
-    """The reduced equation, its roots, and the 2-D system check's record."""
+    """The reduced equation and the body of the analyze record."""
     eq = build_reduced(cfg.instance)
-    structure = solve_roots(eq, cfg.scan)
-    return eq, structure, system_count_check(eq, structure)
+    record = solve_roots(eq, cfg.scan)
+    return eq, {**record, "system_check": system_count_check(eq, record)}
 
 
 def _analyze_record(cfg: RunConfig) -> dict:
-    eq, structure, system_check = _analyze(cfg)
-    return {
-        "coeff": eq.coeff, "norm_u": eq.norm_u, "norm_grad": eq.norm_grad,
-        "rho": eq.rho, "target": eq.target,
-        "scan": {"s_min": structure.s_min, "s_max": structure.s_max,
-                 "n_grid": structure.n_grid},
-        "count": structure.count,
-        "roots": [{"s": r.s, "amplitude": r.amplitude, "c": r.c,
-                   "residual": r.residual, "bracket": list(r.bracket)}
-                  for r in structure.roots],
-        "tangencies": [{"s": t.s, "gap": t.gap, "bracket": list(t.bracket)}
-                       for t in structure.tangencies],
-        "warnings": list(structure.warnings),
-        "system_check": system_check,
-    }
+    return _analyze(cfg)[1]
 
 
 def _analyze_text(rec: dict, geometry, w) -> None:
@@ -151,16 +137,17 @@ def _analyze_text(rec: dict, geometry, w) -> None:
 
 
 def _verify_record(cfg: RunConfig) -> dict:
-    _, structure, system_check = _analyze(cfg)
-    solutions = roots_to_solutions(structure)
+    eq, analysis = _analyze(cfg)
+    solutions = roots_to_solutions(eq, analysis)
     if cfg.amplitude_scale != 1.0:
         solutions = tuple(perturb_solution(s, cfg.amplitude_scale)
                           for s in solutions)
     reports = [judge_solution(cfg.instance, sol, seed=cfg.seed) for sol in solutions]
     kelvin = judge_kelvin(cfg.instance.geometry, seed=cfg.seed)
+    system_check = analysis["system_check"]
     ok = (system_check["matched"] and all(doc["pass"] for doc in reports)
           and (kelvin is None or kelvin["pass"]))
-    return {"amplitude_scale": cfg.amplitude_scale, "count": structure.count,
+    return {"amplitude_scale": cfg.amplitude_scale, "count": analysis["count"],
             "system_check": system_check, "roots": reports, "kelvin": kelvin,
             "verdict": "pass" if ok else "fail"}
 
@@ -245,10 +232,11 @@ def _record(command: str, cfg: RunConfig) -> dict:
 
 def cmd_plot_data(cfg: RunConfig, out) -> int:
     eq = build_reduced(cfg.instance)
-    structure = solve_roots(eq, cfg.scan)
-    grid = _scan_grid(structure.s_min, structure.s_max, structure.n_grid)
+    record = solve_roots(eq, cfg.scan)
+    scan = record["scan"]
+    grid = _scan_grid(scan["s_min"], scan["s_max"], scan["n_grid"])
     rows = [(s, g, 0) for s, g in zip(grid.tolist(), eq.g(grid).tolist())]
-    rows.extend((r.s, eq.g(r.s), 1) for r in structure.roots)
+    rows.extend((r["s"], eq.g(r["s"]), 1) for r in record["roots"])
     rows.sort(key=lambda row: (row[0], row[2]))
     out.write("s,g,target,is_root\n")
     for s, g, is_root in rows:

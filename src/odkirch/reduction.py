@@ -27,6 +27,10 @@ its ends' h or g'; an s_c with h(s_c) past the level splits its cell into
 two more brackets, and one within TANGENCY_RTOL * target of it is reported
 as a tangency.
 
+solve_roots returns one dict, the body of `odkirch analyze --json` but its
+"system_check", under the printed names; system_count_check and
+roots_to_solutions read that record.
+
 system_count_check re-derives the count without the scalar equation, from
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
 
@@ -91,7 +95,6 @@ class ProblemInstance:
 class ReducedEquation:
     """The scalar equation g(s) = target together with everything it came from."""
 
-    n: int
     k: int
     coeff: int          # C(N, k)
     norm_u: float       # ||U||_p
@@ -143,7 +146,6 @@ def build_reduced(instance: ProblemInstance) -> ReducedEquation:
             "overflows a double"
         )
     return ReducedEquation(
-        n=geom.n,
         k=instance.k,
         coeff=coeff,
         norm_u=norm_u,
@@ -182,39 +184,6 @@ class ScanConfig:
             raise DomainError(f"rel_width out of range: {self.rel_width}")
         if not math.isfinite(self.s_min) or not math.isfinite(self.s_max or 0.0):
             raise DomainError(f"scan window [{self.s_min}, {self.s_max}] must be finite")
-
-
-@dataclass(frozen=True)
-class RootInfo:
-    s: float
-    amplitude: float      # s / ||U||_p
-    c: float              # boundary gradient of the constructed solution
-    bracket: tuple        # grid interval that isolated the root
-    residual: float       # |g(s) - target| after refinement
-
-
-@dataclass(frozen=True)
-class TangencyInfo:
-    """A critical point of g near the target level that splits no cell."""
-
-    s: float
-    gap: float            # |g(s) - target|
-    bracket: tuple        # grid cell that holds s
-
-
-@dataclass(frozen=True)
-class SolutionStructure:
-    equation: ReducedEquation
-    roots: tuple
-    tangencies: tuple
-    warnings: tuple
-    s_min: float
-    s_max: float
-    n_grid: int
-
-    @property
-    def count(self) -> int:
-        return len(self.roots)
 
 
 # Sections of every bracket per array call of h, and the rounds a bracket may
@@ -299,12 +268,16 @@ def refine_brackets(fun, a, b, fa, rel_width: float, rows=None, fb=None):
     return roots, (np.abs(last[0]).tolist() if rows is None else last.T.tolist())
 
 
-def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> SolutionStructure:
+def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> dict:
     """Count and refine the positive roots of g(s) = target.
 
-    Pure function of its inputs: the scan grid and the refinement rounds are
-    deterministic.  DomainError when the default s_max overflows, or when h
-    is exactly 0 on two adjacent grid points.
+    Returns the body of `odkirch analyze --json` but its "system_check": the
+    equation's coeff, norm_u, norm_grad, rho and target; the scan window
+    {s_min, s_max, n_grid}; count; roots [{s, amplitude, c, residual,
+    bracket}] in ascending s; tangencies [{s, gap, bracket}]; and the edge
+    warnings.  Pure function of its inputs: the scan grid and the refinement
+    rounds are deterministic.  DomainError when the default s_max overflows,
+    or when h is exactly 0 on two adjacent grid points.
     """
     s_min, s_max = config.s_min, config.s_max
     if s_max is None:
@@ -368,7 +341,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
         if h_c == 0.0:
             roots.append((s_c, 0.0, (lo, hi)))
         else:
-            tangencies.append(TangencyInfo(s=s_c, gap=abs(h_c), bracket=(lo, hi)))
+            tangencies.append({"s": s_c, "gap": abs(h_c), "bracket": [lo, hi]})
     if pieces:
         a, b, f_a, f_b = np.array(pieces).T
         found, residuals = refine_brackets(eq.h, a, b, f_a, config.rel_width, fb=f_b)
@@ -387,21 +360,19 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> Solut
         )
 
     # |grad U| = R on the boundary sphere (R = 1 for the exterior domain).
-    root_infos = tuple(
-        RootInfo(s=root, amplitude=root / eq.norm_u,
-                 c=root / eq.norm_u * eq.geometry.radius,
-                 bracket=bracket, residual=res)
-        for root, res, bracket in sorted(roots, key=lambda r: r[0])
-    )
-    return SolutionStructure(
-        equation=eq,
-        roots=root_infos,
-        tangencies=tuple(tangencies),
-        warnings=tuple(warnings),
-        s_min=float(s_min),
-        s_max=float(s_max),
-        n_grid=config.n_grid,
-    )
+    return {
+        "coeff": eq.coeff, "norm_u": eq.norm_u, "norm_grad": eq.norm_grad,
+        "rho": eq.rho, "target": eq.target,
+        "scan": {"s_min": float(s_min), "s_max": float(s_max),
+                 "n_grid": config.n_grid},
+        "count": len(roots),
+        "roots": [{"s": s, "amplitude": s / eq.norm_u,
+                   "c": s / eq.norm_u * eq.geometry.radius,
+                   "residual": res, "bracket": list(bracket)}
+                  for s, res, bracket in sorted(roots, key=lambda r: r[0])],
+        "tangencies": tangencies,
+        "warnings": warnings,
+    }
 
 
 @dataclass(frozen=True)
@@ -420,13 +391,14 @@ class Solution:
         return self.profile.as_field(self.geometry.center)
 
 
-def roots_to_solutions(structure: SolutionStructure) -> tuple:
-    """Materialize one explicit solution per root, in root order."""
-    geom = structure.equation.geometry
+def roots_to_solutions(eq: ReducedEquation, record: dict) -> tuple:
+    """Materialize one explicit solution per root of solve_roots' record, in
+    root order."""
+    geom = eq.geometry
     base = geom.profile()
-    return tuple(Solution(amplitude=info.amplitude, c=info.c, s=info.s,
-                          geometry=geom, profile=base.scale(info.amplitude))
-                 for info in structure.roots)
+    return tuple(Solution(amplitude=root["amplitude"], c=root["c"], s=root["s"],
+                          geometry=geom, profile=base.scale(root["amplitude"]))
+                 for root in record["roots"])
 
 
 # Segments of the line t = rho s in the 2-D check, and the exponents of its
@@ -436,8 +408,8 @@ _UNIT = np.linspace(0.0, 1.0, _SYSTEM_GRID + 1)
 _COUNIT = 1.0 - _UNIT
 
 
-def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> dict:
-    """Validate the root count by the degree of the 2-D fixed-point system.
+def system_count_check(eq: ReducedEquation, record: dict) -> dict:
+    """Validate solve_roots' record by the degree of the 2-D fixed-point system.
 
     Samples F1 = s - ||U||_p gamma on 401 geometric nodes (s, rho s) of the
     box [min root / 10, max root * 10] (the scan window when there are no
@@ -452,9 +424,9 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> dic
     Returns the "system_check" record of `odkirch analyze --json`:
     cluster_count, the counted segments, root_count and matched.
     """
-    ray = np.array([r.s for r in structure.roots])     # ascending
+    ray = np.array([root["s"] for root in record["roots"]])     # ascending
     s_lo, s_hi = ((float(ray[0]) / 10.0, float(ray[-1]) * 10.0) if ray.size
-                  else (structure.s_min, structure.s_max))
+                  else (record["scan"]["s_min"], record["scan"]["s_max"]))
     t_lo, t_hi = eq.rho * s_lo, eq.rho * s_hi
     for name, edge in (("s_lo", s_lo), ("s_hi", s_hi), ("t_lo", t_lo), ("t_hi", t_hi)):
         if not 0.0 < edge < math.inf:
@@ -475,7 +447,7 @@ def system_count_check(eq: ReducedEquation, structure: SolutionStructure) -> dic
                              & ((left == 0.0) | (left * right < 0.0)))
 
     holding = np.searchsorted(s, ray, side="right") - 1
-    matched = (counted.size == structure.count
+    matched = (counted.size == ray.size
                and bool(np.all(np.abs(counted - holding) <= 1)))
-    return {"cluster_count": int(counted.size), "root_count": structure.count,
+    return {"cluster_count": int(counted.size), "root_count": ray.size,
             "matched": matched}

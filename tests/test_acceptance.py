@@ -117,10 +117,10 @@ def test_criterion_3_analytic_roots():
                     inst = ProblemInstance(geometry=geom, k=k, p=2.0, q=2.0,
                                            lam=lam, kernel=kernel)
                     eq = build_reduced(inst)
-                    structure = solve_roots(eq)
-                    assert structure.count == 1, (m, n, k, lam)
+                    record = solve_roots(eq)
+                    assert record["count"] == 1, (m, n, k, lam)
                     expected = (eq.target / eq.coeff) ** (1.0 / (k + m))
-                    got = structure.roots[0].s
+                    got = record["roots"][0]["s"]
                     assert abs(got - expected) / expected <= 1e-10, (m, n, k, lam)
     report(3, "analytic root recovery on the (N, k, lambda) grid")
 
@@ -151,11 +151,11 @@ def test_criterion_4_root_count_equivalence():
     assert "(s - 2)^2 + 0.1" in kernels
     for case, lam, expected in every_battery_run():
         eq = build_reduced(make_instance(case, lam))
-        structure = solve_roots(eq)
-        scan = dense_scan_count(eq, structure.s_min, structure.s_max)
-        system = system_count_check(eq, structure)
+        record = solve_roots(eq)
+        scan = dense_scan_count(eq, record["scan"]["s_min"], record["scan"]["s_max"])
+        system = system_count_check(eq, record)
         label = (case["name"], lam)
-        assert structure.count == expected, label
+        assert record["count"] == expected, label
         assert scan == expected, label
         assert system["cluster_count"] == expected, label
         assert system["matched"], label
@@ -169,8 +169,8 @@ def test_criterion_5_pde_residuals():
         if expected == 0:
             continue
         inst = make_instance(case, lam)
-        structure = solve_roots(build_reduced(inst))
-        for sol in roots_to_solutions(structure):
+        eq = build_reduced(inst)
+        for sol in roots_to_solutions(eq, solve_roots(eq)):
             rep = verify(inst, sol, n_samples=100, seed=0)
             label = (case["name"], lam, sol.s)
             assert rep["interior_residual"] <= 1e-6, label
@@ -200,8 +200,8 @@ def test_criterion_7_gamma_scaling():
         if expected == 0:
             continue
         inst = make_instance(case, lam)
-        structure = solve_roots(build_reduced(inst))
-        for sol in roots_to_solutions(structure):
+        eq = build_reduced(inst)
+        for sol in roots_to_solutions(eq, solve_roots(eq)):
             rep = gamma_scaling_check(inst, sol, verify(inst, sol),
                                       n_samples=100, seed=0)
             label = (case["name"], lam, sol.s)

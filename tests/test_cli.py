@@ -161,12 +161,12 @@ class TestVerify:
         doc = json.loads(out)
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
-        structure = solve_roots(eq)
-        assert code == 0 and structure.count >= 1
+        record = solve_roots(eq)
+        assert code == 0 and record["count"] >= 1
         assert doc["roots"] == [judge_solution(inst, sol)
-                                for sol in roots_to_solutions(structure)]
+                                for sol in roots_to_solutions(eq, record)]
         assert doc["kelvin"] == judge_kelvin(inst.geometry)
-        assert doc["system_check"] == system_count_check(eq, structure)
+        assert doc["system_check"] == system_count_check(eq, record)
 
     def test_corrupted_amplitude_fails(self, tmp_path, capsys):
         path = write_config(tmp_path, BATTERY["cases"][0], 3.0,

@@ -117,10 +117,10 @@ class TestBuildReduced:
         )
         eq = build_reduced(inst)
         assert eq.g(1e-8, slope=True) == (0.0, math.inf)
-        structure = solve_roots(eq)
-        assert structure.count == 1 and structure.tangencies == ()
+        record = solve_roots(eq)
+        assert record["count"] == 1 and record["tangencies"] == []
         # 2 s sqrt(s) = target = 0.5, up to the shift 1e-8.
-        assert structure.roots[0].s == pytest.approx(0.25 ** (2.0 / 3.0), rel=1e-6)
+        assert record["roots"][0]["s"] == pytest.approx(0.25 ** (2.0 / 3.0), rel=1e-6)
 
     def test_kernel_text(self):
         inst = ProblemInstance(
@@ -158,10 +158,10 @@ class TestClosedFormRoots:
         geom = BallGeometry(n=n, radius=1.0)
         inst = ProblemInstance(geometry=geom, k=k, p=2.0, q=2.0, lam=lam, kernel="1")
         eq = build_reduced(inst)
-        structure = solve_roots(eq)
-        assert structure.count == 1
+        record = solve_roots(eq)
+        assert record["count"] == 1
         expected = (eq.target / eq.coeff) ** (1.0 / k)
-        assert structure.roots[0].s == pytest.approx(expected, rel=1e-11)
+        assert record["roots"][0]["s"] == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_power_kernel(self, m):
@@ -171,10 +171,10 @@ class TestClosedFormRoots:
             geometry=geom, k=2, p=2.0, q=2.0, lam=2.5, kernel=f"s^{m}",
         )
         eq = build_reduced(inst)
-        structure = solve_roots(eq)
-        assert structure.count == 1
+        record = solve_roots(eq)
+        assert record["count"] == 1
         expected = (eq.target / eq.coeff) ** (1.0 / (2 + m))
-        assert structure.roots[0].s == pytest.approx(expected, rel=1e-11)
+        assert record["roots"][0]["s"] == pytest.approx(expected, rel=1e-11)
 
     @given(lam=st.floats(1e-3, 1e3))
     @settings(max_examples=30, deadline=None)
@@ -184,33 +184,33 @@ class TestClosedFormRoots:
             geometry=BallGeometry(n=2, radius=1.0), k=1, p=2.0, q=2.0,
             lam=lam, kernel="1 + s",
         )
-        structure = solve_roots(build_reduced(inst))
-        assert structure.count == 1
-        assert not structure.warnings
+        record = solve_roots(build_reduced(inst))
+        assert record["count"] == 1
+        assert not record["warnings"]
 
 
 class TestBatteryCounts:
     def test_all_cases(self, battery):
         for case in battery["cases"]:
             for run in case["runs"]:
-                structure = solve_roots(build_reduced(make_instance(case, run["lambda"])))
-                assert structure.count == run["count"], (case["name"], run["lambda"])
-                for root, expected in zip(structure.roots, run.get("roots", [])):
-                    assert root.s == pytest.approx(expected, rel=1e-10)
-                for root, expected in zip(structure.roots, run.get("c", [])):
-                    assert root.c == pytest.approx(expected, rel=1e-10)
+                record = solve_roots(build_reduced(make_instance(case, run["lambda"])))
+                assert record["count"] == run["count"], (case["name"], run["lambda"])
+                for root, expected in zip(record["roots"], run.get("roots", [])):
+                    assert root["s"] == pytest.approx(expected, rel=1e-10)
+                for root, expected in zip(record["roots"], run.get("c", [])):
+                    assert root["c"] == pytest.approx(expected, rel=1e-10)
 
     def test_root_invariants(self, battery):
         for case in battery["cases"]:
             run = case["runs"][0]
             eq = build_reduced(make_instance(case, run["lambda"]))
-            structure = solve_roots(eq)
-            for info in structure.roots:
-                assert info.bracket[0] <= info.s <= info.bracket[1]
-                assert info.amplitude == pytest.approx(info.s / eq.norm_u, rel=1e-14)
-                assert abs(eq.h(info.s)) <= 1e-9 * max(1.0, abs(eq.target))
-            assert list(r.s for r in structure.roots) == sorted(
-                r.s for r in structure.roots
+            record = solve_roots(eq)
+            for info in record["roots"]:
+                assert info["bracket"][0] <= info["s"] <= info["bracket"][1]
+                assert info["amplitude"] == pytest.approx(info["s"] / eq.norm_u, rel=1e-14)
+                assert abs(eq.h(info["s"])) <= 1e-9 * max(1.0, abs(eq.target))
+            assert list(r["s"] for r in record["roots"]) == sorted(
+                r["s"] for r in record["roots"]
             )
 
     def test_boundary_gradient_scale(self, battery):
@@ -220,19 +220,19 @@ class TestBatteryCounts:
             if run["count"] == 0:
                 continue
             eq = build_reduced(make_instance(case, run["lambda"]))
-            structure = solve_roots(eq)
+            record = solve_roots(eq)
             scale = (case["geometry"]["radius"]
                      if case["geometry"]["kind"] == "ball" else 1.0)
-            for info in structure.roots:
-                assert info.c == pytest.approx(info.amplitude * scale, rel=1e-13)
+            for info in record["roots"]:
+                assert info["c"] == pytest.approx(info["amplitude"] * scale, rel=1e-13)
 
     def test_deterministic(self, battery):
         case = battery["cases"][1]
         eq = build_reduced(make_instance(case, 2.0))
         a = solve_roots(eq)
         b = solve_roots(eq)
-        assert [r.s for r in a.roots] == [r.s for r in b.roots]
-        assert a.tangencies == b.tangencies
+        assert [r["s"] for r in a["roots"]] == [r["s"] for r in b["roots"]]
+        assert a["tangencies"] == b["tangencies"]
 
 
 class TestExactGridZeros:
@@ -244,11 +244,11 @@ class TestExactGridZeros:
             geometry=BallGeometry(n=2, radius=2.0), k=1, p=math.inf, q=2.0,
             lam=2.0, kernel="1",
         )
-        structure = solve_roots(build_reduced(inst), ScanConfig(s_min=s_min, s_max=s_max))
-        assert structure.count == 1
-        root = structure.roots[0]
-        assert root.s == 2.0 and root.residual == 0.0
-        assert root.bracket == (2.0, 2.0)
+        record = solve_roots(build_reduced(inst), ScanConfig(s_min=s_min, s_max=s_max))
+        assert record["count"] == 1
+        root = record["roots"][0]
+        assert root["s"] == 2.0 and root["residual"] == 0.0
+        assert root["bracket"] == [2.0, 2.0]
 
 
 class TestDegenerateScans:
@@ -273,27 +273,27 @@ class TestDegenerateScans:
         with pytest.raises(DomainError, match="s_max .* not finite"):
             solve_roots(eq)
         # An explicit window still scans: g(s) = 2 s meets 5e307 at 2.5e307.
-        structure = solve_roots(eq, ScanConfig(s_max=5e307))
-        assert structure.count == 1
-        assert structure.roots[0].s == pytest.approx(2.5e307, rel=1e-12)
+        record = solve_roots(eq, ScanConfig(s_max=5e307))
+        assert record["count"] == 1
+        assert record["roots"][0]["s"] == pytest.approx(2.5e307, rel=1e-12)
 
 
 class TestTangency:
     def test_near_tangent_level_reported_not_counted(self, battery):
         case = next(c for c in battery["cases"] if "tangency" in c)
         lam = case["tangency"]["lambda_t"] * (1.0 + 1e-6)
-        structure = solve_roots(build_reduced(make_instance(case, lam)))
-        assert structure.count == 1
-        assert len(structure.tangencies) == 1
-        tang = structure.tangencies[0]
-        assert tang.s == pytest.approx(case["tangency"]["s_local_max"], rel=1e-3)
-        assert 0.0 < tang.gap < 1e-4
+        record = solve_roots(build_reduced(make_instance(case, lam)))
+        assert record["count"] == 1
+        assert len(record["tangencies"]) == 1
+        tang = record["tangencies"][0]
+        assert tang["s"] == pytest.approx(case["tangency"]["s_local_max"], rel=1e-3)
+        assert 0.0 < tang["gap"] < 1e-4
 
     def test_transversal_level_has_no_tangency(self, battery):
         case = next(c for c in battery["cases"] if "tangency" in c)
-        structure = solve_roots(build_reduced(make_instance(case, 2.0)))
-        assert structure.count == 3
-        assert structure.tangencies == ()
+        record = solve_roots(build_reduced(make_instance(case, 2.0)))
+        assert record["count"] == 3
+        assert record["tangencies"] == []
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14])
     def test_level_below_dip_gives_two_roots(self, battery, eps):
@@ -303,9 +303,9 @@ class TestTangency:
         # points, and a search for the largest -|h| stops on one of them.
         case = next(c for c in battery["cases"] if "tangency" in c)
         lam = case["tangency"]["lambda_t"] * (1.0 - eps)
-        structure = solve_roots(build_reduced(make_instance(case, lam)))
-        assert structure.count == 3
-        assert structure.tangencies == ()
+        record = solve_roots(build_reduced(make_instance(case, lam)))
+        assert record["count"] == 3
+        assert record["tangencies"] == []
 
     def test_small_target_flat_stretch_is_no_tangency(self):
         # target = lambda ||U||_p^3 is about 4e-4: |h| is flat near the target
@@ -315,10 +315,10 @@ class TestTangency:
             geometry=BallGeometry(n=5, radius=0.829238), k=3, p=1.61592,
             q=3.50038, lam=0.014270130864769696, kernel="1 + 0.957854 * t",
         )
-        structure = solve_roots(build_reduced(inst))
-        assert structure.count == 1
-        assert structure.roots[0].s == pytest.approx(0.01951848277187835, rel=1e-10)
-        assert structure.tangencies == ()
+        record = solve_roots(build_reduced(inst))
+        assert record["count"] == 1
+        assert record["roots"][0]["s"] == pytest.approx(0.01951848277187835, rel=1e-10)
+        assert record["tangencies"] == []
 
 
 def substituted(f, df):
@@ -355,56 +355,56 @@ class TestDipBranches:
         # h = 0 on [c - 1e-4, c + 1e-4] and negative elsewhere: the
         # critical point lands on the plateau, in cell 50.
         c = self.center
-        structure = scan_substituted_h(
+        record = scan_substituted_h(
             lambda s: -1e-2 * np.maximum(np.abs(s - c) - 1e-4, 0.0),
             lambda s: -1e-2 * np.sign(s - c) * (np.abs(s - c) > 1e-4))
-        assert structure.count == 1 and structure.tangencies == ()
-        root = structure.roots[0]
-        assert abs(root.s - c) <= 1e-4
-        assert root.residual == 0.0
-        assert root.bracket == (float(self.grid[50]), float(self.grid[51]))
+        assert record["count"] == 1 and record["tangencies"] == []
+        root = record["roots"][0]
+        assert abs(root["s"] - c) <= 1e-4
+        assert root["residual"] == 0.0
+        assert root["bracket"] == [float(self.grid[50]), float(self.grid[51])]
 
     def test_plateau_through_a_grid_point_is_one_root(self):
         # h = 0 on [grid[50] - 1e-3, grid[50] + 1e-3] and negative elsewhere:
         # the bisection of g' in cell 50 stops on the plateau, on the grid
         # zero's monotone piece, so it adds no second root.
         p = float(self.grid[50])
-        structure = scan_substituted_h(
+        record = scan_substituted_h(
             lambda s: -1e-2 * np.maximum(np.abs(s - p) - 1e-3, 0.0),
             lambda s: -1e-2 * np.sign(s - p) * (np.abs(s - p) > 1e-3))
-        assert structure.count == 1 and structure.tangencies == ()
-        assert structure.roots[0].s == p and structure.roots[0].bracket == (p, p)
+        assert record["count"] == 1 and record["tangencies"] == []
+        assert record["roots"][0]["s"] == p and record["roots"][0]["bracket"] == [p, p]
 
     def test_extremum_away_from_the_level_is_no_tangency(self):
         # h = (s - c)^2 - 4e-4 has its minimum -4e-4 below the level, within
         # TANGENCY_RTOL * target = 5e-4 of it, as are both ends of cell 50:
         # a maximum of |h| is no near-touching.  Its roots are 0.02 from c.
         c = self.center
-        structure = scan_substituted_h(lambda s: (s - c) ** 2 - 4e-4,
+        record = scan_substituted_h(lambda s: (s - c) ** 2 - 4e-4,
                                        lambda s: 2.0 * (s - c))
-        assert structure.tangencies == ()
-        assert [info.s for info in structure.roots] == pytest.approx([c - 0.02, c + 0.02])
+        assert record["tangencies"] == []
+        assert [info["s"] for info in record["roots"]] == pytest.approx([c - 0.02, c + 0.02])
 
     def test_close_pair_inside_one_cell(self):
         # Roots at c -+ 1e-3, both inside cell 50: the critical point c,
         # where h = -1e-8, splits it into two brackets.
         c = self.center
-        structure = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6),
+        record = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6),
                                        lambda s: 2e-2 * (s - c))
-        assert structure.count == 2 and structure.tangencies == ()
-        for info, want in zip(structure.roots, (c - 1e-3, c + 1e-3)):
-            assert info.s == pytest.approx(want, rel=1e-12)
-            lo, hi = info.bracket
-            assert self.grid[49] <= lo < info.s < hi <= self.grid[52]
+        assert record["count"] == 2 and record["tangencies"] == []
+        for info, want in zip(record["roots"], (c - 1e-3, c + 1e-3)):
+            assert info["s"] == pytest.approx(want, rel=1e-12)
+            lo, hi = info["bracket"]
+            assert self.grid[49] <= lo < info["s"] < hi <= self.grid[52]
 
     def test_close_pair_within_rel_width_is_two_roots(self):
         # The pair is closer than rel_width = 5e-3 relative, yet each root has
         # its own monotone piece on either side of c, so neither is dropped.
         c = self.center
-        structure = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6),
+        record = scan_substituted_h(lambda s: 1e-2 * ((s - c) ** 2 - 1e-6),
                                        lambda s: 2e-2 * (s - c), rel_width=5e-3)
-        assert structure.count == 2 and structure.tangencies == ()
-        assert structure.roots[0].s < c < structure.roots[1].s
+        assert record["count"] == 2 and record["tangencies"] == []
+        assert record["roots"][0]["s"] < c < record["roots"][1]["s"]
 
 
 class TestEdgeWarnings:
@@ -415,9 +415,9 @@ class TestEdgeWarnings:
             geometry=BallGeometry(n=2, radius=1.0), k=1, p=math.inf, q=2.0,
             lam=4.4, kernel="1/(1 + s)",
         )
-        structure = solve_roots(build_reduced(inst), ScanConfig(s_max=1e3))
-        assert structure.count == 0
-        assert any("s_max" in w for w in structure.warnings)
+        record = solve_roots(build_reduced(inst), ScanConfig(s_max=1e3))
+        assert record["count"] == 0
+        assert any("s_max" in w for w in record["warnings"])
 
     def test_left_edge_warning(self):
         # M = 1: root at target/2 = 5e-9 sits below s_min = 1e-8.
@@ -425,22 +425,21 @@ class TestEdgeWarnings:
             geometry=BallGeometry(n=2, radius=1.0), k=1, p=math.inf, q=2.0,
             lam=2e-8, kernel="1",
         )
-        structure = solve_roots(build_reduced(inst), ScanConfig(s_max=1.0))
-        assert structure.count == 0
-        assert any("s_min" in w for w in structure.warnings)
+        record = solve_roots(build_reduced(inst), ScanConfig(s_max=1.0))
+        assert record["count"] == 0
+        assert any("s_min" in w for w in record["warnings"])
 
     def test_no_warning_when_root_found(self, battery):
         case = battery["cases"][0]
-        structure = solve_roots(build_reduced(make_instance(case, 3.0)))
-        assert structure.warnings == ()
+        record = solve_roots(build_reduced(make_instance(case, 3.0)))
+        assert record["warnings"] == []
 
 
 class TestSolutions:
     def test_explicit_solution_fields(self, battery):
         case = battery["cases"][0]  # ball, n=2, R=1, M=1, lambda=3
         eq = build_reduced(make_instance(case, 3.0))
-        structure = solve_roots(eq)
-        sols = roots_to_solutions(structure)
+        sols = roots_to_solutions(eq, solve_roots(eq))
         assert len(sols) == 1
         sol = sols[0]
         assert sol.amplitude == pytest.approx(1.5, rel=1e-11)
@@ -452,13 +451,13 @@ class TestSolutions:
     def test_solution_count_matches_roots(self, battery):
         for case in battery["cases"]:
             for run in case["runs"]:
-                structure = solve_roots(build_reduced(make_instance(case, run["lambda"])))
-                assert len(roots_to_solutions(structure)) == run["count"]
+                eq = build_reduced(make_instance(case, run["lambda"]))
+                assert len(roots_to_solutions(eq, solve_roots(eq))) == run["count"]
 
     def test_exterior_solution_decay(self, battery):
         case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
-        structure = solve_roots(build_reduced(make_instance(case, 1.0)))
-        sol = roots_to_solutions(structure)[0]
+        eq = build_reduced(make_instance(case, 1.0))
+        sol = roots_to_solutions(eq, solve_roots(eq))[0]
         assert sol.u(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
         # n = 3 decays like r^-1; the field must track the scaled profile.
         far = sol.u(np.array([300.0, 0.0, 0.0]))
@@ -478,16 +477,16 @@ class TestSystemCountCheck:
     def test_counts_match(self, battery, name, lam):
         case = next(c for c in battery["cases"] if c["name"] == name)
         eq = build_reduced(make_instance(case, lam))
-        structure = solve_roots(eq)
-        report = system_count_check(eq, structure)
+        record = solve_roots(eq)
+        report = system_count_check(eq, record)
         assert report["matched"]
-        assert report["cluster_count"] == structure.count
+        assert report["cluster_count"] == record["count"]
 
     def test_no_roots_no_clusters(self, battery):
         case = next(c for c in battery["cases"] if c["name"] == "ball-decaying")
         eq = build_reduced(make_instance(case, 5.0))
-        structure = solve_roots(eq)
-        report = system_count_check(eq, structure)
+        record = solve_roots(eq)
+        report = system_count_check(eq, record)
         assert report["matched"]
         assert report["cluster_count"] == 0
 
@@ -531,16 +530,16 @@ class TestBatchedBisection:
         for case in battery["cases"]:
             for lam in battery_lambdas(case):
                 eq = build_reduced(make_instance(case, lam))
-                for info in solve_roots(eq).roots:
-                    lo, hi = info.bracket
+                for info in solve_roots(eq)["roots"]:
+                    lo, hi = info["bracket"]
                     if lo == hi:
                         continue      # an exact grid zero, not refined
                     want, want_res = sequential_bisect(eq.h, lo, hi, eq.h(lo), rel_width)
-                    assert lo < info.s < hi and sign_change(eq.h, lo, hi)
-                    if info.residual == want_res == 0.0:
+                    assert lo < info["s"] < hi and sign_change(eq.h, lo, hi)
+                    if info["residual"] == want_res == 0.0:
                         continue      # both on a stretch where h is exactly 0
-                    assert abs(info.s - want) <= rel_width * info.s
-                    assert info.residual == abs(eq.h(info.s))
+                    assert abs(info["s"] - want) <= rel_width * info["s"]
+                    assert info["residual"] == abs(eq.h(info["s"]))
                     checked += 1
         assert checked >= 12
 
@@ -632,17 +631,17 @@ class TestBatchedBisection:
                                p=math.inf, q=2.0, lam=1.0, kernel="1")
         eq = build_reduced(inst)
         object.__setattr__(eq, "h", h)
-        structure = solve_roots(eq, config)
-        assert [r.bracket for r in structure.roots] == [
-            (float(grid[40]), float(grid[41])), (float(zero_at), float(zero_at)),
-            (float(grid[80]), float(grid[81]))]
-        assert structure.roots[1].s == zero_at and structure.roots[1].residual == 0.0
-        for info, jump in zip(structure.roots[::2], (up, down)):
-            lo, hi = info.bracket
+        record = solve_roots(eq, config)
+        assert [r["bracket"] for r in record["roots"]] == [
+            [float(grid[40]), float(grid[41])], [float(zero_at), float(zero_at)],
+            [float(grid[80]), float(grid[81])]]
+        assert record["roots"][1]["s"] == zero_at and record["roots"][1]["residual"] == 0.0
+        for info, jump in zip(record["roots"][::2], (up, down)):
+            lo, hi = info["bracket"]
             want, _ = sequential_bisect(h, lo, hi, h(lo), config.rel_width)
-            assert abs(info.s - want) <= config.rel_width * info.s
-            assert abs(info.s - jump) <= config.rel_width * info.s
-            assert info.residual == 1.0
+            assert abs(info["s"] - want) <= config.rel_width * info["s"]
+            assert abs(info["s"] - jump) <= config.rel_width * info["s"]
+            assert info["residual"] == 1.0
 
 
 def steep_feature(kind, scale, lo, root, part):
@@ -750,8 +749,8 @@ class TestWorkCounts:
         case = next(c for c in battery["cases"] if c["name"] == "ball-quadratic-well")
         eq = build_reduced(make_instance(case, 2.0))
         calls = count_kernel_calls(monkeypatch)
-        structure = solve_roots(eq)
-        assert structure.count == 3 and structure.tangencies == ()
+        record = solve_roots(eq)
+        assert record["count"] == 3 and record["tangencies"] == []
         assert calls["scalar"] == 0
         assert calls["array"] <= 10
 
@@ -796,8 +795,8 @@ class TestWorkCounts:
                             lambda *args, **kw: refined.append(len(args[1])) or
                             refine_brackets(*args, **kw))
         calls = count_kernel_calls(monkeypatch)
-        structure = solve_roots(eq)
-        assert structure.count == 0 and structure.tangencies == ()
+        record = solve_roots(eq)
+        assert record["count"] == 0 and record["tangencies"] == []
         assert refined == [1] and calls == {"scalar": 0, "array": 1 + 2}
 
 
@@ -807,23 +806,23 @@ class TestCriticalPoints:
     def test_tangency_is_the_critical_point(self, battery):
         case = next(c for c in battery["cases"] if "tangency" in c)
         lam = case["tangency"]["lambda_t"] * (1.0 + 1e-6)
-        (tang,) = solve_roots(build_reduced(make_instance(case, lam))).tangencies
-        assert tang.s == pytest.approx(case["tangency"]["s_local_max"], rel=1e-12)
+        (tang,) = solve_roots(build_reduced(make_instance(case, lam)))["tangencies"]
+        assert tang["s"] == pytest.approx(case["tangency"]["s_local_max"], rel=1e-12)
 
     def test_fold_value_at_the_critical_point(self, battery):
         case = next(c for c in battery["cases"] if "tangency" in c)
         lam_t = case["tangency"]["lambda_t"]
         eq = build_reduced(make_instance(case, lam_t * (1.0 + 1e-6)))
-        (tang,) = solve_roots(eq).tangencies
-        assert eq.g(tang.s) / eq.norm_u ** eq.k == pytest.approx(lam_t, rel=1e-12)
+        (tang,) = solve_roots(eq)["tangencies"]
+        assert eq.g(tang["s"]) / eq.norm_u ** eq.k == pytest.approx(lam_t, rel=1e-12)
 
     def test_narrow_well_pair_between_grid_points(self):
         # g = 2 s ((1000 (s - c))^2 + 1) dips by 1.6 target between two grid
         # points around c, far outside any tangency band, and crosses the
         # level twice there.  The roots are those of brentq on g - target.
-        structure = solve_roots(build_reduced(NARROW_WELL))
-        assert structure.count == 3 and structure.tangencies == ()
-        tiny, left, right = (info.s for info in structure.roots)
+        record = solve_roots(build_reduced(NARROW_WELL))
+        assert record["count"] == 3 and record["tangencies"] == []
+        tiny, left, right = (info["s"] for info in record["roots"])
         assert tiny < 1e-5
         assert left == pytest.approx(1.001264492304602, abs=1e-10)
         assert right == pytest.approx(1.0012708168638624, abs=1e-10)
@@ -836,9 +835,9 @@ def ball(n, radius=1.0):
 
 
 def assert_counts_agree(eq):
-    structure = solve_roots(eq)
-    report = system_count_check(eq, structure)
-    assert (report["cluster_count"], report["matched"]) == (structure.count, True)
+    record = solve_roots(eq)
+    report = system_count_check(eq, record)
+    assert (report["cluster_count"], report["matched"]) == (record["count"], True)
 
 
 # The counter disagreements of ROADMAP item 3 with their root and segment
@@ -875,12 +874,12 @@ class TestSystemCheckParity:
                 eq = build_reduced(ProblemInstance(geometry=geometry, k=1, p=p, q=q,
                                                    lam=lam, kernel=text))
                 try:
-                    structure = solve_roots(eq)
+                    record = solve_roots(eq)
                 except OdkirchError:
                     continue
-                report = system_count_check(eq, structure)
+                report = system_count_check(eq, record)
                 assert (report["cluster_count"], report["matched"]) == (
-                    structure.count, True), (text, lam)
+                    record["count"], True), (text, lam)
                 checked += 1
         assert checked >= 90
 
@@ -920,17 +919,17 @@ class TestSystemCheckParity:
         # root moved by 0.1% still matches, one moved by half does not.
         case = next(c for c in battery["cases"] if c["name"] == "ball-constant")
         eq = build_reduced(make_instance(case, 3.0))
-        structure = solve_roots(eq)
-        moved = dataclasses.replace(structure.roots[0], s=structure.roots[0].s * shift)
-        report = system_count_check(eq, dataclasses.replace(structure, roots=(moved,)))
+        record = solve_roots(eq)
+        moved = {**record["roots"][0], "s": record["roots"][0]["s"] * shift}
+        report = system_count_check(eq, {**record, "roots": [moved]})
         assert (report["cluster_count"], report["matched"]) == (1, matched)
 
     def test_window_wider_than_a_double(self):
         # s_max / s_min = 1e310 overflows a double; the nodes must not.
         eq = build_reduced(ProblemInstance(geometry=ball(2), k=1, p=math.inf,
                                            q=2.0, lam=300.0, kernel="exp(-s)"))
-        structure = solve_roots(eq, ScanConfig(s_min=1e-300, s_max=1e10))
-        assert system_count_check(eq, structure) == {
+        record = solve_roots(eq, ScanConfig(s_min=1e-300, s_max=1e10))
+        assert system_count_check(eq, record) == {
             "cluster_count": 0, "root_count": 0, "matched": True}
 
     @pytest.mark.parametrize("window,count", [((1.0, 10.0), 1), ((0.1, 1.0), 0)])
@@ -942,9 +941,9 @@ class TestSystemCheckParity:
                                            q=2.0, lam=3.0, kernel="1"))
         s_fix = eq.norm_u * (eq.lam / (eq.coeff * 1.0)) ** 1.0
         lo, hi = window
-        structure = dataclasses.replace(solve_roots(eq), roots=(),
-                                        s_min=lo * s_fix, s_max=hi * s_fix)
-        report = system_count_check(eq, structure)
+        record = {**solve_roots(eq), "roots": [],
+                  "scan": {"s_min": lo * s_fix, "s_max": hi * s_fix}}
+        report = system_count_check(eq, record)
         assert (report["cluster_count"], report["root_count"]) == (count, 0)
 
 
@@ -961,10 +960,10 @@ def ray_root_at_one(template):
     lam = probe.coeff * m_at_1 / probe.norm_u
     eq = build_reduced(ProblemInstance(geometry=geometry, k=1, p=math.inf,
                                        q=2.0, lam=lam, kernel=kernel))
-    structure = solve_roots(eq, ScanConfig(s_max=4.0))
-    assert structure.count >= 1
-    assert min(r.s for r in structure.roots) == pytest.approx(1.0, rel=1e-9)
-    return eq, structure
+    record = solve_roots(eq, ScanConfig(s_max=4.0))
+    assert record["count"] >= 1
+    assert min(r["s"] for r in record["roots"]) == pytest.approx(1.0, rel=1e-9)
+    return eq, record
 
 
 class TestSystemCheckErrorParity:
@@ -974,28 +973,28 @@ class TestSystemCheckErrorParity:
                                           "sqrt({c_st} - s - t)"])
     def test_fault_past_the_scan(self, template):
         # Each kernel turns invalid at s = 5 on the line, past the scan.
-        eq, structure = ray_root_at_one(template)
+        eq, record = ray_root_at_one(template)
         with pytest.raises(KernelEvalError) as info:
-            system_count_check(eq, structure)
+            system_count_check(eq, record)
         s, t = info.value.point
         assert 4.0 < s < 10.0 and t == eq.rho * s
 
     def test_fault_off_the_line(self):
         # Invalid only where t > rho (1 + s), which the line never reaches.
-        eq, structure = ray_root_at_one("1 + log(1 + s - t/{rho})")
-        report = system_count_check(eq, structure)
+        eq, record = ray_root_at_one("1 + log(1 + s - t/{rho})")
+        report = system_count_check(eq, record)
         assert (report["cluster_count"], report["root_count"], report["matched"]) == (1, 1, True)
 
     @pytest.mark.parametrize("kernel", ["log(0)", "sqrt(-1)", "2^2000"])
     def test_constant_fault(self, kernel):
         # A kernel of neither variable faults everywhere, so the scan of a
-        # sound kernel supplies the structure.
+        # sound kernel supplies the record.
         eq = build_reduced(ProblemInstance(geometry=ball(2), k=1, p=math.inf,
                                            q=2.0, lam=3.0, kernel="1"))
-        structure = solve_roots(eq)
+        record = solve_roots(eq)
         faulty = dataclasses.replace(eq, kernel=parse_kernel(kernel))
         with pytest.raises(KernelEvalError):
-            system_count_check(faulty, structure)
+            system_count_check(faulty, record)
 
 
 def kernel_call_sizes(monkeypatch):
@@ -1020,18 +1019,18 @@ class TestSystemCheckWork:
     def test_kernel_points(self, monkeypatch, kernel, lam, points):
         eq = build_reduced(ProblemInstance(geometry=ball(2), k=1, p=math.inf,
                                            q=2.0, lam=lam, kernel=kernel))
-        structure = solve_roots(eq)
+        record = solve_roots(eq)
         sizes = kernel_call_sizes(monkeypatch)
-        report = system_count_check(eq, structure)
+        report = system_count_check(eq, record)
         assert report["matched"] and report["cluster_count"] >= 1
-        assert sizes == [points] == [401 + structure.count - 1]
+        assert sizes == [points] == [401 + record["count"] - 1]
 
     def test_one_call_per_battery_run(self, battery, monkeypatch):
         runs = [(case["name"], build_reduced(make_instance(case, run["lambda"])))
                 for case in battery["cases"] for run in case["runs"]]
-        structures = [solve_roots(eq) for _, eq in runs]
+        records = [solve_roots(eq) for _, eq in runs]
         sizes = kernel_call_sizes(monkeypatch)
-        for (name, eq), structure in zip(runs, structures):
+        for (name, eq), record in zip(runs, records):
             sizes.clear()
-            system_count_check(eq, structure)
-            assert sizes == [401 + max(structure.count - 1, 0)], (name, eq.lam)
+            system_count_check(eq, record)
+            assert sizes == [401 + max(record["count"] - 1, 0)], (name, eq.lam)
