@@ -149,7 +149,7 @@ def _verify_record(cfg: RunConfig) -> dict:
           and (kelvin is None or kelvin["pass"]))
     return {"amplitude_scale": cfg.amplitude_scale, "count": analysis["count"],
             "system_check": system_check, "roots": reports, "kelvin": kelvin,
-            "verdict": "pass" if ok else "fail"}
+            "warnings": analysis["warnings"], "verdict": "pass" if ok else "fail"}
 
 
 def _verify_text(rec: dict, geometry, w) -> None:
@@ -158,6 +158,8 @@ def _verify_text(rec: dict, geometry, w) -> None:
     w(f"count: {rec['count']} "
       f"(system check clusters={check['cluster_count']}, "
       f"matched={'yes' if check['matched'] else 'NO'})\n")
+    for msg in rec["warnings"]:
+        w(f"warning: {msg}\n")
 
     def write_checks(checks):
         for name, chk in checks.items():

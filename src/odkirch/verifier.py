@@ -196,14 +196,16 @@ def judge_kelvin(geometry, seed: int = 0, n_samples: int = 48) -> dict | None:
     base = geometry.profile()
     image = base.kelvin(n)
 
+    # rho^(-n-2) <= 1e300, the cap of ExteriorGeometry.far_field.
     rng = np.random.default_rng(seed)
-    rho = rng.uniform(0.05, 0.999, n_samples)
+    rho = rng.uniform(max(0.05, 10.0 ** (-300.0 / (n + 2))), 0.999, n_samples)
     # The definition rho^(2-n) phi(1/rho) against the unit-ball base field.
     pointwise_dev = float(np.max(np.abs(rho ** (2.0 - n) * base.phi(1.0 / rho)
                                         - 0.5 * (rho ** 2 - 1.0))))
     lap_w = k_hessian_radial(image, rho, n, 1)
     lap_u = k_hessian_radial(base, 1.0 / rho, n, 1)
-    identity_dev = float(np.max(np.abs(lap_w - rho ** (-n - 2.0) * lap_u)))
+    # Both sides equal n, the identity's scale.
+    identity_dev = float(np.max(np.abs(lap_w - rho ** (-n - 2.0) * lap_u))) / n
     constant_dev = float(np.max(np.abs(lap_w - n)))
 
     boundary_dev = abs(float(image.dphi(1.0)) ** 2 - float(base.dphi(1.0)) ** 2)

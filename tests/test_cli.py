@@ -122,6 +122,21 @@ class TestAnalyze:
         assert code == 0 and doc["count"] == 2
         assert doc["rho"] == pytest.approx(case["rho"], rel=1e-10)
 
+    @pytest.mark.parametrize("name,lam", [("ball-constant", 3.0),
+                                          ("exterior-saturating", 1.0)])
+    def test_library_returns_what_json_prints(self, tmp_path, capsys, name, lam):
+        # 17 significant digits round-trip every float, so == is exact.
+        case = next(c for c in BATTERY["cases"] if c["name"] == name)
+        path = write_config(tmp_path, case, lam)
+        code, out, _ = run_cli(capsys, "analyze", "-c", path, "--json")
+        doc = json.loads(out)
+        eq = build_reduced(make_instance(case, lam))
+        record = solve_roots(eq)
+        assert code == 0 and record["count"] >= 1
+        body = {key: doc[key] for key in doc
+                if key not in ("command", *cli._HEADER)}
+        assert body == {**record, "system_check": system_count_check(eq, record)}
+
 
 class TestVerify:
     def test_ball_passes(self, tmp_path, capsys):
@@ -130,7 +145,7 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "pass"
-        assert doc["kelvin"] is None
+        assert doc["kelvin"] is None and doc["warnings"] == []
         for root in doc["roots"]:
             for chk in root["checks"].values():
                 assert chk["pass"] is True
@@ -219,6 +234,22 @@ class TestVerify:
         assert code == 0
         assert "verdict: PASS" in out
         assert "interior_residual" in out and "PASS" in out
+        assert "warning" not in out
+
+    def test_window_miss_is_reported(self, tmp_path, capsys):
+        # M = 1e-3 puts the one root at s = 7500, past the default window
+        # [1e-8, 1000]: the count is 0, and the scan's edge warning says so.
+        case = {"geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+                "k": 1, "p": "inf", "q": 2.0, "kernel": "1e-3"}
+        path = write_config(tmp_path, case, 30.0)
+        code, out, _ = run_cli(capsys, "verify", "-c", path, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["count"] == 0
+        (warning,) = doc["warnings"]
+        assert "s_max = 1000" in warning
+        code, out, _ = run_cli(capsys, "verify", "-c", path)
+        assert code == 0
+        assert re.findall(r"^warning: .*$", out, re.M) == [f"warning: {warning}"]
 
     def test_deterministic(self, tmp_path, capsys):
         case = next(c for c in BATTERY["cases"]
@@ -278,6 +309,21 @@ class TestScaleOfTheGeometry:
         kelvin = json.loads(out)["kelvin"]
         assert kelvin["pass"] and kelvin["removability_monotone"]
         assert 0.0 < kelvin["removability_shrink"] < 1e-3
+
+    @pytest.mark.parametrize("scale, want", [(1.0, 0), (1.05, 1)])
+    @pytest.mark.parametrize("n", [100, 240, 438])
+    def test_kelvin_suite_up_to_max_dim(self, tmp_path, capsys, n, scale, want):
+        # laplacian_identity is relative to n, and rho^(-n-2) stays below
+        # 1e300: absolute, it failed from n = 100 on and read nan from n = 300.
+        case = {"geometry": {"kind": "exterior", "n": n}, "k": 1, "p": "inf",
+                "q": "inf", "kernel": "1 + s"}
+        path = write_config(tmp_path, case, 1.0, amplitude_scale=scale)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "verify", "-c", path, "--json")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == want and err == ""
+        assert json.loads(out)["kelvin"]["pass"]
 
     @pytest.mark.parametrize("scale, want", [(1.0, 0), (1.05, 1)])
     def test_off_centre_ball(self, tmp_path, capsys, scale, want):

@@ -16,9 +16,10 @@ in-process once per operation:
   cell 1.6 target away from the level on the grid; ITEM3_RUNS, the
   instances with 0 and 2 roots on which the 2-D check once counted 5 and
   10 clusters, and the abs kernel whose 3 roots it once counted as 1;
-  SCALE_RUNS, the exterior instances in R^48 (p = q = 3) and R^64
-  (p = q = inf) whose Kelvin suite once failed, and the ball centred at
-  (1e5, 0, 0) whose boundary step was once lost to rounding; and
+  SCALE_RUNS, the exterior instances in R^48 (p = q = 3), R^64, R^100 and
+  R^438 (p = q = inf) whose Kelvin suite once failed, the ball centred at
+  (1e5, 0, 0) whose boundary step was once lost to rounding, and the ball
+  with kernel 1e-3 whose one root lies past the default scan window; and
   NON_POSITIVE_RUNS, the kernel 2 - s on the ball n=2 with k = 1 and 2,
   which turns negative at the norms of the 1.05-scaled field at its second
   root: analyze, verify and norms, as text and with --json, at
@@ -107,15 +108,20 @@ ITEM3_RUNS = [
 ]
 
 # Instances whose checks once failed a correct root for its scale alone: the
-# Kelvin suite in R^48 and R^64 (rho^(2-n) overflowed from n = 64 on) and a
+# Kelvin suite in R^48, R^64, R^100 and R^438 (rho^(2-n) overflowed from
+# n = 64 on, the absolute laplacian_identity failed from n = 100 on) and a
 # ball centred at 1e5, where a boundary step of 1e-4 was lost to rounding.
+# The last run's one root, s = 7500, lies past the default window [1e-8,
+# 1000]: it counts 0 with an edge warning, which verify once dropped.
 SCALE_RUNS = [
     *({"name": f"exterior-n{n}", "geometry": {"kind": "exterior", "n": n},
        "k": 1, "p": p, "q": p, "kernel": "1 + s", "runs": [{"lambda": 1.0}]}
-      for n, p in ((48, 3.0), (64, "inf"))),
+      for n, p in ((48, 3.0), (64, "inf"), (100, "inf"), (438, "inf"))),
     {"name": "off-centre-ball",
      "geometry": {"kind": "ball", "n": 3, "radius": 1.0, "center": [1e5, 0.0, 0.0]},
      "k": 1, "p": 2.0, "q": 2.0, "kernel": "1 + s", "runs": [{"lambda": 1.0}]},
+    {"name": "window-miss-ball", "geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+     "k": 1, "p": "inf", "q": 2.0, "kernel": "1e-3", "runs": [{"lambda": 30.0}]},
 ]
 
 # M = 2 - s has roots near s = 0.05 and 1.95; at amplitude_scale 1.05 the
