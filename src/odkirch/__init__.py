@@ -18,7 +18,7 @@ from .kernel import eval_kernel, kernel_to_string, parse_kernel
 from .reduction import (ProblemInstance, ReducedEquation, ScanConfig, Solution,
                         build_reduced, roots_to_solutions, solve_roots,
                         system_count_check)
-from .specialfun import incomplete_beta, log_gamma, sphere_area
+from .specialfun import log_gamma, log_incomplete_beta, sphere_area
 from .verifier import (THRESHOLDS, gamma_scaling_check, judge_kelvin,
                        judge_solution, perturb_solution, verify)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .quadrature import integrate, maximize
-from .specialfun import incomplete_beta, log_gamma, sphere_area
+from .specialfun import log_gamma, log_incomplete_beta, sphere_area
 
 _INF = math.inf
 
@@ -209,10 +209,11 @@ def profile_norm(profile: RadialProfile, order: int, p: float, n: int,
             log_part = _log_beta(alpha, p + 1.0)
             y_e = -c_i * r_e ** d / c_j
             if y_e < 1.0 - 4.0 * math.ulp(1.0):
-                log_part = math.log(incomplete_beta(y_e, alpha, p + 1.0))
+                log_part = log_incomplete_beta(y_e, alpha, p + 1.0)
             elif y_e > 1.0 + 4.0 * math.ulp(1.0):
-                log_part = math.log(math.exp(log_part) + incomplete_beta(
-                    1.0 - 1.0 / y_e, p + 1.0, -alpha - p))
+                tail = log_incomplete_beta(1.0 - 1.0 / y_e, p + 1.0, -alpha - p)
+                log_part = max(log_part, tail) + math.log1p(
+                    math.exp(-abs(log_part - tail)))
             log_pow += (-alpha * (math.log(abs(c_i)) - math.log(abs(c_j)))
                         - math.log(abs(d)) + log_part)
         what = f"{what} = exp({log_pow / p:.6g})"

@@ -412,13 +412,13 @@ class TestClosedFormQuadratureCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        original = base_solutions.incomplete_beta
+        original = base_solutions.log_incomplete_beta
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(base_solutions, "incomplete_beta", counted)
+        monkeypatch.setattr(base_solutions, "log_incomplete_beta", counted)
         return calls
 
     @pytest.mark.parametrize("radius", [0.3, 1.2, 7.0])

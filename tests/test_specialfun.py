@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from odkirch.base_solutions import _log_beta
 from odkirch.errors import DomainError
 from odkirch.quadrature import integrate
-from odkirch.specialfun import incomplete_beta, log_gamma, sphere_area
+from odkirch.specialfun import log_gamma, log_incomplete_beta, sphere_area
 
 # Frozen from a 40-digit mpmath quadrature of the defining integral.
 NEGATIVE_Y_VALUES = [
@@ -90,6 +90,11 @@ class TestSphereArea:
             sphere_area(n)
 
 
+def incomplete_beta(z, x, y):
+    """B_z(x, y) from the log that the closed-form norms use."""
+    return math.exp(log_incomplete_beta(z, x, y))
+
+
 class TestIncompleteBeta:
     @pytest.mark.parametrize(
         "z,x,y",
@@ -131,12 +136,12 @@ class TestIncompleteBeta:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            incomplete_beta(0.5, 0.0, 1.0)
+            log_incomplete_beta(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
-            incomplete_beta(-0.1, 1.0, 1.0)
+            log_incomplete_beta(-0.1, 1.0, 1.0)
         with pytest.raises(DomainError):
-            incomplete_beta(1.2, 1.0, 1.0)
+            log_incomplete_beta(1.2, 1.0, 1.0)
         with pytest.raises(DomainError):
-            incomplete_beta(1.0, 1.0, -0.5)
+            log_incomplete_beta(1.0, 1.0, -0.5)
         with pytest.raises(DomainError):
-            incomplete_beta(1.0, 2.0, 3.0)
+            log_incomplete_beta(1.0, 2.0, 3.0)
