@@ -12,9 +12,10 @@ Kelvin image in R^N maps each term c r^a to c rho^(2-N-a).
 Norms come in two deliberately independent flavours.  `profile_norm` is one
 closed form, a beta integral, for any sum of one or two powers, read from the
 profile's coefficients, powers and factors alone, as is the admissibility of
-an exponent.  `norm_quadrature` integrates |f|^p r^(N-1) directly
-(maximization for the sup norm).  They share nothing but the profile, so
-agreement between them validates both.
+an exponent; its incomplete beta is a series summed in logs, which integrates
+nothing.  `norm_quadrature` integrates |f|^p r^(N-1) directly (maximization
+for the sup norm).  They share nothing but the profile, so agreement between
+them validates both.
 
 Everything that depends on the geometry is a method of the two geometry
 classes.  The exterior domain also carries the radius 1 and centre 0 of the
@@ -23,6 +24,7 @@ on both geometries unchanged.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,9 +186,10 @@ def profile_norm(profile: RadialProfile, order: int, p: float, n: int,
     inf: y = kappa r^d, kappa = -c_i/c_j, d = a_i - a_j, alpha = (a_j p + n)/d,
     makes the integral |c_j|^p kappa^(-alpha) / |d| times that of
     y^(alpha-1) |1 - y|^p from 0 to y_e = kappa r_e^d: B(alpha, p + 1) up to
-    the sign change y = 1, past it B_w(p + 1, -alpha - p) with w = 1 - 1/y.
-    A y_e within a few ulp of 1 is a profile vanishing on the boundary.
-    DomainError for an inadmissible p and for a norm past the double range.
+    the sign change y = 1, past it B_w(p + 1, -alpha - p) with w = 1 - 1/y,
+    the two added as logs.  A y_e within a few ulp of 1 is a profile vanishing
+    on the boundary.  DomainError for an inadmissible p and for a norm past
+    the double range.
     """
     _check_exponent(profile, order, p, n)
     terms = profile._terms[order]
@@ -360,7 +363,10 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     of radial_f: as in QUADPACK's QAGP, each piece between them is integrated
     on its own, so no panel straddles one.  A QuadratureError names the
     radius beyond which |radial_f| underflows to 0 when the mass lost there
-    may exceed the tolerance.
+    may exceed the tolerance; it is also raised when the integral of a field
+    that is not 0 at every sample is below the smallest normal double, and
+    when the integrand at a finite end of the domain exceeds every sample by
+    more than 1/rel_tol.  The norm is never a wrong 0.
     """
     if not _is_finite_exponent(p):
         _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
@@ -370,31 +376,40 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     samples = []
     if not math.isinf(r_hi):
         edges = [r_lo, *sorted(breaks), r_hi]
+        ends = [r_lo, r_hi]
 
         def integrand(r):
-            return np.abs(radial_f(r)) ** p * r ** (n - 1.0)
+            f_abs = np.abs(np.asarray(radial_f(r), dtype=float))
+            return f_abs, f_abs ** p * r ** (n - 1.0)
     else:
         if not (math.isfinite(r_lo) and r_lo > 0.0):
             raise QuadratureError(f"the map r = 1/x needs a finite positive "
                                   f"r_lo, got {float(r_lo)!r}")
         edges = [0.0, *sorted(1.0 / r for r in breaks), 1.0 / r_lo]
+        ends = edges[-1:]
 
         def integrand(x):
             # |f(1/x)|^p x^(-n-1) in log form: x^(-n-1) overflows where
             # |f(1/x)|^p underflows.
             f_abs = np.abs(np.asarray(radial_f(1.0 / x), dtype=float))
-            y = np.exp(p * np.log(f_abs) - (n + 1.0) * np.log(x))
-            samples.append((x, f_abs, y))
-            return y
+            return f_abs, np.exp(p * np.log(f_abs) - (n + 1.0) * np.log(x))
 
-    # integrate rejects a non-finite value and names the point.
+    def sampled(x):
+        f_abs, y = integrand(x)
+        samples.append((x, f_abs, y))
+        return y
+
+    # integrate rejects a non-finite value and names the point.  Its default
+    # absolute tolerance, 1e-300, would take an integral below about 1e-290
+    # from one panel, so the tolerance here is relative only.
     with np.errstate(all="ignore"):
-        value = math.fsum(integrate(integrand, a, b, rel_tol=rel_tol)[0]
+        value = math.fsum(integrate(sampled, a, b, rel_tol=rel_tol, abs_tol=0.0)[0]
                           for a, b in zip(edges, edges[1:]))
+        _, y_ends = integrand(np.array(ends))
+    x, f_abs, y = map(np.concatenate, zip(*samples))
     if math.isinf(r_hi):
         # Below x1, the smallest sample where |f| is not 0, the mass under
         # the largest zero sample x0 is lost: about x0 times the integrand at x1.
-        x, f_abs, y = map(np.concatenate, zip(*samples))
         live = f_abs > 0.0
         if live.any():
             i1 = np.flatnonzero(live)[np.argmin(x[live])]
@@ -405,6 +420,19 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
                     f"|f(r)| underflows to 0 beyond r = {1.0 / x0!r} (x = {x0!r}); "
                     f"the mass lost there, about {lost:.3e}, exceeds rel_tol * "
                     f"value = {rel_tol * value:.3e}")
+    # The nodes never reach the ends of the domain, so a boundary layer
+    # thinner than the gap to the nearest node is missed: the integrand at
+    # a finite end, far above every sample, shows it.
+    y_max = float(np.max(y))
+    y_end = float(np.max(y_ends, where=np.isfinite(y_ends), initial=0.0))
+    if y_end > y_max / rel_tol:
+        raise QuadratureError(
+            f"the integrand at the end of the domain, {y_end:.3e}, exceeds every "
+            f"sample, at most {y_max:.3e}, by more than 1/rel_tol: a boundary "
+            f"layer lies between the nodes")
+    if f_abs.any() and not sys.float_info.min <= value < _INF:
+        raise QuadratureError(f"the integral of |f|^p, {value:.3e}, of a field "
+                              f"that is not 0 is outside the normal doubles")
     if value <= 0.0:
         return 0.0
     return math.exp((math.log(sphere_area(n)) + math.log(value)) / p)

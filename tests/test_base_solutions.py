@@ -572,6 +572,24 @@ class TestExteriorNormsDualRoute:
                            match=r"underflows to 0 beyond r = \d\.\d+e\+1[56]\d "):
             norm_quadrature(prof.dphi, 1.52, 3, 1.0, INF)
 
+    @pytest.mark.parametrize("n", [3, 5, 10, 100])
+    def test_gradient_closed_form_to_large_q(self, n):
+        # The series serves every q; the quadrature still resolves the
+        # boundary layer of |grad U|^q at r = 1 up to q = 3e4.
+        geom = ExteriorGeometry(n=n)
+        prof = geom.profile()
+        for q in (1.05 * n / (n - 1.0), 2.0, 10.0, 100.0, 1e3, 1e4, 3e4):
+            quad = norm_quadrature(prof.dphi, q, n, 1.0, INF,
+                                   breaks=prof.sign_changes(1))
+            assert quad == pytest.approx(geom.norm_grad(q), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 100])
+    def test_huge_gradient_exponent_is_the_sup_norm(self, n):
+        # ||grad U||_q tends to ||grad U||_inf = 1; at q = 1e300 the logs of
+        # the closed form, near 1e303, must cancel to 1e-14 of q.
+        geom = ExteriorGeometry(n=n)
+        assert geom.norm_grad(1e300) == pytest.approx(geom.norm_grad(INF), rel=1e-14)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_frozen_sup_values(self, n):
         geom = ExteriorGeometry(n=n)
@@ -604,3 +622,38 @@ class TestNormQuadrature:
     def test_bad_exponent(self):
         with pytest.raises(DomainError):
             norm_quadrature(lambda r: r, -1.0, 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n, radius, p", [(3, 1e-50, 2.0), (2, 1.0, 1e300),
+                                              (2, 0.01, 80.0)])
+    def test_underflowing_integral_is_an_error(self, n, radius, p):
+        # |U|^p r^(n-1) is below the smallest normal double on the whole
+        # ball, or is 0 there, while |U| is not: the norm is no double's 0.
+        prof = BallGeometry(n=n, radius=radius).profile()
+        with pytest.raises(QuadratureError, match="outside the normal doubles"):
+            norm_quadrature(prof.phi, p, n, 0.0, radius)
+
+    def test_overflowing_integral_is_an_error(self):
+        # |U|^82.7 r^2 on the ball of radius 100 sums past the largest double.
+        prof = BallGeometry(n=3, radius=100.0).profile()
+        with pytest.raises(QuadratureError, match="inf, of a field"):
+            norm_quadrature(prof.phi, 82.71356783919597, 3, 0.0, 100.0)
+
+    @pytest.mark.parametrize("q", [1e6, 1e9])
+    def test_boundary_layer_between_nodes_is_an_error(self, q):
+        # |grad U|^q is 1 at r = 1 and falls within about 1/q of it, inside
+        # the gap to the nearest node, where every sample underflows to 0.
+        prof = ExteriorGeometry(n=3).profile()
+        with pytest.raises(QuadratureError, match="boundary layer"):
+            norm_quadrature(prof.dphi, q, 3, 1.0, INF, breaks=prof.sign_changes(1))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_large_gradient_exponent_is_right_or_raises(self, n):
+        geom = ExteriorGeometry(n=n)
+        prof = geom.profile()
+        for q in np.linspace(3e4, 1.2e5, 40):
+            try:
+                quad = norm_quadrature(prof.dphi, q, n, 1.0, INF,
+                                       breaks=prof.sign_changes(1))
+            except QuadratureError:
+                continue
+            assert quad == pytest.approx(geom.norm_grad(q), rel=1e-10)

@@ -783,3 +783,62 @@ class TestExteriorTails:
         assert code == 3 and "domain error" in err and "underflows to 0" in err
         assert out == "" and "Traceback" not in err
 
+
+
+class TestHugeExponents:
+    """Instances whose closed form or quadrature norm once overflowed, or
+    came back 0 or wrong without an error and so failed a correct root.
+    Each command now ends in a verdict or in one typed error line."""
+
+    # name: (geometry, p, q, lambda, kernel, verify exit, norms exit)
+    CASES = {
+        "exterior-q1000": ({"kind": "exterior", "n": 3}, 4.0, 1000.0, 1.0,
+                           "1 + t", 3, 0),
+        "exterior-p600": ({"kind": "exterior", "n": 3}, 600.0, "inf", 1.0,
+                          "1 + s", 3, 3),
+        "exterior-p1e300": ({"kind": "exterior", "n": 3}, 1e300, 1e300, 3.0,
+                            "1", 3, 3),
+        "ball-r0.01-p70": ({"kind": "ball", "n": 2, "radius": 0.01}, 70.0, 2.0,
+                           1.0, "1 + t", 3, 0),
+        "ball-q1e300": ({"kind": "ball", "n": 2, "radius": 1.0}, "inf", 1e300,
+                        3.0, "1", 3, 3),
+        "ball-p1e300": ({"kind": "ball", "n": 2, "radius": 1.0}, 1e300, 2.0,
+                        3.0, "1", 3, 3),
+        # The default window misses the root s = 1.63e-176, so verify has
+        # nothing to check; ||U||_2 is 4.89e-176 and its integral underflows.
+        "ball-r1e-50": ({"kind": "ball", "n": 3, "radius": 1e-50}, 2.0, 2.0,
+                        1.0, "1 + t", 0, 3),
+    }
+
+    @classmethod
+    def config(cls, tmp_path, name, **extra):
+        geometry, p, q, lam, kernel, _, _ = cls.CASES[name]
+        case = {"geometry": geometry, "k": 1, "p": p, "q": q, "kernel": kernel}
+        return write_config(tmp_path, case, lam, **extra)
+
+    def test_exterior_q1000_counts_its_root(self, tmp_path, capsys):
+        # The incomplete beta's integrand overflowed here from q of about 323.
+        path = self.config(tmp_path, "exterior-q1000")
+        code, out, err = run_cli(capsys, "analyze", "-c", path)
+        assert code == 0 and err == "" and "count          1\n" in out
+        code, out, err = run_cli(capsys, "norms", "-c", path)
+        assert code == 0 and err == "" and "verdict: PASS" in out
+
+    @pytest.mark.parametrize("command", ["verify", "norms"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_verdict_or_one_error_line(self, tmp_path, capsys, name, command):
+        want = self.CASES[name][5 if command == "verify" else 6]
+        code, out, err = run_cli(capsys, command, "-c", self.config(tmp_path, name))
+        assert code == want
+        if code == 3:
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("domain error:")
+        else:
+            assert err == "" and "verdict: PASS" in out
+
+    def test_corrupted_exterior_field_still_fails(self, tmp_path, capsys):
+        case = next(c for c in BATTERY["cases"]
+                    if c["name"] == "exterior-saturating")
+        path = write_config(tmp_path, case, 1.0, amplitude_scale=1.05)
+        code, out, err = run_cli(capsys, "verify", "-c", path)
+        assert code == 1 and err == "" and "verdict: FAIL" in out

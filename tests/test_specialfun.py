@@ -1,7 +1,10 @@
 """Special functions against scipy/mpmath oracles and frozen values."""
 
+import ast
 import math
+from pathlib import Path
 
+import mpmath
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from odkirch.base_solutions import _log_beta
 from odkirch.errors import DomainError
 from odkirch.quadrature import integrate
+from odkirch import specialfun
 from odkirch.specialfun import log_gamma, log_incomplete_beta, sphere_area
 
 # Frozen from a 40-digit mpmath quadrature of the defining integral.
@@ -145,3 +149,62 @@ class TestIncompleteBeta:
             log_incomplete_beta(1.0, 1.0, -0.5)
         with pytest.raises(DomainError):
             log_incomplete_beta(1.0, 2.0, 3.0)
+
+
+def mp_log_incomplete_beta(z, x, y):
+    """log B_z(x, y) at 50 digits from the non-Euler form z^x / x
+    2F1(x, 1-y; x+1; z), not the Euler form the library sums."""
+    with mpmath.workdps(50):
+        z, x, y = map(mpmath.mpf, (z, x, y))
+        return float(mpmath.log(z ** x / x * mpmath.hyp2f1(x, 1 - y, x + 1, z,
+                                                          maxterms=10 ** 6)))
+
+
+class TestLogIncompleteBetaSeries:
+    """The series on the exterior gradient norm's own arguments, z = 2/n,
+    x = q + 1, y = -alpha - q with alpha = ((n - 1) q - n) / 2, and at the
+    edges of its stopping rule."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 11, 50, 100, 438])
+    @pytest.mark.parametrize("q_over_threshold", [1.001, 1.5, 40.0, 1e3, 1e4])
+    def test_against_mpmath_on_the_exterior_domain(self, n, q_over_threshold):
+        q = min(q_over_threshold * n / (n - 1.0), 1e4)
+        alpha = ((n - 1.0) * q - n) / 2.0
+        z, x, y = 2.0 / n, q + 1.0, -alpha - q
+        ref = mp_log_incomplete_beta(z, x, y)
+        assert abs(log_incomplete_beta(z, x, y) - ref) <= 4e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("x_plus_y", [0.0, -1.0, -3.0, 1e-9, -1e-9, -1.0 + 1e-9,
+                                          -1.0 - 1e-9, -3.0 + 1e-9, -3.0 - 1e-9])
+    @pytest.mark.parametrize("z, x", [(0.9, 0.5), (0.6, 2.5)])
+    def test_near_a_non_positive_integer(self, x_plus_y, z, x):
+        # A term with x + y + k = 0 ends the series; one within 1e-9 of 0 makes
+        # the next term tiny, and the terms after it must still be summed.
+        y = x_plus_y - x
+        ref = mp_log_incomplete_beta(z, x, y)
+        assert abs(log_incomplete_beta(z, x, y) - ref) <= 4e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("n", [3, 10, 438])
+    def test_huge_negative_first_parameter(self, n):
+        # q = 1e300: x + y = 1 - alpha is about -1e300, every ratio is the
+        # same -(alpha - 1) z / (q + 2), and the integrand t^q (1-t)^(y-1)
+        # peaks at t = z so sharply that log B_z = phi(z) - log phi'(z) to
+        # about 1/q, phi = (x-1) log t + (y-1) log(1-t).
+        q = 1e300
+        z, x, y = 2.0 / n, q + 1.0, -((n - 1.0) * q - n) / 2.0 - q
+        with mpmath.workdps(50):
+            zz, xx, yy = map(mpmath.mpf, (z, x, y))
+            slope = (xx - 1) / zz - (yy - 1) / (1 - zz)
+            ref = float((xx - 1) * mpmath.log(zz) + (yy - 1) * mpmath.log(1 - zz)
+                        - mpmath.log(slope))
+        assert log_incomplete_beta(z, x, y) == pytest.approx(ref, rel=1e-15)
+
+    def test_no_numerical_integration(self):
+        # The closed forms must share no code with the quadrature norms they
+        # are checked against.
+        tree = ast.parse(Path(specialfun.__file__).read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert imported and not [m for m in imported if "quadrature" in m]

@@ -36,8 +36,11 @@ in-process once per operation:
   analyze -o, selftest -c) and --help, run before every operation below so
   that those reuse a parser that has already rejected an argv;
 - WARNING_RUNS, the ball with q = 1e300 and the exterior domain with
-  p = q = 1e300, whose quadrature integrands overflow: analyze, verify and
-  norms, as text and with --json;
+  p = q = 1e300, whose quadrature integrands overflow or underflow; the
+  exterior domain with q = 1000, whose closed-form incomplete beta once
+  overflowed; the ball of radius 0.01 with p = 70 and the exterior domain
+  with p = 600, whose quadrature norms once came back 0 and failed a correct
+  root: analyze, verify and norms, as text and with --json;
 - analyze, verify and norms, as text and with --json, and plot-data on each
   CONFIG given, and on every config that `benchmarks/workloads.generate`
   draws for the three benchmark workloads at each --workload-seed N.  The
@@ -141,13 +144,20 @@ USAGE_ARGVS = (
     ["--help"],
 )
 
-# Integrands that overflow to inf or nan inside the quadrature of a norm:
-# each run ends in one domain error line and no RuntimeWarning.
+# Integrands that overflow to inf or nan, or underflow to 0, inside the
+# quadrature of a norm: each such run ends in one domain error line and no
+# RuntimeWarning.  Exterior q = 1000 once overflowed in the closed form too.
 WARNING_RUNS = [
     {"schema_version": 1, "geometry": {"kind": "ball", "dim": 2, "radius": 1.0},
      "k": 1, "p": "inf", "q": 1e300, "lambda": 3.0, "kernel": "1"},
     {"schema_version": 1, "geometry": {"kind": "exterior", "dim": 3},
      "k": 1, "p": 1e300, "q": 1e300, "lambda": 3.0, "kernel": "1"},
+    {"schema_version": 1, "geometry": {"kind": "exterior", "dim": 3},
+     "k": 1, "p": 4.0, "q": 1000.0, "lambda": 1.0, "kernel": "1 + t"},
+    {"schema_version": 1, "geometry": {"kind": "ball", "dim": 2, "radius": 0.01},
+     "k": 1, "p": 70.0, "q": 2.0, "lambda": 1.0, "kernel": "1 + t"},
+    {"schema_version": 1, "geometry": {"kind": "exterior", "dim": 3},
+     "k": 1, "p": 600.0, "q": "inf", "lambda": 1.0, "kernel": "1 + s"},
 ]
 
 
