@@ -364,9 +364,10 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     on its own, so no panel straddles one.  A QuadratureError names the
     radius beyond which |radial_f| underflows to 0 when the mass lost there
     may exceed the tolerance; it is also raised when the integral of a field
-    that is not 0 at every sample is below the smallest normal double, and
-    when the integrand at a finite end of the domain exceeds every sample by
-    more than 1/rel_tol.  The norm is never a wrong 0.
+    that is not 0 at every sample is outside the normal doubles (|f|^p
+    underflows or overflows), and when the integrand at a finite end of the
+    domain exceeds every sample by more than 1/rel_tol.  The norm is never a
+    wrong 0.
     """
     if not _is_finite_exponent(p):
         _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),

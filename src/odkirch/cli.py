@@ -42,8 +42,8 @@ from .verifier import THRESHOLDS, judge_kelvin, judge_solution, perturb_solution
 # The instances selftest runs through verify and norms: the constant-kernel
 # ball whose one root is s = 0.75, a 2-Hessian ball, and an exterior domain,
 # whose finite-q gradient norm goes through log_incomplete_beta and whose
-# verify run includes the Kelvin suite.  Kernels that read t make a wrong gradient
-# norm move the roots.
+# verify run includes the Kelvin suite.  Kernels that read t make a wrong
+# gradient norm move the roots.
 _SELFTEST = (
     {"schema_version": 1, "geometry": {"kind": "ball", "dim": 2, "radius": 1.0},
      "k": 1, "p": "inf", "q": 2.0, "lambda": 3.0, "kernel": "1"},

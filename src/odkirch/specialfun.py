@@ -3,7 +3,7 @@
 They are built on the log-gamma function and on series summed in floating
 point, with no numerical integration, so the closed forms share nothing with
 the integrals they are checked against.  The incomplete beta function comes as
-its log, from the Euler form of its hypergeometric series (NIST DLMF 8.17.8).
+its log, from the Euler form of its hypergeometric series (NIST DLMF 8.17(ii)).
 """
 
 import math

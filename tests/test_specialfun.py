@@ -103,7 +103,10 @@ class TestIncompleteBeta:
     @pytest.mark.parametrize(
         "z,x,y",
         [(0.3, 2.0, 3.0), (0.8, 0.5, 0.5), (0.05, 4.0, 1.5), (0.99, 1.5, 2.5),
-         (0.5, 0.2, 6.0)],
+         (0.5, 0.2, 6.0),
+         # Summed as B(x, y) - B_(1-z)(y, x): the direct terms would grow
+         # past the largest double, or fall only as fast as z^k.
+         (0.5, 1.0, 2000.0), (0.999999, 0.5, 3.0)],
     )
     def test_against_scipy_positive(self, z, x, y):
         ref = scipy.special.betainc(x, y, z) * scipy.special.beta(x, y)
