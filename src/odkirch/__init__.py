@@ -15,11 +15,10 @@ from .errors import (ConfigError, DomainError, KernelEvalError,
 from .hessian import (binomial, elementary_symmetric, hessian_fd,
                       k_hessian_field, k_hessian_radial, principal_minor_sum)
 from .kernel import eval_kernel, kernel_to_string, parse_kernel
-from .reduction import (ProblemInstance, ReducedEquation, ScanConfig, Solution,
-                        build_reduced, roots_to_solutions, solve_roots,
-                        system_count_check)
+from .reduction import (ProblemInstance, ReducedEquation, ScanConfig,
+                        build_reduced, solve_roots, system_count_check)
 from .specialfun import log_gamma, log_incomplete_beta, sphere_area
 from .verifier import (THRESHOLDS, gamma_scaling_check, judge_kelvin,
-                       judge_solution, perturb_solution, verify)
+                       judge_norms, judge_run, judge_solution, verify)
 
 __version__ = "0.1.0"

@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error
 3 domain or numerical-convergence error, 4 kernel evaluation fault; the
 same code, and no traceback, when the reader closes stdout early (`| head`).
 
-analyze, verify and norms each build one record: --json prints it, the text
-output renders it, and a "fail" verdict in it makes the exit code 1.
+analyze, verify and norms each take one record from the library, verdicts
+included (verifier.judge_run, verifier.judge_norms): --json prints it, the
+text output renders it, and a "fail" verdict in it makes the exit code 1.
 
 Structured output (--json) is deterministic: keys are sorted, floats carry 17
 significant digits, and no timestamps or machine identifiers appear, so two
@@ -31,13 +32,11 @@ import sys
 
 import numpy as np
 
-from .base_solutions import norm_quadrature
-from .config import RunConfig, build_config, config_to_dict, exponent_doc, load_config
+from .config import RunConfig, build_config, config_to_dict, load_config
 from .errors import (ConfigError, DomainError, KernelEvalError,
                      KernelSyntaxError, OdkirchError, QuadratureError)
-from .reduction import (_scan_grid, build_reduced, roots_to_solutions, solve_roots,
-                        system_count_check)
-from .verifier import THRESHOLDS, judge_kelvin, judge_solution, perturb_solution
+from .reduction import _scan_grid, build_reduced, solve_roots, system_count_check
+from .verifier import judge_norms, judge_run
 
 # The instances selftest runs through verify and norms: the constant-kernel
 # ball whose one root is s = 0.75, a 2-Hessian ball, and an exterior domain,
@@ -96,15 +95,11 @@ def _f6(x: float) -> str:
     return format(x, ".6g")
 
 
-def _analyze(cfg: RunConfig):
-    """The reduced equation and the body of the analyze record."""
+def _analyze(cfg: RunConfig) -> dict:
+    """The body of the analyze record."""
     eq = build_reduced(cfg.instance)
     record = solve_roots(eq, cfg.scan)
-    return eq, {**record, "system_check": system_count_check(eq, record)}
-
-
-def _analyze_record(cfg: RunConfig) -> dict:
-    return _analyze(cfg)[1]
+    return {**record, "system_check": system_count_check(eq, record)}
 
 
 def _analyze_text(rec: dict, geometry, w) -> None:
@@ -137,19 +132,7 @@ def _analyze_text(rec: dict, geometry, w) -> None:
 
 
 def _verify_record(cfg: RunConfig) -> dict:
-    eq, analysis = _analyze(cfg)
-    solutions = roots_to_solutions(eq, analysis)
-    if cfg.amplitude_scale != 1.0:
-        solutions = tuple(perturb_solution(s, cfg.amplitude_scale)
-                          for s in solutions)
-    reports = [judge_solution(cfg.instance, sol, seed=cfg.seed) for sol in solutions]
-    kelvin = judge_kelvin(cfg.instance.geometry, seed=cfg.seed)
-    system_check = analysis["system_check"]
-    ok = (system_check["matched"] and all(doc["pass"] for doc in reports)
-          and (kelvin is None or kelvin["pass"]))
-    return {"amplitude_scale": cfg.amplitude_scale, "count": analysis["count"],
-            "system_check": system_check, "roots": reports, "kelvin": kelvin,
-            "warnings": analysis["warnings"], "verdict": "pass" if ok else "fail"}
+    return judge_run(cfg.instance, _analyze(cfg), cfg.seed, cfg.amplitude_scale)
 
 
 def _verify_text(rec: dict, geometry, w) -> None:
@@ -180,26 +163,7 @@ def _verify_text(rec: dict, geometry, w) -> None:
 
 
 def _norms_record(cfg: RunConfig) -> dict:
-    inst = cfg.instance
-    geom = inst.geometry
-    prof = geom.profile()
-    rows = []
-    # The sup-norm row of a field is listed once when its exponent is inf.
-    for order, exponent in dict.fromkeys(((0, inst.p), (0, math.inf),
-                                          (1, inst.q), (1, math.inf))):
-        cval = (geom.norm_u, geom.norm_grad)[order](exponent)
-        qval = norm_quadrature((prof.phi, prof.dphi)[order], exponent, geom.n,
-                               *geom.r_range, breaks=prof.sign_changes(order))
-        rows.append({
-            "field": ("u", "grad_u")[order],
-            "exponent": exponent_doc(exponent),
-            "closed_form": cval,
-            "quadrature": qval,
-            "rel_err": abs(cval - qval) / abs(cval),
-        })
-    threshold = THRESHOLDS["norm_agreement"]
-    ok = all(row["rel_err"] <= threshold for row in rows)
-    return {"rows": rows, "threshold": threshold, "verdict": "pass" if ok else "fail"}
+    return judge_norms(cfg.instance)
 
 
 def _norms_text(rec: dict, geometry, w) -> None:
@@ -217,7 +181,7 @@ def _norms_text(rec: dict, geometry, w) -> None:
 # into the body of the command's --json document; the text view renders the
 # whole document, with the geometry for its description.
 _COMMANDS = {
-    "analyze": ("reduce, count and refine roots", _analyze_record, _analyze_text),
+    "analyze": ("reduce, count and refine roots", _analyze, _analyze_text),
     "verify": ("numerically verify constructed solutions", _verify_record,
                _verify_text),
     "norms": ("closed-form norms against quadrature", _norms_record, _norms_text),

@@ -28,8 +28,8 @@ two more brackets, and one within TANGENCY_RTOL * target of it is reported
 as a tangency.
 
 solve_roots returns one dict, the body of `odkirch analyze --json` but its
-"system_check", under the printed names; system_count_check and
-roots_to_solutions read that record.
+"system_check", under the printed names; a root's amplitude and c give its
+solution u = amplitude U, and system_count_check and the verifier read them.
 
 system_count_check re-derives the count without the scalar equation, from
 the two-dimensional fixed-point system for the pair (s, t) = (||u||, ||grad u||),
@@ -373,32 +373,6 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> dict:
         "tangencies": tangencies,
         "warnings": warnings,
     }
-
-
-@dataclass(frozen=True)
-class Solution:
-    """An explicit exact solution u = amplitude * U reconstructed from a root."""
-
-    amplitude: float
-    c: float
-    s: float
-    geometry: object
-    profile: object       # scaled RadialProfile
-
-    @property
-    def u(self):
-        """The field as a callable, points (..., n) -> values (...)."""
-        return self.profile.as_field(self.geometry.center)
-
-
-def roots_to_solutions(eq: ReducedEquation, record: dict) -> tuple:
-    """Materialize one explicit solution per root of solve_roots' record, in
-    root order."""
-    geom = eq.geometry
-    base = geom.profile()
-    return tuple(Solution(amplitude=root["amplitude"], c=root["c"], s=root["s"],
-                          geometry=geom, profile=base.scale(root["amplitude"]))
-                 for root in record["roots"])
 
 
 # Segments of the line t = rho s in the 2-D check, and the exponents of its

@@ -14,25 +14,24 @@ exactly when u stays appropriately bounded at infinity.  The image is
 RadialProfile.kelvin; only image_pointwise evaluates the definition itself.
 
 verify, gamma_scaling_check and judge_kelvin return their quantities under
-the names that `odkirch verify --json` prints them; THRESHOLDS,
-judge_solution and judge_kelvin turn them into the pass/fail verdict, so
-library callers get the same answer as the command line.
+the names that `odkirch verify --json` prints; THRESHOLDS and the judges turn
+them into verdicts.  judge_run and judge_norms return the bodies of `odkirch
+verify --json` and `norms --json`, so the command line only renders them.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .base_solutions import ExteriorGeometry, norm_quadrature, row_dot
-from .errors import DomainError
+from .config import exponent_doc
 from .hessian import binomial, k_hessian_radial
 from .kernel import eval_kernel
-from .reduction import ProblemInstance, Solution
+from .reduction import ProblemInstance
 
 _INF = math.inf
 
-# Pass/fail gates of `judge_solution`, `judge_kelvin` and the norms table.
+# Pass/fail gates of `judge_solution`, `judge_kelvin` and `judge_norms`.
 THRESHOLDS = {
     "interior_residual": 1e-6,
     "boundary_value": 1e-10,
@@ -65,19 +64,17 @@ def _normal_derivative(u, x: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray
             - 8.0 * u(x - h * nu) + u(x - 2.0 * h * nu)) / (12.0 * h)
 
 
-def perturb_solution(solution: Solution, factor: float) -> Solution:
-    """Rescale the candidate field while keeping its claims (c, s) unchanged.
-
-    Exists to exercise the failure path: any factor other than 1.0 must make
-    verification report residuals above tolerance.
-    """
-    return dataclasses.replace(solution, amplitude=solution.amplitude * factor,
-                               profile=solution.profile.scale(factor))
+def _field(instance: ProblemInstance, root: dict, scale: float):
+    """The radial profile of root's solution amplitude U, times scale; root's
+    claims (s, c) stay, so any scale but 1.0 must fail verification."""
+    prof = instance.geometry.profile().scale(root["amplitude"])
+    return prof if scale == 1.0 else prof.scale(scale)
 
 
-def verify(instance: ProblemInstance, solution: Solution,
-           n_samples: int = 64, seed: int = 0) -> dict:
-    """Check that the candidate solves the problem it claims to solve.
+def verify(instance: ProblemInstance, root: dict, n_samples: int = 64,
+           seed: int = 0, scale: float = 1.0) -> dict:
+    """Check that the field u = amplitude U of root, a record of `solve_roots`,
+    times scale, solves on the instance's geometry the problem root claims.
 
     Interior: M(||u||_p, ||grad u||_q) S_k(D^2 u) = lambda w(|x - x0|) at
     seeded random radii, with both norms recomputed by quadrature and w the
@@ -91,11 +88,8 @@ def verify(instance: ProblemInstance, solution: Solution,
     record of `odkirch verify --json`.
     """
     geom = instance.geometry
-    if solution.geometry != geom:
-        raise DomainError(f"solution on {solution.geometry} does not belong to "
-                          f"an instance on {geom}")
     n, radius = geom.n, geom.radius
-    prof = solution.profile
+    prof = _field(instance, root, scale)
     nu_q = norm_quadrature(prof.phi, instance.p, n, *geom.r_range,
                            breaks=prof.sign_changes(0))
     ng_q = norm_quadrature(prof.dphi, instance.q, n, *geom.r_range,
@@ -109,14 +103,14 @@ def verify(instance: ProblemInstance, solution: Solution,
 
     dirs = _unit_directions(rng, n_samples, n)
     h = 1e-4 * max(1.0, radius, *map(abs, geom.center))
-    u = solution.u
+    u = prof.as_field(geom.center)
     x = np.asarray(geom.center) + radius * dirs
     dn = _normal_derivative(u, x, dirs, h)
     values = {
         "interior_residual": interior,
         "boundary_value": float(np.max(np.abs(u(x)))),
-        "boundary_gradient": float(np.max(np.abs(np.abs(dn) - solution.c))),
-        "norm_consistency": abs(nu_q - solution.s) / max(1.0, abs(solution.s)),
+        "boundary_gradient": float(np.max(np.abs(np.abs(dn) - root["c"]))),
+        "norm_consistency": abs(nu_q - root["s"]) / max(1.0, abs(root["s"])),
         "norm_u_quad": nu_q,
         "norm_grad_quad": ng_q,
         "kernel_value": float(m_val),
@@ -127,11 +121,12 @@ def verify(instance: ProblemInstance, solution: Solution,
     return values
 
 
-def gamma_scaling_check(instance: ProblemInstance, solution: Solution,
-                        values: dict, n_samples: int = 48, seed: int = 0) -> dict:
-    """Rescale the solution by gamma = (M C(N,k) / lambda)^(1/k) and test that
-    v = gamma u satisfies the normalized equation of the base field:
-    S_k(D^2 v) = C(N, k) on the ball, Delta v = n |x|^(-n-2) outside.
+def gamma_scaling_check(instance: ProblemInstance, root: dict, values: dict,
+                        n_samples: int = 48, seed: int = 0, scale: float = 1.0) -> dict:
+    """Rescale root's solution u, times scale as in `verify`, by
+    gamma = (M C(N,k) / lambda)^(1/k) and test that v = gamma u satisfies the
+    normalized equation of the base field: S_k(D^2 v) = C(N, k) on the ball,
+    Delta v = n |x|^(-n-2) outside.
 
     M is `values["kernel_value"]`, the kernel at the quadrature-recomputed
     norms of u that `verify` found, so this closes the loop between solver,
@@ -149,14 +144,14 @@ def gamma_scaling_check(instance: ProblemInstance, solution: Solution,
                               "gamma_pde"), math.nan)
     coeff = binomial(n, instance.k)
     gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
-    scaled = solution.profile.scale(gamma)
+    scaled = _field(instance, root, scale).scale(gamma)
 
     rng = np.random.default_rng(seed)
     radii = geom.sample_radii(rng, n_samples)
     dev = float(np.max(np.abs(
         k_hessian_radial(scaled, radii, n, instance.k) - coeff * geom.rhs_weight(radii)
     )))
-    recovered = float(gamma * solution.amplitude)
+    recovered = float(gamma * (root["amplitude"] * scale))
     return {"gamma": float(gamma), "recovered_amplitude": recovered,
             "gamma_amplitude": abs(recovered - 1.0), "gamma_pde": dev / coeff}
 
@@ -167,19 +162,21 @@ def _check_table(values: dict) -> dict:
             for name, (v, t) in values.items()}
 
 
-def judge_solution(instance: ProblemInstance, solution: Solution,
-                   seed: int = 0) -> dict:
-    """Pass or fail one solution: `verify` and the gamma check against THRESHOLDS.
+def judge_solution(instance: ProblemInstance, root: dict, seed: int = 0,
+                   scale: float = 1.0) -> dict:
+    """Pass or fail root's solution, times scale: `verify` and the gamma
+    check against THRESHOLDS.
 
-    Returns the per-root record of `odkirch verify --json`: the recomputed
-    norms, kernel value and gamma, every check with its value, threshold and
-    pass flag, and the overall "pass".
+    Returns the per-root record of `odkirch verify --json`: s, c and the
+    amplitude of the field judged, the recomputed norms, kernel value and
+    gamma, every check with its value, threshold and pass flag, and the
+    overall "pass".
     """
-    doc = verify(instance, solution, seed=seed)
-    doc.update(gamma_scaling_check(instance, solution, doc, seed=seed))
+    doc = verify(instance, root, seed=seed, scale=scale)
+    doc.update(gamma_scaling_check(instance, root, doc, seed=seed, scale=scale))
     checks = _check_table({name: (doc.pop(name), t)
                            for name, t in THRESHOLDS.items() if name in doc})
-    return {"s": solution.s, "amplitude": solution.amplitude, "c": solution.c,
+    return {"s": root["s"], "amplitude": root["amplitude"] * scale, "c": root["c"],
             **doc, "checks": checks,
             "pass": all(chk["pass"] for chk in checks.values())}
 
@@ -259,3 +256,38 @@ def judge_kelvin(geometry, seed: int = 0, n_samples: int = 48) -> dict | None:
         "removability_shrink": math.exp(log_ratios[-1] - log_ratios[0]),
         "pass": all(chk["pass"] for chk in checks.values()) and monotone,
     }
+
+
+def judge_run(instance: ProblemInstance, analysis: dict, seed: int = 0,
+              scale: float = 1.0) -> dict:
+    """Pass or fail an analyze record: the body of `odkirch verify --json`,
+    "pass" when its system check matched, every root's solution times scale
+    passes `judge_solution` and the Kelvin suite, if any, passes."""
+    roots = [judge_solution(instance, root, seed, scale) for root in analysis["roots"]]
+    kelvin = judge_kelvin(instance.geometry, seed=seed)
+    system_check = analysis["system_check"]
+    ok = (system_check["matched"] and all(doc["pass"] for doc in roots)
+          and (kelvin is None or kelvin["pass"]))
+    return {"amplitude_scale": scale, "count": analysis["count"],
+            "system_check": system_check, "roots": roots, "kelvin": kelvin,
+            "warnings": analysis["warnings"], "verdict": "pass" if ok else "fail"}
+
+
+def judge_norms(instance: ProblemInstance) -> dict:
+    """The closed-form norms of the base field against quadrature: the body of
+    `odkirch norms --json`, one row per field and exponent (p and inf for u,
+    q and inf for grad u, each once) and the verdict."""
+    geom = instance.geometry
+    prof = geom.profile()
+    rows = []
+    for order, exponent in dict.fromkeys(((0, instance.p), (0, _INF),
+                                          (1, instance.q), (1, _INF))):
+        cval = (geom.norm_u, geom.norm_grad)[order](exponent)
+        qval = norm_quadrature((prof.phi, prof.dphi)[order], exponent, geom.n,
+                               *geom.r_range, breaks=prof.sign_changes(order))
+        rows.append({"field": ("u", "grad_u")[order], "exponent": exponent_doc(exponent),
+                     "closed_form": cval, "quadrature": qval,
+                     "rel_err": abs(cval - qval) / abs(cval)})
+    threshold = THRESHOLDS["norm_agreement"]
+    ok = all(row["rel_err"] <= threshold for row in rows)
+    return {"rows": rows, "threshold": threshold, "verdict": "pass" if ok else "fail"}

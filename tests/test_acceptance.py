@@ -19,7 +19,6 @@ from odkirch.kernel import kernel_to_string, parse_kernel
 from odkirch.reduction import (
     ProblemInstance,
     build_reduced,
-    roots_to_solutions,
     solve_roots,
     system_count_check,
 )
@@ -170,9 +169,9 @@ def test_criterion_5_pde_residuals():
             continue
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
-        for sol in roots_to_solutions(eq, solve_roots(eq)):
-            rep = verify(inst, sol, n_samples=100, seed=0)
-            label = (case["name"], lam, sol.s)
+        for root in solve_roots(eq)["roots"]:
+            rep = verify(inst, root, n_samples=100, seed=0)
+            label = (case["name"], lam, root["s"])
             assert rep["interior_residual"] <= 1e-6, label
             assert rep["boundary_value"] <= 1e-10, label
             assert rep["boundary_gradient"] <= 1e-8, label
@@ -201,10 +200,10 @@ def test_criterion_7_gamma_scaling():
             continue
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
-        for sol in roots_to_solutions(eq, solve_roots(eq)):
-            rep = gamma_scaling_check(inst, sol, verify(inst, sol),
+        for root in solve_roots(eq)["roots"]:
+            rep = gamma_scaling_check(inst, root, verify(inst, root),
                                       n_samples=100, seed=0)
-            label = (case["name"], lam, sol.s)
+            label = (case["name"], lam, root["s"])
             assert abs(rep["recovered_amplitude"] - 1.0) <= 1e-6, label
             # gamma_pde is relative to C(N, k); the criterion bounds the
             # deviation itself.

@@ -17,8 +17,7 @@ from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch import cli
 from odkirch.cli import main
 from odkirch.errors import DomainError
-from odkirch.reduction import (build_reduced, roots_to_solutions, solve_roots,
-                               system_count_check)
+from odkirch.reduction import build_reduced, solve_roots, system_count_check
 from odkirch.verifier import judge_kelvin, judge_solution
 
 from conftest import load_battery, make_instance
@@ -178,8 +177,7 @@ class TestVerify:
         eq = build_reduced(inst)
         record = solve_roots(eq)
         assert code == 0 and record["count"] >= 1
-        assert doc["roots"] == [judge_solution(inst, sol)
-                                for sol in roots_to_solutions(eq, record)]
+        assert doc["roots"] == [judge_solution(inst, root) for root in record["roots"]]
         assert doc["kelvin"] == judge_kelvin(inst.geometry)
         assert doc["system_check"] == system_count_check(eq, record)
 

@@ -17,7 +17,6 @@ from odkirch.reduction import (
     ScanConfig,
     build_reduced,
     refine_brackets,
-    roots_to_solutions,
     solve_roots,
     system_count_check,
 )
@@ -435,34 +434,41 @@ class TestEdgeWarnings:
         assert record["warnings"] == []
 
 
+def solution_field(eq, root):
+    """The profile and field of root's explicit solution u = amplitude U."""
+    profile = eq.geometry.profile().scale(root["amplitude"])
+    return profile, profile.as_field(eq.geometry.center)
+
+
 class TestSolutions:
     def test_explicit_solution_fields(self, battery):
         case = battery["cases"][0]  # ball, n=2, R=1, M=1, lambda=3
         eq = build_reduced(make_instance(case, 3.0))
-        sols = roots_to_solutions(eq, solve_roots(eq))
-        assert len(sols) == 1
-        sol = sols[0]
-        assert sol.amplitude == pytest.approx(1.5, rel=1e-11)
-        assert sol.c == pytest.approx(1.5, rel=1e-11)
+        roots = solve_roots(eq)["roots"]
+        assert len(roots) == 1
+        root = roots[0]
+        assert root["amplitude"] == pytest.approx(1.5, rel=1e-11)
+        assert root["c"] == pytest.approx(1.5, rel=1e-11)
         # u = amplitude * (|x|^2 - 1)/2: value at the center is -amplitude/2.
-        assert sol.u(np.zeros(2)) == pytest.approx(-0.75, rel=1e-11)
-        assert sol.u(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        _, u = solution_field(eq, root)
+        assert u(np.zeros(2)) == pytest.approx(-0.75, rel=1e-11)
+        assert u(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_solution_count_matches_roots(self, battery):
         for case in battery["cases"]:
             for run in case["runs"]:
-                eq = build_reduced(make_instance(case, run["lambda"]))
-                assert len(roots_to_solutions(eq, solve_roots(eq))) == run["count"]
+                record = solve_roots(build_reduced(make_instance(case, run["lambda"])))
+                assert len(record["roots"]) == record["count"] == run["count"]
 
     def test_exterior_solution_decay(self, battery):
         case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
         eq = build_reduced(make_instance(case, 1.0))
-        sol = roots_to_solutions(eq, solve_roots(eq))[0]
-        assert sol.u(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        profile, u = solution_field(eq, solve_roots(eq)["roots"][0])
+        assert u(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
         # n = 3 decays like r^-1; the field must track the scaled profile.
-        far = sol.u(np.array([300.0, 0.0, 0.0]))
-        assert far == pytest.approx(float(sol.profile.phi(300.0)), rel=1e-13)
-        assert abs(far) < abs(sol.u(np.array([2.0, 0.0, 0.0])))
+        far = u(np.array([300.0, 0.0, 0.0]))
+        assert far == pytest.approx(float(profile.phi(300.0)), rel=1e-13)
+        assert abs(far) < abs(u(np.array([2.0, 0.0, 0.0])))
 
 
 class TestSystemCountCheck:

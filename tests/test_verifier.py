@@ -8,30 +8,27 @@ import pytest
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry, RadialProfile
 from odkirch.errors import DomainError
 from odkirch.hessian import binomial
-from odkirch.reduction import (ProblemInstance, build_reduced, roots_to_solutions,
-                               solve_roots)
+from odkirch.reduction import ProblemInstance, build_reduced, solve_roots
 from odkirch.verifier import (
+    _field,
     gamma_scaling_check,
     judge_kelvin,
     judge_solution,
     _unit_directions,
-    perturb_solution,
     verify,
 )
 
 from conftest import make_instance
 
 
-def first_solution(case, lam):
+def first_root(case, lam):
     inst = make_instance(case, lam)
-    eq = build_reduced(inst)
-    return inst, roots_to_solutions(eq, solve_roots(eq))[0]
+    return inst, solve_roots(build_reduced(inst))["roots"][0]
 
 
-def all_solutions(case, lam):
+def all_roots(case, lam):
     inst = make_instance(case, lam)
-    eq = build_reduced(inst)
-    return inst, roots_to_solutions(eq, solve_roots(eq))
+    return inst, solve_roots(build_reduced(inst))["roots"]
 
 
 class TestVerifyBall:
@@ -42,41 +39,43 @@ class TestVerifyBall:
             for run in case["runs"]:
                 if run["count"] == 0:
                     continue
-                inst, sols = all_solutions(case, run["lambda"])
-                for sol in sols:
-                    report = verify(inst, sol, n_samples=64, seed=0)
-                    label = (case["name"], run["lambda"], sol.s)
+                inst, roots = all_roots(case, run["lambda"])
+                for root in roots:
+                    report = verify(inst, root, n_samples=64, seed=0)
+                    label = (case["name"], run["lambda"], root["s"])
                     assert report["interior_residual"] < 1e-6, label
                     assert report["boundary_value"] < 1e-10, label
                     assert report["boundary_gradient"] < 1e-8, label
-                    assert report["norm_u_quad"] == pytest.approx(sol.s, rel=1e-8)
+                    assert report["norm_u_quad"] == pytest.approx(root["s"], rel=1e-8)
 
     def test_perturbed_solution_fails(self, battery):
-        inst, sol = first_solution(battery["cases"][0], 3.0)
-        bad = perturb_solution(sol, 1.02)
-        report = verify(inst, bad, n_samples=32, seed=0)
+        inst, root = first_root(battery["cases"][0], 3.0)
+        report = verify(inst, root, n_samples=32, seed=0, scale=1.02)
         assert report["interior_residual"] > 1e-3
         assert report["boundary_gradient"] > 1e-3
 
     def test_perturbation_leaves_claims(self, battery):
-        _, sol = first_solution(battery["cases"][0], 3.0)
-        bad = perturb_solution(sol, 2.0)
-        assert bad.c == sol.c and bad.s == sol.s
-        assert bad.amplitude == pytest.approx(2.0 * sol.amplitude)
+        inst, root = first_root(battery["cases"][0], 3.0)
+        bad = judge_solution(inst, root, scale=2.0)
+        assert bad["c"] == root["c"] and bad["s"] == root["s"]
+        assert bad["amplitude"] == pytest.approx(2.0 * root["amplitude"])
 
     def test_perturbed_field_is_scaled(self, battery):
-        _, sol = first_solution(battery["cases"][0], 3.0)
-        bad = perturb_solution(sol, 1.02)
+        inst, root = first_root(battery["cases"][0], 3.0)
+        center = inst.geometry.center
+        good = _field(inst, root, 1.0).as_field(center)
+        bad = _field(inst, root, 1.02).as_field(center)
         x = np.array([0.3, -0.4])
-        assert bad.u(x) == pytest.approx(1.02 * sol.u(x), rel=1e-15)
+        assert bad(x) == pytest.approx(1.02 * good(x), rel=1e-15)
 
-    def test_geometry_mismatch(self, battery):
+    def test_root_of_another_geometry_fails(self, battery):
+        # The field is always built on the instance's geometry: the exterior
+        # root's amplitude and c make a wrong solution of the ball problem.
         ball_case = battery["cases"][0]
         ext_case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
-        inst_ext, sol_ext = first_solution(ext_case, 1.0)
-        inst_ball, _ = first_solution(ball_case, 3.0)
-        with pytest.raises(DomainError):
-            verify(inst_ball, sol_ext)
+        _, root_ext = first_root(ext_case, 1.0)
+        inst_ball, _ = first_root(ball_case, 3.0)
+        assert judge_solution(inst_ball, root_ext)["pass"] is False
 
     def test_off_center_ball(self):
         case = {
@@ -90,9 +89,8 @@ class TestVerifyBall:
             geometry=BallGeometry(n=2, radius=1.0, center=(2.0, -1.0)),
             k=1, p=inst.p, q=inst.q, lam=3.0, kernel="1",
         )
-        eq = build_reduced(shifted)
-        sol = roots_to_solutions(eq, solve_roots(eq))[0]
-        report = verify(shifted, sol, n_samples=32)
+        root = solve_roots(build_reduced(shifted))["roots"][0]
+        report = verify(shifted, root, n_samples=32)
         assert report["interior_residual"] < 1e-6
         assert report["boundary_value"] < 1e-10
 
@@ -105,10 +103,10 @@ class TestVerifyExterior:
             for run in case["runs"]:
                 if run["count"] == 0:
                     continue
-                inst, sols = all_solutions(case, run["lambda"])
-                for sol in sols:
-                    report = verify(inst, sol, n_samples=64, seed=0)
-                    label = (case["name"], run["lambda"], sol.s)
+                inst, roots = all_roots(case, run["lambda"])
+                for root in roots:
+                    report = verify(inst, root, n_samples=64, seed=0)
+                    label = (case["name"], run["lambda"], root["s"])
                     assert report["interior_residual"] < 1e-6, label
                     assert report["boundary_value"] < 1e-10, label
                     assert report["boundary_gradient"] < 1e-8, label
@@ -116,20 +114,19 @@ class TestVerifyExterior:
 
     def test_perturbed_solution_fails(self, battery):
         case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
-        inst, sol = first_solution(case, 1.0)
-        bad = perturb_solution(sol, 0.97)
-        report = verify(inst, bad, n_samples=32, seed=0)
+        inst, root = first_root(case, 1.0)
+        report = verify(inst, root, n_samples=32, seed=0, scale=0.97)
         assert report["interior_residual"] > 1e-3
 
 
 class TestJudge:
     def test_battery_root_passes_perturbed_fails(self, battery):
-        inst, sol = first_solution(battery["cases"][0], 3.0)
-        doc = judge_solution(inst, sol, seed=0)
+        inst, root = first_root(battery["cases"][0], 3.0)
+        doc = judge_solution(inst, root, seed=0)
         assert doc["pass"] is True
         assert all(chk["pass"] for chk in doc["checks"].values())
-        assert doc["s"] == sol.s and "far_field_ratio" not in doc
-        bad = judge_solution(inst, perturb_solution(sol, 1.02), seed=0)
+        assert doc["s"] == root["s"] and "far_field_ratio" not in doc
+        bad = judge_solution(inst, root, seed=0, scale=1.02)
         assert bad["pass"] is False
         assert not bad["checks"]["interior_residual"]["pass"]
 
@@ -139,19 +136,17 @@ class TestJudge:
         # round-off alone once read 1.1e-6 against the 1e-6 gate.
         inst = ProblemInstance(geometry=BallGeometry(n=24, radius=1.0), k=12,
                                p=math.inf, q=math.inf, lam=1.0, kernel="1 + s")
-        eq = build_reduced(inst)
-        (sol,) = roots_to_solutions(eq, solve_roots(eq))
-        check = judge_solution(inst, perturb_solution(sol, scale), seed=0)[
-            "checks"]["gamma_pde"]
+        (root,) = solve_roots(build_reduced(inst))["roots"]
+        check = judge_solution(inst, root, seed=0, scale=scale)["checks"]["gamma_pde"]
         assert check["pass"] is passes
         assert (check["value"] < 1e-10) is passes
 
     def test_exterior_root_reports_far_field(self, battery):
         case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
-        inst, sol = first_solution(case, 1.0)
-        doc = judge_solution(inst, sol, seed=0)
+        inst, root = first_root(case, 1.0)
+        doc = judge_solution(inst, root, seed=0)
         assert doc["pass"] is True
-        assert doc["far_field_ratio"] == pytest.approx(0.5 * sol.amplitude, rel=1e-4)
+        assert doc["far_field_ratio"] == pytest.approx(0.5 * root["amplitude"], rel=1e-4)
 
     def test_kelvin_only_outside(self):
         assert judge_kelvin(BallGeometry(n=3, radius=1.0)) is None
@@ -234,11 +229,12 @@ class TestArrayPassesMatchLoops:
     def test_boundary_checks(self, battery):
         for case in battery["cases"]:
             for run in (r for r in case["runs"] if r["count"] > 0):
-                inst, sol = first_solution(case, run["lambda"])
-                geom, u = inst.geometry, sol.u
+                inst, root = first_root(case, run["lambda"])
+                geom = inst.geometry
+                u = _field(inst, root, 1.0).as_field(geom.center)
                 h = 1e-4 * max(1.0, geom.radius, *map(abs, geom.center))
                 for seed in (0, 7):
-                    report = verify(inst, sol, n_samples=16, seed=seed)
+                    report = verify(inst, root, n_samples=16, seed=seed)
                     rng = np.random.default_rng(seed)
                     geom.sample_radii(rng, 16)
                     bval = bgrad = 0.0
@@ -247,7 +243,7 @@ class TestArrayPassesMatchLoops:
                         bval = max(bval, abs(u(x)))
                         dn = (-u(x + 2.0 * h * d) + 8.0 * u(x + h * d)
                               - 8.0 * u(x - h * d) + u(x - 2.0 * h * d)) / (12.0 * h)
-                        bgrad = max(bgrad, abs(abs(dn) - sol.c))
+                        bgrad = max(bgrad, abs(abs(dn) - root["c"]))
                     assert report["boundary_value"] == bval
                     assert report["boundary_gradient"] == bgrad
 
@@ -290,25 +286,25 @@ class TestGammaScaling:
             for run in case["runs"]:
                 if run["count"] == 0:
                     continue
-                inst, sols = all_solutions(case, run["lambda"])
-                for sol in sols:
-                    report = gamma_scaling_check(inst, sol, verify(inst, sol),
+                inst, roots = all_roots(case, run["lambda"])
+                for root in roots:
+                    report = gamma_scaling_check(inst, root, verify(inst, root),
                                                  n_samples=48, seed=0)
-                    label = (case["name"], run["lambda"], sol.s)
+                    label = (case["name"], run["lambda"], root["s"])
                     assert abs(report["recovered_amplitude"] - 1.0) < 1e-6, label
                     assert report["gamma_pde"] * binomial(inst.geometry.n, inst.k) < 1e-6, label
 
     def test_gamma_value_constant_kernel(self, battery):
         # M = 1: gamma = (C(N,k)/lambda)^(1/k) explicitly.
         case = battery["cases"][0]
-        inst, sol = first_solution(case, 3.0)
-        report = gamma_scaling_check(inst, sol, verify(inst, sol))
+        inst, root = first_root(case, 3.0)
+        report = gamma_scaling_check(inst, root, verify(inst, root))
         assert report["gamma"] == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_wrong_amplitude_detected(self, battery):
-        inst, sol = first_solution(battery["cases"][0], 3.0)
-        bad = perturb_solution(sol, 1.05)
-        report = gamma_scaling_check(inst, bad, verify(inst, bad))
+        inst, root = first_root(battery["cases"][0], 3.0)
+        report = gamma_scaling_check(inst, root, verify(inst, root, scale=1.05),
+                                     scale=1.05)
         # Norms move, so the kernel value and gamma move with them; the
         # product gamma * amplitude must drift off 1.
         assert abs(report["recovered_amplitude"] - 1.0) > 1e-3
