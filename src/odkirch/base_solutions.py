@@ -24,7 +24,6 @@ on both geometries unchanged.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,10 +363,11 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     on its own, so no panel straddles one.  A QuadratureError names the
     radius beyond which |radial_f| underflows to 0 when the mass lost there
     may exceed the tolerance; it is also raised when the integral of a field
-    that is not 0 at every sample is outside the normal doubles (|f|^p
-    underflows or overflows), and when the integrand at a finite end of the
-    domain exceeds every sample by more than 1/rel_tol.  The norm is never a
-    wrong 0.
+    that is not 0 at every sample overflows, or is below m ulp(0) / rel_tol
+    for m samples, where their rounding, at most one subnormal spacing per
+    sample and weighted product, could exceed rel_tol of it; and when the
+    integrand at a finite end of the domain exceeds every sample by more
+    than 1/rel_tol.  The norm is never a wrong 0.
     """
     if not _is_finite_exponent(p):
         _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
@@ -431,7 +431,7 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
             f"the integrand at the end of the domain, {y_end:.3e}, exceeds every "
             f"sample, at most {y_max:.3e}, by more than 1/rel_tol: a boundary "
             f"layer lies between the nodes")
-    if f_abs.any() and not sys.float_info.min <= value < _INF:
+    if f_abs.any() and not x.size * math.ulp(0.0) / rel_tol <= value < _INF:
         raise QuadratureError(f"the integral of |f|^p, {value:.3e}, of a field "
                               f"that is not 0 is outside the normal doubles")
     if value <= 0.0:

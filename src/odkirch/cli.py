@@ -158,8 +158,8 @@ def _verify_text(rec: dict, geometry, w) -> None:
         w("kelvin transform suite:\n")
         write_checks(kelvin["checks"])
         flag = "PASS" if kelvin["removability_monotone"] else "FAIL"
-        w(f"  removability monotone decay, shrink "
-          f"{_f6(kelvin['removability_shrink'])}  {flag}\n")
+        w(f"  removability monotone decay, log shrink "
+          f"{_f6(kelvin['removability_log_shrink'])}  {flag}\n")
 
 
 def _norms_record(cfg: RunConfig) -> dict:

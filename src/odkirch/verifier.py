@@ -253,7 +253,8 @@ def judge_kelvin(geometry, seed: int = 0, n_samples: int = 48) -> dict | None:
     return {
         "checks": checks,
         "removability_monotone": monotone,
-        "removability_shrink": math.exp(log_ratios[-1] - log_ratios[0]),
+        # The shrink itself underflows to 0 from n = 70 on.
+        "removability_log_shrink": float(log_ratios[-1] - log_ratios[0]),
         "pass": all(chk["pass"] for chk in checks.values()) and monotone,
     }
 

@@ -632,6 +632,14 @@ class TestNormQuadrature:
         with pytest.raises(QuadratureError, match="outside the normal doubles"):
             norm_quadrature(prof.phi, p, n, 0.0, radius)
 
+    def test_subnormal_integral_of_accurate_norm(self):
+        # The integral of |U|^p r is 9.0e-311, subnormal, yet far above the
+        # rounding of its samples: the norm is as good as at any exponent.
+        geom = BallGeometry(n=2, radius=0.01)
+        prof = geom.profile()
+        quad = norm_quadrature(prof.phi, 70.655, 2, 0.0, 0.01)
+        assert quad == pytest.approx(geom.norm_u(70.655), rel=1e-10)
+
     def test_overflowing_integral_is_an_error(self):
         # |U|^82.7 r^2 on the ball of radius 100 sums past the largest double.
         prof = BallGeometry(n=3, radius=100.0).profile()

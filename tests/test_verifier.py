@@ -214,7 +214,15 @@ class TestKelvinChecks:
         # logarithmically; n >= 3 shrinks like a power.
         report = judge_kelvin(ExteriorGeometry(n=n), seed=1, n_samples=24)
         assert report["removability_monotone"]
-        assert report["removability_shrink"] < bound
+        assert report["removability_log_shrink"] < math.log(bound)
+
+    @pytest.mark.parametrize("n", [70, 100, 438])
+    def test_removability_log_shrink_past_underflow(self, n):
+        # exp of the log shrink underflows to 0 from n = 70 on; the log
+        # itself stays a finite, very negative number.
+        log_shrink = judge_kelvin(ExteriorGeometry(n=n))["removability_log_shrink"]
+        assert math.isfinite(log_shrink)
+        assert log_shrink < math.log(1e-300)
 
     def test_deterministic(self):
         a = judge_kelvin(ExteriorGeometry(n=3), seed=7)
@@ -277,7 +285,7 @@ class TestArrayPassesMatchLoops:
                                        else math.log(math.log(1.0 / r))))
             assert report["removability_monotone"] == all(
                 later < earlier for earlier, later in zip(ratios, ratios[1:]))
-            assert report["removability_shrink"] == math.exp(ratios[-1] - ratios[0])
+            assert report["removability_log_shrink"] == ratios[-1] - ratios[0]
 
 
 class TestGammaScaling:
