@@ -350,6 +350,21 @@ class ExteriorGeometry(_Geometry):
         return f"exterior n={self.n}"
 
 
+def _name_underflow(radial_f, samples, failure: QuadratureError) -> None:
+    """Raise QuadratureError from the failure of an integral over x = 1/r when
+    its samples (x, |f|, integrand) hold an x where |f| is 0 below the least
+    where it is not, naming the radius beyond which |f| underflows, found on
+    a geometric grid between the two (the nodes there are decades apart)."""
+    x, f_abs = (np.concatenate(column) for column in list(zip(*samples))[:2])
+    x1 = float(np.min(x[f_abs > 0.0], initial=_INF))
+    dead = x[(f_abs == 0.0) & (x < x1)]
+    if dead.size and x1 < _INF:
+        grid = np.geomspace(float(np.max(dead)), x1, 65)
+        x0 = float(np.max(grid[np.asarray(radial_f(1.0 / grid), dtype=float) == 0.0]))
+        raise QuadratureError(f"|f(r)| underflows to 0 beyond r = {1.0 / x0!r} "
+                              f"(x = {x0!r}): {failure}") from failure
+
+
 def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
                     rel_tol: float = 1e-10, breaks=()) -> float:
     """L^p norm of a radial field by direct quadrature, or maximization for p = inf.
@@ -400,30 +415,23 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
         samples.append((x, f_abs, y))
         return y
 
-    # integrate rejects a non-finite value and names the point.  Its default
-    # absolute tolerance, 1e-300, would take an integral below about 1e-290
-    # from one panel, so the tolerance here is relative only.
+    # integrate rejects a non-finite value and names the point, and mass
+    # beyond its outermost nodes above the tolerance.  An underflow of |f| at
+    # large r shows in the piece at x = 0, integrated first.
     with np.errstate(all="ignore"):
-        value = math.fsum(integrate(sampled, a, b, rel_tol=rel_tol, abs_tol=0.0)[0]
-                          for a, b in zip(edges, edges[1:]))
+        try:
+            value = math.fsum(integrate(sampled, a, b, rel_tol=rel_tol)[0]
+                              for a, b in zip(edges, edges[1:]))
+        except QuadratureError as failure:
+            if math.isinf(r_hi) and samples[-1][0][-1] <= edges[1]:
+                _name_underflow(radial_f, samples, failure)
+            raise
         _, y_ends = integrand(np.array(ends))
     x, f_abs, y = map(np.concatenate, zip(*samples))
-    if math.isinf(r_hi):
-        # Below x1, the smallest sample where |f| is not 0, the mass under
-        # the largest zero sample x0 is lost: about x0 times the integrand at x1.
-        live = f_abs > 0.0
-        if live.any():
-            i1 = np.flatnonzero(live)[np.argmin(x[live])]
-            x0 = float(np.max(x[~live & (x < x[i1])], initial=0.0))
-            lost = x0 * float(y[i1])
-            if lost > rel_tol * value:
-                raise QuadratureError(
-                    f"|f(r)| underflows to 0 beyond r = {1.0 / x0!r} (x = {x0!r}); "
-                    f"the mass lost there, about {lost:.3e}, exceeds rel_tol * "
-                    f"value = {rel_tol * value:.3e}")
     # The nodes never reach the ends of the domain, so a boundary layer
-    # thinner than the gap to the nearest node is missed: the integrand at
-    # a finite end, far above every sample, shows it.
+    # thinner than the gap to the nearest node, at least the spacing of the
+    # doubles there, is missed: the integrand at a finite end, far above
+    # every sample, shows it.
     y_max = float(np.max(y))
     y_end = float(np.max(y_ends, where=np.isfinite(y_ends), initial=0.0))
     if y_end > y_max / rel_tol:

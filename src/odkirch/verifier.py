@@ -20,6 +20,7 @@ verify --json` and `norms --json`, so the command line only renders them.
 """
 
 import math
+import random
 
 import numpy as np
 
@@ -45,7 +46,28 @@ THRESHOLDS = {
 }
 
 
-def _unit_directions(rng, count: int, n: int) -> np.ndarray:
+class _Draws(random.Random):
+    """Seeded samples from the standard library's Mersenne Twister, which
+    numpy imports anyway; numpy.random would import secrets, hmac and
+    OpenSSL's hashlib besides, 5.7 MB resident.  uniform and normal take the
+    arguments of numpy's Generator methods and return arrays."""
+
+    def uniform(self, lo: float, hi: float, count: int) -> np.ndarray:
+        """count samples in [lo, hi), the top 53 bits of 64-bit words drawn
+        in one getrandbits call."""
+        bits = self.getrandbits(64 * count).to_bytes(8 * count, "little")
+        return lo + (hi - lo) * ((np.frombuffer(bits, "<u8") >> 11) * 2.0 ** -53)
+
+    def normal(self, size: tuple) -> np.ndarray:
+        """Standard normal samples by Box-Muller from one uniform draw."""
+        half = (math.prod(size) + 1) // 2
+        u = self.uniform(0.0, 1.0, 2 * half)
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[:half])), 2.0 * math.pi * u[half:]
+        normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+        return normals[:math.prod(size)].reshape(size)
+
+
+def _unit_directions(rng: _Draws, count: int, n: int) -> np.ndarray:
     # A zero draw has probability zero; regenerate deterministically if seen.
     while True:
         vecs = rng.normal(size=(count, n))
@@ -96,7 +118,7 @@ def verify(instance: ProblemInstance, root: dict, n_samples: int = 64,
                            breaks=prof.sign_changes(1))
     m_val = eval_kernel(instance.kernel, nu_q, ng_q)
 
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     radii = geom.sample_radii(rng, n_samples)
     sk = k_hessian_radial(prof, radii, n, instance.k)
     interior = float(np.max(np.abs(m_val * sk - instance.lam * geom.rhs_weight(radii))))
@@ -146,7 +168,7 @@ def gamma_scaling_check(instance: ProblemInstance, root: dict, values: dict,
     gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
     scaled = _field(instance, root, scale).scale(gamma)
 
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     radii = geom.sample_radii(rng, n_samples)
     dev = float(np.max(np.abs(
         k_hessian_radial(scaled, radii, n, instance.k) - coeff * geom.rhs_weight(radii)
@@ -194,7 +216,7 @@ def judge_kelvin(geometry, seed: int = 0, n_samples: int = 48) -> dict | None:
     image = base.kelvin(n)
 
     # rho^(-n-2) <= 1e300, the cap of ExteriorGeometry.far_field.
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     rho = rng.uniform(max(0.05, 10.0 ** (-300.0 / (n + 2))), 0.999, n_samples)
     # The definition rho^(2-n) phi(1/rho) against the unit-ball base field.
     pointwise_dev = float(np.max(np.abs(rho ** (2.0 - n) * base.phi(1.0 / rho)

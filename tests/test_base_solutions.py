@@ -646,13 +646,28 @@ class TestNormQuadrature:
         with pytest.raises(QuadratureError, match="inf, of a field"):
             norm_quadrature(prof.phi, 82.71356783919597, 3, 0.0, 100.0)
 
-    @pytest.mark.parametrize("q", [1e6, 1e9])
+    @pytest.mark.parametrize("q", [1e18, 1e21])
     def test_boundary_layer_between_nodes_is_an_error(self, q):
         # |grad U|^q is 1 at r = 1 and falls within about 1/q of it, inside
-        # the gap to the nearest node, where every sample underflows to 0.
+        # the gap to the nearest node, one spacing of the doubles below
+        # x = 1, where every sample underflows to 0.
         prof = ExteriorGeometry(n=3).profile()
         with pytest.raises(QuadratureError, match="boundary layer"):
             norm_quadrature(prof.dphi, q, 3, 1.0, INF, breaks=prof.sign_changes(1))
+
+    @pytest.mark.parametrize("q", [1e6, 1e9])
+    def test_boundary_layer_within_the_nodes_is_right_or_raises(self, q):
+        # The nodes reach within a spacing of the doubles of x = 1, inside a
+        # layer of width about 1/q; the rounding of |grad U|, raised to the
+        # power q, may keep the levels from agreeing, which is an error.
+        geom = ExteriorGeometry(n=3)
+        prof = geom.profile()
+        try:
+            quad = norm_quadrature(prof.dphi, q, 3, 1.0, INF, breaks=prof.sign_changes(1))
+        except QuadratureError:
+            assert q > 1e6
+            return
+        assert quad == pytest.approx(geom.norm_grad(q), rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_large_gradient_exponent_is_right_or_raises(self, n):

@@ -882,3 +882,25 @@ class TestPolicyHome:
         assert "judge_run" in names and "judge_norms" in names
         policy = {"THRESHOLDS", "norm_quadrature", "judge_solution", "judge_kelvin"}
         assert names.isdisjoint(policy), names & policy
+
+
+class TestResidentModules:
+    def test_verify_imports_no_numpy_random(self, tmp_path):
+        # The verifier samples with the standard library's generator:
+        # numpy.random would import secrets, hmac and OpenSSL's hashlib,
+        # 5.7 MB resident.  The exterior instance runs the Kelvin suite too.
+        path = write_config(tmp_path, BATTERY["cases"][4], 1.0)
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import contextlib, io, sys\n"
+            "from odkirch.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    code = main(['verify', '-c', {path!r}, '--json'])\n"
+            "print(code, '\"kelvin\": {' in out.getvalue(), sorted(\n"
+            "    name for name in ('numpy.random', 'secrets', '_hashlib')\n"
+            "    if name in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True []\n"

@@ -1,4 +1,4 @@
-"""Adaptive quadrature against scipy oracles and analytic values."""
+"""Tanh-sinh quadrature against scipy oracles and analytic values."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from odkirch.base_solutions import norm_quadrature
 from odkirch.errors import QuadratureError
+from odkirch import quadrature
 from odkirch.quadrature import integrate, maximize
 
 
@@ -20,8 +21,7 @@ def integral_to_infinity(f, a):
 
 class TestIntegrate:
     def test_polynomial_exact(self):
-        # The 15-point Kronrod rule is exact through degree 22, so a single
-        # panel already nails this; the result must be at round-off level.
+        # The levels converge on a polynomial to round-off level.
         val, err = integrate(lambda x: 7.0 * x**6, 0.0, 2.0)
         assert val == pytest.approx(2.0**7, rel=1e-14)
 
@@ -83,10 +83,25 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(lambda x: np.ones(3), 0.0, 1.0)
 
-    def test_panel_exhaustion(self):
-        with pytest.raises(QuadratureError, match="panels"):
-            integrate(lambda x: np.sqrt(np.abs(x)), 0.0, 1.0,
-                      rel_tol=1e-15, abs_tol=0.0, max_panels=8)
+    def test_piece_exhaustion(self):
+        # sin(1e6 x) oscillates 160,000 times on [0, 1]: 64 pieces cannot
+        # resolve it, and none is evaluated past them.
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sin(1e6 * x)
+
+        with pytest.raises(QuadratureError, match="did not converge in 64 pieces"):
+            integrate(f, 0.0, 1.0)
+        assert len(calls) <= 4 * (2 * 64 - 1)
+
+    def test_jump_costs_calls_not_accuracy(self):
+        # The pieces holding the jump at 1/3 shrink until their error, which
+        # shrinks with their width, is within the tolerance.
+        val, err = integrate(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0)
+        assert val == pytest.approx(2.0 / 3.0, rel=1e-11)
+        assert err <= 1e-12 * val
 
     @given(
         c0=st.floats(-5, 5), c1=st.floats(-5, 5), c2=st.floats(-5, 5),
@@ -94,28 +109,67 @@ class TestIntegrate:
     )
     @settings(max_examples=50, deadline=None)
     # The combination integrates to 1.07e-2 from an O(1) integrand, so the
-    # round-off floor 50 eps * int |f| (1.09e-13) exceeds abs_tol.
+    # tolerance 1e-12 of the value lies below the round-off floor.
     @example(c0=4.75, c1=-1.125, c2=-3.6875, alpha=3.0)
     def test_linearity(self, c0, c1, c2, alpha):
         f = lambda x: c0 + c1 * x + c2 * x**2
         g = lambda x: np.exp(-x) * np.ones_like(np.asarray(x, dtype=float))
-        # abs_tol floor: the combination can integrate to near zero while the
-        # integrand stays O(1), and a pure relative target is then below what
-        # the per-panel error estimate can certify.
-        lhs, _ = integrate(lambda x: f(x) + alpha * g(x), 0.0, 2.0, abs_tol=1e-13)
-        fa, _ = integrate(f, 0.0, 2.0, abs_tol=1e-13)
-        ga, _ = integrate(g, 0.0, 2.0, abs_tol=1e-13)
+        # The combination can integrate to near zero while the integrand
+        # stays O(1); the round-off floor, a few eps times the integral of
+        # |f|, then stops the levels.
+        lhs, _ = integrate(lambda x: f(x) + alpha * g(x), 0.0, 2.0)
+        fa, _ = integrate(f, 0.0, 2.0)
+        ga, _ = integrate(g, 0.0, 2.0)
         assert lhs == pytest.approx(fa + alpha * ga, rel=1e-11, abs=1e-11)
 
-    def test_round_off_floor_stops_bisection(self):
-        # A tolerance below the round-off floor cannot be certified; the
-        # integrator returns with its honest estimate instead of bisecting
-        # up to max_panels.
-        f = lambda x: 4.75 - 1.125 * x - 3.6875 * x**2 + 3.0 * np.exp(-x)
-        val, err = integrate(f, 0.0, 2.0, abs_tol=1e-13)
+    def test_round_off_floor_stops_the_levels(self):
+        # rel_tol = 0 cannot be certified; the levels stop at the round-off
+        # floor, 8 eps times the integral of |f|, in three calls.
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return 4.75 - 1.125 * x - 3.6875 * x**2 + 3.0 * np.exp(-x)
+
+        val, err = integrate(f, 0.0, 2.0, rel_tol=0.0)
+        assert len(calls) == 3
         exact = 9.5 - 2.25 - 3.6875 * 8.0 / 3.0 + 3.0 * (1.0 - math.exp(-2.0))
-        assert 1e-13 < err < 2e-13
-        assert abs(val - exact) <= err
+        abs_integral, _ = integrate(lambda x: np.abs(f(x)), 0.0, 2.0)
+        assert err <= 8.0 * np.finfo(float).eps * abs_integral
+        assert abs(val - exact) <= 1e-15
+
+    def test_easy_integrand_takes_one_call(self):
+        # Levels h = 1/2 and 1/4 share the first call; x^(-1/2) on [0, 1]
+        # agrees between them to 2.3e-7.
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return x ** -0.5
+
+        val, err = integrate(f, 0.0, 1.0, rel_tol=1e-6)
+        assert calls == [49]
+        assert val == pytest.approx(2.0, rel=1e-12)
+
+    def test_interior_kink_without_a_breakpoint(self):
+        # |x - 1/3| has a kink that no midpoint split reaches: the pieces
+        # around it are split until their error is within the tolerance.
+        val, err = integrate(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rel_tol=1e-10)
+        assert val == pytest.approx(5.0 / 18.0, rel=1e-10)
+        assert err <= 1e-10 * val
+
+    @pytest.mark.parametrize("exponent", [-1.0 + 1e-3, -1.0 + 1e-2])
+    def test_mass_beyond_the_outermost_node_is_an_error(self, exponent):
+        # x^(-1 + e) on [0, 1] integrates to 1/e, a share x1^e of it below
+        # the outermost node x1 = 3e-276: 53% for e = 1e-3, 0.18% for 1e-2.
+        with pytest.raises(QuadratureError, match="mass beyond the outermost nodes"):
+            integrate(lambda x: x ** exponent, 0.0, 1.0, rel_tol=1e-10)
+
+    def test_singular_end_the_doubles_cannot_reach_is_an_error(self):
+        # Nodes within a spacing of the doubles of 1 all sit at 1 - 1.1e-16,
+        # where (1 - x)^(-1/2) leaves 2e-8 of the integral unaccounted for.
+        with pytest.raises(QuadratureError, match="mass beyond the outermost nodes"):
+            integrate(lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, rel_tol=1e-10)
 
     @given(c=st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
@@ -239,6 +293,13 @@ class TestMaximize:
         assert calls[0] == (1000,)
         assert all(shape == (65,) for shape in calls[1:])
         assert 2 <= len(calls) <= 12
+
+    def test_infinite_domain_grid_is_geomspace(self):
+        # One read-only grid per (a, n_grid), the values of np.geomspace.
+        grid = quadrature._inverse_grid(2.0, 4096)
+        assert quadrature._inverse_grid(2.0, 4096) is grid
+        assert np.array_equal(grid, np.geomspace(0.5, 0.5e-12, 4096))
+        assert not grid.flags.writeable
 
     def test_nonfinite_refinement_sample(self):
         # The NaN stretch around the peak lies between grid points: only

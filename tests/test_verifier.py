@@ -10,6 +10,7 @@ from odkirch.errors import DomainError
 from odkirch.hessian import binomial
 from odkirch.reduction import ProblemInstance, build_reduced, solve_roots
 from odkirch.verifier import (
+    _Draws,
     _field,
     gamma_scaling_check,
     judge_kelvin,
@@ -243,7 +244,7 @@ class TestArrayPassesMatchLoops:
                 h = 1e-4 * max(1.0, geom.radius, *map(abs, geom.center))
                 for seed in (0, 7):
                     report = verify(inst, root, n_samples=16, seed=seed)
-                    rng = np.random.default_rng(seed)
+                    rng = _Draws(seed)
                     geom.sample_radii(rng, 16)
                     bval = bgrad = 0.0
                     for d in _unit_directions(rng, 16, geom.n):
@@ -263,7 +264,7 @@ class TestArrayPassesMatchLoops:
         e1 = np.eye(n)[0]
         for seed in (0, 3):
             report = judge_kelvin(geom, seed=seed, n_samples=48)
-            rng = np.random.default_rng(seed)
+            rng = _Draws(seed)
             rng.uniform(0.05, 0.999, 48)       # rho
             rng.uniform(1.0, 4.0, 48)          # radii of the double transform
             dirs = _unit_directions(rng, 48, n)
