@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-_EPS = np.finfo(float).eps
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # The round-off floor, in eps times the integral of |f|: the nested sums of
 # a few hundred terms differ by about this much once converged.
 _FLOOR = 8.0
@@ -53,14 +53,17 @@ def _end_mass(x: np.ndarray, y: np.ndarray) -> float:
     on its half at distances x from it, ascending, with |f| values y: for
     |f| ~ x^g, read from x1, the nearest node where |f| is not 0, and x2, the
     next farther, x1 |f(x1)| / (g + 1), less about twice the mass of nodes
-    moved onto x1, which carry |f(x1)| to the end; inf when g <= -1."""
+    moved onto x1, which carry |f(x1)| to the end; inf when g <= -1, 0 when
+    |f(x2)| = 0 and x1 |f(x1)| when either is subnormal."""
     live = np.flatnonzero(y[:-1])
     if not live.size:
         return 0.0
     k = live[0]
     k2 = k + int(np.searchsorted(x[k:], x[k], side="right"))
     if k2 == x.size or y[k2] == 0.0:
-        return 0.0 if k2 == x.size else math.inf
+        return 0.0  # a peak narrower than the nodes, no slope to extrapolate
+    if min(y[k], y[k2]) < _TINY:  # subnormals carry too few digits for a slope
+        return float(x[k] * y[k])
     g = math.log(y[k] / y[k2]) / math.log(x[k] / x[k2])
     moved = 1.0 if k2 == k + 1 else 2.0 * max(-g, 0.0)
     return float(x[k] * y[k]) * moved / (g + 1.0) if g > -1.0 else math.inf
