@@ -375,9 +375,9 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     r^(-n) is an integrable singularity at x = 0.  `breaks` are radii inside
     (r_lo, r_hi) where |radial_f|^p may have a kink, such as the sign changes
     of radial_f: as in QUADPACK's QAGP, each piece between them is integrated
-    on its own, so no panel straddles one.  A QuadratureError names the
-    radius beyond which |radial_f| underflows to 0 when the mass lost there
-    may exceed the tolerance; it is also raised when the integral of a field
+    on its own.  A QuadratureError names the radius beyond which |radial_f|
+    underflows to 0 when the integral of the piece at x = 0 fails with that
+    underflow in its samples; it is also raised when the integral of a field
     that is not 0 at every sample overflows, or is below m ulp(0) / rel_tol
     for m samples, where their rounding, at most one subnormal spacing per
     sample and weighted product, could exceed rel_tol of it; and when the
