@@ -326,8 +326,10 @@ class ExteriorGeometry(_Geometry):
             raise DomainError(f"exterior problem is Laplacian-only (k = 1), got k = {k}")
 
     def sample_radii(self, rng, count: int) -> np.ndarray:
-        """Seeded radii in [1, 20], log-uniform, at which the verifier samples the PDE."""
-        return np.exp(rng.uniform(0.0, math.log(20.0), count))
+        """Radii at which the verifier samples the PDE: the sphere r = 1, where
+        the weight r^(-n-2) and so any amplitude error is largest, then
+        seeded log-uniform ones in [1, 20]."""
+        return np.exp(np.append(0.0, rng.uniform(0.0, math.log(20.0), count - 1)))
 
     def rhs_weight(self, r):
         """w(r) in Delta U = N w(|x|): w(r) = r^(-n-2)."""
@@ -350,19 +352,22 @@ class ExteriorGeometry(_Geometry):
         return f"exterior n={self.n}"
 
 
-def _name_underflow(radial_f, samples, failure: QuadratureError) -> None:
-    """Raise QuadratureError from the failure of an integral over x = 1/r when
-    its samples (x, |f|, integrand) hold an x where |f| is 0 below the least
-    where it is not, naming the radius beyond which |f| underflows, found on
-    a geometric grid between the two (the nodes there are decades apart)."""
-    x, f_abs = (np.concatenate(column) for column in list(zip(*samples))[:2])
+def _check_underflow(radial_f, samples, tol: float, failure=None) -> None:
+    """Raise QuadratureError, naming the radius beyond which |f| underflows
+    to 0 and the failure of the integral if any, when the samples (x, |f|,
+    integrand) over x = 1/r lose more than tol below x0, the largest x where
+    |f| is 0 below the least where it is not, x1: about x0 times the
+    integrand at x1.  The radius is found on a geometric grid from x0 to x1."""
+    x, f_abs, y = (np.concatenate(column) for column in zip(*samples))
     x1 = float(np.min(x[f_abs > 0.0], initial=_INF))
-    dead = x[(f_abs == 0.0) & (x < x1)]
-    if dead.size and x1 < _INF:
-        grid = np.geomspace(float(np.max(dead)), x1, 65)
+    x0 = float(np.max(x[(f_abs == 0.0) & (x < x1)], initial=0.0))
+    lost = x0 * float(np.max(y[x == x1], initial=0.0))
+    if lost > tol:
+        grid = np.geomspace(x0, x1, 65)
         x0 = float(np.max(grid[np.asarray(radial_f(1.0 / grid), dtype=float) == 0.0]))
+        reason = failure or f"the mass lost there, about {lost:.3e}, exceeds {tol:.3e}"
         raise QuadratureError(f"|f(r)| underflows to 0 beyond r = {1.0 / x0!r} "
-                              f"(x = {x0!r}): {failure}") from failure
+                              f"(x = {x0!r}): {reason}") from failure
 
 
 def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
@@ -373,16 +378,15 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     magnitude); only |radial_f| enters.  r_hi may be inf: r = 1/x then maps
     [r_lo, inf) onto (0, 1/r_lo], where a tail decaying barely faster than
     r^(-n) is an integrable singularity at x = 0.  `breaks` are radii inside
-    (r_lo, r_hi) where |radial_f|^p may have a kink, such as the sign changes
-    of radial_f: as in QUADPACK's QAGP, each piece between them is integrated
-    on its own.  A QuadratureError names the radius beyond which |radial_f|
-    underflows to 0 when the integral of the piece at x = 0 fails with that
-    underflow in its samples; it is also raised when the integral of a field
-    that is not 0 at every sample overflows, or is below m ulp(0) / rel_tol
-    for m samples, where their rounding, at most one subnormal spacing per
-    sample and weighted product, could exceed rel_tol of it; and when the
-    integrand at a finite end of the domain exceeds every sample by more
-    than 1/rel_tol.  The norm is never a wrong 0.
+    (r_lo, r_hi) where |radial_f|^p may have a kink, such as the sign
+    changes of radial_f: as in QUADPACK's QAGP, each piece between them is
+    integrated on its own.  A QuadratureError names the radius beyond which
+    |radial_f| underflows to 0 when the mass lost exceeds rel_tol of the
+    integral, or the integral fails; it is raised when the integral of a
+    field not 0 at every sample overflows or is below m ulp(0) / rel_tol for
+    m samples, each rounding by at most one subnormal spacing, and when the
+    integrand at a finite end exceeds every sample by more than 1/rel_tol.
+    The norm is never a wrong 0.
     """
     if not _is_finite_exponent(p):
         _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
@@ -416,22 +420,22 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
         return y
 
     # integrate rejects a non-finite value and names the point, and mass
-    # beyond its outermost nodes above the tolerance.  An underflow of |f| at
-    # large r shows in the piece at x = 0, integrated first.
+    # beyond its outermost nodes above the tolerance.
     with np.errstate(all="ignore"):
         try:
             value = math.fsum(integrate(sampled, a, b, rel_tol=rel_tol)[0]
                               for a, b in zip(edges, edges[1:]))
         except QuadratureError as failure:
-            if math.isinf(r_hi) and samples[-1][0][-1] <= edges[1]:
-                _name_underflow(radial_f, samples, failure)
+            if math.isinf(r_hi):
+                _check_underflow(radial_f, samples, 0.0, failure)
             raise
+        if math.isinf(r_hi):
+            _check_underflow(radial_f, samples, rel_tol * value)
         _, y_ends = integrand(np.array(ends))
     x, f_abs, y = map(np.concatenate, zip(*samples))
-    # The nodes never reach the ends of the domain, so a boundary layer
-    # thinner than the gap to the nearest node, at least the spacing of the
-    # doubles there, is missed: the integrand at a finite end, far above
-    # every sample, shows it.
+    # The nodes never reach the ends of the domain, so a boundary layer thinner
+    # than the gap to the nearest node, a spacing of the doubles at least, is
+    # missed: the integrand at a finite end, far above every sample, shows it.
     y_max = float(np.max(y))
     y_end = float(np.max(y_ends, where=np.isfinite(y_ends), initial=0.0))
     if y_end > y_max / rel_tol:

@@ -7,12 +7,8 @@ exponentially in t, endpoint power singularities included, so that the
 trapezoidal rule on t in [-6, 6] converges about as exp(-c/h) in its step h.
 Node distances to the nearer end, (b - a) E / (1 + E) with E = exp(-pi
 |sinh t|), reach 3e-276 (b - a) at an end at 0; a node that rounds onto an
-end moves to the nearest double inside, so no end is evaluated.  Callers
-bring [a, inf) onto (0, 1/a] by QUADPACK's r = 1/x.
-
-Maximization takes a vectorized callable too: a dense grid is evaluated in
-one call f(xs), and each round of refinement samples the neighbourhood of
-the best point so far in one more call.
+end moves to the nearest double inside, so no end is evaluated.  Callers map
+[a, inf) onto (0, 1/a] by r = 1/x.  Both routines call f once per batch.
 """
 
 import functools
@@ -22,7 +18,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 # The round-off floor, in eps times the integral of |f|: the nested sums of
 # a few hundred terms differ by about this much once converged.
 _FLOOR = 8.0
@@ -51,22 +47,15 @@ _CALLS = [_nodes(np.arange(-24, 25) / 4.0, 0.25)] + [
 def _end_mass(x: np.ndarray, y: np.ndarray) -> float:
     """The mass near an end that the sum misses, from the first call's nodes
     on its half at distances x from it, ascending, with |f| values y: for
-    |f| ~ x^g, read from x1, the nearest node where |f| is not 0, and x2, the
-    next farther, x1 |f(x1)| / (g + 1), less about twice the mass of nodes
-    moved onto x1, which carry |f(x1)| to the end; inf when g <= -1, 0 when
-    |f(x2)| = 0 and x1 |f(x1)| when either is subnormal."""
-    live = np.flatnonzero(y[:-1])
-    if not live.size:
+    |f| ~ x^g read from the outermost node x1 and the next distinct one,
+    x1 |f(x1)| / (g + 1), less about twice the mass of nodes moved onto x1,
+    which carry |f(x1)| to the end; inf if g <= -1, 0 if |f| is 0 at either."""
+    k2 = int(np.searchsorted(x, x[0], side="right"))
+    if k2 == x.size or y[0] == 0.0 or y[k2] == 0.0:
         return 0.0
-    k = live[0]
-    k2 = k + int(np.searchsorted(x[k:], x[k], side="right"))
-    if k2 == x.size or y[k2] == 0.0:
-        return 0.0  # a peak narrower than the nodes, no slope to extrapolate
-    if min(y[k], y[k2]) < _TINY:  # subnormals carry too few digits for a slope
-        return float(x[k] * y[k])
-    g = math.log(y[k] / y[k2]) / math.log(x[k] / x[k2])
-    moved = 1.0 if k2 == k + 1 else 2.0 * max(-g, 0.0)
-    return float(x[k] * y[k]) * moved / (g + 1.0) if g > -1.0 else math.inf
+    g = math.log(y[0] / y[k2]) / math.log(x[0] / x[k2])
+    moved = 1.0 if k2 == 1 else 2.0 * max(-g, 0.0)
+    return float(x[0] * y[0]) * moved / (g + 1.0) if g > -1.0 else math.inf
 
 
 def _ladder(f, lo: float, hi: float, rel_tol: float):
@@ -108,9 +97,8 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-12):
     exceeds rel_tol |value| and the round-off floor, each piece whose error
     exceeds its share of that tolerance is halved, so a kink without a
     breakpoint costs calls, not accuracy.  QuadratureError names a point
-    where f is not finite; it is raised when the mass the ends' nodes miss
-    exceeds the tolerance, as for |f| ~ x^g with g near -1, rather than a
-    truncated value returned, and past _MAX_PIECES pieces.
+    where f is not finite, and is raised past _MAX_PIECES pieces and when
+    the mass the ends' nodes miss exceeds the tolerance (|f| ~ x^g, g near -1).
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise QuadratureError(f"integrate requires finite bounds, got [{a}, {b}]")
@@ -163,27 +151,19 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
     """
     if n_grid < 16:
         raise QuadratureError("maximize needs at least 16 grid points")
-    if math.isinf(b):
-        if a <= 0.0:
-            raise QuadratureError("infinite-domain maximize requires a > 0")
-        # Geometric spacing covers twelve decades of r at uniform log density,
-        # so suprema approached at infinity are resolved to round-off while
-        # interior peaks still land between two neighbouring grid points.
-        xs = _inverse_grid(a, n_grid)
-        g = lambda x: f(1.0 / x)
-        to_r = lambda x: 1.0 / x
-    else:
-        xs = np.linspace(a, b, n_grid)
-        g = f
-        to_r = lambda x: x
+    inverse = math.isinf(b)
+    if inverse and a <= 0.0:
+        raise QuadratureError("infinite-domain maximize requires a > 0")
+    # Geometric spacing covers twelve decades of r at uniform log density, so
+    # suprema approached at infinity are resolved to round-off while interior
+    # peaks still land between two neighbouring grid points.
+    xs = _inverse_grid(a, n_grid) if inverse else np.linspace(a, b, n_grid)
     x_best, v_best = None, -math.inf
     while True:
-        vals = np.asarray(g(xs), dtype=float)
+        vals = np.asarray(f(1.0 / xs if inverse else xs), dtype=float)
         if vals.shape != xs.shape:
-            raise QuadratureError(
-                f"maximize: f must map a vector of {xs.size} points to as many "
-                f"values, got shape {vals.shape}"
-            )
+            raise QuadratureError(f"maximize: f must map a vector of {xs.size} points "
+                                  f"to as many values, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("maximize: non-finite sample on grid")
         i = int(np.argmax(vals))
@@ -191,5 +171,5 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
             x_best, v_best = xs[i], vals[i]
         lo, hi = sorted((xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]))
         if (hi - lo) <= 1e-12 * (abs(lo) + abs(hi) + 1.0):
-            return to_r(float(x_best)), float(v_best)
+            return 1.0 / float(x_best) if inverse else float(x_best), float(v_best)
         xs = np.linspace(lo, hi, _REFINE_POINTS)

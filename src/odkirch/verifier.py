@@ -49,31 +49,23 @@ THRESHOLDS = {
 class _Draws(random.Random):
     """Seeded samples from the standard library's Mersenne Twister, which
     numpy imports anyway; numpy.random would import secrets, hmac and
-    OpenSSL's hashlib besides, 5.7 MB resident.  uniform and normal take the
-    arguments of numpy's Generator methods and return arrays."""
+    OpenSSL's hashlib besides, 5.7 MB resident."""
 
     def uniform(self, lo: float, hi: float, count: int) -> np.ndarray:
-        """count samples in [lo, hi), the top 53 bits of 64-bit words drawn
-        in one getrandbits call."""
+        """As numpy's Generator.uniform: 53-bit fractions from one getrandbits."""
         bits = self.getrandbits(64 * count).to_bytes(8 * count, "little")
         return lo + (hi - lo) * ((np.frombuffer(bits, "<u8") >> 11) * 2.0 ** -53)
 
-    def normal(self, size: tuple) -> np.ndarray:
-        """Standard normal samples by Box-Muller from one uniform draw."""
-        half = (math.prod(size) + 1) // 2
-        u = self.uniform(0.0, 1.0, 2 * half)
-        radius, angle = np.sqrt(-2.0 * np.log1p(-u[:half])), 2.0 * math.pi * u[half:]
-        normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
-        return normals[:math.prod(size)].reshape(size)
-
 
 def _unit_directions(rng: _Draws, count: int, n: int) -> np.ndarray:
-    # A zero draw has probability zero; regenerate deterministically if seen.
-    while True:
-        vecs = rng.normal(size=(count, n))
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        if np.all(norms != 0.0):
-            return vecs / norms
+    """count directions in R^n, normalized standard normals by Box-Muller;
+    a zero vector would take two uniforms of exactly 0."""
+    half = (count * n + 1) // 2
+    u = rng.uniform(0.0, 1.0, 2 * half)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[:half])), 2.0 * math.pi * u[half:]
+    vecs = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+    vecs = vecs[:count * n].reshape(count, n)
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
 def _normal_derivative(u, x: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray:

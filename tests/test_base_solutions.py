@@ -655,19 +655,36 @@ class TestNormQuadrature:
         with pytest.raises(QuadratureError, match="boundary layer"):
             norm_quadrature(prof.dphi, q, 3, 1.0, INF, breaks=prof.sign_changes(1))
 
-    @pytest.mark.parametrize("q", [1e6, 1e9])
-    def test_boundary_layer_within_the_nodes_is_right_or_raises(self, q):
-        # The nodes reach within a spacing of the doubles of x = 1, inside a
-        # layer of width about 1/q; the rounding of |grad U|, raised to the
-        # power q, may keep the levels from agreeing, which is an error.
+    def test_boundary_layer_within_the_nodes_is_integrated(self):
+        # At q = 1e6 the layer, about 1/q wide, holds nodes: the tanh-sinh
+        # nodes reach within a spacing of the doubles of x = 1.
         geom = ExteriorGeometry(n=3)
         prof = geom.profile()
-        try:
-            quad = norm_quadrature(prof.dphi, q, 3, 1.0, INF, breaks=prof.sign_changes(1))
-        except QuadratureError:
-            assert q > 1e6
-            return
-        assert quad == pytest.approx(geom.norm_grad(q), rel=1e-10)
+        quad = norm_quadrature(prof.dphi, 1e6, 3, 1.0, INF, breaks=prof.sign_changes(1))
+        assert quad == pytest.approx(geom.norm_grad(1e6), rel=1e-10)
+
+    def test_boundary_layer_at_the_outermost_node_is_an_error(self):
+        # At q = 1e9 the estimated mass of the layer beyond the outermost
+        # node, within a spacing of the doubles of x = 1, exceeds the
+        # tolerance of the piece that holds it.
+        prof = ExteriorGeometry(n=3).profile()
+        with pytest.raises(QuadratureError, match=r"mass beyond the outermost nodes "
+                           r"of \[0\.99\d+, 1\.0\], about .* exceeds the tolerance"):
+            norm_quadrature(prof.dphi, 1e9, 3, 1.0, INF, breaks=prof.sign_changes(1))
+
+    @pytest.mark.parametrize("n, order, p", [(5, 0, 263.0737955037441),
+                                             (3, 1, 228.7143092529782),
+                                             (438, 0, 85.06182959508595),
+                                             (438, 0, 1.0503541567607189)])
+    def test_integrand_zero_at_the_outermost_nodes(self, n, order, p):
+        # |f|^p x^(-n-1) underflows to 0 at the nodes nearest x = 0 and is
+        # not 0 farther in: those zeros are samples, and no mass beyond
+        # them is extrapolated from the first nonzero one.
+        geom = ExteriorGeometry(n=n)
+        prof = geom.profile()
+        f = (prof.phi, prof.dphi)[order]
+        quad = norm_quadrature(f, p, n, 1.0, INF, breaks=prof.sign_changes(order))
+        assert quad == pytest.approx((geom.norm_u, geom.norm_grad)[order](p), rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_large_gradient_exponent_is_right_or_raises(self, n):

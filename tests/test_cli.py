@@ -337,6 +337,21 @@ class TestScaleOfTheGeometry:
         assert code == want and err == ""
         assert json.loads(out)["kelvin"]["pass"]
 
+    @pytest.mark.parametrize("scale", [0.9, 1.05])
+    @pytest.mark.parametrize("n", [100, 438])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_amplitude_error_shows_at_the_sphere(self, tmp_path, capsys, n, scale, seed):
+        # The residual weight r^(-n-2) hides a 5% amplitude error beyond
+        # r = 1.1 at n = 100 and r = 1.03 at n = 438; the sphere r = 1 is
+        # always sampled, whatever the seed.
+        case = {"geometry": {"kind": "exterior", "n": n}, "k": 1, "p": "inf",
+                "q": "inf", "kernel": "1 + s"}
+        path = write_config(tmp_path, case, 1.0, amplitude_scale=scale, seed=seed)
+        code, out, err = run_cli(capsys, "verify", "-c", path, "--json")
+        checks = json.loads(out)["roots"][0]["checks"]
+        assert code == 1 and err == ""
+        assert not checks["interior_residual"]["pass"] and not checks["gamma_pde"]["pass"]
+
     @pytest.mark.parametrize("scale, want", [(1.0, 0), (1.05, 1)])
     def test_off_centre_ball(self, tmp_path, capsys, scale, want):
         # The boundary stencil's step grows with the coordinates, as
