@@ -352,13 +352,13 @@ class ExteriorGeometry(_Geometry):
         return f"exterior n={self.n}"
 
 
-def _check_underflow(radial_f, samples, tol: float, failure=None) -> None:
+def _check_underflow(radial_f, x, f_abs, y, tol: float, failure=None) -> None:
     """Raise QuadratureError, naming the radius beyond which |f| underflows
-    to 0 and the failure of the integral if any, when the samples (x, |f|,
-    integrand) over x = 1/r lose more than tol below x0, the largest x where
-    |f| is 0 below the least where it is not, x1: about x0 times the
-    integrand at x1.  The radius is found on a geometric grid from x0 to x1."""
-    x, f_abs, y = (np.concatenate(column) for column in zip(*samples))
+    to 0 and the failure of the integral if any, when the samples at x = 1/r,
+    with |f| values f_abs and integrand values y, lose more than tol below
+    x0, the largest x where |f| is 0 below the least where it is not, x1:
+    about x0 times the integrand at x1.  The radius is found on a geometric
+    grid from x0 to x1."""
     x1 = float(np.min(x[f_abs > 0.0], initial=_INF))
     x0 = float(np.max(x[(f_abs == 0.0) & (x < x1)], initial=0.0))
     lost = x0 * float(np.max(y[x == x1], initial=0.0))
@@ -427,12 +427,12 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
                               for a, b in zip(edges, edges[1:]))
         except QuadratureError as failure:
             if math.isinf(r_hi):
-                _check_underflow(radial_f, samples, 0.0, failure)
+                _check_underflow(radial_f, *map(np.concatenate, zip(*samples)), 0.0, failure)
             raise
+        x, f_abs, y = map(np.concatenate, zip(*samples))
         if math.isinf(r_hi):
-            _check_underflow(radial_f, samples, rel_tol * value)
+            _check_underflow(radial_f, x, f_abs, y, rel_tol * value)
         _, y_ends = integrand(np.array(ends))
-    x, f_abs, y = map(np.concatenate, zip(*samples))
     # The nodes never reach the ends of the domain, so a boundary layer thinner
     # than the gap to the nearest node, a spacing of the doubles at least, is
     # missed: the integrand at a finite end, far above every sample, shows it.

@@ -8,7 +8,8 @@ trapezoidal rule on t in [-6, 6] converges about as exp(-c/h) in its step h.
 Node distances to the nearer end, (b - a) E / (1 + E) with E = exp(-pi
 |sinh t|), reach 3e-276 (b - a) at an end at 0; a node that rounds onto an
 end moves to the nearest double inside, so no end is evaluated.  Callers map
-[a, inf) onto (0, 1/a] by r = 1/x.  Both routines call f once per batch.
+[a, inf) onto (0, 1/a] by r = 1/x.  Both routines call f once per batch: the
+levels h = 1/2 to 1/16 of a piece are one batch of 193 nodes, h = 1/32 another.
 """
 
 import functools
@@ -22,26 +23,27 @@ _EPS = np.finfo(float).eps
 # The round-off floor, in eps times the integral of |f|: the nested sums of
 # a few hundred terms differ by about this much once converged.
 _FLOOR = 8.0
-# The finest step before a piece is halved, and the most pieces.
-_LEVELS = 5
 _MAX_PIECES = 64
 # Samples per refinement round of maximize: each round narrows the interval
-# around the best point so far 32-fold.
+# around the best point so far 32-fold, on np.linspace's points bit for bit.
 _REFINE_POINTS = 65
+_STEPS = np.arange(_REFINE_POINTS)
 
 
-def _nodes(t: np.ndarray, h: float):
-    """Distances to the nearer end over b - a, the count of t <= 0, weights
-    pi cosh t E / (1 + E)^2 and step of the nodes t."""
+def _nodes(t: np.ndarray):
+    """Distances to the nearer end over b - a, whether t <= 0, and weights
+    pi cosh t E / (1 + E)^2 of the nodes t."""
     e = np.exp(-np.pi * np.abs(np.sinh(t)))
-    return e / (1.0 + e), int(np.sum(t <= 0.0)), np.pi * np.cosh(t) * e / (1.0 + e) ** 2, h
+    return e / (1.0 + e), t <= 0.0, np.pi * np.cosh(t) * e / (1.0 + e) ** 2
 
 
-# The first call holds the multiples of 1/4, those of h = 1/2 at even
-# places; each later call the odd multiples of its step.
-_CALLS = [_nodes(np.arange(-24, 25) / 4.0, 0.25)] + [
-    _nodes(np.arange(-6.0 + 2.0 ** -j, 6.0, 2.0 ** (1 - j)), 2.0 ** -j)
-    for j in range(3, _LEVELS + 1)]
+# Per call, its nodes and levels (h, places of the nodes h adds): the multiples
+# of 1/4, those of 1/2 at even places, then the odd multiples of each finer h.
+_T = [np.arange(-24, 25) / 4.0] + [np.arange(1 - 6 * k, 6 * k, 2) / k for k in (8, 16, 32)]
+_CALLS = [
+    (_nodes(np.concatenate(_T[:3])), ((0.5, slice(0, 49, 2)), (0.25, slice(1, 49, 2)),
+                                      (0.125, slice(49, 97)), (0.0625, slice(97, None)))),
+    (_nodes(_T[3]), ((0.03125, slice(None)),))]
 
 
 def _end_mass(x: np.ndarray, y: np.ndarray) -> float:
@@ -59,13 +61,13 @@ def _end_mass(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _ladder(f, lo: float, hi: float, rel_tol: float):
-    """Halve h on [lo, hi] from 1/2 until S_h, S_2h agree within rel_tol |S_h|
-    or the round-off floor, or h = 2^-_LEVELS: (S_h, integral of |f|,
-    |S_h - S_2h|, the mass the ends' nodes miss)."""
+    """S_h on [lo, hi], h = 1/2 to 1/16 from one call (callers' checks read
+    every sample), then 1/32 unless S_1/16, S_1/8 agree within rel_tol |S_1/16|
+    or the round-off floor: (S_h, integral of |f|, |S_h - S_2h|, _end_mass sum)."""
     width, inside = hi - lo, (np.nextafter(lo, hi), np.nextafter(hi, lo))
-    total = total_abs = 0.0
-    for dist, n_left, weight, h in _CALLS:
-        x = np.concatenate((lo + width * dist[:n_left], hi - width * dist[n_left:]))
+    total = total_abs = estimate = 0.0
+    for (dist, left, weight), levels in _CALLS:
+        x = np.where(left, lo + width * dist, hi - width * dist)
         np.clip(x, *inside, out=x)
         y = np.asarray(f(x), dtype=float)
         if y.shape != x.shape:
@@ -76,17 +78,15 @@ def _ladder(f, lo: float, hi: float, rel_tol: float):
                                   f"{float(x[~np.isfinite(y)][0])!r}")
         y_abs = np.abs(y)
         total_abs += float(weight @ y_abs)
-        if h == 0.25:
-            tails = (_end_mass(x[:n_left] - lo, y_abs[:n_left])
-                     + _end_mass(hi - x[:n_left - 1:-1], y_abs[:n_left - 1:-1]))
-            total = float(weight[::2] @ y[::2])
-            previous = 0.5 * width * total
-        total += float(weight[1::2] @ y[1::2] if h == 0.25 else weight @ y)
-        estimate, integral_abs = h * width * total, h * width * total_abs
-        diff = abs(estimate - previous)
+        if levels[0][0] == 0.5:  # the multiples of 1/4, t <= 0 at places 0-24
+            tails = (_end_mass(x[:25] - lo, y_abs[:25])
+                     + _end_mass(hi - x[48:24:-1], y_abs[48:24:-1]))
+        for h, part in levels:
+            previous, total = estimate, total + float(weight[part] @ y[part])
+            estimate = h * width * total
+        integral_abs, diff = h * width * total_abs, abs(estimate - previous)
         if diff <= max(rel_tol * abs(estimate), _FLOOR * _EPS * integral_abs):
             break
-        previous = estimate
     return estimate, integral_abs, diff, tails
 
 
@@ -172,4 +172,5 @@ def maximize(f, a: float, b: float, n_grid: int = 4096):
         lo, hi = sorted((xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]))
         if (hi - lo) <= 1e-12 * (abs(lo) + abs(hi) + 1.0):
             return 1.0 / float(x_best) if inverse else float(x_best), float(v_best)
-        xs = np.linspace(lo, hi, _REFINE_POINTS)
+        xs = _STEPS * ((hi - lo) / (_REFINE_POINTS - 1)) + lo
+        xs[-1] = hi

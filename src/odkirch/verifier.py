@@ -68,6 +68,13 @@ def _unit_directions(rng: _Draws, count: int, n: int) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+def _draw(geometry, seed: int, n_samples: int = 64) -> tuple:
+    """n_samples seeded sample radii of the geometry, then as many unit
+    directions: `verify`'s draw, its radii those of fewer samples first."""
+    rng = _Draws(seed)
+    return geometry.sample_radii(rng, n_samples), _unit_directions(rng, n_samples, geometry.n)
+
+
 def _normal_derivative(u, x: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order central difference of u along nu at x.
 
@@ -86,7 +93,7 @@ def _field(instance: ProblemInstance, root: dict, scale: float):
 
 
 def verify(instance: ProblemInstance, root: dict, n_samples: int = 64,
-           seed: int = 0, scale: float = 1.0) -> dict:
+           seed: int = 0, scale: float = 1.0, draws: tuple | None = None) -> dict:
     """Check that the field u = amplitude U of root, a record of `solve_roots`,
     times scale, solves on the instance's geometry the problem root claims.
 
@@ -99,7 +106,8 @@ def verify(instance: ProblemInstance, root: dict, n_samples: int = 64,
     scalar field; norm_consistency compares the quadrature ||u||_p with s.
     On the exterior domain far_field_ratio also reports the decay (n >= 3)
     or bounded limit (n = 2) at large radius.  Keys are those of the per-root
-    record of `odkirch verify --json`.
+    record of `odkirch verify --json`.  draws, the radii and directions of
+    `_draw`, stand for the draw of n_samples from seed.
     """
     geom = instance.geometry
     n, radius = geom.n, geom.radius
@@ -110,12 +118,10 @@ def verify(instance: ProblemInstance, root: dict, n_samples: int = 64,
                            breaks=prof.sign_changes(1))
     m_val = eval_kernel(instance.kernel, nu_q, ng_q)
 
-    rng = _Draws(seed)
-    radii = geom.sample_radii(rng, n_samples)
+    radii, dirs = _draw(geom, seed, n_samples) if draws is None else draws
     sk = k_hessian_radial(prof, radii, n, instance.k)
     interior = float(np.max(np.abs(m_val * sk - instance.lam * geom.rhs_weight(radii))))
 
-    dirs = _unit_directions(rng, n_samples, n)
     h = 1e-4 * max(1.0, radius, *map(abs, geom.center))
     u = prof.as_field(geom.center)
     x = np.asarray(geom.center) + radius * dirs
@@ -136,7 +142,8 @@ def verify(instance: ProblemInstance, root: dict, n_samples: int = 64,
 
 
 def gamma_scaling_check(instance: ProblemInstance, root: dict, values: dict,
-                        n_samples: int = 48, seed: int = 0, scale: float = 1.0) -> dict:
+                        n_samples: int = 48, seed: int = 0, scale: float = 1.0,
+                        radii: np.ndarray | None = None) -> dict:
     """Rescale root's solution u, times scale as in `verify`, by
     gamma = (M C(N,k) / lambda)^(1/k) and test that v = gamma u satisfies the
     normalized equation of the base field: S_k(D^2 v) = C(N, k) on the ball,
@@ -148,7 +155,8 @@ def gamma_scaling_check(instance: ProblemInstance, root: dict, values: dict,
     amplitude - 1|, and gamma_pde the deviation relative to C(N, k), the
     scale of the base equation's right side.  M > 0 at a true root, where
     M C(N, k) s^k = lambda ||U||_p^k > 0; for M <= 0 no real gamma exists,
-    and all four values are nan, which fails both gamma checks.
+    and all four values are nan, which fails both gamma checks.  The first
+    n_samples of radii, if given, stand for the draw from seed.
     """
     geom = instance.geometry
     n = geom.n
@@ -160,8 +168,7 @@ def gamma_scaling_check(instance: ProblemInstance, root: dict, values: dict,
     gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
     scaled = _field(instance, root, scale).scale(gamma)
 
-    rng = _Draws(seed)
-    radii = geom.sample_radii(rng, n_samples)
+    radii = geom.sample_radii(_Draws(seed), n_samples) if radii is None else radii[:n_samples]
     dev = float(np.max(np.abs(
         k_hessian_radial(scaled, radii, n, instance.k) - coeff * geom.rhs_weight(radii)
     )))
@@ -177,17 +184,18 @@ def _check_table(values: dict) -> dict:
 
 
 def judge_solution(instance: ProblemInstance, root: dict, seed: int = 0,
-                   scale: float = 1.0) -> dict:
+                   scale: float = 1.0, draws: tuple | None = None) -> dict:
     """Pass or fail root's solution, times scale: `verify` and the gamma
     check against THRESHOLDS.
 
     Returns the per-root record of `odkirch verify --json`: s, c and the
     amplitude of the field judged, the recomputed norms, kernel value and
     gamma, every check with its value, threshold and pass flag, and the
-    overall "pass".
+    overall "pass".  draws, those of `_draw` from seed, save drawing them.
     """
-    doc = verify(instance, root, seed=seed, scale=scale)
-    doc.update(gamma_scaling_check(instance, root, doc, seed=seed, scale=scale))
+    draws = _draw(instance.geometry, seed) if draws is None else draws
+    doc = verify(instance, root, scale=scale, draws=draws)
+    doc.update(gamma_scaling_check(instance, root, doc, scale=scale, radii=draws[0]))
     checks = _check_table({name: (doc.pop(name), t)
                            for name, t in THRESHOLDS.items() if name in doc})
     return {"s": root["s"], "amplitude": root["amplitude"] * scale, "c": root["c"],
@@ -278,7 +286,8 @@ def judge_run(instance: ProblemInstance, analysis: dict, seed: int = 0,
     """Pass or fail an analyze record: the body of `odkirch verify --json`,
     "pass" when its system check matched, every root's solution times scale
     passes `judge_solution` and the Kelvin suite, if any, passes."""
-    roots = [judge_solution(instance, root, seed, scale) for root in analysis["roots"]]
+    draws = _draw(instance.geometry, seed)
+    roots = [judge_solution(instance, root, seed, scale, draws) for root in analysis["roots"]]
     kelvin = judge_kelvin(instance.geometry, seed=seed)
     system_check = analysis["system_check"]
     ok = (system_check["matched"] and all(doc["pass"] for doc in roots)

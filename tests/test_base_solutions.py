@@ -615,6 +615,24 @@ class TestNormQuadrature:
         val = norm_quadrature(lambda r: np.ones_like(np.asarray(r, float)), 2.0, 3, 0.0, 1.0)
         assert val == pytest.approx((4.0 * math.pi / 3.0) ** 0.5, rel=1e-10)
 
+    @pytest.mark.parametrize("n, radius", [(2, 1.0), (3, 1.5), (7, 0.3)])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_smooth_ball_norm_takes_one_call_per_piece(self, n, radius, order):
+        # The levels down to h = 1/16 agree at rel_tol 1e-10: one call on the
+        # one piece, then the check of the integrand at the ends.
+        geom = BallGeometry(n=n, radius=radius)
+        f = (geom.profile().phi, geom.profile().dphi)[order]
+        for p in (0.3, 1.0, 3.5):
+            sizes = []
+
+            def counted(r):
+                sizes.append(np.size(r))
+                return f(r)
+
+            quad = norm_quadrature(counted, p, n, 0.0, radius, rel_tol=1e-10)
+            assert sizes == [193, 2]
+            assert quad == pytest.approx((geom.norm_u, geom.norm_grad)[order](p), rel=1e-10)
+
     def test_zero_field(self):
         val = norm_quadrature(lambda r: np.zeros_like(np.asarray(r, float)), 2.0, 3, 0.0, 1.0)
         assert val == 0.0

@@ -19,6 +19,17 @@ def integral_to_infinity(f, a):
     return 0.5 * norm_quadrature(f, 1.0, 1, a, math.inf)
 
 
+def tanh_sinh_sum(f, a, b, h):
+    """The tanh-sinh trapezoid sum S_h over t = k h in [-6, 6], written out
+    directly: x = mid + half tanh(u) with u = (pi/2) sinh t, and weight
+    half (pi/2) cosh t / cosh(u)^2."""
+    t = np.arange(-round(6.0 / h), round(6.0 / h) + 1) * h
+    u = 0.5 * math.pi * np.sinh(t)
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * np.tanh(u)
+    return h * half * float(np.sum(0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2 * f(x)))
+
+
 class TestIntegrate:
     def test_polynomial_exact(self):
         # The levels converge on a polynomial to round-off level.
@@ -124,7 +135,7 @@ class TestIntegrate:
 
     def test_round_off_floor_stops_the_levels(self):
         # rel_tol = 0 cannot be certified; the levels stop at the round-off
-        # floor, 8 eps times the integral of |f|, in three calls.
+        # floor, 8 eps times the integral of |f|, in one call.
         calls = []
 
         def f(x):
@@ -132,15 +143,15 @@ class TestIntegrate:
             return 4.75 - 1.125 * x - 3.6875 * x**2 + 3.0 * np.exp(-x)
 
         val, err = integrate(f, 0.0, 2.0, rel_tol=0.0)
-        assert len(calls) == 3
+        assert len(calls) == 1
         exact = 9.5 - 2.25 - 3.6875 * 8.0 / 3.0 + 3.0 * (1.0 - math.exp(-2.0))
         abs_integral, _ = integrate(lambda x: np.abs(f(x)), 0.0, 2.0)
         assert err <= 8.0 * np.finfo(float).eps * abs_integral
         assert abs(val - exact) <= 1e-15
 
     def test_easy_integrand_takes_one_call(self):
-        # Levels h = 1/2 and 1/4 share the first call; x^(-1/2) on [0, 1]
-        # agrees between them to 2.3e-7.
+        # Levels h = 1/2 to 1/16 share the first call; x^(-1/2) on [0, 1]
+        # agrees between h = 1/8 and 1/16 to 2.2e-16.
         calls = []
 
         def f(x):
@@ -148,8 +159,25 @@ class TestIntegrate:
             return x ** -0.5
 
         val, err = integrate(f, 0.0, 1.0, rel_tol=1e-6)
-        assert calls == [49]
+        assert calls == [193]
         assert val == pytest.approx(2.0, rel=1e-12)
+
+    def test_first_call_sums_the_levels_down_to_a_sixteenth(self):
+        # rel_tol = 1 stops after the first call, whose value is S_1/16 and
+        # error |S_1/16 - S_1/8|: 29.53 and 2.59 for the near-pole at +-0.1i,
+        # against the sums written out directly.
+        f = lambda x: 1.0 / (0.01 + x ** 2)
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        val, err = integrate(counted, -1.0, 1.0, rel_tol=1.0)
+        s8, s16 = (tanh_sinh_sum(f, -1.0, 1.0, h) for h in (1.0 / 8.0, 1.0 / 16.0))
+        assert calls == [193]
+        assert val == pytest.approx(s16, rel=1e-14)
+        assert err == pytest.approx(abs(s16 - s8), rel=1e-13)
 
     def test_interior_kink_without_a_breakpoint(self):
         # |x - 1/3| has a kink that no midpoint split reaches: the pieces

@@ -8,12 +8,14 @@ import pytest
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry, RadialProfile
 from odkirch.errors import DomainError
 from odkirch.hessian import binomial
-from odkirch.reduction import ProblemInstance, build_reduced, solve_roots
+from odkirch.reduction import (ProblemInstance, build_reduced, solve_roots,
+                               system_count_check)
 from odkirch.verifier import (
     _Draws,
     _field,
     gamma_scaling_check,
     judge_kelvin,
+    judge_run,
     judge_solution,
     _unit_directions,
     verify,
@@ -148,6 +150,29 @@ class TestJudge:
         doc = judge_solution(inst, root, seed=0)
         assert doc["pass"] is True
         assert doc["far_field_ratio"] == pytest.approx(0.5 * root["amplitude"], rel=1e-4)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.05])
+    def test_run_records_equal_lone_judgements(self, battery, scale):
+        # judge_run draws once for all the roots of a run; each record is the
+        # one judge_solution makes alone, and holds the values of verify and
+        # the gamma check each drawing from the seed itself.
+        for case in battery["cases"]:
+            for run in (r for r in case["runs"] if r["count"] >= 2):
+                inst = make_instance(case, run["lambda"])
+                eq = build_reduced(inst)
+                record = solve_roots(eq)
+                analysis = {**record, "system_check": system_count_check(eq, record)}
+                for seed in (0, 5):
+                    docs = judge_run(inst, analysis, seed, scale)["roots"]
+                    assert len(docs) == run["count"] >= 2
+                    for doc, root in zip(docs, record["roots"]):
+                        assert doc == judge_solution(inst, root, seed, scale)
+                        lone = verify(inst, root, seed=seed, scale=scale)
+                        lone.update(gamma_scaling_check(inst, root, lone, seed=seed,
+                                                        scale=scale))
+                        values = {**doc, **{name: chk["value"]
+                                            for name, chk in doc["checks"].items()}}
+                        assert {name: values[name] for name in lone} == lone
 
     def test_kelvin_only_outside(self):
         assert judge_kelvin(BallGeometry(n=3, radius=1.0)) is None
