@@ -37,7 +37,6 @@ and 0 otherwise.
 import argparse
 import collections
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
