@@ -272,10 +272,6 @@ class BallGeometry(_Geometry):
             coeffs=(1.0, -self.radius ** 2), powers=(2.0, 0.0), factors=(0.5,),
             r_min=0.0, r_max=self.radius))
 
-    @property
-    def r_range(self) -> tuple:
-        return (0.0, self.radius)
-
     def check_k(self, k: int) -> None:
         if not (1 <= k <= self.n):
             raise DomainError(f"ball problem needs 1 <= k <= {self.n}, got k = {k}")
@@ -308,7 +304,6 @@ class ExteriorGeometry(_Geometry):
     n: int
     _profile: RadialProfile = field(init=False, repr=False, compare=False)
     radius = 1.0                  # of the excluded ball, centred at the origin
-    r_range = (1.0, _INF)
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):

@@ -35,7 +35,8 @@ import numpy as np
 from .config import RunConfig, build_config, config_to_dict, load_config
 from .errors import (ConfigError, DomainError, KernelEvalError,
                      KernelSyntaxError, OdkirchError, QuadratureError)
-from .reduction import _scan_grid, build_reduced, solve_roots, system_count_check
+from .quadrature import geom_grid
+from .reduction import build_reduced, solve_roots, system_count_check
 from .verifier import judge_norms, judge_run
 
 # The instances selftest runs through verify and norms: the constant-kernel
@@ -200,7 +201,7 @@ def cmd_plot_data(cfg: RunConfig, out) -> int:
     eq = build_reduced(cfg.instance)
     record = solve_roots(eq, cfg.scan)
     scan = record["scan"]
-    grid = _scan_grid(scan["s_min"], scan["s_max"], scan["n_grid"])
+    grid = geom_grid(scan["s_min"], scan["s_max"], scan["n_grid"])
     rows = [(s, g, 0) for s, g in zip(grid.tolist(), eq.g(grid).tolist())]
     rows.extend((r["s"], eq.g(r["s"]), 1) for r in record["roots"])
     rows.sort(key=lambda row: (row[0], row[2]))

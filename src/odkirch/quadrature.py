@@ -24,8 +24,10 @@ _EPS = np.finfo(float).eps
 # a few hundred terms differ by about this much once converged.
 _FLOOR = 8.0
 _MAX_PIECES = 64
-# Samples per refinement round of maximize: each round narrows the interval
-# around the best point so far 32-fold, on np.linspace's points bit for bit.
+# Points of maximize's first scan, and samples per refinement round: each
+# round narrows the interval around the best point so far 32-fold, on
+# np.linspace's points bit for bit.
+_GRID_POINTS = 4096
 _REFINE_POINTS = 65
 _STEPS = np.arange(_REFINE_POINTS)
 
@@ -127,37 +129,37 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-12):
         pieces = [piece for piece in pieces if piece[4] <= share]
 
 
-@functools.lru_cache(maxsize=4)
-def _inverse_grid(a: float, n_grid: int) -> np.ndarray:
-    """np.geomspace(1/a, 1e-12/a, n_grid), read-only, computed once per process."""
-    grid = np.geomspace(1.0 / a, 1e-12 / a, n_grid)
+@functools.lru_cache(maxsize=8)
+def geom_grid(start: float, stop: float, n: int) -> np.ndarray:
+    """np.geomspace(start, stop, n), read-only, computed once per process:
+    the root scan's grid and maximize's on an infinite domain."""
+    grid = np.geomspace(start, stop, n)
     grid.flags.writeable = False
     return grid
 
 
-def maximize(f, a: float, b: float, n_grid: int = 4096):
+def maximize(f, a: float, b: float):
     """Maximize a continuous f over [a, b], b possibly infinite.
 
     f must be vectorized: it maps an array of points to an array of as many
-    values, finite ones.  A dense grid scan, one call f(xs) on all n_grid
-    points, locates the neighbourhood of the global maximum.  Each round of
-    refinement then samples the interval between the neighbours of the best
-    point so far at _REFINE_POINTS points in one call, until the interval is
-    no wider than 1e-12 (|lo| + |hi| + 1); grid endpoints stay in contention
-    so boundary maxima are found exactly.  An infinite right endpoint is
-    handled by the substitution r = 1/x, which compresses [a, inf) into
-    (0, 1/a] and concentrates samples where a decaying profile can still be
-    large.  Returns (argmax, max_value), the best sample seen.
+    values, finite ones.  A dense grid scan, one call f(xs) on all
+    _GRID_POINTS points, locates the neighbourhood of the global maximum.
+    Each round of refinement then samples the interval between the neighbours
+    of the best point so far at _REFINE_POINTS points in one call, until the
+    interval is no wider than 1e-12 (|lo| + |hi| + 1); grid endpoints stay in
+    contention so boundary maxima are found exactly.  An infinite right
+    endpoint is handled by the substitution r = 1/x, which compresses
+    [a, inf) into (0, 1/a] and concentrates samples where a decaying profile
+    can still be large.  Returns (argmax, max_value), the best sample seen.
     """
-    if n_grid < 16:
-        raise QuadratureError("maximize needs at least 16 grid points")
     inverse = math.isinf(b)
     if inverse and a <= 0.0:
         raise QuadratureError("infinite-domain maximize requires a > 0")
     # Geometric spacing covers twelve decades of r at uniform log density, so
     # suprema approached at infinity are resolved to round-off while interior
     # peaks still land between two neighbouring grid points.
-    xs = _inverse_grid(a, n_grid) if inverse else np.linspace(a, b, n_grid)
+    xs = (geom_grid(1.0 / a, 1e-12 / a, _GRID_POINTS) if inverse
+          else np.linspace(a, b, _GRID_POINTS))
     x_best, v_best = None, -math.inf
     while True:
         vals = np.asarray(f(1.0 / xs if inverse else xs), dtype=float)

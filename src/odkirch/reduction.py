@@ -51,7 +51,6 @@ midpoints of consecutive ray roots, one segment per ray root; a pair that the
 ray scan also misses can still share a segment and hide.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +60,7 @@ from .base_solutions import BallGeometry, ExteriorGeometry
 from .errors import DomainError
 from .hessian import binomial
 from .kernel import eval_kernel, parse_kernel
+from .quadrature import geom_grid
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,6 @@ TANGENCY_RTOL = 1e-3
 _HALF = np.linspace(-1.0, 1.0, _SECTIONS + 1)
 
 
-@functools.lru_cache(maxsize=4)
-def _scan_grid(s_min: float, s_max: float, n: int) -> np.ndarray:
-    """np.geomspace(s_min, s_max, n), read-only, computed once per process."""
-    grid = np.geomspace(s_min, s_max, n)
-    grid.flags.writeable = False
-    return grid
-
-
 def refine_brackets(fun, a, b, fa, rel_width: float, rows=None, fb=None):
     """Narrow the sign-change brackets [a_i, b_i], fun(a_i) = fa_i, together.
 
@@ -288,7 +280,7 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> dict:
                               "not finite; give scan.s_max explicitly")
     if s_max <= s_min:
         raise DomainError(f"scan range empty: [{s_min}, {s_max}]")
-    grid = _scan_grid(s_min, s_max, config.n_grid)
+    grid = geom_grid(s_min, s_max, config.n_grid)
     hvals, slopes = eq.h(grid, slope=True)
 
     # Cell i is [grid[i], grid[i + 1]]: it is flagged when its left end is an
@@ -347,13 +339,14 @@ def solve_roots(eq: ReducedEquation, config: ScanConfig = ScanConfig()) -> dict:
         found, residuals = refine_brackets(eq.h, a, b, f_a, config.rel_width, fb=f_b)
         roots += [(s, res, piece[:2]) for s, res, piece in zip(found, residuals, pieces)]
 
-    warnings, habs = [], np.abs(hvals)
-    if not flagged[-_EDGE_WINDOW:].any() and np.all(np.diff(habs[-_EDGE_WINDOW:]) < 0.0):
+    # Neighbours compared, not subtracted: inf - inf, where |h| overflows, warns.
+    warnings, top, bottom = [], np.abs(hvals[-_EDGE_WINDOW:]), np.abs(hvals[:_EDGE_WINDOW])
+    if not flagged[-_EDGE_WINDOW:].any() and np.all(top[1:] < top[:-1]):
         warnings.append(
             f"|g - target| still decreasing at s_max = {s_max:.6g}; "
             "roots beyond the scan range are possible, raise s_max"
         )
-    if not flagged[:_EDGE_WINDOW].any() and np.all(np.diff(habs[:_EDGE_WINDOW]) > 0.0):
+    if not flagged[:_EDGE_WINDOW].any() and np.all(bottom[1:] > bottom[:-1]):
         warnings.append(
             f"|g - target| still decreasing at s_min = {s_min:.6g}; "
             "roots below the scan range are possible, lower s_min"

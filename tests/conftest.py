@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from odkirch import BallGeometry, ExteriorGeometry, ProblemInstance
+from odkirch.base_solutions import BallGeometry, ExteriorGeometry
+from odkirch.reduction import ProblemInstance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

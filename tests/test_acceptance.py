@@ -22,7 +22,7 @@ from odkirch.reduction import (
     solve_roots,
     system_count_check,
 )
-from odkirch.verifier import gamma_scaling_check, judge_kelvin, verify
+from odkirch.verifier import draw_samples, gamma_scaling_check, judge_kelvin, verify
 
 from conftest import load_battery, load_corpus, make_instance
 
@@ -170,7 +170,7 @@ def test_criterion_5_pde_residuals():
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
         for root in solve_roots(eq)["roots"]:
-            rep = verify(inst, root, n_samples=100, seed=0)
+            rep = verify(inst, root, draw_samples(inst.geometry, 0, 100))
             label = (case["name"], lam, root["s"])
             assert rep["interior_residual"] <= 1e-6, label
             assert rep["boundary_value"] <= 1e-10, label
@@ -201,8 +201,9 @@ def test_criterion_7_gamma_scaling():
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
         for root in solve_roots(eq)["roots"]:
-            rep = gamma_scaling_check(inst, root, verify(inst, root),
-                                      n_samples=100, seed=0)
+            values = verify(inst, root, draw_samples(inst.geometry, 0))
+            rep = gamma_scaling_check(inst, root, values,
+                                      draw_samples(inst.geometry, 0, 100)[0])
             label = (case["name"], lam, root["s"])
             assert abs(rep["recovered_amplitude"] - 1.0) <= 1e-6, label
             # gamma_pde is relative to C(N, k); the criterion bounds the

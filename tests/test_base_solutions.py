@@ -66,7 +66,8 @@ class TestGeometryInterface:
     def test_exterior_excludes_the_unit_ball(self):
         geom = ExteriorGeometry(n=3)
         assert geom.radius == 1.0 and geom.center == (0.0, 0.0, 0.0)
-        assert geom.r_range == (1.0, INF)
+        prof = geom.profile()
+        assert (prof.r_min, prof.r_max) == (1.0, INF)
         with pytest.raises(TypeError):
             ExteriorGeometry(n=3, radius=2.0)  # not a parameter
 

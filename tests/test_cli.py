@@ -19,7 +19,8 @@ from odkirch import cli
 from odkirch.cli import main
 from odkirch.errors import DomainError
 from odkirch.reduction import build_reduced, solve_roots, system_count_check
-from odkirch.verifier import judge_kelvin, judge_norms, judge_run, judge_solution
+from odkirch.verifier import (draw_samples, judge_kelvin, judge_norms, judge_run,
+                              judge_solution)
 
 from conftest import load_battery, make_instance
 
@@ -189,7 +190,8 @@ class TestVerify:
         analysis = analysis_record(inst)
         assert analysis["count"] >= 1
         assert body == judge_run(inst, analysis, 0, scale)
-        assert body["roots"] == [judge_solution(inst, root, 0, scale)
+        draws = draw_samples(inst.geometry, 0)
+        assert body["roots"] == [judge_solution(inst, root, draws, scale)
                                  for root in analysis["roots"]]
         assert body["kelvin"] == judge_kelvin(inst.geometry)
         assert body["verdict"] == ("pass" if scale == 1.0 else "fail")

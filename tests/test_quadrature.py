@@ -295,7 +295,7 @@ class TestMaximize:
 
     def test_quadratic_peak_refined(self):
         # The peak lies between grid points; refinement reaches it.
-        x, v = maximize(lambda x: -(x - 1.3) ** 2 + 2.0, 0.0, 3.0, n_grid=16)
+        x, v = maximize(lambda x: -(x - 1.3) ** 2 + 2.0, 0.0, 3.0)
         assert x == pytest.approx(1.3, abs=1e-6)
         assert v == pytest.approx(2.0, abs=1e-12)
 
@@ -316,18 +316,20 @@ class TestMaximize:
             calls.append(np.shape(r))
             return np.asarray(r, dtype=float) ** 2 * np.exp(-r)
 
-        x, v = maximize(f, 1.0, b, n_grid=1000)
+        x, v = maximize(f, 1.0, b)
         assert x == pytest.approx(2.0, abs=1e-6)
-        assert calls[0] == (1000,)
+        assert calls[0] == (4096,)
         assert all(shape == (65,) for shape in calls[1:])
         assert 2 <= len(calls) <= 12
 
-    def test_infinite_domain_grid_is_geomspace(self):
-        # One read-only grid per (a, n_grid), the values of np.geomspace.
-        grid = quadrature._inverse_grid(2.0, 4096)
-        assert quadrature._inverse_grid(2.0, 4096) is grid
-        assert np.array_equal(grid, np.geomspace(0.5, 0.5e-12, 4096))
-        assert not grid.flags.writeable
+    def test_grids_are_one_memoized_geomspace(self):
+        # The root scan's grid and maximize's grid for [2, inf) share one
+        # cache: one read-only grid per argument tuple, np.geomspace's values.
+        for args in ((1e-8, 1e3, 10_000), (0.5, 0.5e-12, 4096)):
+            grid = quadrature.geom_grid(*args)
+            assert quadrature.geom_grid(*args) is grid
+            assert np.array_equal(grid, np.geomspace(*args))
+            assert not grid.flags.writeable
 
     def test_nonfinite_refinement_sample(self):
         # The NaN stretch around the peak lies between grid points: only

@@ -18,6 +18,7 @@ from odkirch.verifier import (
     judge_run,
     judge_solution,
     _unit_directions,
+    draw_samples,
     verify,
 )
 
@@ -44,7 +45,7 @@ class TestVerifyBall:
                     continue
                 inst, roots = all_roots(case, run["lambda"])
                 for root in roots:
-                    report = verify(inst, root, n_samples=64, seed=0)
+                    report = verify(inst, root, draw_samples(inst.geometry, 0, 64))
                     label = (case["name"], run["lambda"], root["s"])
                     assert report["interior_residual"] < 1e-6, label
                     assert report["boundary_value"] < 1e-10, label
@@ -53,13 +54,13 @@ class TestVerifyBall:
 
     def test_perturbed_solution_fails(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
-        report = verify(inst, root, n_samples=32, seed=0, scale=1.02)
+        report = verify(inst, root, draw_samples(inst.geometry, 0, 32), scale=1.02)
         assert report["interior_residual"] > 1e-3
         assert report["boundary_gradient"] > 1e-3
 
     def test_perturbation_leaves_claims(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
-        bad = judge_solution(inst, root, scale=2.0)
+        bad = judge_solution(inst, root, draw_samples(inst.geometry, 0), scale=2.0)
         assert bad["c"] == root["c"] and bad["s"] == root["s"]
         assert bad["amplitude"] == pytest.approx(2.0 * root["amplitude"])
 
@@ -78,7 +79,8 @@ class TestVerifyBall:
         ext_case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
         _, root_ext = first_root(ext_case, 1.0)
         inst_ball, _ = first_root(ball_case, 3.0)
-        assert judge_solution(inst_ball, root_ext)["pass"] is False
+        draws = draw_samples(inst_ball.geometry, 0)
+        assert judge_solution(inst_ball, root_ext, draws)["pass"] is False
 
     def test_off_center_ball(self):
         case = {
@@ -93,7 +95,7 @@ class TestVerifyBall:
             k=1, p=inst.p, q=inst.q, lam=3.0, kernel="1",
         )
         root = solve_roots(build_reduced(shifted))["roots"][0]
-        report = verify(shifted, root, n_samples=32)
+        report = verify(shifted, root, draw_samples(shifted.geometry, 0, 32))
         assert report["interior_residual"] < 1e-6
         assert report["boundary_value"] < 1e-10
 
@@ -108,7 +110,7 @@ class TestVerifyExterior:
                     continue
                 inst, roots = all_roots(case, run["lambda"])
                 for root in roots:
-                    report = verify(inst, root, n_samples=64, seed=0)
+                    report = verify(inst, root, draw_samples(inst.geometry, 0, 64))
                     label = (case["name"], run["lambda"], root["s"])
                     assert report["interior_residual"] < 1e-6, label
                     assert report["boundary_value"] < 1e-10, label
@@ -118,18 +120,19 @@ class TestVerifyExterior:
     def test_perturbed_solution_fails(self, battery):
         case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
         inst, root = first_root(case, 1.0)
-        report = verify(inst, root, n_samples=32, seed=0, scale=0.97)
+        report = verify(inst, root, draw_samples(inst.geometry, 0, 32), scale=0.97)
         assert report["interior_residual"] > 1e-3
 
 
 class TestJudge:
     def test_battery_root_passes_perturbed_fails(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
-        doc = judge_solution(inst, root, seed=0)
+        draws = draw_samples(inst.geometry, 0)
+        doc = judge_solution(inst, root, draws)
         assert doc["pass"] is True
         assert all(chk["pass"] for chk in doc["checks"].values())
         assert doc["s"] == root["s"] and "far_field_ratio" not in doc
-        bad = judge_solution(inst, root, seed=0, scale=1.02)
+        bad = judge_solution(inst, root, draws, scale=1.02)
         assert bad["pass"] is False
         assert not bad["checks"]["interior_residual"]["pass"]
 
@@ -140,22 +143,23 @@ class TestJudge:
         inst = ProblemInstance(geometry=BallGeometry(n=24, radius=1.0), k=12,
                                p=math.inf, q=math.inf, lam=1.0, kernel="1 + s")
         (root,) = solve_roots(build_reduced(inst))["roots"]
-        check = judge_solution(inst, root, seed=0, scale=scale)["checks"]["gamma_pde"]
+        doc = judge_solution(inst, root, draw_samples(inst.geometry, 0), scale)
+        check = doc["checks"]["gamma_pde"]
         assert check["pass"] is passes
         assert (check["value"] < 1e-10) is passes
 
     def test_exterior_root_reports_far_field(self, battery):
         case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
         inst, root = first_root(case, 1.0)
-        doc = judge_solution(inst, root, seed=0)
+        doc = judge_solution(inst, root, draw_samples(inst.geometry, 0))
         assert doc["pass"] is True
         assert doc["far_field_ratio"] == pytest.approx(0.5 * root["amplitude"], rel=1e-4)
 
     @pytest.mark.parametrize("scale", [1.0, 1.05])
     def test_run_records_equal_lone_judgements(self, battery, scale):
         # judge_run draws once for all the roots of a run; each record is the
-        # one judge_solution makes alone, and holds the values of verify and
-        # the gamma check each drawing from the seed itself.
+        # one judge_solution makes alone, and holds the values of verify on
+        # that draw and of the gamma check on a draw of its own 48 samples.
         for case in battery["cases"]:
             for run in (r for r in case["runs"] if r["count"] >= 2):
                 inst = make_instance(case, run["lambda"])
@@ -165,14 +169,23 @@ class TestJudge:
                 for seed in (0, 5):
                     docs = judge_run(inst, analysis, seed, scale)["roots"]
                     assert len(docs) == run["count"] >= 2
+                    draws = draw_samples(inst.geometry, seed)
+                    radii = draw_samples(inst.geometry, seed, 48)[0]
                     for doc, root in zip(docs, record["roots"]):
-                        assert doc == judge_solution(inst, root, seed, scale)
-                        lone = verify(inst, root, seed=seed, scale=scale)
-                        lone.update(gamma_scaling_check(inst, root, lone, seed=seed,
-                                                        scale=scale))
+                        assert doc == judge_solution(inst, root, draws, scale)
+                        lone = verify(inst, root, draws, scale)
+                        lone.update(gamma_scaling_check(inst, root, lone, radii, scale))
                         values = {**doc, **{name: chk["value"]
                                             for name, chk in doc["checks"].items()}}
                         assert {name: values[name] for name in lone} == lone
+
+    @pytest.mark.parametrize("geom", [BallGeometry(n=3, radius=1.5), ExteriorGeometry(n=4)])
+    def test_gamma_radii_are_a_draw_of_48(self, geom):
+        # judge_solution hands the gamma check the first 48 radii of the run's
+        # draw: those of a draw of 48 samples from the same seed, bit for bit.
+        for seed in (0, 5, 2 ** 70):
+            assert np.array_equal(draw_samples(geom, seed, 48)[0],
+                                  draw_samples(geom, seed)[0][:48])
 
     def test_kelvin_only_outside(self):
         assert judge_kelvin(BallGeometry(n=3, radius=1.0)) is None
@@ -268,7 +281,7 @@ class TestArrayPassesMatchLoops:
                 u = _field(inst, root, 1.0).as_field(geom.center)
                 h = 1e-4 * max(1.0, geom.radius, *map(abs, geom.center))
                 for seed in (0, 7):
-                    report = verify(inst, root, n_samples=16, seed=seed)
+                    report = verify(inst, root, draw_samples(geom, seed, 16))
                     rng = _Draws(seed)
                     geom.sample_radii(rng, 16)
                     bval = bgrad = 0.0
@@ -322,8 +335,9 @@ class TestGammaScaling:
                     continue
                 inst, roots = all_roots(case, run["lambda"])
                 for root in roots:
-                    report = gamma_scaling_check(inst, root, verify(inst, root),
-                                                 n_samples=48, seed=0)
+                    draws = draw_samples(inst.geometry, 0)
+                    report = gamma_scaling_check(inst, root, verify(inst, root, draws),
+                                                 draws[0][:48])
                     label = (case["name"], run["lambda"], root["s"])
                     assert abs(report["recovered_amplitude"] - 1.0) < 1e-6, label
                     assert report["gamma_pde"] * binomial(inst.geometry.n, inst.k) < 1e-6, label
@@ -332,13 +346,15 @@ class TestGammaScaling:
         # M = 1: gamma = (C(N,k)/lambda)^(1/k) explicitly.
         case = battery["cases"][0]
         inst, root = first_root(case, 3.0)
-        report = gamma_scaling_check(inst, root, verify(inst, root))
+        draws = draw_samples(inst.geometry, 0)
+        report = gamma_scaling_check(inst, root, verify(inst, root, draws), draws[0][:48])
         assert report["gamma"] == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_wrong_amplitude_detected(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
-        report = gamma_scaling_check(inst, root, verify(inst, root, scale=1.05),
-                                     scale=1.05)
+        draws = draw_samples(inst.geometry, 0)
+        report = gamma_scaling_check(inst, root, verify(inst, root, draws, scale=1.05),
+                                     draws[0][:48], scale=1.05)
         # Norms move, so the kernel value and gamma move with them; the
         # product gamma * amplitude must drift off 1.
         assert abs(report["recovered_amplitude"] - 1.0) > 1e-3

@@ -6,9 +6,9 @@ SRC (by default the `src` directory of this checkout) and PARENT_SRC are
 directories holding the `odkirch` package.  Each tree runs in its own
 interpreter, which imports odkirch from that directory only.  For every norm
 of the sweep it computes `norm_quadrature` of the base profile (U or |grad U|)
-over the geometry's radii, with the profile's sign changes as breakpoints and
-the default rel_tol 1e-10, and the closed form `profile_norm` of the same
-tree, and puts the norm in one class:
+over the profile's domain [r_min, r_max], with the profile's sign changes as
+breakpoints and the default rel_tol 1e-10, and the closed form `profile_norm`
+of the same tree, and puts the norm in one class:
 
 - right: the quadrature is within 1e-8 of the closed form, relative;
 - typed error: `norm_quadrature` raised an `OdkirchError`;
@@ -104,7 +104,7 @@ def child(src: str) -> int:
             continue
         try:
             quad = base_solutions.norm_quadrature(
-                (prof.phi, prof.dphi)[order], p, geom.n, *geom.r_range,
+                (prof.phi, prof.dphi)[order], p, geom.n, prof.r_min, prof.r_max,
                 breaks=prof.sign_changes(order))
         except OdkirchError as exc:
             rows.append([name, "typed error", f"{type(exc).__name__}: {exc}"])
