@@ -21,11 +21,11 @@ evaluates h(s) = g(s) - target and g'(s) in one array call; the grid points
 and the critical points s_c, the zeros of g' between them, cut the window
 into pieces on which g is monotone, so each piece holds one root exactly
 when h changes sign across it or is 0 at an end.  The cells h crosses and
-the cells g' turns in are narrowed together (refine_brackets), each array
-call cutting every open bracket into 64 sections around the secant point of
-its ends' h or g'; an s_c with h(s_c) past the level splits its cell into
-two more brackets, and one within TANGENCY_RTOL * target of it is reported
-as a tangency.
+the cells g' turns in are narrowed together (refine_brackets), one array
+call per round cutting every open bracket into 64 sections around the
+secant point of its ends' h or g', which it keeps as Python floats; an s_c
+with h(s_c) past the level splits its cell into two more brackets, and one
+within TANGENCY_RTOL * target of it is reported as a tangency.
 
 solve_roots returns one dict, the body of `odkirch analyze --json` but its
 "system_check", under the printed names; a root's amplitude and c give its
@@ -214,48 +214,63 @@ def refine_brackets(fun, a, b, fa, rel_width: float, rows=None, fb=None):
     and lo < mid < hi, mid = (lo + hi) / 2, for at most _ROUNDS rounds.
     Returns (roots, residuals) as lists: the final midpoints, and |fun| there.
 
+    A bracket's ends, their values, its secant point, window and live test
+    are Python scalars; the rounds' (brackets, _SECTIONS + 1) points, fun on
+    them, the sign test and the search for the first piece are arrays.
+
     fun maps an array of points to an array of values.  With rows, fun
     returns rows of values, bracket i is narrowed on row rows[i], and its
     residual is the signed column of fun at its root.  fb holds the values
     at b, on the same rows; without it the first round is uniform.
     """
-    ends = np.array([a, b], dtype=float).T
-    f_ends = np.array([fa, np.full(len(ends), np.nan) if fb is None else fb], dtype=float).T
-    row = np.zeros(len(ends), dtype=int) if rows is None else np.asarray(rows, dtype=int)
-    fresh = np.ones(len(ends), dtype=bool)
-    at, roots = np.arange(len(ends)), np.empty(len(ends))     # where live roots go
+    n = len(a)
+    ends = (np.asarray(v, dtype=float).tolist()
+            for v in (a, b, fa, [math.nan] * n if fb is None else fb))
+    rows_in = [0] * n if rows is None else np.asarray(rows, dtype=int).tolist()
+    # (index, lo, hi, f_lo, f_hi, row, fresh) of every bracket still open.
+    todo = list(zip(range(n), *ends, rows_in, [True] * n))
+    roots = [math.nan] * n
     with np.errstate(all="ignore"):
         for n_round in range(_ROUNDS + 1):
-            (lo, hi), (f_lo, f_hi) = ends.T, f_ends.T
-            mid = 0.5 * (lo + hi)
-            live = (hi - lo > rel_width * mid) & (lo < mid) & (mid < hi) & (n_round < _ROUNDS)
-            if not (at.size and live.all()):      # brackets done leave the arrays
-                roots[at[~live]] = mid[~live]
-                at, ends, f_ends, row, fresh = (
-                    v[live] for v in (at, ends, f_ends, row, fresh))
-                if not at.size:
-                    break
-                (lo, hi), (f_lo, f_hi), mid = ends.T, f_ends.T, mid[live]
-            index = np.arange(len(at))
-            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-            window = fresh & (lo <= x) & (x <= hi)
-            x = np.where(window, x, mid)
-            d = np.where(window, np.maximum(8.0 * (hi - lo) ** 2, rel_width * x * x)
-                         / np.abs(x), np.inf)
-            w_lo, w_hi = np.fmax(x - d, lo), np.fmin(x + d, hi)
-            inner = x[:, None] + np.where(_HALF < 0.0, (x - w_lo)[:, None],
-                                          (w_hi - x)[:, None]) * _HALF
-            points = np.column_stack([lo, w_lo, inner[:, 1:-1], w_hi, hi])
-            raw = np.atleast_2d(fun(points[:, 1:-1].ravel())).reshape(-1, *inner.shape)
-            values = np.column_stack([f_lo, raw[row, index], f_hi])
-            hit = (values == 0.0) | ((values < 0.0) != (f_lo < 0.0)[:, None])
-            hit[:, 0], hit[:, -1] = False, True
-            right = hit.argmax(axis=1)
-            fresh &= (right > 1) & (right < _SECTIONS + 2)
-            left = right - (values[index, right] != 0.0)      # right itself at an exact 0
-            pair = index[:, None], np.column_stack([left, right])
-            ends, f_ends = points[pair], values[pair]
-    roots = roots.tolist()
+            live, spec = [], []     # spec: x, x - w_lo, w_hi - x, w_lo, w_hi, f_lo, ...
+            for bracket in todo:
+                i, lo, hi, f_lo, f_hi, _, fresh = bracket
+                mid = 0.5 * (lo + hi)
+                if not (hi - lo > rel_width * mid and lo < mid < hi and n_round < _ROUNDS):
+                    roots[i] = mid
+                    continue
+                x, w_lo, w_hi = mid, lo, hi
+                if fresh and f_lo != f_hi:      # equal ends have no secant point
+                    s = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+                    if lo <= s <= hi:
+                        w = hi - lo     # w * w: a Python ** raises on overflow
+                        d = max(8.0 * (w * w), rel_width * s * s) / abs(s) if s else math.inf
+                        x, w_lo, w_hi = s, max(s - d, lo), min(s + d, hi)
+                live.append(bracket)
+                spec += x, x - w_lo, w_hi - x, w_lo, w_hi, f_lo
+            if not live:
+                break
+            spec = np.array(spec).reshape(-1, 6)
+            points = spec[:, :1] + np.where(_HALF < 0.0, spec[:, 1:2], spec[:, 2:3]) * _HALF
+            points[:, 0], points[:, -1] = spec[:, 3], spec[:, 4]
+            m = len(live)           # bracket k's values are row rows[k] * m + k
+            values = np.reshape(fun(points.ravel()), (-1, _SECTIONS + 1))[
+                [bracket[5] * m + k for k, bracket in enumerate(live)]]
+            hit = (values == 0.0) | ((values < 0.0) != (spec[:, 5:] < 0.0))
+            first = hit.argmax(axis=1)
+            # The first hit and the point before it; with no hit, column -1 is w_hi.
+            pick = np.arange(m)[:, None], first[:, None] + (-1, 0)
+            todo = []
+            for (i, lo, hi, f_lo, f_hi, row, fresh), j, (p_0, p_1), (v_0, v_1) in zip(
+                    live, first.tolist(), points[pick].tolist(), values[pick].tolist()):
+                found = v_1 == 0.0 or (v_1 < 0.0) != (f_lo < 0.0)
+                if found:                   # else the piece [w_hi, hi], a miss
+                    hi, f_hi = p_1, v_1
+                if f_hi == 0.0:             # an exact zero closes the bracket
+                    lo, f_lo = hi, f_hi
+                elif not (found and j == 0):
+                    lo, f_lo = p_0, v_0
+                todo.append((i, lo, hi, f_lo, f_hi, row, fresh and found and j > 0))
     last = np.atleast_2d(fun(np.array(roots))) if roots else np.empty((1, 0))
     return roots, (np.abs(last[0]).tolist() if rows is None else last.T.tolist())
 

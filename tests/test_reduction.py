@@ -731,6 +731,122 @@ class TestWindowRefinement:
         assert any(misses) and not all(misses)
 
 
+def batch_feature(kind, lo, hi, place, scale, sign):
+    """One bracket's function on [lo, hi]: a steep tanh or kink through a
+    root at lo + place (hi - lo), or s - root with root = lo (1 + place),
+    which is exact on the section points of a dyadic [lo, 2 lo]."""
+    if kind == "dyadic":
+        return lambda s: sign * (np.asarray(s) - lo * (1.0 + place))
+    return lambda s: sign * steep_feature(kind, scale, lo, lo + (hi - lo) * place, 0.5)(s)
+
+
+@st.composite
+def bracket_batches(draw):
+    """(fun, a, b, fa, rows, fb) for one to six brackets, bracket i in the
+    octave region [4^i, 4^(i + 1)) of its own feature on row rows[i]; the
+    other row of that region holds 1.  rows and fb are each None or given."""
+    with_rows, with_fb = draw(st.booleans()), draw(st.booleans())
+    brackets, features = [], [[], []]
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["tanh", "kink", "dyadic"]))
+        row = draw(st.integers(0, 1)) if with_rows else 0
+        lo = 4.0 ** i * (1.0 if kind == "dyadic" else draw(st.floats(1.0, 2.0)))
+        if kind == "dyadic":
+            # Zeros on the first round's section points and deeper ones.
+            shift = draw(st.sampled_from([6, 12, 30]))
+            hi, place = 2.0 * lo, draw(st.integers(1, 2 ** 6 - 1)) * 2.0 ** -shift
+        else:
+            # From below rel_width (no round) up to lo: about 7 rounds.
+            hi = lo * (1.0 + 10.0 ** draw(st.floats(-13.5, 0.0)))
+            place = draw(st.floats(0.01, 0.99))
+        f = batch_feature(kind, lo, hi, place, 10.0 ** draw(st.floats(0.0, 8.0)),
+                          draw(st.sampled_from([1.0, -1.0])))
+        fa, fb = float(f(lo)), float(f(hi))
+        assume(fa != 0.0 and (fa < 0.0) != (fb < 0.0))
+        features[row].append(f)
+        features[1 - row].append(lambda s: np.ones_like(np.asarray(s)))
+        brackets.append((lo, hi, fa, fb, row))
+    edges = 4.0 ** np.arange(1, len(brackets))
+
+    def fun(s):
+        s = np.asarray(s)
+        region = np.searchsorted(edges, s, side="right")
+        out = np.array([[f(s) for f in row] for row in features])
+        out = out[:, region, np.arange(s.size)]
+        return out if with_rows else out[0]
+
+    a, b, fa, fb, rows = (list(v) for v in zip(*brackets))
+    return fun, a, b, fa, rows if with_rows else None, fb if with_fb else None
+
+
+class TestBatching:
+    """Refining brackets together changes no bracket's result, and costs one
+    call of fun per round."""
+
+    @given(batch=bracket_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_lone_brackets(self, batch):
+        fun, a, b, fa, rows, fb = batch
+        rel_width = 1e-13
+        roots, residuals = refine_brackets(fun, a, b, fa, rel_width, rows=rows, fb=fb)
+        assert len(roots) == len(residuals) == len(a)
+        for i, (root, residual) in enumerate(zip(roots, residuals)):
+            alone = refine_brackets(
+                fun, [a[i]], [b[i]], [fa[i]], rel_width,
+                rows=None if rows is None else [rows[i]],
+                fb=None if fb is None else [fb[i]])
+            assert repr((root, residual)) == repr((alone[0][0], alone[1][0]))
+            # The root is a sign change of its own row.
+            near = np.atleast_2d(fun([max(root * (1.0 - rel_width), a[i]),
+                                      min(root * (1.0 + rel_width), b[i])]))
+            left, right = near[0 if rows is None else rows[i]]
+            assert a[i] <= root <= b[i]
+            assert 0.0 in (left, right) or (left < 0.0) != (right < 0.0)
+
+    def test_no_brackets_no_call(self):
+        def fun(s):
+            raise AssertionError("fun called on an empty batch")
+
+        assert refine_brackets(fun, [], [], [], 1e-13) == ([], [])
+
+    def test_one_call_per_round(self):
+        # 200 brackets around the roots j pi of sin, of relative widths from
+        # 1e-14 to 1: call i holds 65 points of every bracket still live in
+        # round i, as counted by refining each bracket alone, and the last
+        # call the 200 roots.
+        def counted(calls):
+            def fun(s):
+                calls.append(np.size(s))
+                return np.sin(np.asarray(s))
+            return fun
+
+        rng = np.random.default_rng(7)
+        centre = np.pi * np.arange(1, 201)
+        width = centre * 10.0 ** rng.uniform(-14.0, 0.0, 200)
+        a = centre - width * rng.uniform(0.05, 0.95, 200)
+        b = a + width
+        rounds = []
+        for lo, hi in zip(a.tolist(), b.tolist()):
+            alone = []
+            refine_brackets(counted(alone), [lo], [hi], [math.sin(lo)], 1e-13,
+                            fb=[math.sin(hi)])
+            rounds.append(len(alone) - 1)
+        calls = []
+        refine_brackets(counted(calls), a, b, np.sin(a), 1e-13, fb=np.sin(b))
+        live = [sum(r > i for r in rounds) for i in range(max(rounds))]
+        assert max(rounds) >= 3 and min(rounds) == 0
+        assert calls == [65 * n for n in live] + [200]
+
+    def test_constant_g_many_cells(self):
+        # g is constant for M = 1/s on this ball, and the scan flags its
+        # rounding noise as turning cells, many of them in one batch.  The
+        # number of cells depends on the rounding, and is not pinned.
+        eq = build_reduced(ProblemInstance(geometry=BallGeometry(n=3, radius=1.2), k=1,
+                                           p=2.0, q=3.0, lam=0.3, kernel="s^-1"))
+        record = solve_roots(eq)
+        assert record["count"] == 0 and record["tangencies"] == []
+
+
 def count_kernel_calls(monkeypatch):
     """Counts of the scalar and array kernel calls reduction makes, h and g'
     together."""
