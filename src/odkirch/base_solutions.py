@@ -284,10 +284,6 @@ class BallGeometry(_Geometry):
         """w(r) in S_k(D^2 U) = C(N, k) w(|x - x0|): constant on the ball."""
         return 1.0
 
-    def far_field(self, profile: RadialProfile) -> None:
-        """The ball is bounded: there is no behaviour at infinity to report."""
-        return None
-
     def to_doc(self) -> dict:
         return {"kind": "ball", "dim": self.n, "radius": self.radius,
                 "center": list(self.center)}
@@ -329,16 +325,6 @@ class ExteriorGeometry(_Geometry):
     def rhs_weight(self, r):
         """w(r) in Delta U = N w(|x|): w(r) = r^(-n-2)."""
         return r ** (-self.n - 2.0)
-
-    def far_field(self, profile: RadialProfile) -> float:
-        """|u(r_far)| r_far^(n-2) for n >= 3 (the decay coefficient, about
-        amplitude/2) and |u(r_far)| itself for n = 2 (the bounded limit, again
-        about amplitude/2).  r_far = 1e5, lowered from n = 63 on so that
-        r_far^(n-2) stays at most about 1e300."""
-        if self.n == 2:
-            return abs(float(profile.phi(1e5)))
-        r_far = min(1e5, 10.0 ** (300.0 / (self.n - 2)))
-        return abs(float(profile.phi(r_far))) * r_far ** (self.n - 2.0)
 
     def to_doc(self) -> dict:
         return {"kind": "exterior", "dim": self.n}

@@ -115,7 +115,6 @@ class TestVerifyExterior:
                     assert report["interior_residual"] < 1e-6, label
                     assert report["boundary_value"] < 1e-10, label
                     assert report["boundary_gradient"] < 1e-8, label
-                    assert "far_field_ratio" in report
 
     def test_perturbed_solution_fails(self, battery):
         case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
@@ -147,13 +146,6 @@ class TestJudge:
         check = doc["checks"]["gamma_pde"]
         assert check["pass"] is passes
         assert (check["value"] < 1e-10) is passes
-
-    def test_exterior_root_reports_far_field(self, battery):
-        case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
-        inst, root = first_root(case, 1.0)
-        doc = judge_solution(inst, root, draw_samples(inst.geometry, 0))
-        assert doc["pass"] is True
-        assert doc["far_field_ratio"] == pytest.approx(0.5 * root["amplitude"], rel=1e-4)
 
     @pytest.mark.parametrize("scale", [1.0, 1.05])
     def test_run_records_equal_lone_judgements(self, battery, scale):
@@ -241,8 +233,6 @@ class TestKelvinChecks:
         assert dev["laplacian_identity"] < 1e-8
         assert dev["laplacian_constant"] < 1e-8
         assert dev["boundary_identity"] < 1e-8
-        assert dev["orthogonality"] < 1e-10
-        assert dev["pythagoras"] < 1e-10
         assert dev["double_transform"] < 1e-10
 
     @pytest.mark.parametrize("n,bound", [(2, 0.25), (3, 1e-3)])
@@ -297,25 +287,9 @@ class TestArrayPassesMatchLoops:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_kelvin_checks(self, n):
         geom = ExteriorGeometry(n=n)
-        base = geom.profile()
-        image = base.kelvin(n)
-        e1 = np.eye(n)[0]
+        image = geom.profile().kelvin(n)
         for seed in (0, 3):
             report = judge_kelvin(geom, seed=seed, n_samples=48)
-            rng = _Draws(seed)
-            rng.uniform(0.05, 0.999, 48)       # rho
-            rng.uniform(1.0, 4.0, 48)          # radii of the double transform
-            dirs = _unit_directions(rng, 48, n)
-            ortho = pyth = 0.0
-            for d, r in zip(dirs, rng.uniform(1.1, 3.0, 48)):
-                grad = float(base.phi(r)) * e1 + r * d[0] * float(base.dphi(r)) * d
-                b = (grad @ d) * d
-                a = grad - b
-                scale = max(1.0, float(grad @ grad))
-                ortho = max(ortho, abs(float(a @ b)) / scale)
-                pyth = max(pyth, abs(float(a @ a + b @ b - grad @ grad)) / scale)
-            assert report["checks"]["orthogonality"]["value"] == ortho
-            assert report["checks"]["pythagoras"]["value"] == pyth
             ratios = []
             for j in range(4, 21):
                 r = 2.0 ** (-j)

@@ -1,7 +1,7 @@
 """Compare the CLI outputs of two odkirch source trees, byte for byte.
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [CONFIG ...]
-        [--workload-seed N ...]
+        [--workload-seed N ...] [--drop-key NAME ...]
 
 PARENT_SRC and CHANGE_SRC are directories holding the `odkirch` package (the
 `src` directory of a checkout).  Each tree runs in its own interpreter, which
@@ -47,9 +47,13 @@ in-process once per operation:
   workload module is imported from this checkout, without writing bytecode
   under benchmarks/.
 
-Exit code, stdout and stderr of every operation are compared.  Each tree
-writes one result file per operation, so a plot-data output of some 10,000
-lines is held in memory only while it is compared.  Each differing
+Exit code, stdout and stderr of every operation are compared.  With
+--drop-key NAME, when the stdout of an operation parses as JSON on both
+sides, every key NAME is deleted from both documents, at any depth, before
+they are compared, and they are shown as parsed JSON printed with sorted
+keys; text outputs are compared as they are.  Each tree writes one result
+file per operation, so a plot-data output of some 10,000 lines is held in
+memory only while it is compared.  Each differing
 operation is printed as a unified diff of the two sides.  A summary line
 then sorts them: a difference is float-only when the exit codes agree, the
 stderr is equal once every float literal is masked (a kernel fault names
@@ -278,6 +282,29 @@ def run_tree(src: str, ops_file: Path, out_dir: Path) -> subprocess.Popen:
                              str(out_dir)])
 
 
+def drop_keys(obj, names):
+    """obj, parsed JSON, without the keys names at any depth."""
+    if isinstance(obj, dict):
+        return {key: drop_keys(value, names) for key, value in obj.items()
+                if key not in names}
+    if isinstance(obj, list):
+        return [drop_keys(value, names) for value in obj]
+    return obj
+
+
+def without_keys(old, new, names):
+    """The results old and new, their stdout rewritten without the keys names
+    when both parse as JSON."""
+    if not names:
+        return old, new
+    try:
+        docs = [json.loads(result[1]) for result in (old, new)]
+    except ValueError:
+        return old, new
+    return tuple([result[0], json.dumps(drop_keys(doc, names), indent=2, sort_keys=True)
+                  + "\n", result[2]] for result, doc in zip((old, new), docs))
+
+
 def render(result) -> list:
     code, out, err = result
     return [f"exit {code}\n", "--- stdout\n", *out.splitlines(True),
@@ -359,6 +386,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload-seed", type=int, action="append", default=[],
                         metavar="N", help="also run the benchmark workload "
                         "configs of seed N (repeatable)")
+    parser.add_argument("--drop-key", action="append", default=[], metavar="NAME",
+                        help="delete the key NAME from both sides' JSON output "
+                        "before comparing (repeatable)")
     args = parser.parse_args(argv)
     if args.child:
         return child(*args.child)
@@ -380,7 +410,8 @@ def main(argv=None) -> int:
         differing = structural = 0
         paths = {}        # key path -> [outputs, largest relative change]
         for i, (label, _) in enumerate(ops):
-            old, new = (json.loads((out / f"{i}.json").read_text()) for out in outs)
+            old, new = without_keys(*(json.loads((out / f"{i}.json").read_text())
+                                      for out in outs), set(args.drop_key))
             if old == new:
                 continue
             differing += 1
