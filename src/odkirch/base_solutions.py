@@ -367,12 +367,17 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     field not 0 at every sample overflows or is below m ulp(0) / rel_tol for
     m samples, each rounding by at most one subnormal spacing, and when the
     integrand at a finite end exceeds every sample by more than 1/rel_tol.
-    The norm is never a wrong 0.
+    The norm is never a wrong 0.  For p = inf a radial_f of several rows (a
+    profile scaled by a column, one row per field) gives a list of norms,
+    one per row, as `maximize` does: a row with a non-finite sample holds
+    its QuadratureError, for the caller to raise in its turn.
     """
     if not _is_finite_exponent(p):
-        _, value = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
-                            r_lo, r_hi)
-        return value
+        best = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
+                        r_lo, r_hi)
+        if isinstance(best, tuple):
+            return best[1]
+        return [row if isinstance(row, QuadratureError) else row[1] for row in best]
 
     samples = []
     if not math.isinf(r_hi):

@@ -62,10 +62,36 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# json.dumps of a str is this C function: the same escapes, the same bytes.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 17 significant digits for floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    """Deterministic JSON: sorted keys, 17 significant digits for floats.
+
+    The exact built-in types of the records are dispatched first; numpy
+    scalars, tuples and subclasses take the isinstance chain after them.
+    """
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is dict or kind is list:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        pad = "  " * indent
+        inner = "\n" + pad + "  "
+        if kind is dict:
+            items = [f"{_quote(str(key))}: {canonical_json(obj[key], indent + 1)}"
+                     for key in sorted(obj)]
+            return "{" + inner + ("," + inner).join(items) + "\n" + pad + "}"
+        items = [canonical_json(v, indent + 1) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+    if kind is str:
+        return _quote(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return str(obj)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -75,20 +101,11 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + canonical_json(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        return canonical_json(list(obj), indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(key))}: {canonical_json(obj[key], indent + 1)}"
-            for key in sorted(obj)
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        return canonical_json(dict(obj), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -139,18 +139,25 @@ def geom_grid(start: float, stop: float, n: int) -> np.ndarray:
 
 
 def maximize(f, a: float, b: float):
-    """Maximize a continuous f over [a, b], b possibly infinite.
+    """Maximize a continuous f over [a, b], b possibly infinite, or each row
+    of rows of functions on shared samples.
 
     f must be vectorized: it maps an array of points to an array of as many
-    values, finite ones.  A dense grid scan, one call f(xs) on all
-    _GRID_POINTS points, locates the neighbourhood of the global maximum.
-    Each round of refinement then samples the interval between the neighbours
-    of the best point so far at _REFINE_POINTS points in one call, until the
-    interval is no wider than 1e-12 (|lo| + |hi| + 1); grid endpoints stay in
-    contention so boundary maxima are found exactly.  An infinite right
-    endpoint is handled by the substitution r = 1/x, which compresses
-    [a, inf) into (0, 1/a] and concentrates samples where a decaying profile
-    can still be large.  Returns (argmax, max_value), the best sample seen.
+    values, finite ones; for rows it maps m points to a (rows, m) array, and
+    a (rows, m) array of points, row i for function i, to as many values.  A
+    dense grid scan, one call f(xs) on all _GRID_POINTS points, locates the
+    neighbourhood of each row's global maximum.  Each round of refinement then
+    samples, for every row in one call, the interval between the neighbours
+    of its best point so far at _REFINE_POINTS points, until every interval
+    is no wider than 1e-12 (|lo| + |hi| + 1); a row that has converged keeps
+    its last interval, its values ignored, so a row's result is the one it
+    gets alone.  Grid endpoints stay in contention so boundary maxima are
+    found exactly.  An infinite right endpoint is handled by the substitution
+    r = 1/x, which compresses [a, inf) into (0, 1/a] and concentrates samples
+    where a decaying profile can still be large.  Returns (argmax, max_value),
+    the best sample seen, or a list of them, one per row; a row with a
+    non-finite sample stops there and holds, in place of its pair, the
+    QuadratureError that a single f raises.
     """
     inverse = math.isinf(b)
     if inverse and a <= 0.0:
@@ -160,19 +167,45 @@ def maximize(f, a: float, b: float):
     # peaks still land between two neighbouring grid points.
     xs = (geom_grid(1.0 / a, 1e-12 / a, _GRID_POINTS) if inverse
           else np.linspace(a, b, _GRID_POINTS))
-    x_best, v_best = None, -math.inf
+    vals = np.asarray(f(1.0 / xs if inverse else xs), dtype=float)
+    single = vals.ndim < 2
+    n_rows = 1 if single else vals.shape[0]
+    shape = xs.shape if single else (n_rows, xs.size)
+    # Per row, as Python floats: the best (x, value) and the interval.
+    best, spans, results = [(None, -math.inf)] * n_rows, [None] * n_rows, [None] * n_rows
+    live = range(n_rows)
     while True:
-        vals = np.asarray(f(1.0 / xs if inverse else xs), dtype=float)
-        if vals.shape != xs.shape:
+        if vals.shape != shape:
             raise QuadratureError(f"maximize: f must map a vector of {xs.size} points "
                                   f"to as many values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("maximize: non-finite sample on grid")
-        i = int(np.argmax(vals))
-        if vals[i] > v_best:
-            x_best, v_best = xs[i], vals[i]
-        lo, hi = sorted((xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]))
-        if (hi - lo) <= 1e-12 * (abs(lo) + abs(hi) + 1.0):
-            return 1.0 / float(x_best) if inverse else float(x_best), float(v_best)
+        vals = vals.reshape(n_rows, shape[-1])
+        points = xs.reshape(-1, shape[-1])     # one shared row, or one per row
+        finite = np.isfinite(vals).all(axis=1).tolist()
+        cols, last, still = vals.argmax(axis=1).tolist(), shape[-1] - 1, []
+        for i in live:
+            c, row = cols[i], points[i if len(points) > 1 else 0]
+            lo, hi = spans[i] = sorted((row.item(max(c - 1, 0)), row.item(min(c + 1, last))))
+            if not finite[i]:
+                results[i] = QuadratureError("maximize: non-finite sample on grid")
+                continue
+            if vals.item(i, c) > best[i][1]:
+                best[i] = (row.item(c), vals.item(i, c))
+            if (hi - lo) <= 1e-12 * (abs(lo) + abs(hi) + 1.0):
+                x_best, v_best = best[i]
+                results[i] = (1.0 / x_best if inverse else x_best, v_best)
+            else:
+                still.append(i)
+        live = still
+        if single and isinstance(results[0], QuadratureError):
+            raise results[0]
+        if not live:
+            return results[0] if single else results
+        ends = np.array(spans)
+        lo, hi = ends[:, :1], ends[:, 1:]
         xs = _STEPS * ((hi - lo) / (_REFINE_POINTS - 1)) + lo
-        xs[-1] = hi
+        xs[:, -1:] = hi
+        if single:
+            xs, shape = xs[0], xs[0].shape
+        else:
+            shape = xs.shape
+        vals = np.asarray(f(1.0 / xs if inverse else xs), dtype=float)

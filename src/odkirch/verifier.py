@@ -15,10 +15,19 @@ RadialProfile.kelvin; only image_pointwise evaluates the definition itself.
 judge_kelvin reads the geometry's base field alone: its five checks and its
 removability flag depend on n and the seed only, never on a root.
 
+Every solution of a run is an explicit multiple amplitude U of the one base
+field U, so verify and gamma_scaling_check judge a run's roots together, as
+rows of one field: the profile scaled by the column of the amplitudes, whose
+rows hold the bits of each root's field alone.  The residuals, boundary
+stencils and gamma k-Hessians are (roots, samples) arrays reduced per row,
+and a sup norm is one maximization for all rows; finite-exponent norms and
+the kernel value stay one call per root, in root order.
+
 verify, gamma_scaling_check and judge_kelvin return their quantities under
-the names that `odkirch verify --json` prints; THRESHOLDS and the judges turn
-them into verdicts.  judge_run and judge_norms return the bodies of `odkirch
-verify --json` and `norms --json`, so the command line only renders them.
+the names that `odkirch verify --json` prints, per root for the first two;
+THRESHOLDS and the judges turn them into verdicts.  judge_run and judge_norms
+return the bodies of `odkirch verify --json` and `norms --json`, so the
+command line only renders them.
 """
 
 import math
@@ -34,7 +43,7 @@ from .reduction import ProblemInstance
 
 _INF = math.inf
 
-# Pass/fail gates of `judge_solution`, `judge_kelvin` and `judge_norms`.
+# Pass/fail gates of `judge_run`, `judge_kelvin` and `judge_norms`.
 THRESHOLDS = {
     "interior_residual": 1e-6,
     "boundary_value": 1e-10,
@@ -72,8 +81,8 @@ def _unit_directions(rng: _Draws, count: int, n: int) -> np.ndarray:
 
 def draw_samples(geometry, seed: int, n_samples: int = 64) -> tuple:
     """n_samples seeded sample radii of the geometry, then as many unit
-    directions: the draw `verify` and `judge_solution` take, its radii those
-    of fewer samples first."""
+    directions: the draw `verify` takes, its radii those of fewer samples
+    first."""
     rng = _Draws(seed)
     return geometry.sample_radii(rng, n_samples), _unit_directions(rng, n_samples, geometry.n)
 
@@ -82,23 +91,56 @@ def _normal_derivative(u, x: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray
     """Fourth-order central difference of u along nu at x.
 
     x and nu are (m, n) arrays of points and unit directions, and u a field
-    vectorized over points; the result holds the m derivatives.
+    vectorized over points; the result holds the m derivatives, in a row
+    per field for a field of rows.
     """
     return (-u(x + 2.0 * h * nu) + 8.0 * u(x + h * nu)
             - 8.0 * u(x - h * nu) + u(x - 2.0 * h * nu)) / (12.0 * h)
 
 
-def _field(instance: ProblemInstance, root: dict, scale: float):
-    """The radial profile of root's solution amplitude U, times scale; root's
-    claims (s, c) stay, so any scale but 1.0 must fail verification."""
-    prof = instance.geometry.profile().scale(root["amplitude"])
+def _field(instance: ProblemInstance, amplitude, scale: float):
+    """The radial profile of amplitude U, times scale: one row per root for a
+    column of amplitudes.  The roots' claims (s, c) stay, so any scale but 1.0
+    must fail verification."""
+    prof = instance.geometry.profile().scale(amplitude)
     return prof if scale == 1.0 else prof.scale(scale)
 
 
-def verify(instance: ProblemInstance, root: dict, draws: tuple,
-           scale: float = 1.0) -> dict:
-    """Check that the field u = amplitude U of root, a record of `solve_roots`,
-    times scale, solves on the instance's geometry the problem root claims.
+def _column(values: list) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
+
+
+def _norms(instance: ProblemInstance, roots: list, rows, scale: float) -> list:
+    """(||u||_p, ||grad u||_q, M at them) of every root's field, in root
+    order.  An infinite exponent's norms are one norm_quadrature call on the
+    rows, a finite one's one call per root; each root's errors are raised in
+    its turn, so the first failing root fails the run at the same stage
+    (U norm, gradient norm, kernel value) as it would alone."""
+    n, exponents = instance.geometry.n, (instance.p, instance.q)
+    sup = [norm_quadrature((rows.phi, rows.dphi)[order], exponent, n, rows.r_min,
+                           rows.r_max) if math.isinf(exponent) else None
+           for order, exponent in enumerate(exponents)]
+    out = []
+    for i, root in enumerate(roots):
+        prof, pair = None, []
+        for order, exponent in enumerate(exponents):
+            if sup[order] is None:
+                prof = prof or _field(instance, root["amplitude"], scale)
+                value = norm_quadrature((prof.phi, prof.dphi)[order], exponent, n,
+                                        prof.r_min, prof.r_max,
+                                        breaks=prof.sign_changes(order))
+            elif isinstance(value := sup[order][i], Exception):
+                raise value
+            pair.append(value)
+        out.append((*pair, eval_kernel(instance.kernel, *pair)))
+    return out
+
+
+def verify(instance: ProblemInstance, roots: list, draws: tuple,
+           scale: float = 1.0) -> list:
+    """Check that the field u = amplitude U of each root, a record of
+    `solve_roots`, times scale, solves on the instance's geometry the problem
+    the root claims.
 
     Interior: M(||u||_p, ||grad u||_q) S_k(D^2 u) = lambda w(|x - x0|) at
     seeded random radii, with both norms recomputed by quadrature and w the
@@ -107,97 +149,84 @@ def verify(instance: ProblemInstance, root: dict, draws: tuple,
     random points of the sphere of radius R about x0 (R = 1, x0 = 0 for the
     exterior domain), the derivative taken by finite differences of the
     scalar field; norm_consistency compares the quadrature ||u||_p with s.
-    Keys are those of the per-root record of `odkirch verify --json`.  draws
-    holds the sample radii and the boundary directions, as `draw_samples`
-    returns them.
+    The roots are rows of one field, the profile scaled by the column of
+    their amplitudes, so each row holds the bits of its root's field alone.
+    Returns per root a dict keyed as the per-root record of `odkirch verify
+    --json`.  draws holds the sample radii and the boundary directions, as
+    `draw_samples` returns them.
     """
     geom = instance.geometry
     n, radius = geom.n, geom.radius
-    prof = _field(instance, root, scale)
-    nu_q = norm_quadrature(prof.phi, instance.p, n, prof.r_min, prof.r_max,
-                           breaks=prof.sign_changes(0))
-    ng_q = norm_quadrature(prof.dphi, instance.q, n, prof.r_min, prof.r_max,
-                           breaks=prof.sign_changes(1))
-    m_val = eval_kernel(instance.kernel, nu_q, ng_q)
+    prof = _field(instance, _column([root["amplitude"] for root in roots]), scale)
+    norms = _norms(instance, roots, prof, scale)
 
     radii, dirs = draws
     sk = k_hessian_radial(prof, radii, n, instance.k)
-    interior = float(np.max(np.abs(m_val * sk - instance.lam * geom.rhs_weight(radii))))
+    m_vals = _column([m_val for *_, m_val in norms])
+    interior = np.max(np.abs(m_vals * sk - instance.lam * geom.rhs_weight(radii)), axis=1)
 
     h = 1e-4 * max(1.0, radius, *map(abs, geom.center))
     u = prof.as_field(geom.center)
     x = np.asarray(geom.center) + radius * dirs
     dn = _normal_derivative(u, x, dirs, h)
-    values = {
-        "interior_residual": interior,
-        "boundary_value": float(np.max(np.abs(u(x)))),
-        "boundary_gradient": float(np.max(np.abs(np.abs(dn) - root["c"]))),
+    boundary = np.max(np.abs(u(x)), axis=1)
+    gradient = np.max(np.abs(np.abs(dn) - _column([root["c"] for root in roots])), axis=1)
+    return [{
+        "interior_residual": res,
+        "boundary_value": bval,
+        "boundary_gradient": bgrad,
         "norm_consistency": abs(nu_q - root["s"]) / max(1.0, abs(root["s"])),
         "norm_u_quad": nu_q,
         "norm_grad_quad": ng_q,
         "kernel_value": float(m_val),
-    }
-    return values
+    } for root, (nu_q, ng_q, m_val), res, bval, bgrad
+        in zip(roots, norms, interior.tolist(), boundary.tolist(), gradient.tolist())]
 
 
-def gamma_scaling_check(instance: ProblemInstance, root: dict, values: dict,
-                        radii: np.ndarray, scale: float = 1.0) -> dict:
-    """Rescale root's solution u, times scale as in `verify`, by
+def gamma_scaling_check(instance: ProblemInstance, roots: list, values: list,
+                        radii: np.ndarray, scale: float = 1.0) -> list:
+    """Rescale each root's solution u, times scale as in `verify`, by
     gamma = (M C(N,k) / lambda)^(1/k) and test that v = gamma u satisfies the
     normalized equation of the base field: S_k(D^2 v) = C(N, k) on the ball,
     Delta v = n |x|^(-n-2) outside.
 
-    M is `values["kernel_value"]`, the kernel at the quadrature-recomputed
-    norms of u that `verify` found, so this closes the loop between solver,
-    norms and scaling without shared code.  gamma_amplitude is |gamma *
-    amplitude - 1|, and gamma_pde the deviation relative to C(N, k), the
-    scale of the base equation's right side.  M > 0 at a true root, where
-    M C(N, k) s^k = lambda ||U||_p^k > 0; for M <= 0 no real gamma exists,
-    and all four values are nan, which fails both gamma checks.  radii are
-    the sample radii of the PDE.
+    M is the root's `values["kernel_value"]`, the kernel at the
+    quadrature-recomputed norms of u that `verify` found, so this closes the
+    loop between solver, norms and scaling without shared code.
+    gamma_amplitude is |gamma * amplitude - 1|, and gamma_pde the deviation
+    relative to C(N, k), the scale of the base equation's right side.  M > 0
+    at a true root, where M C(N, k) s^k = lambda ||U||_p^k > 0; for M <= 0 no
+    real gamma exists, and all four values are nan, which fails both gamma
+    checks.  The roots are rows of one field, scaled by the column of their
+    gammas.  radii are the sample radii of the PDE.
     """
     geom = instance.geometry
     n = geom.n
-    m_val = values["kernel_value"]
-    if m_val <= 0.0:
-        return dict.fromkeys(("gamma", "recovered_amplitude", "gamma_amplitude",
-                              "gamma_pde"), math.nan)
     coeff = binomial(n, instance.k)
-    gamma = (m_val * coeff / instance.lam) ** (1.0 / instance.k)
-    scaled = _field(instance, root, scale).scale(gamma)
-
-    dev = float(np.max(np.abs(
+    m_vals = [doc["kernel_value"] for doc in values]
+    gammas = [(m_val * coeff / instance.lam) ** (1.0 / instance.k) if m_val > 0.0
+              else math.nan for m_val in m_vals]
+    scaled = _field(instance, _column([root["amplitude"] for root in roots]),
+                    scale).scale(_column(gammas))
+    devs = np.max(np.abs(
         k_hessian_radial(scaled, radii, n, instance.k) - coeff * geom.rhs_weight(radii)
-    )))
-    recovered = float(gamma * (root["amplitude"] * scale))
-    return {"gamma": float(gamma), "recovered_amplitude": recovered,
-            "gamma_amplitude": abs(recovered - 1.0), "gamma_pde": dev / coeff}
+    ), axis=1).tolist()
+    out = []
+    for root, m_val, gamma, dev in zip(roots, m_vals, gammas, devs):
+        if m_val <= 0.0:
+            out.append(dict.fromkeys(("gamma", "recovered_amplitude", "gamma_amplitude",
+                                      "gamma_pde"), math.nan))
+            continue
+        recovered = float(gamma * (root["amplitude"] * scale))
+        out.append({"gamma": float(gamma), "recovered_amplitude": recovered,
+                    "gamma_amplitude": abs(recovered - 1.0), "gamma_pde": dev / coeff})
+    return out
 
 
 def _check_table(values: dict) -> dict:
     """{name: (value, threshold)} -> {name: {value, threshold, pass}}."""
     return {name: {"value": v, "threshold": t, "pass": v <= t}
             for name, (v, t) in values.items()}
-
-
-def judge_solution(instance: ProblemInstance, root: dict, draws: tuple,
-                   scale: float = 1.0) -> dict:
-    """Pass or fail root's solution, times scale: `verify` and the gamma
-    check against THRESHOLDS.
-
-    Returns the per-root record of `odkirch verify --json`: s, c and the
-    amplitude of the field judged, the recomputed norms, kernel value and
-    gamma, every check with its value, threshold and pass flag, and the
-    overall "pass".  draws, those of `draw_samples`, go to `verify`, and the
-    first 48 of their radii to the gamma check.
-    """
-    doc = verify(instance, root, draws, scale)
-    doc.update(gamma_scaling_check(instance, root, doc, draws[0][:48], scale))
-    checks = _check_table({name: (doc.pop(name), t)
-                           for name, t in THRESHOLDS.items() if name in doc})
-    return {"s": root["s"], "amplitude": root["amplitude"] * scale, "c": root["c"],
-            **doc, "checks": checks,
-            "pass": all(chk["pass"] for chk in checks.values())}
 
 
 def judge_kelvin(geometry, seed: int = 0, n_samples: int = 48) -> dict | None:
@@ -264,15 +293,32 @@ def judge_run(instance: ProblemInstance, analysis: dict, seed: int = 0,
               scale: float = 1.0) -> dict:
     """Pass or fail an analyze record: the body of `odkirch verify --json`,
     "pass" when its system check matched, every root's solution times scale
-    passes `judge_solution` and the Kelvin suite, if any, passes."""
+    passes `verify` and the gamma check against THRESHOLDS, and the Kelvin
+    suite, if any, passes.
+
+    The roots are judged together, as rows of one field, on one draw,
+    `draw_samples(geometry, seed)`; the gamma check reads the first 48 of
+    its radii.  Each record of "roots" holds s, c and the amplitude of the
+    field judged, the recomputed norms, kernel value and gamma, every check
+    with its value, threshold and pass flag, and the root's overall "pass".
+    """
     draws = draw_samples(instance.geometry, seed)
-    roots = [judge_solution(instance, root, draws, scale) for root in analysis["roots"]]
+    roots, docs = analysis["roots"], []
+    values = verify(instance, roots, draws, scale)
+    gammas = gamma_scaling_check(instance, roots, values, draws[0][:48], scale)
+    for root, doc, gamma in zip(roots, values, gammas):
+        doc.update(gamma)
+        checks = _check_table({name: (doc.pop(name), t)
+                               for name, t in THRESHOLDS.items() if name in doc})
+        docs.append({"s": root["s"], "amplitude": root["amplitude"] * scale,
+                     "c": root["c"], **doc, "checks": checks,
+                     "pass": all(chk["pass"] for chk in checks.values())})
     kelvin = judge_kelvin(instance.geometry, seed=seed)
     system_check = analysis["system_check"]
-    ok = (system_check["matched"] and all(doc["pass"] for doc in roots)
+    ok = (system_check["matched"] and all(doc["pass"] for doc in docs)
           and (kelvin is None or kelvin["pass"]))
     return {"amplitude_scale": scale, "count": analysis["count"],
-            "system_check": system_check, "roots": roots, "kelvin": kelvin,
+            "system_check": system_check, "roots": docs, "kelvin": kelvin,
             "warnings": analysis["warnings"], "verdict": "pass" if ok else "fail"}
 
 

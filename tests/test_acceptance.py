@@ -169,8 +169,8 @@ def test_criterion_5_pde_residuals():
             continue
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
-        for root in solve_roots(eq)["roots"]:
-            rep = verify(inst, root, draw_samples(inst.geometry, 0, 100))
+        roots = solve_roots(eq)["roots"]
+        for root, rep in zip(roots, verify(inst, roots, draw_samples(inst.geometry, 0, 100))):
             label = (case["name"], lam, root["s"])
             assert rep["interior_residual"] <= 1e-6, label
             assert rep["boundary_value"] <= 1e-10, label
@@ -199,10 +199,10 @@ def test_criterion_7_gamma_scaling():
             continue
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
-        for root in solve_roots(eq)["roots"]:
-            values = verify(inst, root, draw_samples(inst.geometry, 0))
-            rep = gamma_scaling_check(inst, root, values,
-                                      draw_samples(inst.geometry, 0, 100)[0])
+        roots = solve_roots(eq)["roots"]
+        values = verify(inst, roots, draw_samples(inst.geometry, 0))
+        reps = gamma_scaling_check(inst, roots, values, draw_samples(inst.geometry, 0, 100)[0])
+        for root, rep in zip(roots, reps):
             label = (case["name"], lam, root["s"])
             assert abs(rep["recovered_amplitude"] - 1.0) <= 1e-6, label
             # gamma_pde is relative to C(N, k); the criterion bounds the

@@ -12,15 +12,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry
 from odkirch import cli
 from odkirch.cli import main
+from odkirch.config import build_config
 from odkirch.errors import DomainError
 from odkirch.reduction import build_reduced, solve_roots, system_count_check
-from odkirch.verifier import (draw_samples, judge_kelvin, judge_norms, judge_run,
-                              judge_solution)
+from odkirch.verifier import draw_samples, judge_kelvin, judge_norms, judge_run, verify
 
 from conftest import load_battery, make_instance
 
@@ -189,9 +190,11 @@ class TestVerify:
         analysis = analysis_record(inst)
         assert analysis["count"] >= 1
         assert body == judge_run(inst, analysis, 0, scale)
-        draws = draw_samples(inst.geometry, 0)
-        assert body["roots"] == [judge_solution(inst, root, draws, scale)
-                                 for root in analysis["roots"]]
+        values = verify(inst, analysis["roots"], draw_samples(inst.geometry, 0), scale)
+        assert len(body["roots"]) == len(values)
+        for doc, value in zip(body["roots"], values):
+            flat = {**doc, **{name: chk["value"] for name, chk in doc["checks"].items()}}
+            assert {name: flat[name] for name in value} == value
         assert body["kelvin"] == judge_kelvin(inst.geometry)
         assert body["verdict"] == ("pass" if scale == 1.0 else "fail")
         assert code == (0 if scale == 1.0 else 1)
@@ -881,6 +884,67 @@ class TestHugeExponents:
         assert code == 1 and err == "" and "verdict: FAIL" in out
 
 
+def reference_json(obj, indent: int = 0) -> str:
+    """The isinstance walk that canonical_json dispatches around: the
+    reference its bytes must match."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return cli._format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + reference_json(v, indent + 1) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(key))}: {reference_json(obj[key], indent + 1)}"
+            for key in sorted(obj)
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class TestCanonicalJson:
+    EDGE = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-320, 0.1, 1e22,
+        np.float64(1.0 / 3.0), np.float32(0.1), np.float64(math.nan), np.float64(-math.inf),
+        np.int64(-7), np.int32(3), np.bool_(True), np.bool_(False), True, False, 0, -12,
+        10 ** 30, None, {"a": True, "b": 1, "c": [False, 0, 1, True]}, [], {}, (),
+        [[], {}, ()], {"x": {}}, (1, 2.5, "t"), "", "plain", "caf\u00e9 \u2603 \U0001f600",
+        "\x00\x01\x1f\x7f \n\t\r \" \\ /", {"k\u00e9y\n": "\u2028"}, {3: "int key"},
+        [np.float64(2.0), np.int64(2), np.bool_(True)],
+    ]
+
+    @pytest.mark.parametrize("value", EDGE, ids=repr)
+    def test_edge_values(self, value):
+        assert cli.canonical_json(value) == reference_json(value)
+        assert cli.canonical_json([value], 2) == reference_json([value], 2)
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            cli.canonical_json({"a": {1}})
+
+    def test_battery_records(self):
+        # Every battery run's analyze, verify and norms records.
+        for case in BATTERY["cases"]:
+            for run in case["runs"]:
+                cfg = build_config(config_doc(case, run["lambda"]))
+                for command in ("analyze", "verify", "norms"):
+                    record = cli._record(command, cfg)
+                    assert cli.canonical_json(record) == reference_json(record)
+
+
 class TestPolicyHome:
     def test_cli_holds_no_pass_fail_policy(self):
         # Gates, quadrature and judges live in the library; the CLI renders
@@ -896,7 +960,8 @@ class TestPolicyHome:
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
         assert "judge_run" in names and "judge_norms" in names
-        policy = {"THRESHOLDS", "norm_quadrature", "judge_solution", "judge_kelvin"}
+        policy = {"THRESHOLDS", "norm_quadrature", "verify", "gamma_scaling_check",
+                  "judge_kelvin"}
         assert names.isdisjoint(policy), names & policy
 
 

@@ -322,6 +322,56 @@ class TestMaximize:
         assert all(shape == (65,) for shape in calls[1:])
         assert 2 <= len(calls) <= 12
 
+    @pytest.mark.parametrize("b", [5.0, math.inf])
+    def test_rows_share_each_call(self, b):
+        # Rows that are multiples of one function, as a run's roots are: as
+        # many calls as one row alone, each row's (argmax, max) its own.
+        calls = []
+
+        def counted(factor):
+            def f(r):
+                calls.append(np.shape(r))
+                return factor * (np.asarray(r, dtype=float) ** 2 * np.exp(-r))
+            return f
+
+        factors = np.array([[0.5], [1.0], [3.0]])
+        got = maximize(counted(factors), 1.0, b)
+        shapes = list(calls)
+        for i, factor in enumerate(factors[:, 0].tolist()):
+            calls.clear()
+            assert got[i] == maximize(counted(factor), 1.0, b)
+            assert len(calls) == len(shapes)
+        assert shapes[0] == (4096,)
+        assert all(shape == (3, 65) for shape in shapes[1:])
+
+    def test_rows_finish_on_their_own(self):
+        # The interval test is relative to |lo| + |hi| + 1: a peak near 0
+        # takes one round more than one near 5.  The row done first keeps its
+        # last interval meanwhile and returns what it returns alone; a row
+        # with a non-finite sample holds the error that one row raises.
+        calls = []
+
+        def counted(peaks):
+            def f(x):
+                calls.append(np.shape(x))
+                x = np.asarray(x, dtype=float)
+                out = np.exp(-(x - peaks) ** 2)
+                if out.ndim == 2:
+                    out[2] = np.where(np.abs(x[-1] - 3.7) < 1e-3, np.nan, out[2])
+                return out
+            return f
+
+        got = maximize(counted(np.array([[0.01], [4.9], [3.7]])), 0.0, 5.0)
+        rounds = len(calls)
+        alone = []
+        for i, peak in enumerate((0.01, 4.9)):
+            calls.clear()
+            assert got[i] == maximize(counted(peak), 0.0, 5.0)
+            alone.append(len(calls))
+        assert alone[0] > alone[1] and rounds == alone[0]
+        assert isinstance(got[2], QuadratureError)
+        assert "non-finite" in str(got[2])
+
     def test_grids_are_one_memoized_geomspace(self):
         # The root scan's grid and maximize's grid for [2, inf) share one
         # cache: one read-only grid per argument tuple, np.geomspace's values.

@@ -15,7 +15,9 @@ def test_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     lines = out.getvalue().splitlines()
-    # Per root its s, c and residual, then its verdict; then the run's and
-    # the norms' verdicts.
+    # Per root its s, c and residual; then each root's verdict, the run's
+    # and the norms'.
     assert lines[-2:] == ["pass", "pass"]
-    assert lines[2:-2:2] and all(line == "True" for line in lines[2:-2:2])
+    count = int(lines[0].split()[0])
+    assert count >= 1 and len(lines) == 1 + count + 3
+    assert lines[-3] == repr([True] * count)

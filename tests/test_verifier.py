@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from odkirch.base_solutions import BallGeometry, ExteriorGeometry, RadialProfile
-from odkirch.errors import DomainError
+from odkirch import verifier
+from odkirch.errors import DomainError, KernelEvalError, QuadratureError
 from odkirch.hessian import binomial
 from odkirch.reduction import (ProblemInstance, build_reduced, solve_roots,
                                system_count_check)
@@ -16,13 +17,18 @@ from odkirch.verifier import (
     gamma_scaling_check,
     judge_kelvin,
     judge_run,
-    judge_solution,
     _unit_directions,
     draw_samples,
     verify,
 )
 
 from conftest import make_instance
+
+# M = 2 - s has roots near s = 0.05 and 1.95; at amplitude_scale 1.05 the
+# second root's field has norm past 2, where M < 0.
+NON_POSITIVE = {"name": "non-positive-kernel",
+                "geometry": {"kind": "ball", "n": 2, "radius": 1.0},
+                "p": "inf", "q": 2.0, "kernel": "2 - s"}
 
 
 def first_root(case, lam):
@@ -35,6 +41,13 @@ def all_roots(case, lam):
     return inst, solve_roots(build_reduced(inst))["roots"]
 
 
+def judge_root(inst, root, seed=0, scale=1.0):
+    """The record judge_run makes of root judged as a one-root run."""
+    analysis = {"count": 1, "roots": [root], "warnings": [],
+                "system_check": {"matched": True}}
+    return judge_run(inst, analysis, seed, scale)["roots"][0]
+
+
 class TestVerifyBall:
     def test_battery_solutions_pass(self, battery):
         for case in battery["cases"]:
@@ -45,7 +58,7 @@ class TestVerifyBall:
                     continue
                 inst, roots = all_roots(case, run["lambda"])
                 for root in roots:
-                    report = verify(inst, root, draw_samples(inst.geometry, 0, 64))
+                    report = verify(inst, [root], draw_samples(inst.geometry, 0, 64))[0]
                     label = (case["name"], run["lambda"], root["s"])
                     assert report["interior_residual"] < 1e-6, label
                     assert report["boundary_value"] < 1e-10, label
@@ -54,21 +67,21 @@ class TestVerifyBall:
 
     def test_perturbed_solution_fails(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
-        report = verify(inst, root, draw_samples(inst.geometry, 0, 32), scale=1.02)
+        report = verify(inst, [root], draw_samples(inst.geometry, 0, 32), scale=1.02)[0]
         assert report["interior_residual"] > 1e-3
         assert report["boundary_gradient"] > 1e-3
 
     def test_perturbation_leaves_claims(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
-        bad = judge_solution(inst, root, draw_samples(inst.geometry, 0), scale=2.0)
+        bad = judge_root(inst, root, scale=2.0)
         assert bad["c"] == root["c"] and bad["s"] == root["s"]
         assert bad["amplitude"] == pytest.approx(2.0 * root["amplitude"])
 
     def test_perturbed_field_is_scaled(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
         center = inst.geometry.center
-        good = _field(inst, root, 1.0).as_field(center)
-        bad = _field(inst, root, 1.02).as_field(center)
+        good = _field(inst, root["amplitude"], 1.0).as_field(center)
+        bad = _field(inst, root["amplitude"], 1.02).as_field(center)
         x = np.array([0.3, -0.4])
         assert bad(x) == pytest.approx(1.02 * good(x), rel=1e-15)
 
@@ -80,7 +93,7 @@ class TestVerifyBall:
         _, root_ext = first_root(ext_case, 1.0)
         inst_ball, _ = first_root(ball_case, 3.0)
         draws = draw_samples(inst_ball.geometry, 0)
-        assert judge_solution(inst_ball, root_ext, draws)["pass"] is False
+        assert judge_root(inst_ball, root_ext)["pass"] is False
 
     def test_off_center_ball(self):
         case = {
@@ -95,7 +108,7 @@ class TestVerifyBall:
             k=1, p=inst.p, q=inst.q, lam=3.0, kernel="1",
         )
         root = solve_roots(build_reduced(shifted))["roots"][0]
-        report = verify(shifted, root, draw_samples(shifted.geometry, 0, 32))
+        report = verify(shifted, [root], draw_samples(shifted.geometry, 0, 32))[0]
         assert report["interior_residual"] < 1e-6
         assert report["boundary_value"] < 1e-10
 
@@ -110,7 +123,7 @@ class TestVerifyExterior:
                     continue
                 inst, roots = all_roots(case, run["lambda"])
                 for root in roots:
-                    report = verify(inst, root, draw_samples(inst.geometry, 0, 64))
+                    report = verify(inst, [root], draw_samples(inst.geometry, 0, 64))[0]
                     label = (case["name"], run["lambda"], root["s"])
                     assert report["interior_residual"] < 1e-6, label
                     assert report["boundary_value"] < 1e-10, label
@@ -119,19 +132,18 @@ class TestVerifyExterior:
     def test_perturbed_solution_fails(self, battery):
         case = next(c for c in battery["cases"] if c["geometry"]["kind"] == "exterior")
         inst, root = first_root(case, 1.0)
-        report = verify(inst, root, draw_samples(inst.geometry, 0, 32), scale=0.97)
+        report = verify(inst, [root], draw_samples(inst.geometry, 0, 32), scale=0.97)[0]
         assert report["interior_residual"] > 1e-3
 
 
 class TestJudge:
     def test_battery_root_passes_perturbed_fails(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
-        draws = draw_samples(inst.geometry, 0)
-        doc = judge_solution(inst, root, draws)
+        doc = judge_root(inst, root)
         assert doc["pass"] is True
         assert all(chk["pass"] for chk in doc["checks"].values())
         assert doc["s"] == root["s"] and "far_field_ratio" not in doc
-        bad = judge_solution(inst, root, draws, scale=1.02)
+        bad = judge_root(inst, root, scale=1.02)
         assert bad["pass"] is False
         assert not bad["checks"]["interior_residual"]["pass"]
 
@@ -142,38 +154,68 @@ class TestJudge:
         inst = ProblemInstance(geometry=BallGeometry(n=24, radius=1.0), k=12,
                                p=math.inf, q=math.inf, lam=1.0, kernel="1 + s")
         (root,) = solve_roots(build_reduced(inst))["roots"]
-        doc = judge_solution(inst, root, draw_samples(inst.geometry, 0), scale)
+        doc = judge_root(inst, root, scale=scale)
         check = doc["checks"]["gamma_pde"]
         assert check["pass"] is passes
         assert (check["value"] < 1e-10) is passes
 
-    @pytest.mark.parametrize("scale", [1.0, 1.05])
-    def test_run_records_equal_lone_judgements(self, battery, scale):
-        # judge_run draws once for all the roots of a run; each record is the
-        # one judge_solution makes alone, and holds the values of verify on
-        # that draw and of the gamma check on a draw of its own 48 samples.
-        for case in battery["cases"]:
-            for run in (r for r in case["runs"] if r["count"] >= 2):
-                inst = make_instance(case, run["lambda"])
-                eq = build_reduced(inst)
-                record = solve_roots(eq)
-                analysis = {**record, "system_check": system_count_check(eq, record)}
-                for seed in (0, 5):
-                    docs = judge_run(inst, analysis, seed, scale)["roots"]
-                    assert len(docs) == run["count"] >= 2
-                    draws = draw_samples(inst.geometry, seed)
-                    radii = draw_samples(inst.geometry, seed, 48)[0]
-                    for doc, root in zip(docs, record["roots"]):
-                        assert doc == judge_solution(inst, root, draws, scale)
-                        lone = verify(inst, root, draws, scale)
-                        lone.update(gamma_scaling_check(inst, root, lone, radii, scale))
-                        values = {**doc, **{name: chk["value"]
-                                            for name, chk in doc["checks"].items()}}
-                        assert {name: values[name] for name in lone} == lone
+    @pytest.mark.parametrize("scale", [1.0, 1.05, 0.9])
+    def test_rows_equal_lone_roots(self, battery, scale):
+        # judge_run judges a run's roots as rows of one field; each row's
+        # record holds the bits of that root judged as a one-root run.  The
+        # kernel 2 - s is negative at the 1.05-scaled field of its second
+        # root: that row gets nan gamma values and the other row does not.
+        runs = [(case, run["lambda"]) for case in battery["cases"]
+                for run in case["runs"] if run["count"] >= 2]
+        runs += [({**NON_POSITIVE, "k": k}, lam) for k, lam in ((1, 0.39), (2, 0.76))]
+        for case, lam in runs:
+            inst = make_instance(case, lam)
+            eq = build_reduced(inst)
+            record = solve_roots(eq)
+            analysis = {**record, "system_check": system_count_check(eq, record)}
+            assert 2 <= analysis["count"] <= 3
+            for seed in (0, 5):
+                docs = judge_run(inst, analysis, seed, scale)["roots"]
+                lone = [judge_root(inst, root, seed, scale) for root in record["roots"]]
+                assert repr(docs) == repr(lone), (case["name"], lam, seed)
+                if case["name"] != NON_POSITIVE["name"]:
+                    continue
+                gammas = [math.isnan(doc["gamma"]) for doc in docs]
+                assert gammas == ([False, True] if scale == 1.05 else [False, False])
+
+    def test_first_failing_root_raises_at_its_stage(self, battery, monkeypatch):
+        # Root 0's kernel value faults, and root 1's finite norm of U fails:
+        # alone, root 0 fails first, so the run raises its KernelEvalError.
+        case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
+        inst = make_instance(case, 1.0)
+        eq = build_reduced(inst)
+        record = solve_roots(eq)
+        analysis = {**record, "system_check": system_count_check(eq, record)}
+        (s_0, *_), (s_1, *_) = ([root["s"], root["amplitude"]] for root in record["roots"])
+        norm_quadrature, eval_kernel = verifier.norm_quadrature, verifier.eval_kernel
+        calls = []
+
+        def failing_norm(radial_f, p, *args, **kwargs):
+            value = norm_quadrature(radial_f, p, *args, **kwargs)
+            calls.append(value)
+            if p == inst.p and value == pytest.approx(s_1, rel=1e-8):
+                raise QuadratureError("root 1's norm")
+            return value
+
+        def failing_kernel(node, s, t):
+            if s == pytest.approx(s_0, rel=1e-8):
+                raise KernelEvalError("root 0's kernel value", "1 / (1 + s * t)", (s, t))
+            return eval_kernel(node, s, t)
+
+        monkeypatch.setattr(verifier, "norm_quadrature", failing_norm)
+        monkeypatch.setattr(verifier, "eval_kernel", failing_kernel)
+        with pytest.raises(KernelEvalError, match="root 0's kernel value"):
+            judge_run(inst, analysis)
+        assert len(calls) == 2          # root 0's two norms; root 1 never starts
 
     @pytest.mark.parametrize("geom", [BallGeometry(n=3, radius=1.5), ExteriorGeometry(n=4)])
     def test_gamma_radii_are_a_draw_of_48(self, geom):
-        # judge_solution hands the gamma check the first 48 radii of the run's
+        # judge_run hands the gamma check the first 48 radii of the run's
         # draw: those of a draw of 48 samples from the same seed, bit for bit.
         for seed in (0, 5, 2 ** 70):
             assert np.array_equal(draw_samples(geom, seed, 48)[0],
@@ -268,10 +310,10 @@ class TestArrayPassesMatchLoops:
             for run in (r for r in case["runs"] if r["count"] > 0):
                 inst, root = first_root(case, run["lambda"])
                 geom = inst.geometry
-                u = _field(inst, root, 1.0).as_field(geom.center)
+                u = _field(inst, root["amplitude"], 1.0).as_field(geom.center)
                 h = 1e-4 * max(1.0, geom.radius, *map(abs, geom.center))
                 for seed in (0, 7):
-                    report = verify(inst, root, draw_samples(geom, seed, 16))
+                    report = verify(inst, [root], draw_samples(geom, seed, 16))[0]
                     rng = _Draws(seed)
                     geom.sample_radii(rng, 16)
                     bval = bgrad = 0.0
@@ -310,8 +352,8 @@ class TestGammaScaling:
                 inst, roots = all_roots(case, run["lambda"])
                 for root in roots:
                     draws = draw_samples(inst.geometry, 0)
-                    report = gamma_scaling_check(inst, root, verify(inst, root, draws),
-                                                 draws[0][:48])
+                    (report,) = gamma_scaling_check(inst, [root], verify(inst, [root], draws),
+                                                    draws[0][:48])
                     label = (case["name"], run["lambda"], root["s"])
                     assert abs(report["recovered_amplitude"] - 1.0) < 1e-6, label
                     assert report["gamma_pde"] * binomial(inst.geometry.n, inst.k) < 1e-6, label
@@ -321,14 +363,15 @@ class TestGammaScaling:
         case = battery["cases"][0]
         inst, root = first_root(case, 3.0)
         draws = draw_samples(inst.geometry, 0)
-        report = gamma_scaling_check(inst, root, verify(inst, root, draws), draws[0][:48])
+        (report,) = gamma_scaling_check(inst, [root], verify(inst, [root], draws),
+                                        draws[0][:48])
         assert report["gamma"] == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_wrong_amplitude_detected(self, battery):
         inst, root = first_root(battery["cases"][0], 3.0)
         draws = draw_samples(inst.geometry, 0)
-        report = gamma_scaling_check(inst, root, verify(inst, root, draws, scale=1.05),
-                                     draws[0][:48], scale=1.05)
+        (report,) = gamma_scaling_check(inst, [root], verify(inst, [root], draws, scale=1.05),
+                                        draws[0][:48], scale=1.05)
         # Norms move, so the kernel value and gamma move with them; the
         # product gamma * amplitude must drift off 1.
         assert abs(report["recovered_amplitude"] - 1.0) > 1e-3

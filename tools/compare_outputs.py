@@ -25,6 +25,12 @@ in-process once per operation:
   root: analyze, verify and norms, as text and with --json, at
   amplitude_scale 1.0, 1.05 and 0.9, and plot-data (the scan grid and the
   roots, which do not depend on amplitude_scale) once;
+- verify, as text and with --json, on every run of
+  tests/fixtures/battery.json (with the four runs of its tangency case) at
+  EXTREME_SCALES, amplitude_scale 1e-300 and 1e300, where each run with
+  roots ends in the typed error of its first failing root: exit 3 for a
+  non-finite integrand, an integral outside the normal doubles or an
+  underflow radius, exit 4 for the kernel fault of (s - 1.0)^2.0;
 - analyze, as text and with --json, for every kernel of
   tests/fixtures/kernel_corpus.txt on the two geometries of
   `test_corpus_kernels` (ball n=3 R=1.2 p=2 q=3 and exterior n=3 p=4 q=2,
@@ -43,9 +49,10 @@ in-process once per operation:
   root: analyze, verify and norms, as text and with --json;
 - analyze, verify and norms, as text and with --json, and plot-data on each
   CONFIG given, and on every config that `benchmarks/workloads.generate`
-  draws for the three benchmark workloads at each --workload-seed N.  The
-  workload module is imported from this checkout, without writing bytecode
-  under benchmarks/.
+  draws for the three benchmark workloads at each --workload-seed N, and
+  verify, as text and with --json, on each workload config at
+  amplitude_scale 1.05.  The workload module is imported from this
+  checkout, without writing bytecode under benchmarks/.
 
 Exit code, stdout and stderr of every operation are compared.  With
 --drop-key NAME, when the stdout of an operation parses as JSON on both
@@ -89,6 +96,10 @@ CORPUS = ROOT / "tests" / "fixtures" / "kernel_corpus.txt"
 BENCHMARKS = ROOT / "benchmarks"
 COMMANDS = ("analyze", "verify", "norms")
 SCALES = (1.0, 1.05, 0.9)
+# Fields so small or large that every battery run with roots ends in a typed
+# error of its first failing root: a non-finite integrand, an integral
+# outside the normal doubles, an underflow radius or a kernel fault.
+EXTREME_SCALES = (1e-300, 1e300)
 # g = 2 s ((1000 (s - c))^2 + 1) crosses the level twice inside one grid
 # cell, at s = 1.001264492304602 and 1.0012708168638624, and once near 1e-6.
 NARROW_WELL = {"name": "narrow-well",
@@ -165,10 +176,13 @@ WARNING_RUNS = [
 ]
 
 
-def battery_configs():
-    """(label, config document) for every battery run at every scale."""
-    cases = (json.loads(BATTERY.read_text())["cases"]
-             + [NARROW_WELL, *ITEM3_RUNS, *SCALE_RUNS, *NON_POSITIVE_RUNS])
+def battery_configs(extra=True, scales=SCALES):
+    """(label, config document) for every battery run, and with extra the
+    runs of NARROW_WELL, ITEM3_RUNS, SCALE_RUNS and NON_POSITIVE_RUNS, at
+    every scale of scales."""
+    cases = json.loads(BATTERY.read_text())["cases"]
+    if extra:
+        cases += [NARROW_WELL, *ITEM3_RUNS, *SCALE_RUNS, *NON_POSITIVE_RUNS]
     for case in cases:
         lams = [run["lambda"] for run in case["runs"]]
         if "tangency" in case:
@@ -182,7 +196,7 @@ def battery_configs():
         if "center" in geo:
             gdoc["center"] = geo["center"]
         for lam in lams:
-            for scale in SCALES:
+            for scale in scales:
                 doc = {"schema_version": 1, "geometry": gdoc, "k": case["k"],
                        "p": case["p"], "q": case["q"], "lambda": lam,
                        "kernel": case["kernel"], "amplitude_scale": scale}
@@ -223,6 +237,10 @@ def operations(workdir: Path, extra_configs, workload_seeds=()):
         path = workdir / f"battery{i:03d}.json"
         path.write_text(json.dumps(doc))
         paths.append((label, str(path), COMMANDS, doc["amplitude_scale"] == 1.0))
+    for i, (label, doc) in enumerate(battery_configs(False, EXTREME_SCALES)):
+        path = workdir / f"extreme{i:03d}.json"
+        path.write_text(json.dumps(doc))
+        paths.append((label, str(path), ("verify",), False))
     for i, (label, doc) in enumerate(corpus_configs()):
         path = workdir / f"corpus{i:03d}.json"
         path.write_text(json.dumps(doc))
@@ -237,6 +255,9 @@ def operations(workdir: Path, extra_configs, workload_seeds=()):
             path = workdir / f"workload{seed}-{i:03d}.json"
             path.write_text(json.dumps(doc))
             paths.append((label, str(path), COMMANDS, True))
+            path = workdir / f"workload{seed}-{i:03d}-scaled.json"
+            path.write_text(json.dumps({**doc, "amplitude_scale": 1.05}))
+            paths.append((f"{label} scale=1.05", str(path), ("verify",), False))
     ops = [("selftest", ["selftest"])]
     ops.extend((f"argv {argv}", argv) for argv in USAGE_ARGVS)
     for label, path, commands, plot in paths:

@@ -88,10 +88,11 @@ def _times(f):
 
 
 def _claims(judge, *keys):
-    """judge_solution judging root records whose keys are 1.001 times too large."""
-    def mutated(instance, root, *args):
-        return judge(instance, {**root, **{key: root[key] * 1.001 for key in keys}},
-                     *args)
+    """judge_run judging runs whose root records have keys 1.001 times too large."""
+    def mutated(instance, analysis, *args):
+        roots = [{**root, **{key: root[key] * 1.001 for key in keys}}
+                 for root in analysis["roots"]]
+        return judge(instance, {**analysis, "roots": roots}, *args)
     return mutated
 
 
@@ -101,9 +102,9 @@ def mutants(od) -> list:
     verifier, binomial = od.verifier, od.reduction.binomial
     kelvin, eval_kernel = profile.kelvin, verifier.eval_kernel
     return [
-        ("c x1.001", [(verifier, "judge_solution", _claims(verifier.judge_solution, "c"))]),
-        ("s, amplitude x1.001", [(verifier, "judge_solution", _claims(
-            verifier.judge_solution, "s", "amplitude"))]),
+        ("c x1.001", [(verifier, "judge_run", _claims(verifier.judge_run, "c"))]),
+        ("s, amplitude x1.001", [(verifier, "judge_run", _claims(
+            verifier.judge_run, "s", "amplitude"))]),
         ("||U||_p x1.001", [(geometry, "norm_u", _times(geometry.norm_u))]),
         ("||grad U||_q x1.001", [(geometry, "norm_grad", _times(geometry.norm_grad))]),
         ("dphi x1.001", [(profile, "dphi", _times(profile.dphi))]),
