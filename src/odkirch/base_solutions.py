@@ -367,17 +367,27 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     field not 0 at every sample overflows or is below m ulp(0) / rel_tol for
     m samples, each rounding by at most one subnormal spacing, and when the
     integrand at a finite end exceeds every sample by more than 1/rel_tol.
-    The norm is never a wrong 0.  For p = inf a radial_f of several rows (a
-    profile scaled by a column, one row per field) gives a list of norms,
-    one per row, as `maximize` does: a row with a non-finite sample holds
-    its QuadratureError, for the caller to raise in its turn.
+    The norm is never a wrong 0.  For p = inf a radial_f of rows, mapping m
+    radii to (rows, m) values (a profile scaled by a column, one row per
+    field), gives a list of norms, one per row, as `maximize` returns them:
+    a row with a non-finite sample holds its QuadratureError, for the caller
+    to raise in its turn.
     """
     if not _is_finite_exponent(p):
-        best = maximize(lambda r: np.abs(np.asarray(radial_f(r), dtype=float)),
-                        r_lo, r_hi)
-        if isinstance(best, tuple):
-            return best[1]
-        return [row if isinstance(row, QuadratureError) else row[1] for row in best]
+        rows = []           # whether radial_f maps the grid to rows
+
+        def f_abs(r):
+            y = np.abs(np.asarray(radial_f(r), dtype=float))
+            rows.append(y.ndim == 2)
+            return y
+
+        norms = [row if isinstance(row, QuadratureError) else row[1]
+                 for row in maximize(f_abs, r_lo, r_hi)]
+        if rows[0]:
+            return norms
+        if isinstance(norms[0], QuadratureError):
+            raise norms[0]
+        return norms[0]
 
     samples = []
     if not math.isinf(r_hi):

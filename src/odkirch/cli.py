@@ -69,8 +69,8 @@ _quote = json.encoder.encode_basestring_ascii
 def canonical_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, 17 significant digits for floats.
 
-    The exact built-in types of the records are dispatched first; numpy
-    scalars, tuples and subclasses take the isinstance chain after them.
+    The exact built-in types of the records are formatted; numpy scalars,
+    tuples and subclasses are turned into their plain value first.
     """
     kind = type(obj)
     if kind is float:
@@ -94,18 +94,12 @@ def canonical_json(obj, indent: int = 0) -> str:
         return str(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, (list, tuple)):
-        return canonical_json(list(obj), indent)
-    if isinstance(obj, dict):
-        return canonical_json(dict(obj), indent)
+    # numpy scalars, tuples and subclasses: their plain value, formatted above.
+    for kinds, plain in (((bool, np.bool_), bool), ((int, np.integer), int),
+                         ((float, np.floating), float), (str, str.__str__),
+                         ((list, tuple), list), (dict, dict)):
+        if isinstance(obj, kinds):
+            return canonical_json(plain(obj), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -138,9 +138,9 @@ def geom_grid(start: float, stop: float, n: int) -> np.ndarray:
     return grid
 
 
-def maximize(f, a: float, b: float):
-    """Maximize a continuous f over [a, b], b possibly infinite, or each row
-    of rows of functions on shared samples.
+def maximize(f, a: float, b: float) -> list:
+    """Maximize each row of rows of continuous functions on shared samples
+    over [a, b], b possibly infinite; a function of one row is one row.
 
     f must be vectorized: it maps an array of points to an array of as many
     values, finite ones; for rows it maps m points to a (rows, m) array, and
@@ -148,16 +148,16 @@ def maximize(f, a: float, b: float):
     dense grid scan, one call f(xs) on all _GRID_POINTS points, locates the
     neighbourhood of each row's global maximum.  Each round of refinement then
     samples, for every row in one call, the interval between the neighbours
-    of its best point so far at _REFINE_POINTS points, until every interval
-    is no wider than 1e-12 (|lo| + |hi| + 1); a row that has converged keeps
-    its last interval, its values ignored, so a row's result is the one it
-    gets alone.  Grid endpoints stay in contention so boundary maxima are
-    found exactly.  An infinite right endpoint is handled by the substitution
-    r = 1/x, which compresses [a, inf) into (0, 1/a] and concentrates samples
-    where a decaying profile can still be large.  Returns (argmax, max_value),
-    the best sample seen, or a list of them, one per row; a row with a
-    non-finite sample stops there and holds, in place of its pair, the
-    QuadratureError that a single f raises.
+    of its best point so far at _REFINE_POINTS points (a 1-D array of them for
+    one row), until every interval is no wider than 1e-12 (|lo| + |hi| + 1); a
+    row that has converged keeps its last interval, its values ignored, so a
+    row's result is the one it gets alone.  Grid endpoints stay in contention
+    so boundary maxima are found exactly.  An infinite right endpoint is
+    handled by the substitution r = 1/x, which compresses [a, inf) into
+    (0, 1/a] and concentrates samples where a decaying profile can still be
+    large.  Returns one entry per row: (argmax, max_value), the best sample
+    seen, or, for a row with a non-finite sample, where it stops, a
+    QuadratureError, for the caller to raise in that row's turn.
     """
     inverse = math.isinf(b)
     if inverse and a <= 0.0:
@@ -168,20 +168,18 @@ def maximize(f, a: float, b: float):
     xs = (geom_grid(1.0 / a, 1e-12 / a, _GRID_POINTS) if inverse
           else np.linspace(a, b, _GRID_POINTS))
     vals = np.asarray(f(1.0 / xs if inverse else xs), dtype=float)
-    single = vals.ndim < 2
-    n_rows = 1 if single else vals.shape[0]
-    shape = xs.shape if single else (n_rows, xs.size)
+    n_rows = len(vals) if vals.ndim == 2 else 1
     # Per row, as Python floats: the best (x, value) and the interval.
     best, spans, results = [(None, -math.inf)] * n_rows, [None] * n_rows, [None] * n_rows
     live = range(n_rows)
     while True:
-        if vals.shape != shape:
+        if vals.shape not in (xs.shape, (n_rows, xs.shape[-1])):
             raise QuadratureError(f"maximize: f must map a vector of {xs.size} points "
                                   f"to as many values, got shape {vals.shape}")
-        vals = vals.reshape(n_rows, shape[-1])
-        points = xs.reshape(-1, shape[-1])     # one shared row, or one per row
+        vals = vals.reshape(n_rows, xs.shape[-1])
+        points = xs.reshape(-1, xs.shape[-1])  # one shared row, or one per row
         finite = np.isfinite(vals).all(axis=1).tolist()
-        cols, last, still = vals.argmax(axis=1).tolist(), shape[-1] - 1, []
+        cols, last, still = vals.argmax(axis=1).tolist(), xs.shape[-1] - 1, []
         for i in live:
             c, row = cols[i], points[i if len(points) > 1 else 0]
             lo, hi = spans[i] = sorted((row.item(max(c - 1, 0)), row.item(min(c + 1, last))))
@@ -196,16 +194,11 @@ def maximize(f, a: float, b: float):
             else:
                 still.append(i)
         live = still
-        if single and isinstance(results[0], QuadratureError):
-            raise results[0]
         if not live:
-            return results[0] if single else results
+            return results
         ends = np.array(spans)
         lo, hi = ends[:, :1], ends[:, 1:]
         xs = _STEPS * ((hi - lo) / (_REFINE_POINTS - 1)) + lo
         xs[:, -1:] = hi
-        if single:
-            xs, shape = xs[0], xs[0].shape
-        else:
-            shape = xs.shape
+        xs = xs[0] if n_rows == 1 else xs
         vals = np.asarray(f(1.0 / xs if inverse else xs), dtype=float)

@@ -162,9 +162,11 @@ class TestJudge:
     @pytest.mark.parametrize("scale", [1.0, 1.05, 0.9])
     def test_rows_equal_lone_roots(self, battery, scale):
         # judge_run judges a run's roots as rows of one field; each row's
-        # record holds the bits of that root judged as a one-root run.  The
-        # kernel 2 - s is negative at the 1.05-scaled field of its second
-        # root: that row gets nan gamma values and the other row does not.
+        # record holds the bits of that root judged as a one-root run, and
+        # the values of verify on the run's draw and of the gamma check on
+        # a draw of its own 48 samples.  The kernel 2 - s is negative at the
+        # 1.05-scaled field of its second root: that row gets nan gamma
+        # values and the other row does not.
         runs = [(case, run["lambda"]) for case in battery["cases"]
                 for run in case["runs"] if run["count"] >= 2]
         runs += [({**NON_POSITIVE, "k": k}, lam) for k, lam in ((1, 0.39), (2, 0.76))]
@@ -174,29 +176,47 @@ class TestJudge:
             record = solve_roots(eq)
             analysis = {**record, "system_check": system_count_check(eq, record)}
             assert 2 <= analysis["count"] <= 3
-            for seed in (0, 5):
+            for seed in (0, 5, 11):
                 docs = judge_run(inst, analysis, seed, scale)["roots"]
                 lone = [judge_root(inst, root, seed, scale) for root in record["roots"]]
                 assert repr(docs) == repr(lone), (case["name"], lam, seed)
+                draws = draw_samples(inst.geometry, seed)
+                radii = draw_samples(inst.geometry, seed, 48)[0]
+                for doc, root in zip(docs, record["roots"]):
+                    values = verify(inst, [root], draws, scale)[0]
+                    values.update(gamma_scaling_check(inst, [root], [values], radii,
+                                                      scale)[0])
+                    flat = {**doc, **{name: chk["value"]
+                                      for name, chk in doc["checks"].items()}}
+                    # repr: the nan gamma values of M <= 0 equal themselves.
+                    assert repr({name: flat[name] for name in values}) == repr(values)
                 if case["name"] != NON_POSITIVE["name"]:
                     continue
                 gammas = [math.isnan(doc["gamma"]) for doc in docs]
                 assert gammas == ([False, True] if scale == 1.05 else [False, False])
 
-    def test_first_failing_root_raises_at_its_stage(self, battery, monkeypatch):
-        # Root 0's kernel value faults, and root 1's finite norm of U fails:
-        # alone, root 0 fails first, so the run raises its KernelEvalError.
-        case = next(c for c in battery["cases"] if c["name"] == "exterior-saturating")
-        inst = make_instance(case, 1.0)
+    @pytest.mark.parametrize("name, lam", [("exterior-saturating", 1.0),
+                                           ("ball-quadratic-well", 2.0)])
+    def test_first_failing_root_raises_at_its_stage(self, battery, monkeypatch, name, lam):
+        # Root 0's kernel value faults, and root 1's norm of U fails: its
+        # finite-p quadrature raises, or at p = inf its row of the one sup
+        # norm call for all roots is non-finite.  Alone, root 0 fails first,
+        # so the run raises its KernelEvalError; without that fault the run
+        # raises root 1's QuadratureError.
+        case = next(c for c in battery["cases"] if c["name"] == name)
+        inst = make_instance(case, lam)
         eq = build_reduced(inst)
         record = solve_roots(eq)
         analysis = {**record, "system_check": system_count_check(eq, record)}
-        (s_0, *_), (s_1, *_) = ([root["s"], root["amplitude"]] for root in record["roots"])
+        s_0, s_1 = (root["s"] for root in record["roots"][:2])
+        nan_row_1 = np.array([[0.0], [math.nan], [0.0]])[:record["count"]]
         norm_quadrature, eval_kernel = verifier.norm_quadrature, verifier.eval_kernel
         calls = []
 
         def failing_norm(radial_f, p, *args, **kwargs):
-            value = norm_quadrature(radial_f, p, *args, **kwargs)
+            rows = radial_f
+            value = norm_quadrature((lambda r: rows(r) + nan_row_1) if math.isinf(p)
+                                    else radial_f, p, *args, **kwargs)
             calls.append(value)
             if p == inst.p and value == pytest.approx(s_1, rel=1e-8):
                 raise QuadratureError("root 1's norm")
@@ -211,7 +231,31 @@ class TestJudge:
         monkeypatch.setattr(verifier, "eval_kernel", failing_kernel)
         with pytest.raises(KernelEvalError, match="root 0's kernel value"):
             judge_run(inst, analysis)
-        assert len(calls) == 2          # root 0's two norms; root 1 never starts
+        assert len(calls) == 2          # root 0's two norms; root 1's never start
+        monkeypatch.setattr(verifier, "eval_kernel", eval_kernel)
+        with pytest.raises(QuadratureError):
+            judge_run(inst, analysis)
+
+    def test_gamma_check_reads_the_first_48_radii(self, battery, monkeypatch):
+        # judge_run hands the gamma check the first 48 radii of the run's
+        # draw.  gamma_pde is a maximum that the smallest radii usually set,
+        # so comparing values rarely sees all 64 radii passed instead.
+        seen, gamma_scaling_check = [], verifier.gamma_scaling_check
+
+        def spy(instance, roots, values, radii, scale=1.0):
+            seen.append(radii)
+            return gamma_scaling_check(instance, roots, values, radii, scale)
+
+        monkeypatch.setattr(verifier, "gamma_scaling_check", spy)
+        for name, lam in (("ball-quadratic-well", 2.0), ("exterior-plane-double-well", 0.4)):
+            case = next(c for c in battery["cases"] if c["name"] == name)
+            inst = make_instance(case, lam)
+            eq = build_reduced(inst)
+            record = solve_roots(eq)
+            analysis = {**record, "system_check": system_count_check(eq, record)}
+            for seed in (0, 5, 11):
+                judge_run(inst, analysis, seed)
+                assert np.array_equal(seen.pop(), draw_samples(inst.geometry, seed, 48)[0])
 
     @pytest.mark.parametrize("geom", [BallGeometry(n=3, radius=1.5), ExteriorGeometry(n=4)])
     def test_gamma_radii_are_a_draw_of_48(self, geom):
