@@ -127,22 +127,17 @@ class RadialProfile:
     def as_field(self, center):
         """Field x -> phi(|x - center|) on points x of shape (..., n).
 
-        The values have shape (...), a scalar for one point (n,); `row_dot`
-        rounds each point as d @ d does, so stacking points changes no value.
+        The values have shape (...), a scalar for one point (n,); np.vecdot
+        rounds each point as d @ d does (einsum and (d * d).sum(-1) sum in
+        another order), so stacking points changes no value.
         """
         c = np.asarray(center, dtype=float)
 
         def u(x):
             d = np.asarray(x, dtype=float) - c
-            return self.phi(np.sqrt(row_dot(d, d)))
+            return self.phi(np.sqrt(np.vecdot(d, d)))
 
         return u
-
-
-def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows, (..., n) -> (...), each rounded as the
-    1-D a_i @ b_i is; einsum and (a * b).sum(-1) sum in another order."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _is_finite_exponent(x: float) -> bool:
@@ -333,26 +328,28 @@ class ExteriorGeometry(_Geometry):
         return f"exterior n={self.n}"
 
 
-def _check_underflow(radial_f, x, f_abs, y, tol: float, failure=None) -> None:
+def _check_underflow(field, row: int, x, f_abs, y, tol: float, failure=None) -> None:
     """Raise QuadratureError, naming the radius beyond which |f| underflows
     to 0 and the failure of the integral if any, when the samples at x = 1/r,
     with |f| values f_abs and integrand values y, lose more than tol below
     x0, the largest x where |f| is 0 below the least where it is not, x1:
     about x0 times the integrand at x1.  The radius is found on a geometric
-    grid from x0 to x1."""
+    grid from x0 to x1, in the given row of |f| = field(r)."""
+    if f_abs.all():  # no |f| of 0, or no x0
+        return
     x1 = float(np.min(x[f_abs > 0.0], initial=_INF))
     x0 = float(np.max(x[(f_abs == 0.0) & (x < x1)], initial=0.0))
     lost = x0 * float(np.max(y[x == x1], initial=0.0))
     if lost > tol:
         grid = np.geomspace(x0, x1, 65)
-        x0 = float(np.max(grid[np.asarray(radial_f(1.0 / grid), dtype=float) == 0.0]))
+        x0 = float(np.max(grid[field(1.0 / grid).reshape(-1, grid.size)[row] == 0.0]))
         reason = failure or f"the mass lost there, about {lost:.3e}, exceeds {tol:.3e}"
         raise QuadratureError(f"|f(r)| underflows to 0 beyond r = {1.0 / x0!r} "
                               f"(x = {x0!r}): {reason}") from failure
 
 
 def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
-                    rel_tol: float = 1e-10, breaks=()) -> float:
+                    rel_tol: float = 1e-10, breaks=()):
     """L^p norm of a radial field by direct quadrature, or maximization for p = inf.
 
     radial_f is the radial representative (of the field or of its gradient
@@ -367,81 +364,83 @@ def norm_quadrature(radial_f, p: float, n: int, r_lo: float, r_hi: float,
     field not 0 at every sample overflows or is below m ulp(0) / rel_tol for
     m samples, each rounding by at most one subnormal spacing, and when the
     integrand at a finite end exceeds every sample by more than 1/rel_tol.
-    The norm is never a wrong 0.  For p = inf a radial_f of rows, mapping m
-    radii to (rows, m) values (a profile scaled by a column, one row per
-    field), gives a list of norms, one per row, as `maximize` returns them:
-    a row with a non-finite sample holds its QuadratureError, for the caller
-    to raise in its turn.
+    The norm is never a wrong 0.  A radial_f of rows (m radii to (rows, m)
+    values, a profile scaled by a column) gives one entry per row, on shared
+    calls: the norm, or the QuadratureError held for the caller to raise in
+    its turn, that the row gets alone, its checks reading only its samples.
     """
-    if not _is_finite_exponent(p):
-        rows = []           # whether radial_f maps the grid to rows
+    ndim, samples, reads = [], [], []   # of radial_f's values; per call, the rows read
 
-        def f_abs(r):
-            y = np.abs(np.asarray(radial_f(r), dtype=float))
-            rows.append(y.ndim == 2)
+    def field(r):
+        f_abs = np.abs(np.asarray(radial_f(r), dtype=float))
+        ndim.append(f_abs.ndim)
+        return f_abs
+
+    if not _is_finite_exponent(p):
+        norms = [row if isinstance(row, QuadratureError) else row[1]
+                 for row in maximize(field, r_lo, r_hi)]
+    else:
+        if not math.isinf(r_hi):
+            edges, ends = [r_lo, *sorted(breaks), r_hi], [r_lo, r_hi]
+
+            def integrand(r):
+                f_abs = field(r)
+                return f_abs, f_abs ** p * r ** (n - 1.0)
+        else:
+            if not (math.isfinite(r_lo) and r_lo > 0.0):
+                raise QuadratureError(f"the map r = 1/x needs a finite positive "
+                                      f"r_lo, got {float(r_lo)!r}")
+            edges = [0.0, *sorted(1.0 / r for r in breaks), 1.0 / r_lo]
+            ends = edges[-1:]
+
+            def integrand(x):
+                # |f(1/x)|^p x^(-n-1) in log form: x^(-n-1) overflows where
+                # |f(1/x)|^p underflows.
+                f_abs = field(1.0 / x)
+                return f_abs, np.exp(p * np.log(f_abs) - (n + 1.0) * np.log(x))
+
+        def sampled(x):
+            f_abs, y = integrand(x)
+            samples.append((x, f_abs.reshape(-1, x.size), y.reshape(-1, x.size)))
             return y
 
-        norms = [row if isinstance(row, QuadratureError) else row[1]
-                 for row in maximize(f_abs, r_lo, r_hi)]
-        if rows[0]:
-            return norms
-        if isinstance(norms[0], QuadratureError):
-            raise norms[0]
-        return norms[0]
-
-    samples = []
-    if not math.isinf(r_hi):
-        edges = [r_lo, *sorted(breaks), r_hi]
-        ends = [r_lo, r_hi]
-
-        def integrand(r):
-            f_abs = np.abs(np.asarray(radial_f(r), dtype=float))
-            return f_abs, f_abs ** p * r ** (n - 1.0)
-    else:
-        if not (math.isfinite(r_lo) and r_lo > 0.0):
-            raise QuadratureError(f"the map r = 1/x needs a finite positive "
-                                  f"r_lo, got {float(r_lo)!r}")
-        edges = [0.0, *sorted(1.0 / r for r in breaks), 1.0 / r_lo]
-        ends = edges[-1:]
-
-        def integrand(x):
-            # |f(1/x)|^p x^(-n-1) in log form: x^(-n-1) overflows where
-            # |f(1/x)|^p underflows.
-            f_abs = np.abs(np.asarray(radial_f(1.0 / x), dtype=float))
-            return f_abs, np.exp(p * np.log(f_abs) - (n + 1.0) * np.log(x))
-
-    def sampled(x):
-        f_abs, y = integrand(x)
-        samples.append((x, f_abs, y))
-        return y
-
-    # integrate rejects a non-finite value and names the point, and mass
-    # beyond its outermost nodes above the tolerance.
-    with np.errstate(all="ignore"):
-        try:
-            value = math.fsum(integrate(sampled, a, b, rel_tol=rel_tol)[0]
-                              for a, b in zip(edges, edges[1:]))
-        except QuadratureError as failure:
+        def norm(i, result):
+            x, f_abs, y = map(np.concatenate, zip(*[
+                (x, f[i], v[i]) for (x, f, v), who in zip(samples, reads) if i in who]))
+            failure = result if isinstance(result, QuadratureError) else None
             if math.isinf(r_hi):
-                _check_underflow(radial_f, *map(np.concatenate, zip(*samples)), 0.0, failure)
-            raise
-        x, f_abs, y = map(np.concatenate, zip(*samples))
-        if math.isinf(r_hi):
-            _check_underflow(radial_f, x, f_abs, y, rel_tol * value)
-        _, y_ends = integrand(np.array(ends))
-    # The nodes never reach the ends of the domain, so a boundary layer thinner
-    # than the gap to the nearest node, a spacing of the doubles at least, is
-    # missed: the integrand at a finite end, far above every sample, shows it.
-    y_max = float(np.max(y))
-    y_end = float(np.max(y_ends, where=np.isfinite(y_ends), initial=0.0))
-    if y_end > y_max / rel_tol:
-        raise QuadratureError(
-            f"the integrand at the end of the domain, {y_end:.3e}, exceeds every "
-            f"sample, at most {y_max:.3e}, by more than 1/rel_tol: a boundary "
-            f"layer lies between the nodes")
-    if f_abs.any() and not x.size * math.ulp(0.0) / rel_tol <= value < _INF:
-        raise QuadratureError(f"the integral of |f|^p, {value:.3e}, of a field "
-                              f"that is not 0 is outside the normal doubles")
-    if value <= 0.0:
-        return 0.0
-    return math.exp((math.log(sphere_area(n)) + math.log(value)) / p)
+                _check_underflow(field, i, x, f_abs, y,
+                                 0.0 if failure else rel_tol * result[0], failure)
+            if failure:
+                raise failure
+            value = result[0]
+            # The nodes never reach the ends of the domain: a boundary layer
+            # thinner than the gap to the nearest node shows at a finite end.
+            y_max = float(y.max())
+            y_end = max([0.0, *(v for v in y_ends[i].tolist() if math.isfinite(v))])
+            if y_end > y_max / rel_tol:
+                raise QuadratureError(
+                    f"the integrand at the end of the domain, {y_end:.3e}, exceeds every "
+                    f"sample, at most {y_max:.3e}, by more than 1/rel_tol: a boundary "
+                    f"layer lies between the nodes")
+            if f_abs.any() and not x.size * math.ulp(0.0) / rel_tol <= value < _INF:
+                raise QuadratureError(f"the integral of |f|^p, {value:.3e}, of a field "
+                                      f"that is not 0 is outside the normal doubles")
+            return 0.0 if value <= 0.0 else math.exp((math.log(sphere_area(n))
+                                                       + math.log(value)) / p)
+
+        # integrate holds a row's error: a non-finite value, mass beyond the nodes.
+        with np.errstate(all="ignore"):
+            results = integrate(sampled, edges[0], edges[-1], rel_tol, edges[1:-1], reads)
+            y_ends = integrand(np.array(ends))[1].reshape(-1, len(ends))
+            norms = []
+            for i, result in enumerate(results):
+                try:
+                    norms.append(norm(i, result))
+                except QuadratureError as failure:
+                    norms.append(failure)
+    if ndim[0] == 2:
+        return norms
+    if isinstance(norms[0], QuadratureError):
+        raise norms[0]
+    return norms[0]

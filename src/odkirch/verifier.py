@@ -20,8 +20,8 @@ field U, so verify and gamma_scaling_check judge a run's roots together, as
 rows of one field: the profile scaled by the column of the amplitudes, whose
 rows hold the bits of each root's field alone.  The residuals, boundary
 stencils and gamma k-Hessians are (roots, samples) arrays reduced per row,
-and a sup norm is one maximization for all rows; finite-exponent norms and
-the kernel value stay one call per root, in root order.
+and a norm is one quadrature or maximization for all rows, each row reading
+only its own samples; the kernel value stays one call per root.
 
 verify, gamma_scaling_check and judge_kelvin return their quantities under
 the names that `odkirch verify --json` prints, per root for the first two;
@@ -110,32 +110,7 @@ def _column(values: list) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _norms(instance: ProblemInstance, roots: list, rows, scale: float) -> list:
-    """(||u||_p, ||grad u||_q, M at them) of every root's field, in root
-    order.  An infinite exponent's norms are one norm_quadrature call on the
-    rows, a finite one's one call per root; each root's errors are raised in
-    its turn, so the first failing root fails the run at the same stage
-    (U norm, gradient norm, kernel value) as it would alone."""
-    n, exponents = instance.geometry.n, (instance.p, instance.q)
-    sup = [norm_quadrature((rows.phi, rows.dphi)[order], exponent, n, rows.r_min,
-                           rows.r_max) if math.isinf(exponent) else None
-           for order, exponent in enumerate(exponents)]
-    out = []
-    for i, root in enumerate(roots):
-        prof, pair = None, []
-        for order, exponent in enumerate(exponents):
-            if sup[order] is None:
-                prof = prof or _field(instance, root["amplitude"], scale)
-                value = norm_quadrature((prof.phi, prof.dphi)[order], exponent, n,
-                                        prof.r_min, prof.r_max,
-                                        breaks=prof.sign_changes(order))
-            elif isinstance(value := sup[order][i], Exception):
-                raise value
-            pair.append(value)
-        out.append((*pair, eval_kernel(instance.kernel, *pair)))
-    return out
-
-
+@np.errstate(all="ignore")  # a non-finite value fails its gate, unwarned
 def verify(instance: ProblemInstance, roots: list, draws: tuple,
            scale: float = 1.0) -> list:
     """Check that the field u = amplitude U of each root, a record of
@@ -158,7 +133,16 @@ def verify(instance: ProblemInstance, roots: list, draws: tuple,
     geom = instance.geometry
     n, radius = geom.n, geom.radius
     prof = _field(instance, _column([root["amplitude"] for root in roots]), scale)
-    norms = _norms(instance, roots, prof, scale)
+    # One norm call per exponent for all rows; each root's held errors are
+    # raised in its turn (U norm, gradient norm, kernel value), as alone.
+    pairs = zip(*[norm_quadrature((prof.phi, prof.dphi)[order], exponent, n, prof.r_min,
+                                  prof.r_max, breaks=prof.sign_changes(order))
+                  for order, exponent in enumerate((instance.p, instance.q))])
+    norms = []
+    for pair in pairs:
+        if errors := [value for value in pair if isinstance(value, Exception)]:
+            raise errors[0]
+        norms.append((*pair, eval_kernel(instance.kernel, *pair)))
 
     radii, dirs = draws
     sk = k_hessian_radial(prof, radii, n, instance.k)
@@ -183,6 +167,7 @@ def verify(instance: ProblemInstance, roots: list, draws: tuple,
         in zip(roots, norms, interior.tolist(), boundary.tolist(), gradient.tolist())]
 
 
+@np.errstate(all="ignore")
 def gamma_scaling_check(instance: ProblemInstance, roots: list, values: list,
                         radii: np.ndarray, scale: float = 1.0) -> list:
     """Rescale each root's solution u, times scale as in `verify`, by

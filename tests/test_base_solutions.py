@@ -707,3 +707,109 @@ class TestNormQuadrature:
             except QuadratureError:
                 continue
             assert quad == pytest.approx(geom.norm_grad(q), rel=1e-10)
+
+
+def held(norm):
+    """norm(), or the QuadratureError it raises."""
+    try:
+        return norm()
+    except QuadratureError as exc:
+        return exc
+
+
+def profile_norm_quadrature(prof, order, p, n, wrap=lambda f: f):
+    """norm_quadrature of the profile's order-th derivative over its domain,
+    with its sign changes as breaks, the derivative wrapped by wrap."""
+    return norm_quadrature(wrap((prof.phi, prof.dphi)[order]), p, n, prof.r_min,
+                           prof.r_max, breaks=prof.sign_changes(order))
+
+
+class TestNormRows:
+    """One norm_quadrature call on a profile scaled by a column of amplitudes
+    gives each row the bits, or the error, of its lone call."""
+
+    @pytest.mark.parametrize("geom, p", [(BallGeometry(n=3, radius=1.5), 2.5),
+                                         (BallGeometry(n=2, radius=0.01), 70.655),
+                                         (ExteriorGeometry(n=3), 4.0),
+                                         (ExteriorGeometry(n=5), 3.0)])
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("amplitudes", [[0.5, 1.0, 2.0], [1.0, 1e-160], [3.0, -0.2]])
+    def test_rows_equal_lone_calls(self, geom, p, order, amplitudes):
+        # The exterior gradient changes sign: two intervals.  |1e-160 U|^p
+        # underflows, a norm outside the normal doubles.  On the ball of
+        # radius 0.01 at p = 70.655 some rows need the h = 1/32 call that
+        # others do not, and a 0.5 or -0.2 multiple of U underflows too.
+        base = geom.profile()
+        got = profile_norm_quadrature(base.scale(np.array(amplitudes)[:, None]), order, p,
+                                      geom.n)
+        lone = [held(lambda a=a: profile_norm_quadrature(base.scale(a), order, p, geom.n))
+                for a in amplitudes]
+        assert repr(got) == repr(lone)
+
+    def test_rows_underflow_at_their_own_radius(self):
+        # n = 3, q = 1.52: each multiple of grad U underflows past its own r.
+        base = ExteriorGeometry(n=3).profile()
+        amplitudes = [1.0, 1e-30, 1e30]
+        got = profile_norm_quadrature(base.scale(np.array(amplitudes)[:, None]), 1, 1.52, 3)
+        lone = [held(lambda a=a: profile_norm_quadrature(base.scale(a), 1, 1.52, 3))
+                for a in amplitudes]
+        assert repr(got) == repr(lone)
+        assert len({str(error) for error in got}) == 3
+        assert all("underflows to 0 beyond r = " in str(error) for error in got)
+
+    def test_checks_read_only_their_rows_samples(self, monkeypatch):
+        # At q = 1000 the multiples 1, 1e-3 and 1e3 of grad U in R^3 make 4,
+        # 3 and 2 calls alone; the last two fail.  Each row's underflow check
+        # reads the samples of its lone call, not those of calls other rows
+        # needed.
+        base = ExteriorGeometry(n=3).profile()
+        seen, check = [], base_solutions._check_underflow
+
+        def spy(field, row, x, *args):
+            seen.append(x.size)
+            return check(field, row, x, *args)
+
+        monkeypatch.setattr(base_solutions, "_check_underflow", spy)
+        amplitudes = [1.0, 1e-3, 1e3]
+        got = profile_norm_quadrature(base.scale(np.array(amplitudes)[:, None]), 1, 1e3, 3)
+        rows_seen, lone = list(seen), []
+        seen.clear()
+        for a in amplitudes:
+            lone.append(held(lambda: profile_norm_quadrature(base.scale(a), 1, 1e3, 3)))
+        assert repr(got) == repr(lone)
+        assert rows_seen == seen and len(set(seen)) == 3
+
+    @pytest.mark.parametrize("geom, p", [(BallGeometry(n=3, radius=1.5), 2.5),
+                                         (ExteriorGeometry(n=3), 4.0)])
+    def test_nonfinite_row_holds_its_error(self, geom, p):
+        # Row 1 is nan from r = 1.2 on; the other rows finish.
+        base = geom.profile()
+        amplitudes = [0.5, 1.0, 2.0]
+        spoilt = np.array([[False], [True], [False]])
+
+        def spoil(rows):
+            return lambda f: lambda r: np.where((r > 1.2) & rows, np.nan, f(r))
+
+        got = profile_norm_quadrature(base.scale(np.array(amplitudes)[:, None]), 0, p,
+                                      geom.n, spoil(spoilt))
+        lone = [held(lambda a=a, row=row: profile_norm_quadrature(base.scale(a), 0, p,
+                                                                  geom.n, spoil(row)))
+                for a, row in zip(amplitudes, spoilt[:, 0].tolist())]
+        assert repr(got) == repr(lone)
+        assert [isinstance(norm, QuadratureError) for norm in got] == [False, True, False]
+        assert "non-finite" in str(got[1])
+
+    @pytest.mark.parametrize("geom, order, p", [(BallGeometry(n=2, radius=1.0), 0, 3.0),
+                                                (ExteriorGeometry(n=4), 1, 2.5)])
+    def test_agreeing_rows_make_one_rows_calls(self, geom, order, p):
+        base = geom.profile()
+        sizes = {}
+        for key, prof in (("rows", base.scale(np.array([[0.5], [1.0], [4.0]]))),
+                          ("one", base.scale(1.0))):
+            sizes[key] = []
+
+            def counted(f, calls=sizes[key]):
+                return lambda r: calls.append(np.size(r)) or f(r)
+
+            profile_norm_quadrature(prof, order, p, geom.n, counted)
+        assert sizes["rows"] == sizes["one"]

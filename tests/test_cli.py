@@ -793,6 +793,27 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("domain error:")
 
 
+    # At amplitude_scale 1e300 the k-Hessians, profiles and residuals of these
+    # runs overflow; each non-finite value fails its check, with no numpy
+    # RuntimeWarning on stderr.
+    @pytest.mark.parametrize("doc", [
+        {"geometry": {"kind": "ball", "dim": 2, "radius": 0.5}, "k": 2, "p": 0.3,
+         "q": "inf", "lambda": 11.19167451866462, "kernel": "abs(s-1)+1e-3"},
+        {"geometry": {"kind": "exterior", "dim": 64}, "k": 1, "p": "inf", "q": "inf",
+         "lambda": 1.0, "kernel": "1 + s"},
+    ], ids=["item3-abs-merge", "exterior-n64"])
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_overflowing_field_fails_without_warnings(self, tmp_path, capsys, doc, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"schema_version": 1, **doc, "amplitude_scale": 1e300}))
+        code, out, err = run_cli(capsys, "verify", "-c", str(path), *flags)
+        assert code == 1 and err == ""
+        if flags:
+            assert json.loads(out)["verdict"] == "fail"
+        else:
+            assert "verdict: FAIL" in out
+
+
 class TestExteriorTails:
     """Exterior exponents close to the integrability threshold."""
 

@@ -30,10 +30,18 @@ def tanh_sinh_sum(f, a, b, h):
     return h * half * float(np.sum(0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2 * f(x)))
 
 
+def integrate_one(f, a, b, **kwargs):
+    """integrate of one function: its (value, error), or its error raised."""
+    (result,) = integrate(f, a, b, **kwargs)
+    if isinstance(result, QuadratureError):
+        raise result
+    return result
+
+
 class TestIntegrate:
     def test_polynomial_exact(self):
         # The levels converge on a polynomial to round-off level.
-        val, err = integrate(lambda x: 7.0 * x**6, 0.0, 2.0)
+        val, err = integrate_one(lambda x: 7.0 * x**6, 0.0, 2.0)
         assert val == pytest.approx(2.0**7, rel=1e-14)
 
     def test_analytic_values(self):
@@ -44,7 +52,7 @@ class TestIntegrate:
             (lambda x: np.sin(x) ** 2, 0.0, 2.0 * math.pi, math.pi),
         ]
         for f, a, b, exact in cases:
-            val, err = integrate(f, a, b)
+            val, err = integrate_one(f, a, b)
             assert val == pytest.approx(exact, rel=1e-13)
             assert abs(val - exact) <= max(10.0 * err, 1e-13 * abs(exact))
 
@@ -62,37 +70,37 @@ class TestIntegrate:
         # Differential oracle: same integrand through an independent code.
         # sin(50x) integrates to ~7e-4 with heavy cancellation, so a relative
         # target of 1e-12 is unreachable; 1e-10 still leaves round-trip room.
-        val, _ = integrate(f, a, b, rel_tol=1e-10)
+        val, _ = integrate_one(f, a, b, rel_tol=1e-10)
         ref, _ = scipy.integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=400)
         assert val == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
     def test_empty_interval(self):
-        assert integrate(lambda x: np.exp(x), 2.0, 2.0) == (0.0, 0.0)
+        assert integrate_one(lambda x: np.exp(x), 2.0, 2.0) == (0.0, 0.0)
 
     def test_deterministic(self):
         f = lambda x: np.sin(50.0 * x) / (1e-3 + x**2)
-        a = integrate(f, 0.0, 1.0)
-        b = integrate(f, 0.0, 1.0)
+        a = integrate_one(f, 0.0, 1.0)
+        b = integrate_one(f, 0.0, 1.0)
         assert a == b  # bit-identical, not just close
 
     def test_rejects_nonfinite_bounds(self):
         with pytest.raises(QuadratureError):
-            integrate(lambda x: x, 0.0, math.inf)
+            integrate_one(lambda x: x, 0.0, math.inf)
 
     def test_rejects_nonfinite_integrand(self):
         with np.errstate(divide="ignore"), pytest.raises(QuadratureError):
-            integrate(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
+            integrate_one(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
 
     def test_nonfinite_message_prints_a_plain_float(self):
         # The centre node of the one panel on [245, 246.07] is 245.535.
         f = lambda x: np.where(x > 245.5, np.inf, 1.0)
         with pytest.raises(QuadratureError,
                            match=r"^integrand non-finite near x = 245\.5\d+$"):
-            integrate(f, 245.0, 246.07)
+            integrate_one(f, 245.0, 246.07)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(QuadratureError):
-            integrate(lambda x: np.ones(3), 0.0, 1.0)
+            integrate_one(lambda x: np.ones(3), 0.0, 1.0)
 
     def test_piece_exhaustion(self):
         # sin(1e6 x) oscillates 160,000 times on [0, 1]: 64 pieces cannot
@@ -104,13 +112,13 @@ class TestIntegrate:
             return np.sin(1e6 * x)
 
         with pytest.raises(QuadratureError, match="did not converge in 64 pieces"):
-            integrate(f, 0.0, 1.0)
+            integrate_one(f, 0.0, 1.0)
         assert len(calls) <= 4 * (2 * 64 - 1)
 
     def test_jump_costs_calls_not_accuracy(self):
         # The pieces holding the jump at 1/3 shrink until their error, which
         # shrinks with their width, is within the tolerance.
-        val, err = integrate(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0)
+        val, err = integrate_one(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0)
         assert val == pytest.approx(2.0 / 3.0, rel=1e-11)
         assert err <= 1e-12 * val
 
@@ -128,9 +136,9 @@ class TestIntegrate:
         # The combination can integrate to near zero while the integrand
         # stays O(1); the round-off floor, a few eps times the integral of
         # |f|, then stops the levels.
-        lhs, _ = integrate(lambda x: f(x) + alpha * g(x), 0.0, 2.0)
-        fa, _ = integrate(f, 0.0, 2.0)
-        ga, _ = integrate(g, 0.0, 2.0)
+        lhs, _ = integrate_one(lambda x: f(x) + alpha * g(x), 0.0, 2.0)
+        fa, _ = integrate_one(f, 0.0, 2.0)
+        ga, _ = integrate_one(g, 0.0, 2.0)
         assert lhs == pytest.approx(fa + alpha * ga, rel=1e-11, abs=1e-11)
 
     def test_round_off_floor_stops_the_levels(self):
@@ -142,10 +150,10 @@ class TestIntegrate:
             calls.append(x.size)
             return 4.75 - 1.125 * x - 3.6875 * x**2 + 3.0 * np.exp(-x)
 
-        val, err = integrate(f, 0.0, 2.0, rel_tol=0.0)
+        val, err = integrate_one(f, 0.0, 2.0, rel_tol=0.0)
         assert len(calls) == 1
         exact = 9.5 - 2.25 - 3.6875 * 8.0 / 3.0 + 3.0 * (1.0 - math.exp(-2.0))
-        abs_integral, _ = integrate(lambda x: np.abs(f(x)), 0.0, 2.0)
+        abs_integral, _ = integrate_one(lambda x: np.abs(f(x)), 0.0, 2.0)
         assert err <= 8.0 * np.finfo(float).eps * abs_integral
         assert abs(val - exact) <= 1e-15
 
@@ -158,7 +166,7 @@ class TestIntegrate:
             calls.append(x.size)
             return x ** -0.5
 
-        val, err = integrate(f, 0.0, 1.0, rel_tol=1e-6)
+        val, err = integrate_one(f, 0.0, 1.0, rel_tol=1e-6)
         assert calls == [193]
         assert val == pytest.approx(2.0, rel=1e-12)
 
@@ -173,7 +181,7 @@ class TestIntegrate:
             calls.append(x.size)
             return f(x)
 
-        val, err = integrate(counted, -1.0, 1.0, rel_tol=1.0)
+        val, err = integrate_one(counted, -1.0, 1.0, rel_tol=1.0)
         s8, s16 = (tanh_sinh_sum(f, -1.0, 1.0, h) for h in (1.0 / 8.0, 1.0 / 16.0))
         assert calls == [193]
         assert val == pytest.approx(s16, rel=1e-14)
@@ -182,7 +190,7 @@ class TestIntegrate:
     def test_interior_kink_without_a_breakpoint(self):
         # |x - 1/3| has a kink that no midpoint split reaches: the pieces
         # around it are split until their error is within the tolerance.
-        val, err = integrate(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rel_tol=1e-10)
+        val, err = integrate_one(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rel_tol=1e-10)
         assert val == pytest.approx(5.0 / 18.0, rel=1e-10)
         assert err <= 1e-10 * val
 
@@ -191,22 +199,81 @@ class TestIntegrate:
         # x^(-1 + e) on [0, 1] integrates to 1/e, a share x1^e of it below
         # the outermost node x1 = 3e-276: 53% for e = 1e-3, 0.18% for 1e-2.
         with pytest.raises(QuadratureError, match="mass beyond the outermost nodes"):
-            integrate(lambda x: x ** exponent, 0.0, 1.0, rel_tol=1e-10)
+            integrate_one(lambda x: x ** exponent, 0.0, 1.0, rel_tol=1e-10)
 
     def test_singular_end_the_doubles_cannot_reach_is_an_error(self):
         # Nodes within a spacing of the doubles of 1 all sit at 1 - 1.1e-16,
         # where (1 - x)^(-1/2) leaves 2e-8 of the integral unaccounted for.
         with pytest.raises(QuadratureError, match="mass beyond the outermost nodes"):
-            integrate(lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, rel_tol=1e-10)
+            integrate_one(lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, rel_tol=1e-10)
 
     @given(c=st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
     def test_interval_additivity(self, c):
         f = lambda x: np.exp(x) * np.sin(3.0 * x)
-        whole, _ = integrate(f, 0.0, 1.0)
-        left, _ = integrate(f, 0.0, c)
-        right, _ = integrate(f, c, 1.0)
+        whole, _ = integrate_one(f, 0.0, 1.0)
+        left, _ = integrate_one(f, 0.0, c)
+        right, _ = integrate_one(f, c, 1.0)
         assert whole == pytest.approx(left + right, rel=1e-11, abs=1e-12)
+
+
+class TestIntegrateRows:
+    """Rows of functions on shared nodes: each row's entry is its lone call's."""
+
+    FUNCTIONS = [
+        lambda x: np.exp(x),                        # done at h = 1/16 in one call
+        lambda x: 1.0 / (0.01 + x ** 2),            # needs h = 1/32 and halved pieces
+        lambda x: np.abs(x - 1.0 / 3.0),            # halves the pieces at its kink
+        lambda x: np.where(x > 0.5, np.nan, x),     # holds a non-finite sample's error
+        lambda x: x ** 6,
+    ]
+
+    @staticmethod
+    def counted(f, calls):
+        def g(x):
+            calls.append(np.shape(x))
+            return f(x)
+        return g
+
+    def test_rows_equal_lone_calls(self):
+        # Each row reads only the calls its lone integral makes, although
+        # the rows make more between them: a row done in one call ignores
+        # the h = 1/32 calls and halved pieces of the others, and the row
+        # with a non-finite sample holds its error while the others finish.
+        calls, reads = [], []
+        rows = self.counted(lambda x: np.array([f(x) for f in self.FUNCTIONS]), calls)
+        got = integrate(rows, -1.0, 1.0, 1e-10, reads=reads)
+        alone = []
+        for i, f in enumerate(self.FUNCTIONS):
+            lone_calls = []
+            assert repr([got[i]]) == repr(integrate(self.counted(f, lone_calls), -1.0, 1.0,
+                                                    1e-10))
+            assert sum(i in readers for readers in reads) == len(lone_calls)
+            alone.append(len(lone_calls))
+        assert alone[:2] == [1, 6] and alone[3] == 1
+        assert isinstance(got[3], QuadratureError) and "non-finite" in str(got[3])
+        assert len(reads) == len(calls) and max(alone) < len(calls) < sum(alone)
+
+    def test_agreeing_rows_share_every_call(self):
+        # Multiples of one function, as a run's roots are: as many calls as
+        # one row, each row's value and error its own.
+        f = self.FUNCTIONS[1]
+        factors = np.array([[0.5], [1.0], [3.0]])
+        calls, lone_calls = [], []
+        got = integrate(self.counted(lambda x: factors * f(x), calls), -1.0, 1.0, 1e-10)
+        for i, factor in enumerate(factors[:, 0].tolist()):
+            lone_calls.clear()
+            assert [got[i]] == integrate(self.counted(lambda x: factor * f(x), lone_calls),
+                                         -1.0, 1.0, 1e-10)
+            assert lone_calls == calls
+
+    def test_breaks_integrate_each_interval_on_its_own(self):
+        f = self.FUNCTIONS[2]
+        (value, error), = integrate(f, 0.0, 1.0, 1e-10, breaks=(1.0 / 3.0,))
+        parts = [integrate_one(f, a, b, rel_tol=1e-10) for a, b in ((0.0, 1.0 / 3.0),
+                                                                   (1.0 / 3.0, 1.0))]
+        assert value == math.fsum(v for v, _ in parts)
+        assert error == math.fsum(e for _, e in parts)
 
 
 class TestIntegrateDecaying:

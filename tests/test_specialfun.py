@@ -128,7 +128,7 @@ class TestIncompleteBeta:
         # Independent route: the increment over [z1, z2] integrated directly,
         # away from the t = 0 endpoint, must match the difference of values.
         lo, hi = sorted((z1, z2))
-        direct, _ = integrate(
+        (direct, _), = integrate(
             lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0), lo, hi,
             rel_tol=1e-12,
         )

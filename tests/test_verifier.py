@@ -198,29 +198,27 @@ class TestJudge:
     @pytest.mark.parametrize("name, lam", [("exterior-saturating", 1.0),
                                            ("ball-quadratic-well", 2.0)])
     def test_first_failing_root_raises_at_its_stage(self, battery, monkeypatch, name, lam):
-        # Root 0's kernel value faults, and root 1's norm of U fails: its
-        # finite-p quadrature raises, or at p = inf its row of the one sup
-        # norm call for all roots is non-finite.  Alone, root 0 fails first,
-        # so the run raises its KernelEvalError; without that fault the run
-        # raises root 1's QuadratureError.
+        # Root 0's kernel value faults, and root 1's norm of U fails: its row
+        # of the one norm call for all roots, by quadrature at finite p or by
+        # maximization at p = inf, is non-finite and holds its error.  Alone,
+        # root 0 fails first, so the run raises its KernelEvalError; without
+        # that fault the run raises root 1's QuadratureError.
         case = next(c for c in battery["cases"] if c["name"] == name)
         inst = make_instance(case, lam)
         eq = build_reduced(inst)
         record = solve_roots(eq)
         analysis = {**record, "system_check": system_count_check(eq, record)}
-        s_0, s_1 = (root["s"] for root in record["roots"][:2])
+        s_0 = record["roots"][0]["s"]
         nan_row_1 = np.array([[0.0], [math.nan], [0.0]])[:record["count"]]
         norm_quadrature, eval_kernel = verifier.norm_quadrature, verifier.eval_kernel
         calls = []
 
         def failing_norm(radial_f, p, *args, **kwargs):
             rows = radial_f
-            value = norm_quadrature((lambda r: rows(r) + nan_row_1) if math.isinf(p)
-                                    else radial_f, p, *args, **kwargs)
-            calls.append(value)
-            if p == inst.p and value == pytest.approx(s_1, rel=1e-8):
-                raise QuadratureError("root 1's norm")
-            return value
+            u_norm = not calls          # the norm of U comes first
+            calls.append(p)
+            return norm_quadrature((lambda r: rows(r) + nan_row_1) if u_norm else radial_f,
+                                   p, *args, **kwargs)
 
         def failing_kernel(node, s, t):
             if s == pytest.approx(s_0, rel=1e-8):
@@ -231,9 +229,10 @@ class TestJudge:
         monkeypatch.setattr(verifier, "eval_kernel", failing_kernel)
         with pytest.raises(KernelEvalError, match="root 0's kernel value"):
             judge_run(inst, analysis)
-        assert len(calls) == 2          # root 0's two norms; root 1's never start
+        assert calls == [inst.p, inst.q]    # one call per exponent for all roots
         monkeypatch.setattr(verifier, "eval_kernel", eval_kernel)
-        with pytest.raises(QuadratureError):
+        calls.clear()
+        with pytest.raises(QuadratureError, match="non-finite"):
             judge_run(inst, analysis)
 
     def test_gamma_check_reads_the_first_48_radii(self, battery, monkeypatch):

@@ -1,6 +1,6 @@
 """Sweep the quadrature norms of the base fields against their closed forms.
 
-    python3 tools/norm_sweep.py [--src SRC] [--compare PARENT_SRC]
+    python3 tools/norm_sweep.py [--src SRC] [--compare PARENT_SRC] [--rows]
 
 SRC (by default the `src` directory of this checkout) and PARENT_SRC are
 directories holding the `odkirch` package.  Each tree runs in its own
@@ -29,9 +29,15 @@ The summary gives the count of each class, how many right values are off by
 more than 1e-10 and the worst relative error of a right value.  With
 --compare the sweep runs on PARENT_SRC too, and every norm whose class
 changed is listed with both classes and the error message or relative error
-of each side, then the count of changes from each class to each.  The script
-exits 1 when SRC has a wrong norm or, with --compare, any norm changed class,
-and 0 otherwise.
+of each side, then the count of changes from each class to each.
+
+With --rows SRC also computes every norm of the sweep as the rows of a field
+of three, the profile scaled by the column of ROW_AMPLITUDES (0.5, 1 and 2),
+in one `norm_quadrature` call, and each amplitude's profile alone; every row
+whose norm or error differs from its lone call's, by repr of the value or by
+type and message of the error, is listed, then the count.  The script exits 1
+when SRC has a wrong norm, with --compare when any norm changed class, and
+with --rows when any row differs from its lone call, and 0 otherwise.
 """
 
 import argparse
@@ -47,6 +53,7 @@ TIGHT = 1e-10
 EXTERIOR_DIMS = (2, 3, 5, 10, 50, 100, 438)
 BALL_DIMS = (2, 3, 10)
 BALL_RADII = (0.01, 1.0, 1.5, 100.0)
+ROW_AMPLITUDES = (0.5, 1.0, 2.0)
 
 
 def sweep():
@@ -76,18 +83,19 @@ def label(geom: dict, order: int, p: float) -> str:
     return f"{where} {('||U||', '||grad U||')[order]}_{p!r}"
 
 
-def child(src: str) -> int:
-    """Class every norm of the sweep with odkirch from src; print one JSON
-    list of [label, class, relative error or message]."""
+def import_base_solutions(src: str):
+    """odkirch.base_solutions, imported from src only."""
     sys.path.insert(0, src)
     from odkirch import base_solutions
-    from odkirch.errors import OdkirchError
 
     if Path(base_solutions.__file__).resolve().parent != (Path(src) / "odkirch").resolve():
-        print(f"imported odkirch from {base_solutions.__file__}, not {src}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"imported odkirch from {base_solutions.__file__}, not {src}")
+    return base_solutions
+
+
+def geometry_norms(base_solutions):
+    """(label, geometry, profile, order, p) of every norm of the sweep."""
     geometries = {}
-    rows = []
     for geom_doc, order, p in sweep():
         key = tuple(sorted(geom_doc.items()))
         if key not in geometries:
@@ -95,8 +103,17 @@ def child(src: str) -> int:
             geometries[key] = (base_solutions.BallGeometry(**args) if geom_doc["kind"] == "ball"
                                else base_solutions.ExteriorGeometry(**args))
         geom = geometries[key]
-        prof = geom.profile()
-        name = label(geom_doc, order, p)
+        yield label(geom_doc, order, p), geom, geom.profile(), order, p
+
+
+def child(src: str) -> int:
+    """Class every norm of the sweep with odkirch from src; print one JSON
+    list of [label, class, relative error or message]."""
+    base_solutions = import_base_solutions(src)
+    from odkirch.errors import OdkirchError
+
+    rows = []
+    for name, geom, prof, order, p in geometry_norms(base_solutions):
         try:
             closed = (geom.norm_u, geom.norm_grad)[order](p)
         except OdkirchError as exc:
@@ -118,11 +135,45 @@ def child(src: str) -> int:
     return 0
 
 
-def start(src: str) -> subprocess.Popen:
+def child_rows(src: str) -> int:
+    """Compute every norm of the sweep with odkirch from src as the rows of
+    the profile scaled by the column of ROW_AMPLITUDES, and alone for each
+    amplitude; print one JSON list of [label, amplitude, rows, lone] for
+    every row that differs from its lone call, the count of rows last."""
+    import numpy as np
+
+    base_solutions = import_base_solutions(src)
+    from odkirch.errors import OdkirchError
+
+    def outcome(prof, order, p, n, rows: int) -> list:
+        """Each row's norm by repr, or its error's type and message."""
+        try:
+            norms = base_solutions.norm_quadrature(
+                (prof.phi, prof.dphi)[order], p, n, prof.r_min, prof.r_max,
+                breaks=prof.sign_changes(order))
+        except OdkirchError as exc:
+            norms = [exc] * rows
+        return [f"{type(norm).__name__}: {norm}" if isinstance(norm, OdkirchError)
+                else repr(norm) for norm in (norms if isinstance(norms, list) else [norms])]
+
+    column = np.array(ROW_AMPLITUDES)[:, None]
+    diffs, count = [], 0
+    for name, geom, prof, order, p in geometry_norms(base_solutions):
+        rows = outcome(prof.scale(column), order, p, geom.n, len(ROW_AMPLITUDES))
+        for amplitude, row in zip(ROW_AMPLITUDES, rows):
+            lone, = outcome(prof.scale(amplitude), order, p, geom.n, 1)
+            count += 1
+            if row != lone:
+                diffs.append([name, amplitude, row, lone])
+    json.dump(diffs + [count], sys.stdout)
+    return 0
+
+
+def start(src: str, mode: str = "--child") -> subprocess.Popen:
     # -I: no PYTHONPATH, no user site, no script directory on sys.path; -B:
     # no bytecode left in the swept tree.
     return subprocess.Popen([sys.executable, "-I", "-B", str(Path(__file__).resolve()),
-                             "--child", str(Path(src).resolve())],
+                             mode, str(Path(src).resolve())],
                             stdout=subprocess.PIPE, text=True)
 
 
@@ -151,11 +202,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--compare", metavar="PARENT_SRC")
+    parser.add_argument("--rows", action="store_true")
     parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--child-rows", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         return child(args.child)
+    if args.child_rows:
+        return child_rows(args.child_rows)
     procs = [start(args.src)] + ([start(args.compare)] if args.compare else [])
+    rows_proc = start(args.src, "--child-rows") if args.rows else None
     rows = collect(procs[0], args.src)
     failed = any(cls == "wrong" for _, cls, _ in rows)
     if args.compare:
@@ -171,6 +227,13 @@ def main(argv=None) -> int:
         print(f"{sum(changes.values()):,} of {len(rows):,} norms changed class")
         failed = failed or bool(changes)
     print(f"change: {summary(rows)}" if args.compare else summary(rows))
+    if rows_proc:
+        *diffs, count = collect(rows_proc, args.src)
+        for name, amplitude, row, lone in diffs:
+            print(f"{name} x {amplitude!r}: rows {row} -> lone {lone}")
+        print(f"rows of {ROW_AMPLITUDES}: {len(diffs):,} of {count:,} rows differ "
+              f"from their lone calls")
+        failed = failed or bool(diffs)
     return 1 if failed else 0
 
 
