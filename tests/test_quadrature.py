@@ -419,6 +419,21 @@ class TestMaximize:
         assert shapes[0] == (4096,)
         assert all(shape == (3, 65) for shape in shapes[1:])
 
+    def test_refinement_points_are_linspaces(self):
+        # Each round samples every row's interval at np.linspace's points,
+        # bit for bit, for one row and for rows.
+        for peaks in (1.7, np.array([[1.7], [2.9]])):
+            calls = []
+
+            def f(x):
+                calls.append(np.array(x, ndmin=2))
+                return np.exp(-(np.asarray(x, dtype=float) - peaks) ** 2)
+
+            maximize(f, 1.0, 5.0)
+            for points in calls[1:]:
+                for line in points.tolist():
+                    assert line == np.linspace(line[0], line[-1], 65).tolist()
+
     def test_rows_finish_on_their_own(self):
         # The interval test is relative to |lo| + |hi| + 1: a peak near 0
         # takes one round more than one near 5.  The row done first keeps its
